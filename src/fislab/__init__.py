@@ -28,7 +28,7 @@ from .props import (DualityLevel, DualityVerdict, PropertyVerdict, Witness,
                     check_minimal_monotonicity, check_relevancy_consistency,
                     check_symmetry, gamma_value, property_matrix,
                     random_problem, reverify, search_counterexample)
-from .scores import (FIS_IDS, FIS_NAMES, FamilyMode, ScoreVector, TemplateId,
+from .scores import (FIS_IDS, FIS_NAMES, ScoreVector, TemplateId,
                      coefficient_sigma, compute_fis, coverage_score,
                      coverage_set, family_score, shapley_permutation_oracle,
                      template_score, wvg_power_index)

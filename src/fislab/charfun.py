@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import explain
+from .explain import ExplanationKind
 from .model import ExplanationProblem, WeightedVotingGame, as_mask
 
 CF_E = "CF_E"            # conditional expected value of the class label
@@ -25,8 +26,13 @@ CF_SUM = "CF_SUM"
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_DUAL_ID = {CF_W: CF_W_DUAL, CF_W_DUAL: CF_W, CF_A: CF_A_DUAL, CF_A_DUAL: CF_A,
-            CF_E: CF_E, CF_M: CF_M}
+# the indicator table of each explanation family.  A table's dual is the
+# indicator of the dual family; CF_E and CF_M read no family and are their
+# own duals.
+_INDICATOR = {ExplanationKind.WAXP: CF_W, ExplanationKind.WCXP: CF_W_DUAL,
+              ExplanationKind.AXP: CF_A, ExplanationKind.CXP: CF_A_DUAL}
+_DUALS = {CF_E: CF_E, CF_M: CF_M}
+_DUALS.update((cf_id, _INDICATOR[kind.dual]) for kind, cf_id in _INDICATOR.items())
 
 
 @dataclass(frozen=True)
@@ -107,24 +113,26 @@ def _indicator(problem, cf_id, accepted_masks) -> CharacteristicTable:
     return CharacteristicTable(cf_id, problem.m, values, problem)
 
 
+def _family_indicator(problem, kind) -> CharacteristicTable:
+    cf_id = _INDICATOR[kind]
+    return _cached(problem, cf_id, lambda: _indicator(
+        problem, cf_id, explain.family(problem, kind).members))
+
+
 def cf_waxp(problem: ExplanationProblem) -> CharacteristicTable:
-    return _cached(problem, CF_W, lambda: _indicator(
-        problem, CF_W, explain.enumerate_waxps(problem).members))
+    return _family_indicator(problem, ExplanationKind.WAXP)
 
 
 def cf_wcxp(problem: ExplanationProblem) -> CharacteristicTable:
-    return _cached(problem, CF_W_DUAL, lambda: _indicator(
-        problem, CF_W_DUAL, explain.enumerate_wcxps(problem).members))
+    return _family_indicator(problem, ExplanationKind.WCXP)
 
 
 def cf_axp(problem: ExplanationProblem) -> CharacteristicTable:
-    return _cached(problem, CF_A, lambda: _indicator(
-        problem, CF_A, explain.enumerate_axps(problem).members))
+    return _family_indicator(problem, ExplanationKind.AXP)
 
 
 def cf_cxp(problem: ExplanationProblem) -> CharacteristicTable:
-    return _cached(problem, CF_A_DUAL, lambda: _indicator(
-        problem, CF_A_DUAL, explain.enumerate_cxps(problem).members))
+    return _family_indicator(problem, ExplanationKind.CXP)
 
 
 def cf_generator(problem: ExplanationProblem) -> CharacteristicTable:
@@ -170,15 +178,19 @@ def cf_sum(table1: CharacteristicTable, table2: CharacteristicTable) -> Characte
                                children=(table1.cf_id, table2.cf_id))
 
 
-def dual_table(table: CharacteristicTable) -> CharacteristicTable:
-    """Swap sufficiency-based indicators for their contrastive twins.
+def dual_id(cf_id: str) -> str:
+    """Id of the mechanical dual: sufficiency indicators swap for their
+    contrastive twins and back."""
+    if cf_id not in _DUALS:
+        raise ValueError(f"no dual defined for {cf_id}")
+    return _DUALS[cf_id]
 
-    Tables that mention neither kind (expected value, similarity) are their
-    own duals.
-    """
-    if table.problem is None or table.cf_id not in _DUAL_ID:
+
+def dual_table(table: CharacteristicTable) -> CharacteristicTable:
+    """The dual table on the same problem (see dual_id)."""
+    if table.problem is None:
         raise ValueError(f"no dual defined for {table.cf_id}")
-    return build_table(_DUAL_ID[table.cf_id], table.problem)
+    return build_table(dual_id(table.cf_id), table.problem)
 
 
 _BUILDERS = {

@@ -214,8 +214,6 @@ def cmd_props(args) -> int:
                   "budget": args.budget, "seed": args.seed,
                   "witness_found": found,
                   "witness": witness.data if found else None}
-        if found and "generator" in witness.data:
-            report["witness"] = {k: v for k, v in witness.data.items()}
         rows = [{"property": args.search, "subject": subject,
                  "witness_found": found}]
         text = (f"{args.search} on {subject}: "

@@ -14,10 +14,24 @@ from .model import ExplanationProblem, as_mask, features_of
 
 
 class ExplanationKind(enum.Enum):
+    """The explanation families; each value is the family's report name."""
+
     WAXP = "waxp"
     AXP = "axp"
     WCXP = "wcxp"
     CXP = "cxp"
+
+    @property
+    def dual(self) -> "ExplanationKind":
+        """The mechanical dual: sufficiency swapped for contrast, weak or
+        minimal kept.  Every dual score and table derives from this map."""
+        return _DUAL_KIND[self]
+
+
+_DUAL_KIND = {ExplanationKind.WAXP: ExplanationKind.WCXP,
+              ExplanationKind.WCXP: ExplanationKind.WAXP,
+              ExplanationKind.AXP: ExplanationKind.CXP,
+              ExplanationKind.CXP: ExplanationKind.AXP}
 
 
 @dataclass(frozen=True)
@@ -69,7 +83,8 @@ def _masks_by_cardinality(m: int) -> list[int]:
     return sorted(range(1 << m), key=lambda s: (s.bit_count(), s))
 
 
-def _family(problem: ExplanationProblem, kind: ExplanationKind) -> ExplanationFamily:
+def family(problem: ExplanationProblem, kind: ExplanationKind) -> ExplanationFamily:
+    """The problem's family of the given kind, memoized on the problem."""
     cache = problem._cache
     key = ("family", kind)
     if key not in cache:
@@ -94,25 +109,21 @@ def _build_family(problem, kind):
 
 
 def enumerate_waxps(problem: ExplanationProblem) -> ExplanationFamily:
-    return _family(problem, ExplanationKind.WAXP)
+    return family(problem, ExplanationKind.WAXP)
 
 
 def enumerate_wcxps(problem: ExplanationProblem) -> ExplanationFamily:
-    return _family(problem, ExplanationKind.WCXP)
+    return family(problem, ExplanationKind.WCXP)
 
 
 def enumerate_axps(problem: ExplanationProblem) -> ExplanationFamily:
     """Subset-minimal weak abductive explanations."""
-    return _family(problem, ExplanationKind.AXP)
+    return family(problem, ExplanationKind.AXP)
 
 
 def enumerate_cxps(problem: ExplanationProblem) -> ExplanationFamily:
     """Subset-minimal weak contrastive explanations."""
-    return _family(problem, ExplanationKind.CXP)
-
-
-def family(problem: ExplanationProblem, kind: ExplanationKind) -> ExplanationFamily:
-    return _family(problem, kind)
+    return family(problem, ExplanationKind.CXP)
 
 
 def minimal_hitting_sets(members, universe_mask: int) -> tuple[int, ...]:

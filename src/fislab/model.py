@@ -13,6 +13,7 @@ import itertools
 import json
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -145,6 +146,9 @@ class TableBody:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
+        for label in self.labels:
+            if type(label) is not int:
+                raise DomainError(f"table labels must be integers, got {label!r}")
 
     def to_json(self):
         return {"kind": "table", "labels": list(self.labels)}
@@ -244,14 +248,42 @@ class BoolExprBody:
 
 
 @dataclass(frozen=True)
-class WVGBody:
-    """Threshold body: class 1 iff the weights of the 1-valued features reach the quota."""
+class WeightedVotingGame:
+    """[quota; w_1..w_m] with non-negative integer weights and quota <= total."""
 
     quota: int
     weights: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
+        if not self.weights:
+            raise DomainError("a voting game needs at least one voter")
+        if any(type(w) is not int or w < 0 for w in self.weights):
+            raise DomainError("weights must be non-negative integers")
+        if type(self.quota) is not int:
+            raise DomainError(f"quota must be an integer, got {self.quota!r}")
+        if self.quota < 0 or self.quota > sum(self.weights):
+            raise DomainError(
+                f"quota {self.quota} must lie in 0..{sum(self.weights)}")
+
+    @property
+    def m(self) -> int:
+        return len(self.weights)
+
+    def coalition_weight(self, mask: int) -> int:
+        total = 0
+        for i, w in enumerate(self.weights):
+            if mask >> i & 1:
+                total += w
+        return total
+
+    def is_winning(self, mask: int) -> bool:
+        return self.coalition_weight(mask) >= self.quota
+
+
+@dataclass(frozen=True)
+class WVGBody(WeightedVotingGame):
+    """Threshold body: class 1 iff the weights of the 1-valued features reach the quota."""
 
     def to_json(self):
         return {"kind": "wvg", "quota": self.quota, "weights": list(self.weights)}
@@ -272,8 +304,7 @@ def _eval_body(body, features: tuple[FeatureDomain, ...], point) -> int:
     if isinstance(body, BoolExprBody):
         return _expr_eval(body.ast, point)
     if isinstance(body, WVGBody):
-        total = sum(w for w, x in zip(body.weights, point) if x == 1)
-        return 1 if total >= body.quota else 0
+        return int(body.is_winning(sum(1 << i for i, x in enumerate(point) if x == 1)))
     raise TypeError(f"not a classifier body: {body!r}")
 
 
@@ -346,10 +377,6 @@ class Classifier:
             _check_boolean_domains(self.features, "wvg")
             if len(self.body.weights) != self.m:
                 raise ParseError("wvg body needs one weight per feature")
-            if any(w < 0 for w in self.body.weights):
-                raise DomainError("wvg weights must be non-negative")
-            if self.body.quota < 0 or self.body.quota > sum(self.body.weights):
-                raise DomainError("wvg quota must satisfy 0 <= quota <= total weight")
         if isinstance(self.body, TreeBody):
             _check_tree(self.body.root, self.features)
         return tuple(_eval_body(self.body, self.features, p) for p in self.points())
@@ -534,13 +561,6 @@ class ExplanationProblem:
             return iter((base,))
         return (base + sum(offsets) for offsets in itertools.product(*axes))
 
-    def agreement_mask(self, point) -> int:
-        mask = 0
-        for i, (a, b) in enumerate(zip(point, self.v)):
-            if a == b:
-                mask |= 1 << i
-        return mask
-
 
 def make_problem(classifier: Classifier, point, label: int | None = None) -> ExplanationProblem:
     """Bundle a classifier with an instance, deriving the label when omitted."""
@@ -564,41 +584,6 @@ def agreement_set(x, v) -> int:
         if a == b:
             mask |= 1 << i
     return mask
-
-
-# ---------------------------------------------------------------------------
-# weighted voting games (stand-alone, no instance attached)
-
-@dataclass(frozen=True)
-class WeightedVotingGame:
-    """[quota; w_1..w_m] with non-negative integer weights and quota <= total."""
-
-    quota: int
-    weights: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if not self.weights:
-            raise DomainError("a voting game needs at least one voter")
-        if any(not isinstance(w, int) or w < 0 for w in self.weights):
-            raise DomainError("weights must be non-negative integers")
-        if self.quota < 0 or self.quota > sum(self.weights):
-            raise DomainError(
-                f"quota {self.quota} must lie in 0..{sum(self.weights)}")
-
-    @property
-    def m(self) -> int:
-        return len(self.weights)
-
-    def coalition_weight(self, mask: int) -> int:
-        total = 0
-        for i, w in enumerate(self.weights):
-            if mask >> i & 1:
-                total += w
-        return total
-
-    def is_winning(self, mask: int) -> bool:
-        return self.coalition_weight(mask) >= self.quota
 
 
 # ---------------------------------------------------------------------------
@@ -736,29 +721,26 @@ def parse_model(document) -> Classifier:
             raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise ParseError("model document must be a single JSON object")
-    try:
+    with _reading_document():
         raw_features = document["features"]
         raw_classes = document["classes"]
         raw_body = document["body"]
-    except KeyError as exc:
-        raise ParseError(f"model document misses key {exc}") from None
-
-    features = tuple(FeatureDomain(f["id"], tuple(f["values"])) for f in raw_features)
-    classes = frozenset(raw_classes)
-
-    kind = raw_body.get("kind")
-    if kind == "table":
-        body = TableBody(tuple(raw_body["labels"]))
-    elif kind == "tree":
-        body = TreeBody(_parse_tree_node(raw_body["root"], "root"))
-    elif kind == "boolexpr":
-        ast = _ExprParser(_tokenize(raw_body["expr"])).parse()
-        body = BoolExprBody(ast)
-    elif kind == "wvg":
-        body = WVGBody(raw_body["quota"], tuple(raw_body["weights"]))
-    else:
-        raise ParseError(f"unknown body kind {kind!r}")
-    return Classifier(features, classes, body)
+        features = tuple(FeatureDomain(f["id"], tuple(f["values"]))
+                         for f in raw_features)
+        classes = frozenset(raw_classes)
+        kind = raw_body.get("kind")
+        if kind == "table":
+            body = TableBody(tuple(raw_body["labels"]))
+        elif kind == "tree":
+            body = TreeBody(_parse_tree_node(raw_body["root"], "root"))
+        elif kind == "boolexpr":
+            ast = _ExprParser(_tokenize(raw_body["expr"])).parse()
+            body = BoolExprBody(ast)
+        elif kind == "wvg":
+            body = WVGBody(raw_body["quota"], tuple(raw_body["weights"]))
+        else:
+            raise ParseError(f"unknown body kind {kind!r}")
+        return Classifier(features, classes, body)
 
 
 def load_problem(document) -> ExplanationProblem:
@@ -769,7 +751,23 @@ def load_problem(document) -> ExplanationProblem:
     raw = document.get("instance")
     if raw is None:
         raise ParseError("model document carries no instance")
-    return make_problem(classifier, tuple(raw["point"]), raw.get("label"))
+    with _reading_document():
+        point, label = tuple(raw["point"]), raw.get("label")
+    if label is not None and type(label) is not int:
+        raise ParseError(f"instance label must be an integer, got {label!r}")
+    return make_problem(classifier, point, label)
+
+
+@contextmanager
+def _reading_document():
+    """Report a document of the wrong shape (a missing key, a value of the
+    wrong JSON type) as a ParseError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"model document misses key {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ParseError(f"malformed model document: {exc}") from None
 
 
 def problem_to_document(problem: ExplanationProblem) -> dict:

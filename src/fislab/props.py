@@ -12,13 +12,14 @@ import enum
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import charfun, explain, scores
 from .charfun import CharacteristicTable
+from .explain import ExplanationKind
 from .model import (Classifier, ExplanationProblem, FeatureDomain, Instance,
                     TableBody, features_of, relabel_classes)
-from .scores import FamilyMode, ScoreVector, TemplateId
+from .scores import ScoreVector, TemplateId
 
 PROPERTY_IDS = ("P01", "P02", "P03", "P04", "P05", "P06", "P07", "P08", "P09")
 
@@ -120,10 +121,7 @@ def dummy_features(table: CharacteristicTable) -> list[int]:
 # ---------------------------------------------------------------------------
 # P01..P04 act on a template/table pair
 
-def _template_vector(problem, template_id, table, family_mode=None,
-                     normalized=False) -> ScoreVector:
-    return scores.template_score(template_id, problem, table,
-                                 family_mode, normalized)
+_ALL_SUBSETS = "all_subsets"  # witness family_mode of the all-subset templates
 
 
 def _subject(template_id: TemplateId, table: CharacteristicTable,
@@ -132,81 +130,81 @@ def _subject(template_id: TemplateId, table: CharacteristicTable,
     return f"{name}[{table.cf_id}]"
 
 
+def _template_failure(property_id: str, subject: str, problem, template_id,
+                      family_mode, normalized, **found) -> PropertyVerdict:
+    """Failing verdict whose witness stores the template replay parameters."""
+    family = family_mode or scores.TEMPLATE_DEFAULTS[template_id][1]
+    witness = Witness(problem, {
+        "property": property_id, "template": template_id.value,
+        "family_mode": family.value if family else _ALL_SUBSETS,
+        "normalized": normalized, **found})
+    return PropertyVerdict(property_id, subject, False, witness)
+
+
 def check_efficiency(problem: ExplanationProblem, template_id: TemplateId,
                      table: CharacteristicTable,
-                     family_mode: FamilyMode | None = None,
+                     family_mode: ExplanationKind | None = None,
                      normalized: bool = False) -> PropertyVerdict:
     """Score total must equal the table swing between the full and empty set."""
-    vec = _template_vector(problem, template_id, table, family_mode, normalized)
+    vec = scores.template_score(template_id, problem, table, family_mode, normalized)
     total = vec.total()
     target = table.values[table.full_mask] - table.values[0]
     subject = _subject(template_id, table, normalized)
     if total == target:
         return PropertyVerdict("P01", subject, True)
-    witness = Witness(problem, {
-        "property": "P01", "template": template_id.value, "cf_id": table.cf_id,
-        "family_mode": (family_mode or scores.DEFAULT_FAMILY_MODE[template_id]).value,
-        "normalized": normalized, "sum": str(total), "target": str(target)})
-    return PropertyVerdict("P01", subject, False, witness)
+    return _template_failure("P01", subject, problem, template_id, family_mode,
+                             normalized, cf_id=table.cf_id, sum=str(total),
+                             target=str(target))
 
 
 def check_symmetry(problem: ExplanationProblem, template_id: TemplateId,
                    table: CharacteristicTable,
-                   family_mode: FamilyMode | None = None,
+                   family_mode: ExplanationKind | None = None,
                    normalized: bool = False) -> PropertyVerdict:
     """Table-symmetric feature pairs must receive equal scores."""
-    vec = _template_vector(problem, template_id, table, family_mode, normalized)
+    vec = scores.template_score(template_id, problem, table, family_mode, normalized)
     subject = _subject(template_id, table, normalized)
     for i, j in symmetric_pairs(table):
         if vec.score(i) != vec.score(j):
-            witness = Witness(problem, {
-                "property": "P02", "template": template_id.value,
-                "cf_id": table.cf_id, "normalized": normalized,
-                "family_mode": (family_mode or scores.DEFAULT_FAMILY_MODE[template_id]).value,
-                "pair": (i, j),
-                "scores": (str(vec.score(i)), str(vec.score(j)))})
-            return PropertyVerdict("P02", subject, False, witness)
+            return _template_failure(
+                "P02", subject, problem, template_id, family_mode, normalized,
+                cf_id=table.cf_id, pair=(i, j),
+                scores=(str(vec.score(i)), str(vec.score(j))))
     return PropertyVerdict("P02", subject, True)
 
 
 def check_additivity(problem: ExplanationProblem, template_id: TemplateId,
                      table1: CharacteristicTable, table2: CharacteristicTable,
-                     family_mode: FamilyMode | None = None,
+                     family_mode: ExplanationKind | None = None,
                      normalized: bool = False) -> PropertyVerdict:
     """Score of the pointwise-sum table vs sum of the individual scores."""
     combined = charfun.cf_sum(table1, table2)
-    vec12 = _template_vector(problem, template_id, combined, family_mode, normalized)
-    vec1 = _template_vector(problem, template_id, table1, family_mode, normalized)
-    vec2 = _template_vector(problem, template_id, table2, family_mode, normalized)
+    vec12, vec1, vec2 = (scores.template_score(template_id, problem, table,
+                                               family_mode, normalized)
+                         for table in (combined, table1, table2))
     subject = f"{template_id.value}[{table1.cf_id}+{table2.cf_id}]"
     for i in range(1, problem.m + 1):
         if vec12.score(i) != vec1.score(i) + vec2.score(i):
-            witness = Witness(problem, {
-                "property": "P03", "template": template_id.value,
-                "cf_ids": (table1.cf_id, table2.cf_id), "normalized": normalized,
-                "family_mode": (family_mode or scores.DEFAULT_FAMILY_MODE[template_id]).value,
-                "feature": i,
-                "combined": str(vec12.score(i)),
-                "parts": (str(vec1.score(i)), str(vec2.score(i)))})
-            return PropertyVerdict("P03", subject, False, witness)
+            return _template_failure(
+                "P03", subject, problem, template_id, family_mode, normalized,
+                cf_ids=(table1.cf_id, table2.cf_id), feature=i,
+                combined=str(vec12.score(i)),
+                parts=(str(vec1.score(i)), str(vec2.score(i))))
     return PropertyVerdict("P03", subject, True)
 
 
 def check_dummy(problem: ExplanationProblem, template_id: TemplateId,
                 table: CharacteristicTable,
-                family_mode: FamilyMode | None = None,
+                family_mode: ExplanationKind | None = None,
                 normalized: bool = False) -> PropertyVerdict:
     """Features the table never reacts to must score zero."""
-    vec = _template_vector(problem, template_id, table, family_mode, normalized)
+    vec = scores.template_score(template_id, problem, table, family_mode, normalized)
     subject = _subject(template_id, table, normalized)
     for i in dummy_features(table):
         if vec.score(i) != 0:
-            witness = Witness(problem, {
-                "property": "P04", "template": template_id.value,
-                "cf_id": table.cf_id, "normalized": normalized,
-                "family_mode": (family_mode or scores.DEFAULT_FAMILY_MODE[template_id]).value,
-                "feature": i, "score": str(vec.score(i))})
-            return PropertyVerdict("P04", subject, False, witness)
+            return _template_failure(
+                "P04", subject, problem, template_id, family_mode, normalized,
+                cf_id=table.cf_id, feature=i, score=str(vec.score(i)))
     return PropertyVerdict("P04", subject, True)
 
 
@@ -375,50 +373,112 @@ _ADDITIVITY_PAIRS = (
 )
 
 
+# One property -> check table serves audits, searches and replays.  A search
+# subject expands to one or more replay-parameter dicts, the same dicts a
+# failing check stores in its witness; the run function evaluates one of them
+# and returns the check's verdict.
+
+def _template_subject(subject) -> tuple[TemplateId, tuple[str, ...]]:
+    """A template name, bare or leading a tuple of characteristic ids."""
+    if isinstance(subject, str):
+        subject = (subject,)
+    return TemplateId(subject[0]), tuple(subject[1:])
+
+
+def _template_runs(subject, problem, index) -> list[dict]:
+    template, cf_ids = _template_subject(subject)
+    cf_id = cf_ids[0] if cf_ids else scores.TEMPLATE_DEFAULTS[template][0]
+    return [{"template": template.value, "cf_id": cf_id}]
+
+
+def _additivity_runs(subject, problem, index) -> list[dict]:
+    template, cf_ids = _template_subject(subject)
+    if len(cf_ids) < 2:
+        cf_ids = _ADDITIVITY_PAIRS[index % len(_ADDITIVITY_PAIRS)]
+    return [{"template": template.value, "cf_ids": cf_ids[:2]}]
+
+
+def _fis_runs(subject, problem, index) -> list[dict]:
+    return [{"fis": subject}]
+
+
+def _relabel_runs(subject, problem, index) -> list[dict]:
+    classes = problem.classifier.classes
+    return [{"fis": subject, "sigma": sigma}
+            for sigma in (label_rotation(classes), label_scramble(classes))]
+
+
+def _run_template(check, problem, params):
+    tables = [charfun.build_table(cf_id, problem)
+              for cf_id in params.get("cf_ids") or (params["cf_id"],)]
+    family = params.get("family_mode")
+    kind = None if family in (None, _ALL_SUBSETS) else ExplanationKind(family)
+    return check(problem, TemplateId(params["template"]), *tables, kind,
+                 params.get("normalized", False))
+
+
+def _run_relabel(problem, params, property_id):
+    sigma = {int(k): v for k, v in params["sigma"].items()}
+    return check_class_relabeling(problem, params["fis"], sigma)
+
+
+def _run_duality(problem, params, property_id):
+    level = property_id.split("-")[1] if "-" in property_id else "weak"
+    if level not in ("strong", "equivalent", "weak"):
+        raise ValueError(f"unknown duality level {level!r}")
+    fis_id = params["fis"]
+    dv = check_duality(problem, fis_id)
+    if getattr(dv, level):
+        return PropertyVerdict(property_id, fis_id, True)
+    witness = Witness(problem, {
+        "property": property_id, "fis": fis_id,
+        "primal": dv.primal.as_strings(), "dual": dv.dual.as_strings()})
+    return PropertyVerdict(property_id, fis_id, False, witness)
+
+
+# property -> (subject expansion, run on one replay-parameter dict).  The
+# runs name each check in their body, so a check re-bound on this module (as
+# the benchmark's tracer does) is the one that runs.
+_CHECKS = {
+    "P01": (_template_runs, lambda problem, params, _:
+            _run_template(check_efficiency, problem, params)),
+    "P02": (_template_runs, lambda problem, params, _:
+            _run_template(check_symmetry, problem, params)),
+    "P03": (_additivity_runs, lambda problem, params, _:
+            _run_template(check_additivity, problem, params)),
+    "P04": (_template_runs, lambda problem, params, _:
+            _run_template(check_dummy, problem, params)),
+    "P05": (_fis_runs, lambda problem, params, _:
+            check_minimal_monotonicity(problem, params["fis"])),
+    "P07": (_relabel_runs, _run_relabel),
+    "P08": (_fis_runs, lambda problem, params, _:
+            check_relevancy_consistency(problem, params["fis"])),
+    "P09": (_fis_runs, _run_duality),
+}
+
+
+def _check_for(property_id: str):
+    try:
+        return _CHECKS[property_id.split("-")[0]]
+    except KeyError:
+        raise ValueError(f"cannot check property {property_id!r}") from None
+
+
 def _probe(property_id: str, subject, problem: ExplanationProblem,
            index: int) -> PropertyVerdict | None:
     """Run one property check; return the verdict only when it fails."""
-    base = property_id.split("-")[0]
-    if base in ("P01", "P02", "P03", "P04"):
-        template = TemplateId(subject[0])
-        if base == "P03":
-            if len(subject) >= 3:
-                cf1, cf2 = subject[1], subject[2]
-            else:
-                cf1, cf2 = _ADDITIVITY_PAIRS[index % len(_ADDITIVITY_PAIRS)]
-            verdict = check_additivity(problem, template,
-                                       charfun.build_table(cf1, problem),
-                                       charfun.build_table(cf2, problem))
-        else:
-            table = charfun.build_table(subject[1], problem)
-            check = {"P01": check_efficiency, "P02": check_symmetry,
-                     "P04": check_dummy}[base]
-            verdict = check(problem, template, table)
-        return None if verdict.holds else verdict
-    if base == "P05":
-        verdict = check_minimal_monotonicity(problem, subject)
-        return None if verdict.holds else verdict
-    if base == "P07":
-        for sigma in (label_rotation(problem.classifier.classes),
-                      label_scramble(problem.classifier.classes)):
-            verdict = check_class_relabeling(problem, subject, sigma)
-            if not verdict.holds:
-                return verdict
-        return None
-    if base == "P08":
-        verdict = check_relevancy_consistency(problem, subject)
-        return None if verdict.holds else verdict
-    if base == "P09":
-        level = property_id.split("-")[1] if "-" in property_id else "weak"
-        dv = check_duality(problem, subject)
-        ok = {"strong": dv.strong, "equivalent": dv.equivalent, "weak": dv.weak}[level]
-        if ok:
-            return None
-        witness = Witness(problem, {
-            "property": property_id, "fis": subject,
-            "primal": dv.primal.as_strings(), "dual": dv.dual.as_strings()})
-        return PropertyVerdict(property_id, subject, False, witness)
-    raise ValueError(f"cannot search property {property_id!r}")
+    expand, run = _check_for(property_id)
+    for params in expand(subject, problem, index):
+        verdict = run(problem, params, property_id)
+        if not verdict.holds:
+            return verdict
+    return None
+
+
+def _tagged(verdict: PropertyVerdict, generator: dict) -> Witness:
+    """The failing verdict's witness, tagged with where its problem came from."""
+    witness = verdict.witness
+    return Witness(witness.problem, {**witness.data, "generator": generator})
 
 
 def audit(property_id: str, subject, problem: ExplanationProblem) -> PropertyVerdict:
@@ -452,22 +512,14 @@ def search_counterexample(property_id: str, subject, problems=None, *,
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if problems is not None:
-        stream: Iterable = problems
-        hit = None
-        for k, item in enumerate(stream):
+        for k, item in enumerate(problems):
             if k >= budget:
                 break
             index, problem = item if isinstance(item, tuple) else (k, item)
             verdict = _probe(property_id, subject, problem, index)
             if verdict is not None:
-                hit = (index, problem, verdict)
-                break
-        if hit is None:
-            return None
-        index, problem, verdict = hit
-        data = dict(verdict.witness.data if verdict.witness else {})
-        data["generator"] = {"seed": None, "index": index}
-        return Witness(problem, data)
+                return _tagged(verdict, {"seed": None, "index": index})
+        return None
 
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -487,60 +539,20 @@ def search_counterexample(property_id: str, subject, problems=None, *,
     if found is None:
         return None
     index, verdict = found
-    data = dict(verdict.witness.data if verdict.witness else {})
-    data["generator"] = {"seed": seed, "index": index, "m_range": list(m_range)}
-    return Witness(verdict.witness.problem if verdict.witness else None, data)
+    return _tagged(verdict, {"seed": seed, "index": index, "m_range": list(m_range)})
 
 
 def reverify(verdict: PropertyVerdict) -> bool:
     """Re-run the violated predicate on the stored witness; True if it still fails."""
     if verdict.holds or verdict.witness is None:
         raise ValueError("only failing verdicts carry a witness to re-check")
-    data = verdict.witness.data
-    problem = verdict.witness.problem
-    base = verdict.property_id.split("-")[0]
-    if base in ("P01", "P02", "P04"):
-        check = {"P01": check_efficiency, "P02": check_symmetry,
-                 "P04": check_dummy}[base]
-        again = check(problem, TemplateId(data["template"]),
-                      charfun.build_table(data["cf_id"], problem),
-                      FamilyMode(data["family_mode"]), data["normalized"])
-        return not again.holds
-    if base == "P03":
-        cf1, cf2 = data["cf_ids"]
-        again = check_additivity(problem, TemplateId(data["template"]),
-                                 charfun.build_table(cf1, problem),
-                                 charfun.build_table(cf2, problem),
-                                 FamilyMode(data["family_mode"]),
-                                 data["normalized"])
-        return not again.holds
-    if base == "P05":
-        return not check_minimal_monotonicity(problem, data["fis"]).holds
-    if base == "P07":
-        sigma = {int(k): v for k, v in data["sigma"].items()}
-        return not check_class_relabeling(problem, data["fis"], sigma).holds
-    if base == "P08":
-        return not check_relevancy_consistency(problem, data["fis"]).holds
-    if base == "P09":
-        level = verdict.property_id.split("-")[1] if "-" in verdict.property_id else "weak"
-        dv = check_duality(problem, data["fis"])
-        return not {"strong": dv.strong, "equivalent": dv.equivalent,
-                    "weak": dv.weak}[level]
-    raise ValueError(f"cannot re-verify {verdict.property_id!r}")
+    _, run = _check_for(verdict.property_id)
+    witness = verdict.witness
+    return not run(witness.problem, witness.data, verdict.property_id).holds
 
 
 # ---------------------------------------------------------------------------
 # property matrix
-
-_TEMPLATE_CANONICAL_CF = {
-    TemplateId.SHAPLEY_SHUBIK: charfun.CF_W,
-    TemplateId.BANZHAF: charfun.CF_W,
-    TemplateId.JOHNSTON: charfun.CF_W,
-    TemplateId.DEEGAN_PACKEL: charfun.CF_A,
-    TemplateId.HOLLER_PACKEL: charfun.CF_A,
-    TemplateId.RESPONSIBILITY: charfun.CF_A,
-    TemplateId.ANDJIGA: charfun.CF_W,
-}
 
 # the known classification the audit must reproduce; True = audits as holds*
 PINNED_TEMPLATE: dict[tuple[str, str], bool] = {}
@@ -588,15 +600,16 @@ class PropertyMatrix:
         return list(self.template_rows) + list(self.fis_rows)
 
 
-def _fis_corpus_violation(fis_id, prop, corpus, seed):
+def _fis_corpus_violation(fis_id, prop, corpus, seed) -> Witness | None:
     for k, problem in enumerate(corpus):
         verdict = _probe(prop, fis_id, problem, k)
         if verdict is not None:
-            data = dict(verdict.witness.data)
-            data["generator"] = {"seed": seed, "index": k}
-            return PropertyVerdict(verdict.property_id, verdict.subject, False,
-                                   Witness(verdict.witness.problem, data))
+            return _tagged(verdict, {"seed": seed, "index": k})
     return None
+
+
+def _cell(witness: Witness | None) -> Cell:
+    return Cell("holds*", True) if witness is None else Cell("fails", False, witness)
 
 
 def property_matrix(*, seed: int = 0, corpus_count: int = 60,
@@ -617,7 +630,7 @@ def property_matrix(*, seed: int = 0, corpus_count: int = 60,
     # template rows: P01..P04 with the canonical tables
     for template in TemplateId:
         row = template.value
-        cf_id = _TEMPLATE_CANONICAL_CF[template]
+        cf_id = scores.TEMPLATE_DEFAULTS[template][0]
         table = charfun.build_table(cf_id, audit)
         for prop, check in (("P01", check_efficiency), ("P02", check_symmetry),
                             ("P04", check_dummy)):
@@ -630,16 +643,10 @@ def property_matrix(*, seed: int = 0, corpus_count: int = 60,
             if verdict.holds and prop == "P04":
                 verdict = check(witness_problem, template,
                                 charfun.cf_waxp(witness_problem))
-            if verdict.holds:
-                put(row, prop, Cell("holds*", True))
-            else:
-                put(row, prop, Cell("fails", False, verdict.witness))
-        hit = search_counterexample("P03", (template.value,), seed=seed,
-                                    budget=search_budget, m_range=m_range)
-        if hit is None:
-            put(row, "P03", Cell("holds*", True))
-        else:
-            put(row, "P03", Cell("fails", False, hit))
+            put(row, prop, _cell(verdict.witness))
+        put(row, "P03", _cell(search_counterexample(
+            "P03", (template.value,), seed=seed, budget=search_budget,
+            m_range=m_range)))
         for prop in ("P05", "P06", "P07", "P08", "P09"):
             put(row, prop, Cell("n/a"))
 
@@ -651,21 +658,14 @@ def property_matrix(*, seed: int = 0, corpus_count: int = 60,
         for prop in ("P05", "P07", "P08"):
             verdict = _probe(prop, fis_id, audit, 0)
             if verdict is not None:
-                data = dict(verdict.witness.data)
-                data["generator"] = {"reference": "and_or_chain"}
-                verdict = PropertyVerdict(prop, fis_id, False,
-                                          Witness(audit, data))
+                witness = _tagged(verdict, {"reference": "and_or_chain"})
             else:
-                verdict = _fis_corpus_violation(fis_id, prop, corpus, seed)
-            if verdict is None and fis_id in ("E", "M"):
-                hit = search_counterexample(prop, fis_id, seed=seed,
-                                            budget=search_budget, m_range=m_range)
-                if hit is not None:
-                    verdict = PropertyVerdict(prop, fis_id, False, hit)
-            if verdict is None:
-                put(row, prop, Cell("holds*", True))
-            else:
-                put(row, prop, Cell("fails", False, verdict.witness))
+                witness = _fis_corpus_violation(fis_id, prop, corpus, seed)
+            if witness is None and fis_id in ("E", "M"):
+                witness = search_counterexample(prop, fis_id, seed=seed,
+                                                budget=search_budget,
+                                                m_range=m_range)
+            put(row, prop, _cell(witness))
         gamma = gamma_value(audit, fis_id)
         put(row, "P06", Cell(str(gamma)))
         dv = check_duality(audit, fis_id)
@@ -680,24 +680,17 @@ def property_matrix(*, seed: int = 0, corpus_count: int = 60,
         cell.ok = Fraction(cell.status) == expected
 
     inconsistencies = []
-    for (row, col), expected in PINNED_TEMPLATE.items():
-        cell = cells[(row, col)]
-        if cell.ok is not expected:
-            inconsistencies.append(
-                f"{row}/{col}: expected {'holds' if expected else 'fails'}, "
-                f"computed {cell.status}")
-    for (row, col), expected in PINNED_FIS.items():
+    for (row, col), expected in {**PINNED_TEMPLATE, **PINNED_FIS}.items():
         cell = cells[(row, col)]
         if isinstance(expected, bool):
             if cell.ok is not expected:
                 inconsistencies.append(
                     f"{row}/{col}: expected {'holds' if expected else 'fails'}, "
                     f"computed {cell.status}")
-        else:
-            if cell.status not in expected:
-                inconsistencies.append(
-                    f"{row}/{col}: expected one of {sorted(expected)}, "
-                    f"computed {cell.status}")
+        elif cell.status not in expected:
+            inconsistencies.append(
+                f"{row}/{col}: expected one of {sorted(expected)}, "
+                f"computed {cell.status}")
     for fis_id in ("S", "D", "H"):
         if cells[(fis_id, "P06")].ok is not True:
             inconsistencies.append(f"{fis_id}/P06: total off its closed form")

@@ -31,37 +31,16 @@ class TemplateId(enum.Enum):
     ANDJIGA = "andjiga"
 
 
-class FamilyMode(enum.Enum):
-    ALL_SUBSETS = "all_subsets"
-    AXP_FAMILY = "axp"
-    CXP_FAMILY = "cxp"
-    WAXP_FAMILY = "waxp"
-    WCXP_FAMILY = "wcxp"
-
-
-DEFAULT_FAMILY_MODE = {
-    TemplateId.SHAPLEY_SHUBIK: FamilyMode.ALL_SUBSETS,
-    TemplateId.BANZHAF: FamilyMode.ALL_SUBSETS,
-    TemplateId.JOHNSTON: FamilyMode.ALL_SUBSETS,
-    TemplateId.DEEGAN_PACKEL: FamilyMode.AXP_FAMILY,
-    TemplateId.HOLLER_PACKEL: FamilyMode.AXP_FAMILY,
-    TemplateId.RESPONSIBILITY: FamilyMode.AXP_FAMILY,
-    TemplateId.ANDJIGA: FamilyMode.WAXP_FAMILY,
-}
-
-DUAL_FAMILY_MODE = {
-    FamilyMode.ALL_SUBSETS: FamilyMode.ALL_SUBSETS,
-    FamilyMode.AXP_FAMILY: FamilyMode.CXP_FAMILY,
-    FamilyMode.CXP_FAMILY: FamilyMode.AXP_FAMILY,
-    FamilyMode.WAXP_FAMILY: FamilyMode.WCXP_FAMILY,
-    FamilyMode.WCXP_FAMILY: FamilyMode.WAXP_FAMILY,
-}
-
-_MODE_TO_KIND = {
-    FamilyMode.AXP_FAMILY: ExplanationKind.AXP,
-    FamilyMode.CXP_FAMILY: ExplanationKind.CXP,
-    FamilyMode.WAXP_FAMILY: ExplanationKind.WAXP,
-    FamilyMode.WCXP_FAMILY: ExplanationKind.WCXP,
+# template -> (canonical characteristic id, family summed over); a family of
+# None means all 2^m subsets
+TEMPLATE_DEFAULTS = {
+    TemplateId.SHAPLEY_SHUBIK: (charfun.CF_W, None),
+    TemplateId.BANZHAF: (charfun.CF_W, None),
+    TemplateId.JOHNSTON: (charfun.CF_W, None),
+    TemplateId.DEEGAN_PACKEL: (charfun.CF_A, ExplanationKind.AXP),
+    TemplateId.HOLLER_PACKEL: (charfun.CF_A, ExplanationKind.AXP),
+    TemplateId.RESPONSIBILITY: (charfun.CF_A, ExplanationKind.AXP),
+    TemplateId.ANDJIGA: (charfun.CF_W, ExplanationKind.WAXP),
 }
 
 
@@ -163,12 +142,10 @@ def _score_family(template: TemplateId, table: CharacteristicTable | None,
                 d = Fraction(1)
             else:
                 d = table.values[s] - table.values[s & ~(1 << i)]
-            if template is TemplateId.DEEGAN_PACKEL:
+            if template in (TemplateId.DEEGAN_PACKEL, TemplateId.ANDJIGA):
                 sums[i] += d / (size * count)
             elif template is TemplateId.HOLLER_PACKEL:
                 sums[i] += d / count
-            elif template is TemplateId.ANDJIGA:
-                sums[i] += d / (size * count)
             elif template is TemplateId.RESPONSIBILITY:
                 term = d / (size * count) if normalized else d / size
                 if maxima[i] is None or term > maxima[i]:
@@ -178,24 +155,27 @@ def _score_family(template: TemplateId, table: CharacteristicTable | None,
     return tuple(sums)
 
 
-def _family_members(problem: ExplanationProblem, mode: FamilyMode) -> tuple[int, ...]:
-    return explain.family(problem, _MODE_TO_KIND[mode]).members
-
-
 def template_score(template_id: TemplateId, problem: ExplanationProblem,
                    table: CharacteristicTable,
-                   family_mode: FamilyMode | None = None,
+                   family_mode: ExplanationKind | None = None,
                    normalized: bool = False) -> ScoreVector:
-    """Evaluate one template on a problem with the given characteristic table."""
+    """Evaluate one template on a problem with the given characteristic table.
+
+    family_mode overrides the explanation family a family template sums
+    over; the all-subset templates take none.
+    """
     if table.problem is not None and table.problem != problem:
         raise ValueError("table was built on a different problem")
     if table.n_features != problem.m:
         raise ValueError("table size does not match the problem")
-    mode = family_mode or DEFAULT_FAMILY_MODE[template_id]
-    if mode is FamilyMode.ALL_SUBSETS:
+    default = TEMPLATE_DEFAULTS[template_id][1]
+    if default is None:
+        if family_mode is not None:
+            raise ValueError(f"{template_id.value} sums over all subsets, "
+                             f"not over a family")
         values = _score_all_subsets(template_id, table)
     else:
-        members = _family_members(problem, mode)
+        members = explain.family(problem, family_mode or default).members
         values = _score_family(template_id, table, members, problem.m, normalized)
     name = template_id.value + ("_normalized" if normalized else "")
     return ScoreVector(values, name, table.cf_id, problem)
@@ -245,26 +225,22 @@ FIS_NAMES = {
     "V": "coverage",
 }
 
-# fis id -> (template, characteristic id, family mode, normalized)
+# fis id -> (template, characteristic id, family, normalized)
 _FIS_RECIPES = {
-    "E": (TemplateId.SHAPLEY_SHUBIK, charfun.CF_E, FamilyMode.ALL_SUBSETS, False),
-    "M": (TemplateId.SHAPLEY_SHUBIK, charfun.CF_M, FamilyMode.ALL_SUBSETS, False),
-    "S": (TemplateId.SHAPLEY_SHUBIK, charfun.CF_W, FamilyMode.ALL_SUBSETS, False),
-    "B": (TemplateId.BANZHAF, charfun.CF_W, FamilyMode.ALL_SUBSETS, False),
-    "J": (TemplateId.JOHNSTON, charfun.CF_W, FamilyMode.ALL_SUBSETS, False),
-    "D": (TemplateId.DEEGAN_PACKEL, charfun.CF_A, FamilyMode.AXP_FAMILY, False),
-    "H": (TemplateId.HOLLER_PACKEL, charfun.CF_A, FamilyMode.AXP_FAMILY, False),
-    "R": (TemplateId.RESPONSIBILITY, charfun.CF_A, FamilyMode.AXP_FAMILY, False),
-    "R_NORM": (TemplateId.RESPONSIBILITY, charfun.CF_A, FamilyMode.AXP_FAMILY, True),
-    "A": (TemplateId.ANDJIGA, charfun.CF_W, FamilyMode.WAXP_FAMILY, False),
+    "E": (TemplateId.SHAPLEY_SHUBIK, charfun.CF_E, None, False),
+    "M": (TemplateId.SHAPLEY_SHUBIK, charfun.CF_M, None, False),
+    "S": (TemplateId.SHAPLEY_SHUBIK, charfun.CF_W, None, False),
+    "B": (TemplateId.BANZHAF, charfun.CF_W, None, False),
+    "J": (TemplateId.JOHNSTON, charfun.CF_W, None, False),
+    "D": (TemplateId.DEEGAN_PACKEL, charfun.CF_A, ExplanationKind.AXP, False),
+    "H": (TemplateId.HOLLER_PACKEL, charfun.CF_A, ExplanationKind.AXP, False),
+    "R": (TemplateId.RESPONSIBILITY, charfun.CF_A, ExplanationKind.AXP, False),
+    "R_NORM": (TemplateId.RESPONSIBILITY, charfun.CF_A, ExplanationKind.AXP, True),
+    "A": (TemplateId.ANDJIGA, charfun.CF_W, ExplanationKind.WAXP, False),
     # already the contrastive twin of R: max influence/size over minimal
     # contrastive subsets, read from the contrastive indicator
-    "C": (TemplateId.RESPONSIBILITY, charfun.CF_W_DUAL, FamilyMode.CXP_FAMILY, False),
+    "C": (TemplateId.RESPONSIBILITY, charfun.CF_W_DUAL, ExplanationKind.CXP, False),
 }
-
-_DUAL_CF = {charfun.CF_E: charfun.CF_E, charfun.CF_M: charfun.CF_M,
-            charfun.CF_W: charfun.CF_W_DUAL, charfun.CF_W_DUAL: charfun.CF_W,
-            charfun.CF_A: charfun.CF_A_DUAL, charfun.CF_A_DUAL: charfun.CF_A}
 
 
 def parse_fis_id(text: str) -> tuple[str, bool]:
@@ -294,12 +270,12 @@ def compute_fis(fis_id: str, problem: ExplanationProblem, dual: bool = False) ->
     if fis_id == "V":
         vec = coverage_score(problem, contrastive=dual)
         return ScoreVector(vec.values, label, None, problem)
-    template, cf_id, mode, normalized = _FIS_RECIPES[fis_id]
+    template, cf_id, family, normalized = _FIS_RECIPES[fis_id]
     if dual:
-        cf_id = _DUAL_CF[cf_id]
-        mode = DUAL_FAMILY_MODE[mode]
+        cf_id = charfun.dual_id(cf_id)
+        family = family.dual if family else None
     table = charfun.build_table(cf_id, problem)
-    vec = template_score(template, problem, table, mode, normalized)
+    vec = template_score(template, problem, table, family, normalized)
     return ScoreVector(vec.values, label, cf_id, problem)
 
 
@@ -377,13 +353,14 @@ def wvg_power_index(game: WeightedVotingGame, template_id: TemplateId,
     indicator, with minimal winning coalitions standing in for the minimal
     sufficient subsets."""
     table = charfun.cf_wvg(game)
-    if DEFAULT_FAMILY_MODE[template_id] is FamilyMode.ALL_SUBSETS:
+    family = TEMPLATE_DEFAULTS[template_id][1]
+    if family is None:
         values = _score_all_subsets(template_id, table)
     else:
-        if template_id is TemplateId.ANDJIGA:
-            members = winning_coalitions(game)
-        else:
+        if family is ExplanationKind.AXP:
             members = minimal_winning_coalitions(game)
+        else:
+            members = winning_coalitions(game)
         values = _score_family(template_id, table, members, game.m, normalized)
     name = template_id.value + ("_normalized" if normalized else "")
     return ScoreVector(values, name, charfun.CF_WVG)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -121,6 +122,10 @@ def test_score_rank_column(chain_model, capsys):
 # ---------------------------------------------------------------------------
 # props
 
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def test_props_matrix_consistent(capsys):
     code, out, _ = run(capsys, "props", "--corpus", "20", "--budget", "200",
                        "--format", "json")
@@ -129,6 +134,9 @@ def test_props_matrix_consistent(capsys):
     assert report["consistent"] is True
     assert report["cells"]["E/P05"] == "fails"
     assert report["cells"]["S/P09"] == "strong"
+    # every cell, witness and replay parameter, byte for byte
+    assert sha256(out) == ("fb47c63031aeedd527ad6ccd95e51718"
+                           "330b77e583b24caffd865c1ac88cfd70")
 
 
 def test_props_search(capsys):
@@ -138,6 +146,19 @@ def test_props_search(capsys):
     report = json.loads(out)
     assert report["witness_found"] is True
     assert report["witness"]["generator"]["index"] == 0
+
+
+@pytest.mark.parametrize("subject", ["banzhaf", "johnston"])
+def test_props_search_template_property(subject, capsys):
+    code, out, _ = run(capsys, "props", "--search", "P01", "--fis", subject,
+                       "--budget", "5", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["subject"] == subject
+    assert report["witness_found"] is True
+    assert report["witness"]["template"] == subject
+    assert report["witness"]["cf_id"] == "CF_W"
+    assert report["witness"]["family_mode"] == "all_subsets"
 
 
 def test_props_duality_tabulation(capsys):
@@ -207,6 +228,54 @@ def test_reports_byte_identical(chain_model, capsys):
     _, t1, _ = run(capsys, "props", "--corpus", "10", "--budget", "100")
     _, t2, _ = run(capsys, "props", "--corpus", "10", "--budget", "100")
     assert t1 == t2
+
+
+def test_score_report_pinned(chain_model, capsys):
+    code, out, _ = run(capsys, "score", "--model", chain_model, "--fis", "all",
+                       "--dual", "--rank", "--format", "json")
+    assert code == 0
+    assert sha256(out) == ("171e6642d755ee37e12a8d2e8de75ecf"
+                           "1f2eb77a6180a612410d522f1863ff9a")
+
+
+def _chain_document():
+    return {
+        "features": [{"id": i, "values": [0, 1]} for i in range(1, 5)],
+        "classes": [0, 1],
+        "body": {"kind": "boolexpr", "expr": "x1 & (x2 | x3 & x4)"},
+        "instance": {"point": [1, 1, 1, 1], "label": 1},
+    }
+
+
+def _no_values(doc):
+    del doc["features"][0]["values"]
+
+
+def _float_labels(doc):
+    doc["body"] = {"kind": "table", "labels": [0.0] + [1] * 15}
+
+
+@pytest.mark.parametrize("mutate", [
+    _no_values,
+    lambda doc: doc.update(body=[1]),
+    lambda doc: doc.update(instance={}),
+    lambda doc: doc.update(features=[3]),
+    lambda doc: doc.update(classes=5),
+    _float_labels,
+    lambda doc: doc["instance"].update(label=1.0),
+], ids=["feature-without-values", "body-not-object", "instance-without-point",
+        "feature-not-object", "classes-not-list", "float-label",
+        "float-instance-label"])
+def test_malformed_model_is_a_usage_error(mutate, tmp_path, capsys):
+    doc = _chain_document()
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "explain", "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_code(capsys):

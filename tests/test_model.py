@@ -280,6 +280,17 @@ def test_parse_model_wvg():
     assert again._labels == cls._labels
 
 
+@pytest.mark.parametrize("quota, weights", [(1.5, [2, 1, 1]), (3, [2, 1.0, 1])])
+def test_parse_model_wvg_rejects_non_integers(quota, weights):
+    doc = {
+        "features": [{"id": i, "values": [0, 1]} for i in range(1, 4)],
+        "classes": [0, 1],
+        "body": {"kind": "wvg", "quota": quota, "weights": weights},
+    }
+    with pytest.raises(DomainError, match="integer"):
+        parse_model(doc)
+
+
 def test_parse_model_rejects_short_table():
     doc = {
         "features": [{"id": 1, "values": [0, 1]}, {"id": 2, "values": [0, 1]}],

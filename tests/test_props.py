@@ -288,6 +288,16 @@ def test_search_on_fixed_problem_stream(single):
     assert witness.data["pair"] == (1, 2)
 
 
+@pytest.mark.parametrize("subject", ["banzhaf", ("banzhaf",), ("banzhaf", "CF_W")])
+def test_search_template_subject_forms(subject):
+    witness = search_counterexample("P01", subject, seed=0, budget=5)
+    assert witness is not None
+    assert witness.data["template"] == "banzhaf"
+    assert witness.data["cf_id"] == charfun.CF_W
+    verdict = props.PropertyVerdict("P01", "banzhaf", False, witness)
+    assert reverify(verdict)
+
+
 def test_search_budget_respected():
     # index 0 already violates; budget 1 must be enough, and a stream probe
     # past the budget must not run
@@ -318,6 +328,29 @@ def test_problem_stream_is_reproducible():
 
 # ---------------------------------------------------------------------------
 # matrix
+
+def test_reverify_replays_every_failing_witness():
+    matrix = property_matrix(seed=0, corpus_count=20, search_budget=200)
+    failing = [(row, prop, cell) for (row, prop), cell in matrix.cells.items()
+               if cell.status == "fails"]
+    assert len(failing) == 17
+    for row, prop, cell in failing:
+        verdict = props.PropertyVerdict(cell.witness.data["property"], row,
+                                        False, cell.witness)
+        assert reverify(verdict), (row, prop)
+    witness = search_counterexample("P09-strong", "D", seed=0, budget=50)
+    assert witness is not None and witness.data["property"] == "P09-strong"
+    assert reverify(props.PropertyVerdict("P09-strong", "D", False, witness))
+
+
+def test_property_matrix_reports_pins_it_misses(monkeypatch):
+    monkeypatch.setitem(props.PINNED_TEMPLATE, ("banzhaf", "P01"), True)
+    monkeypatch.setitem(props.PINNED_FIS, ("S", "P09"), {"none"})
+    matrix = property_matrix(seed=0, corpus_count=20, search_budget=200)
+    assert matrix.inconsistencies == [
+        "banzhaf/P01: expected holds, computed fails",
+        "S/P09: expected one of ['none'], computed strong"]
+
 
 def test_property_matrix_consistent_small():
     matrix = property_matrix(seed=0, corpus_count=25, search_budget=200)
