@@ -75,34 +75,18 @@ def _cached(problem: ExplanationProblem, cf_id: str, build):
 def cf_expected(problem: ExplanationProblem) -> CharacteristicTable:
     """Mean class label over the points that agree with the instance on S."""
     def build():
-        labels = problem.classifier._labels
-        values = []
-        for mask in range(1 << problem.m):
-            total = 0
-            count = 0
-            for rank in problem.select_ranks(mask):
-                total += labels[rank]
-                count += 1
-            values.append(Fraction(total, count))
-        return CharacteristicTable(CF_E, problem.m, tuple(values), problem)
+        sums = problem.agreement_sums()
+        values = tuple(map(Fraction, sums.label_sum, sums.count))
+        return CharacteristicTable(CF_E, problem.m, values, problem)
     return _cached(problem, CF_E, build)
 
 
 def cf_similarity(problem: ExplanationProblem) -> CharacteristicTable:
     """Fraction of agreeing points whose prediction matches the instance."""
     def build():
-        labels = problem.classifier._labels
-        c = problem.c
-        values = []
-        for mask in range(1 << problem.m):
-            same = 0
-            count = 0
-            for rank in problem.select_ranks(mask):
-                if labels[rank] == c:
-                    same += 1
-                count += 1
-            values.append(Fraction(same, count))
-        return CharacteristicTable(CF_M, problem.m, tuple(values), problem)
+        sums = problem.agreement_sums()
+        values = tuple(map(Fraction, sums.same, sums.count))
+        return CharacteristicTable(CF_M, problem.m, values, problem)
     return _cached(problem, CF_M, build)
 
 

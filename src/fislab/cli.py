@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -24,6 +25,7 @@ from .scores import FIS_IDS, TemplateId
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
+FIS_PROPERTIES = ("P05", "P06", "P07", "P08", "P09")
 
 
 def decimal_str(value: Fraction, places: int = 6) -> str:
@@ -205,6 +207,12 @@ def cmd_score(args) -> int:
 def cmd_props(args) -> int:
     if args.search:
         subject = args.fis if args.fis else "E"
+        if args.search.split("-")[0] in FIS_PROPERTIES:
+            # P01..P04 take a template name ("banzhaf" names a template
+            # and a score), the others a score id in any spelling
+            subject, dual = scores.parse_fis_id(subject)
+            if dual:
+                raise ValueError("props --search takes a score id, not DUAL(...)")
         witness = props.search_counterexample(
             args.search, subject, seed=args.seed, budget=args.budget,
             workers=args.workers)
@@ -359,6 +367,18 @@ def cmd_wvg(args) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
+def _worker_count(text: str) -> int:
+    """--workers: a process count from 1 to the number of CPUs."""
+    limit = os.cpu_count() or 1
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 1 <= count <= limit:
+        raise argparse.ArgumentTypeError(f"{count} is outside 1..{limit}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fislab",
@@ -369,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_worker_count, default=1)
         if model:
             p.add_argument("--model", required=True, help="model document (JSON)")
             p.add_argument("--instance", default=None,

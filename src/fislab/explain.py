@@ -1,8 +1,10 @@
 """Weak/minimal abductive and contrastive explanations, criticality, duality.
 
-All predicates decide by exhaustive enumeration of the relevant slice of
-feature space; at desk scale the scan is the ground truth everything else is
-tested against.
+The families read the problem's agreement sums (model.AgreementSums): a
+subset is sufficient when every point agreeing with the instance on it keeps
+the instance's class.  The predicates is_waxp and is_wcxp decide one subset
+by scanning its slice of feature space; that scan is the ground truth the
+families are tested against.
 """
 
 from __future__ import annotations
@@ -79,8 +81,29 @@ def is_wcxp(problem: ExplanationProblem, subset) -> bool:
     return False
 
 
-def _masks_by_cardinality(m: int) -> list[int]:
-    return sorted(range(1 << m), key=lambda s: (s.bit_count(), s))
+def _by_cardinality(mask: int) -> tuple[int, int]:
+    return mask.bit_count(), mask
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def minimal_masks(qualifies) -> tuple[int, ...]:
+    """The minimal masks of an up-closed family given as one flag per mask,
+    sorted by (cardinality, mask).
+
+    In an up-closed family S is minimal iff it qualifies and no S minus one
+    element does.
+    """
+    members = []
+    for s, ok in enumerate(qualifies):
+        if ok and not any(qualifies[s & ~bit] for bit in _bits(s)):
+            members.append(s)
+    return tuple(sorted(members, key=_by_cardinality))
 
 
 def family(problem: ExplanationProblem, kind: ExplanationKind) -> ExplanationFamily:
@@ -93,19 +116,19 @@ def family(problem: ExplanationProblem, kind: ExplanationKind) -> ExplanationFam
 
 
 def _build_family(problem, kind):
-    predicate = is_waxp if kind in (ExplanationKind.WAXP, ExplanationKind.AXP) else is_wcxp
-    members = []
-    if kind in (ExplanationKind.WAXP, ExplanationKind.WCXP):
-        members = [s for s in _masks_by_cardinality(problem.m) if predicate(problem, s)]
+    sums = problem.agreement_sums()
+    sufficient = [same == count for same, count in zip(sums.same, sums.count)]
+    if kind in (ExplanationKind.WAXP, ExplanationKind.AXP):
+        qualifies = sufficient
     else:
-        # increasing cardinality; anything containing an accepted member is
-        # a weak explanation but not minimal
-        for s in _masks_by_cardinality(problem.m):
-            if any(t & ~s == 0 for t in members):
-                continue
-            if predicate(problem, s):
-                members.append(s)
-    return ExplanationFamily(kind, tuple(members), problem)
+        # S is contrastive iff its complement (mask full ^ S) is not sufficient
+        qualifies = [not ok for ok in reversed(sufficient)]
+    if kind in (ExplanationKind.AXP, ExplanationKind.CXP):
+        members = minimal_masks(qualifies)
+    else:
+        members = tuple(sorted((s for s, ok in enumerate(qualifies) if ok),
+                               key=_by_cardinality))
+    return ExplanationFamily(kind, members, problem)
 
 
 def enumerate_waxps(problem: ExplanationProblem) -> ExplanationFamily:
@@ -140,7 +163,7 @@ def minimal_hitting_sets(members, universe_mask: int) -> tuple[int, ...]:
     m = universe_mask.bit_count()
     universe_bits = [1 << i for i in range(universe_mask.bit_length())
                      if universe_mask >> i & 1]
-    for s in _masks_by_cardinality(m):
+    for s in sorted(range(1 << m), key=_by_cardinality):
         h = 0
         rest = s
         for bit in universe_bits:

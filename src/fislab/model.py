@@ -15,7 +15,8 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from operator import add
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 HARD_FEATURE_CAP = 20
 DEFAULT_FEATURE_LIMIT = 16
@@ -93,6 +94,23 @@ def as_mask(subset, m: int) -> int:
             raise DomainError(f"mask {subset:#x} references features beyond 1..{m}")
         return subset
     return mask_of(subset, m)
+
+
+def superset_sums(values: list[int]) -> None:
+    """In place, values[S] becomes the sum of values[T] over all masks T
+    containing S (Yates' zeta transform).  len(values) is 2^m; each of the m
+    bits takes 2^(m-1) additions, done as slices."""
+    n = len(values)
+    bit = 1
+    while bit < n:
+        step = bit << 1
+        if bit < n // step:  # fewer offsets than blocks: strided slices
+            for k in range(bit):
+                values[k::step] = map(add, values[k::step], values[k + bit::step])
+        else:
+            for j in range(0, n, step):
+                values[j:j + bit] = map(add, values[j:j + bit], values[j + bit:j + step])
+        bit = step
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +579,51 @@ class ExplanationProblem:
             return iter((base,))
         return (base + sum(offsets) for offsets in itertools.product(*axes))
 
+    def agreement_sums(self) -> AgreementSums:
+        """The problem's integer kernel (see AgreementSums), built on first use."""
+        key = ("agreement_sums",)
+        if key not in self._cache:
+            self._cache[key] = _agreement_sums(self)
+        return self._cache[key]
+
+
+class AgreementSums(NamedTuple):
+    """Integer sums over the points that agree with the instance on a subset.
+
+    Each field is indexed by subset mask S and sums over the points x with
+    x_i = v_i for every feature i in S: ``label_sum`` adds their labels,
+    ``same`` counts those labelled with the instance's class and ``count``
+    counts them all.  Every table and family of a problem reads these.
+    """
+
+    label_sum: tuple[int, ...]
+    same: tuple[int, ...]
+    count: tuple[int, ...]
+
+
+def _agreement_sums(problem: ExplanationProblem) -> AgreementSums:
+    """One pass over the label table bins each point by its agreement mask
+    with the instance; superset sums then give the totals for every subset.
+    The point count of a subset is the product of its free domains' sizes."""
+    cls = problem.classifier
+    masks = [0]  # agreement mask of every point, in rank order
+    for i, dom in enumerate(cls.features):
+        at = cls._value_index[i][problem.v[i]]
+        row = [1 << i if k == at else 0 for k in range(dom.size)]
+        masks = [mask | bit for mask in masks for bit in row]
+    label_sum, same = [0] * (1 << problem.m), [0] * (1 << problem.m)
+    c = problem.c
+    for mask, label in zip(masks, cls._labels):
+        label_sum[mask] += label
+        if label == c:
+            same[mask] += 1
+    superset_sums(label_sum)
+    superset_sums(same)
+    count = [1]
+    for dom in cls.features:  # masks without feature i, then with it
+        count = [n * dom.size for n in count] + count
+    return AgreementSums(tuple(label_sum), tuple(same), tuple(count))
+
 
 def make_problem(classifier: Classifier, point, label: int | None = None) -> ExplanationProblem:
     """Bundle a classifier with an instance, deriving the label when omitted."""
@@ -611,12 +674,23 @@ def _tokenize(text: str):
     return tokens
 
 
+# Deepest expression accepted.  Every walk over the AST recurses once per
+# level and the parser up to four times per level of parentheses, so this
+# keeps all of them well inside Python's default recursion limit of 1000.
+MAX_EXPR_DEPTH = 128
+
+
 class _ExprParser:
-    """Recursive descent over var/()/!/&/| with precedence ! > & > |."""
+    """Recursive descent over var/()/!/&/| with precedence ! > & > |.
+
+    Each parse method returns the node and the depth of its subtree; the
+    parser refuses to nest or build deeper than MAX_EXPR_DEPTH.
+    """
 
     def __init__(self, tokens):
         self.tokens = tokens
         self.idx = 0
+        self.nesting = 0  # open parentheses and negations
 
     def _fail(self, expected):
         kind, text, pos = self.tokens[self.idx]
@@ -624,30 +698,51 @@ class _ExprParser:
         raise ParseError(f"expected {expected}, found {shown}",
                          token_index=self.idx + 1, position=pos)
 
+    def _too_deep(self):
+        _kind, _text, pos = self.tokens[self.idx - 1]
+        raise ParseError(f"expression nests deeper than {MAX_EXPR_DEPTH} levels",
+                         token_index=self.idx, position=pos)
+
+    def _open(self):
+        """Count the '(' or '!' just consumed."""
+        self.nesting += 1
+        if self.nesting > MAX_EXPR_DEPTH:
+            self._too_deep()
+
+    def _node(self, node, depth):
+        if depth > MAX_EXPR_DEPTH:
+            self._too_deep()
+        return node, depth
+
     def parse(self):
-        node = self.parse_or()
+        node, _depth = self.parse_or()
         if self.tokens[self.idx][0] != "eof":
             self._fail("end of input")
         return node
 
     def parse_or(self):
-        node = self.parse_and()
+        node, depth = self.parse_and()
         while self.tokens[self.idx][0] == "or":
             self.idx += 1
-            node = Or(node, self.parse_and())
-        return node
+            right, right_depth = self.parse_and()
+            node, depth = self._node(Or(node, right), max(depth, right_depth) + 1)
+        return node, depth
 
     def parse_and(self):
-        node = self.parse_not()
+        node, depth = self.parse_not()
         while self.tokens[self.idx][0] == "and":
             self.idx += 1
-            node = And(node, self.parse_not())
-        return node
+            right, right_depth = self.parse_not()
+            node, depth = self._node(And(node, right), max(depth, right_depth) + 1)
+        return node, depth
 
     def parse_not(self):
         if self.tokens[self.idx][0] == "not":
             self.idx += 1
-            return Not(self.parse_not())
+            self._open()
+            operand, depth = self.parse_not()
+            self.nesting -= 1
+            return self._node(Not(operand), depth + 1)
         return self.parse_atom()
 
     def parse_atom(self):
@@ -657,14 +752,16 @@ class _ExprParser:
             index = int(text[1:])
             if index < 1:
                 self._fail("a feature reference x1, x2, ...")
-            return Var(index)
+            return Var(index), 1
         if kind == "lparen":
             self.idx += 1
-            node = self.parse_or()
+            self._open()
+            result = self.parse_or()
             if self.tokens[self.idx][0] != "rparen":
                 self._fail("')'")
             self.idx += 1
-            return node
+            self.nesting -= 1
+            return result
         self._fail("a feature reference or '('")
 
 

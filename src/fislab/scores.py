@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import charfun, explain
 from .charfun import CharacteristicTable, ZERO
 from .explain import ExplanationKind
-from .model import ExplanationProblem, WeightedVotingGame
+from .model import ExplanationProblem, WeightedVotingGame, as_mask, superset_sums
 
 
 class TemplateId(enum.Enum):
@@ -88,37 +88,62 @@ class ScoreVector:
 
 # ---------------------------------------------------------------------------
 # template evaluation cores
+#
+# A table enters as integer numerators over one common denominator, so every
+# marginal gain is an integer.  The cores sum gains per feature (and per
+# coalition size where the weight depends on it) and build one Fraction per
+# result at the end.
+
+def _numerators(table: CharacteristicTable) -> tuple[list[int], int]:
+    """The table's values as integer numerators over their least common
+    denominator, and that denominator."""
+    ratios = [v.as_integer_ratio() for v in table.values]
+    den = math.lcm(*{d for _, d in ratios})
+    return [n * (den // d) for n, d in ratios], den
+
 
 def _score_all_subsets(template: TemplateId, table: CharacteristicTable) -> tuple[Fraction, ...]:
     m = table.n_features
-    values = table.values
-    acc = [ZERO] * m
+    nums, den = _numerators(table)
+    if template is TemplateId.JOHNSTON:
+        return _johnston(nums, m)
+    # weight[k] of a gain completing a coalition of size k, as an integer
+    # over scale: Shapley (k-1)!(m-k)!/m!, Banzhaf 1/2^(m-1)
     if template is TemplateId.SHAPLEY_SHUBIK:
-        weight = [None] + [coefficient_sigma(m, k) for k in range(1, m + 1)]
-    elif template is TemplateId.BANZHAF:
-        flat = Fraction(1, 1 << (m - 1))
+        weight = [0] + [math.factorial(k - 1) * math.factorial(m - k)
+                        for k in range(1, m + 1)] + [0]
+        scale = math.factorial(m) * den
+    else:
+        weight = [1] * (m + 2)
+        scale = den << (m - 1)
+    sizes = [s.bit_count() for s in range(1 << m)]
+    # feature i's weighted gains: the sum over S containing i of
+    # weight[|S|] * (v(S) - v(S - i)), where S - i runs over the masks T
+    # without i, weighted by weight[|T| + 1].  After superset sums, entry
+    # {i} of a list holds its sum over the masks containing i, entry 0 its
+    # total.
+    joined = [weight[k] * v for k, v in zip(sizes, nums)]
+    left = [weight[k + 1] * v for k, v in zip(sizes, nums)]
+    superset_sums(joined)
+    superset_sums(left)
+    return tuple(Fraction(joined[bit] - left[0] + left[bit], scale)
+                 for bit in (1 << i for i in range(m)))
+
+
+def _johnston(nums: list[int], m: int) -> tuple[Fraction, ...]:
+    """Each coalition with a nonzero gain total splits one unit among its
+    features in proportion to their gains; the common denominator cancels."""
+    by_total: dict[int, list[int]] = {}  # gain total -> summed gains per feature
     for mask in range(1, 1 << m):
-        v = values[mask]
-        if template is TemplateId.JOHNSTON:
-            deltas = []
-            total = ZERO
-            for i in range(m):
-                if mask >> i & 1:
-                    d = v - values[mask & ~(1 << i)]
-                    deltas.append((i, d))
-                    total += d
-            if total != 0:
-                for i, d in deltas:
-                    if d != 0:
-                        acc[i] += d / total
-        else:
-            w = weight[mask.bit_count()] if template is TemplateId.SHAPLEY_SHUBIK else flat
-            for i in range(m):
-                if mask >> i & 1:
-                    d = v - values[mask & ~(1 << i)]
-                    if d != 0:
-                        acc[i] += w * d
-    return tuple(acc)
+        v = nums[mask]
+        gains = [(i, v - nums[mask & ~(1 << i)]) for i in range(m) if mask >> i & 1]
+        total = sum(g for _, g in gains)
+        if total:
+            row = by_total.setdefault(total, [0] * m)
+            for i, g in gains:
+                row[i] += g
+    return tuple(sum((Fraction(row[i], total) for total, row in by_total.items()), ZERO)
+                 for i in range(m))
 
 
 def _score_family(template: TemplateId, table: CharacteristicTable | None,
@@ -131,28 +156,39 @@ def _score_family(template: TemplateId, table: CharacteristicTable | None,
     """
     members = tuple(members)
     count = len(members)
-    sums = [ZERO] * m
-    maxima: list[Fraction | None] = [None] * m
+    if not count:
+        return (ZERO,) * m
+    if table is None:
+        nums, den = None, 1
+    else:
+        nums, den = _numerators(table)
+    # per feature, (gain, member size) over the members containing it
+    terms: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for s in members:
         size = s.bit_count()
         for i in range(m):
-            if not s >> i & 1:
-                continue
-            if table is None:
-                d = Fraction(1)
-            else:
-                d = table.values[s] - table.values[s & ~(1 << i)]
-            if template in (TemplateId.DEEGAN_PACKEL, TemplateId.ANDJIGA):
-                sums[i] += d / (size * count)
-            elif template is TemplateId.HOLLER_PACKEL:
-                sums[i] += d / count
-            elif template is TemplateId.RESPONSIBILITY:
-                term = d / (size * count) if normalized else d / size
-                if maxima[i] is None or term > maxima[i]:
-                    maxima[i] = term
-    if template is TemplateId.RESPONSIBILITY:
-        return tuple(v if v is not None else ZERO for v in maxima)
-    return tuple(sums)
+            if s >> i & 1:
+                terms[i].append((1 if nums is None else nums[s] - nums[s & ~(1 << i)], size))
+    if template in (TemplateId.DEEGAN_PACKEL, TemplateId.ANDJIGA):
+        # gain / (size * count), over the common size multiple lcm(1..m)
+        multiple = math.lcm(*range(1, m + 1))
+        return tuple(Fraction(sum(g * (multiple // size) for g, size in row),
+                              multiple * count * den) for row in terms)
+    if template is TemplateId.HOLLER_PACKEL:
+        return tuple(Fraction(sum(g for g, _ in row), count * den) for row in terms)
+    # responsibility: the largest gain / size, compared by cross-multiplication
+    scale = den * count if normalized else den
+    values = []
+    for row in terms:
+        if not row:
+            values.append(ZERO)
+            continue
+        best_gain, best_size = row[0]
+        for g, size in row[1:]:
+            if g * best_size > best_gain * size:
+                best_gain, best_size = g, size
+        values.append(Fraction(best_gain, best_size * scale))
+    return tuple(values)
 
 
 def template_score(template_id: TemplateId, problem: ExplanationProblem,
@@ -187,15 +223,7 @@ def family_score(template_id: TemplateId, members, n_features: int,
 
     members may be masks or iterables of 1-based feature indices.
     """
-    masks = []
-    for s in members:
-        if isinstance(s, int):
-            masks.append(s)
-        else:
-            mask = 0
-            for i in s:
-                mask |= 1 << (i - 1)
-            masks.append(mask)
+    masks = [as_mask(s, n_features) for s in members]
     if template_id in (TemplateId.SHAPLEY_SHUBIK, TemplateId.BANZHAF,
                        TemplateId.JOHNSTON):
         raise ValueError(f"{template_id.value} needs a characteristic table, "
@@ -340,11 +368,7 @@ def winning_coalitions(game: WeightedVotingGame) -> tuple[int, ...]:
 
 
 def minimal_winning_coalitions(game: WeightedVotingGame) -> tuple[int, ...]:
-    minimal = []
-    for s in winning_coalitions(game):
-        if not any(t & ~s == 0 for t in minimal):
-            minimal.append(s)
-    return tuple(minimal)
+    return explain.minimal_masks([game.is_winning(s) for s in range(1 << game.m)])
 
 
 def wvg_power_index(game: WeightedVotingGame, template_id: TemplateId,

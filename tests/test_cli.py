@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 
 import pytest
 
@@ -148,6 +149,17 @@ def test_props_search(capsys):
     assert report["witness"]["generator"]["index"] == 0
 
 
+@pytest.mark.parametrize("spelling", ["e", "expected_value"])
+def test_props_search_normalizes_score_ids(spelling, capsys):
+    _, expected, _ = run(capsys, "props", "--search", "P05", "--fis", "E",
+                         "--budget", "50", "--format", "json")
+    code, out, err = run(capsys, "props", "--search", "P05", "--fis", spelling,
+                         "--budget", "50", "--format", "json")
+    assert code == 0, err
+    assert out == expected
+    assert json.loads(out)["subject"] == "E"
+
+
 @pytest.mark.parametrize("subject", ["banzhaf", "johnston"])
 def test_props_search_template_property(subject, capsys):
     code, out, _ = run(capsys, "props", "--search", "P01", "--fis", subject,
@@ -238,6 +250,32 @@ def test_score_report_pinned(chain_model, capsys):
                            "1f2eb77a6180a612410d522f1863ff9a")
 
 
+def _ternary_tree(path=()):
+    """Multi-way tree over six ternary features emitting classes 0..2."""
+    total = sum(v for _, v in path)
+    if len(path) == 5 or (path and total % 4 == 3):
+        return {"class": (sum(f * v for f, v in path) + len(path)) % 3}
+    free = [i for i in range(1, 7) if i not in {f for f, _ in path}]
+    feature = free[(len(path) + total) % len(free)]
+    return {"feature": feature,
+            "branches": [{"value": v, "child": _ternary_tree(path + ((feature, v),))}
+                         for v in range(3)]}
+
+
+def test_score_report_pinned_ternary_tree(tmp_path, capsys):
+    # multi-valued domains (729 points) and a multi-class label sum
+    doc = {"features": [{"id": i, "values": [0, 1, 2]} for i in range(1, 7)],
+           "classes": [0, 1, 2], "body": {"kind": "tree", "root": _ternary_tree()},
+           "instance": {"point": [2, 0, 1, 1, 1, 1], "label": 0}}
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "score", "--model", str(path), "--fis", "all",
+                       "--dual", "--rank", "--format", "json")
+    assert code == 0
+    assert sha256(out) == ("191c9abbf9fcb5535f52b910292ac488"
+                           "81e9a4545954c551c3e3d93ec2a66a97")
+
+
 def _chain_document():
     return {
         "features": [{"id": i, "values": [0, 1]} for i in range(1, 5)],
@@ -276,6 +314,32 @@ def test_malformed_model_is_a_usage_error(mutate, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_deep_expression_is_a_usage_error(tmp_path, capsys):
+    doc = _chain_document()
+    doc["body"]["expr"] = "!" * 3000 + "x1"
+    doc["features"] = doc["features"][:1]
+    doc["instance"] = {"point": [1]}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "explain", "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "deeper than" in err
+
+
+@pytest.mark.parametrize("workers, expected", [
+    (0, 2), ((os.cpu_count() or 1) + 1, 2), (1, 0)])
+def test_workers_limited_to_cpu_count(workers, expected, chain_model, capsys):
+    # both rejected values fail in argument parsing, before any pool starts
+    code, out, err = run(capsys, "score", "--model", chain_model, "--fis", "D",
+                         "--workers", str(workers))
+    assert code == expected
+    if expected:
+        assert out == ""
+        assert "--workers" in err
 
 
 def test_usage_error_exit_code(capsys):

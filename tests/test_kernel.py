@@ -1,0 +1,282 @@
+"""Differential test of the agreement-sum kernel behind every table, family
+and template core, against exhaustive scans on a seeded corpus.
+
+The oracles share nothing with the kernel: characteristic values come from
+select_points, families from the is_waxp/is_wcxp scans with a containment
+loop for minimality, and the template cores are the per-mask Fraction
+implementations the integer cores replaced.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from fislab import charfun, explain, scores
+from fislab.charfun import CharacteristicTable, ZERO
+from fislab.explain import ExplanationKind, is_waxp, is_wcxp
+from fislab.model import (Classifier, DomainError, FeatureDomain,
+                          TableBody, TreeBody, TreeLeaf, TreeSplit, WVGBody,
+                          WeightedVotingGame, make_problem, parse_boolean_expression,
+                          superset_sums)
+from fislab.scores import TemplateId, coefficient_sigma
+
+ALL_SUBSET_TEMPLATES = (TemplateId.SHAPLEY_SHUBIK, TemplateId.BANZHAF,
+                        TemplateId.JOHNSTON)
+FAMILY_TEMPLATES = (TemplateId.DEEGAN_PACKEL, TemplateId.HOLLER_PACKEL,
+                    TemplateId.RESPONSIBILITY, TemplateId.ANDJIGA)
+# normalization only changes responsibility
+FAMILY_VARIANTS = tuple((t, False) for t in FAMILY_TEMPLATES) + (
+    (TemplateId.RESPONSIBILITY, True),)
+TABLE_IDS = (charfun.CF_E, charfun.CF_M, charfun.CF_W, charfun.CF_W_DUAL,
+             charfun.CF_A, charfun.CF_A_DUAL, charfun.CF_G)
+
+
+# ---------------------------------------------------------------------------
+# oracle template cores: the Fraction implementations, kept as they were
+
+def oracle_score_all_subsets(template: TemplateId, table: CharacteristicTable) -> tuple[Fraction, ...]:
+    m = table.n_features
+    values = table.values
+    acc = [ZERO] * m
+    if template is TemplateId.SHAPLEY_SHUBIK:
+        weight = [None] + [coefficient_sigma(m, k) for k in range(1, m + 1)]
+    elif template is TemplateId.BANZHAF:
+        flat = Fraction(1, 1 << (m - 1))
+    for mask in range(1, 1 << m):
+        v = values[mask]
+        if template is TemplateId.JOHNSTON:
+            deltas = []
+            total = ZERO
+            for i in range(m):
+                if mask >> i & 1:
+                    d = v - values[mask & ~(1 << i)]
+                    deltas.append((i, d))
+                    total += d
+            if total != 0:
+                for i, d in deltas:
+                    if d != 0:
+                        acc[i] += d / total
+        else:
+            w = weight[mask.bit_count()] if template is TemplateId.SHAPLEY_SHUBIK else flat
+            for i in range(m):
+                if mask >> i & 1:
+                    d = v - values[mask & ~(1 << i)]
+                    if d != 0:
+                        acc[i] += w * d
+    return tuple(acc)
+
+
+def oracle_score_family(template: TemplateId, table: CharacteristicTable | None,
+                        members, m: int, normalized: bool = False) -> tuple[Fraction, ...]:
+    """Family-restricted templates; a missing table means unit influence.
+
+    With an indicator table whose members all score 1 and whose immediate
+    subsets score 0 (the minimal-explanation indicators), the two readings
+    coincide.
+    """
+    members = tuple(members)
+    count = len(members)
+    sums = [ZERO] * m
+    maxima: list[Fraction | None] = [None] * m
+    for s in members:
+        size = s.bit_count()
+        for i in range(m):
+            if not s >> i & 1:
+                continue
+            if table is None:
+                d = Fraction(1)
+            else:
+                d = table.values[s] - table.values[s & ~(1 << i)]
+            if template in (TemplateId.DEEGAN_PACKEL, TemplateId.ANDJIGA):
+                sums[i] += d / (size * count)
+            elif template is TemplateId.HOLLER_PACKEL:
+                sums[i] += d / count
+            elif template is TemplateId.RESPONSIBILITY:
+                term = d / (size * count) if normalized else d / size
+                if maxima[i] is None or term > maxima[i]:
+                    maxima[i] = term
+    if template is TemplateId.RESPONSIBILITY:
+        return tuple(v if v is not None else ZERO for v in maxima)
+    return tuple(sums)
+
+
+# ---------------------------------------------------------------------------
+# oracle tables and families
+
+def brute_values(problem):
+    """(CF_E, CF_M) per mask, averaged over select_points."""
+    expected, similar = [], []
+    for mask in range(1 << problem.m):
+        points = problem.select_points(mask)
+        labels = [problem.classifier.evaluate(x) for x in points]
+        expected.append(Fraction(sum(labels), len(points)))
+        similar.append(Fraction(labels.count(problem.c), len(points)))
+    return tuple(expected), tuple(similar)
+
+
+def brute_families(problem):
+    order = sorted(range(1 << problem.m), key=lambda s: (s.bit_count(), s))
+
+    def minimal(predicate):
+        members = []
+        for s in order:
+            if any(t & ~s == 0 for t in members):
+                continue
+            if predicate(problem, s):
+                members.append(s)
+        return tuple(members)
+
+    return {ExplanationKind.WAXP: tuple(s for s in order if is_waxp(problem, s)),
+            ExplanationKind.WCXP: tuple(s for s in order if is_wcxp(problem, s)),
+            ExplanationKind.AXP: minimal(is_waxp),
+            ExplanationKind.CXP: minimal(is_wcxp)}
+
+
+# ---------------------------------------------------------------------------
+# seeded corpus: every body kind, m = 1..8, several instances per model
+
+def _nonconstant(build):
+    while True:
+        try:
+            return build()
+        except DomainError:
+            continue
+
+
+def random_table(rng, m):
+    def build():
+        features = tuple(FeatureDomain(i, tuple(range(rng.randint(1, 3))))
+                         for i in range(1, m + 1))
+        size = 1
+        for dom in features:
+            size *= dom.size
+        return Classifier(features, frozenset({0, 1, 2}),
+                          TableBody(tuple(rng.randrange(3) for _ in range(size))))
+    return _nonconstant(build)
+
+
+def random_tree(rng, m):
+    def node(free, depth):
+        if not free or depth == 0 or rng.random() < 0.2:
+            return TreeLeaf(rng.randrange(3))
+        f = rng.choice(free)
+        rest = [g for g in free if g != f]
+        return TreeSplit(f, tuple((v, node(rest, depth - 1)) for v in range(3)))
+    features = tuple(FeatureDomain(i, (0, 1, 2)) for i in range(1, m + 1))
+    return _nonconstant(lambda: Classifier(features, frozenset({0, 1, 2}),
+                                           TreeBody(node(list(range(1, m + 1)), 4))))
+
+
+def random_boolexpr(rng, m):
+    def expr(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return ("!" if rng.random() < 0.3 else "") + f"x{rng.randint(1, m)}"
+        op = rng.choice("&|")
+        return f"({expr(depth - 1)} {op} {expr(depth - 1)})"
+    return _nonconstant(lambda: parse_boolean_expression(expr(4), m))
+
+
+def random_wvg(rng, m):
+    features = tuple(FeatureDomain(i, (0, 1)) for i in range(1, m + 1))
+
+    def build():
+        weights = tuple(rng.randint(0, 3) for _ in range(m))
+        quota = rng.randint(0, sum(weights))
+        return Classifier(features, frozenset({0, 1}), WVGBody(quota, weights))
+    return _nonconstant(build)
+
+
+BUILDERS = {"table": random_table, "tree": random_tree,
+            "boolexpr": random_boolexpr, "wvg": random_wvg}
+
+
+def corpus():
+    rng = random.Random(20261018)
+    for m in range(1, 9):
+        for kind, build in BUILDERS.items():
+            classifier = build(rng, m)
+            points = list(classifier.points())
+            for point in rng.sample(points, min(2 if m > 6 else 3, len(points))):
+                yield f"{kind}-m{m}-{point}", make_problem(classifier, point)
+
+
+CORPUS = list(corpus())
+
+
+@pytest.mark.parametrize("problem", [p for _, p in CORPUS], ids=[n for n, _ in CORPUS])
+def test_kernel_matches_exhaustive_scans(problem):
+    expected, similar = brute_values(problem)
+    assert charfun.cf_expected(problem).values == expected
+    assert charfun.cf_similarity(problem).values == similar
+
+    for kind, members in brute_families(problem).items():
+        assert explain.family(problem, kind).members == members
+
+    m = problem.m
+    tables = [charfun.build_table(cf_id, problem) for cf_id in TABLE_IDS]
+    for table in tables:
+        for template in ALL_SUBSET_TEMPLATES:
+            assert (scores._score_all_subsets(template, table)
+                    == oracle_score_all_subsets(template, table)), (template, table.cf_id)
+    for kind in ExplanationKind:
+        members = explain.family(problem, kind).members
+        for table in [None] + tables:
+            for template, normalized in FAMILY_VARIANTS:
+                assert (scores._score_family(template, table, members, m, normalized)
+                        == oracle_score_family(template, table, members, m, normalized)), \
+                    (template, kind, table and table.cf_id, normalized)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_wvg_power_indices_match_oracle_cores(m):
+    rng = random.Random(m)
+    weights = tuple(rng.randint(0, 4) for _ in range(m))
+    game = WeightedVotingGame(rng.randint(0, sum(weights)), weights)
+    table = charfun.cf_wvg(game)
+    winning = [s for s in range(1 << m) if game.is_winning(s)]
+    minimal = [s for s in sorted(winning, key=lambda s: (s.bit_count(), s))
+               if not any(t != s and t & ~s == 0 for t in winning)]
+    assert scores.minimal_winning_coalitions(game) == tuple(minimal)
+    for template in TemplateId:
+        got = scores.wvg_power_index(game, template).values
+        if template in ALL_SUBSET_TEMPLATES:
+            assert got == oracle_score_all_subsets(template, table)
+        else:
+            members = minimal if template is not TemplateId.ANDJIGA else \
+                sorted(winning, key=lambda s: (s.bit_count(), s))
+            assert got == oracle_score_family(template, table, members, m)
+
+
+def test_tables_with_mixed_denominators():
+    # a sum of tables with different denominators exercises the common
+    # denominator of the integer cores
+    problem = next(p for name, p in CORPUS if name.startswith("tree-m5"))
+    table = charfun.cf_sum(charfun.cf_expected(problem), charfun.cf_similarity(problem))
+    for template in ALL_SUBSET_TEMPLATES:
+        assert (scores._score_all_subsets(template, table)
+                == oracle_score_all_subsets(template, table))
+    members = explain.enumerate_waxps(problem).members
+    for template in FAMILY_TEMPLATES:
+        assert (scores._score_family(template, table, members, problem.m, True)
+                == oracle_score_family(template, table, members, problem.m, True))
+
+
+@pytest.mark.parametrize("m", range(0, 9))
+def test_superset_sums_match_direct_sums(m):
+    rng = random.Random(m)
+    values = [rng.randint(-5, 5) for _ in range(1 << m)]
+    expected = [sum(v for t, v in enumerate(values) if t & s == s)
+                for s in range(1 << m)]
+    superset_sums(values)
+    assert values == expected
+
+
+def test_injected_families_match_oracle_core():
+    rng = random.Random(5)
+    for m in range(1, 7):
+        for _ in range(10):
+            members = [s for s in range(1 << m) if rng.random() < 0.3]
+            for template, normalized in FAMILY_VARIANTS:
+                assert (scores._score_family(template, None, members, m, normalized)
+                        == oracle_score_family(template, None, members, m, normalized))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fislab.model import (Classifier, DomainError, FeatureDomain,
+from fislab.model import (MAX_EXPR_DEPTH, Classifier, DomainError, FeatureDomain,
                           ParseError, RelabelError, ScaleLimitError,
                           TableBody, agreement_set, evaluate, features_of,
                           load_problem, make_problem, mask_of,
@@ -195,6 +195,28 @@ def test_parse_unicode_operators():
     cls = parse_boolean_expression("¬x1 ∨ x2 ∧ x1")
     for p in itertools.product((0, 1), repeat=2):
         assert cls.evaluate(p) == int((not p[0]) or (p[1] and p[0]))
+
+
+@pytest.mark.parametrize("text", [
+    "!" * 3000 + "x1",
+    " & ".join(["x1"] * 3000),
+    "(" * 3000 + "x1" + ")" * 3000,
+    "!" * MAX_EXPR_DEPTH + "x1",
+    "(" * (MAX_EXPR_DEPTH + 1) + "x1" + ")" * (MAX_EXPR_DEPTH + 1),
+], ids=["nested-not", "long-chain", "nested-parentheses", "not-past-limit",
+        "parentheses-past-limit"])
+def test_parse_rejects_deep_expressions(text):
+    with pytest.raises(ParseError, match="deeper than"):
+        parse_boolean_expression(text)
+
+
+def test_parse_accepts_expressions_at_the_depth_limit():
+    chain = parse_boolean_expression(" | ".join(["x1"] * MAX_EXPR_DEPTH))
+    assert chain.evaluate((1,)) == 1
+    negated = parse_boolean_expression("!" * (MAX_EXPR_DEPTH - 1) + "x1")
+    assert negated.evaluate((1,)) == MAX_EXPR_DEPTH % 2
+    nested = "(" * MAX_EXPR_DEPTH + "x1 & x2" + ")" * MAX_EXPR_DEPTH
+    assert parse_boolean_expression(nested).evaluate((1, 1)) == 1
 
 
 def test_parse_with_declared_feature_count():

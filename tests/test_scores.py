@@ -6,7 +6,7 @@ import pytest
 
 from fislab import charfun, explain, props, scores
 from fislab.charfun import CharacteristicTable, cf_expected, cf_generator, cf_waxp
-from fislab.model import WeightedVotingGame
+from fislab.model import DomainError, WeightedVotingGame
 from fislab.scores import (TemplateId, coefficient_sigma,
                            compute_fis, coverage_set, family_score,
                            minimal_winning_coalitions, parse_fis_id,
@@ -148,6 +148,13 @@ def test_family_score_accepts_masks_and_rejects_orderings():
     assert got.values == (F(1, 4), F(1, 4), F(1, 2))
     with pytest.raises(ValueError):
         family_score(TemplateId.SHAPLEY_SHUBIK, (0b1,), 1)
+
+
+def test_family_score_rejects_features_beyond_the_space():
+    with pytest.raises(DomainError):
+        family_score(TemplateId.DEEGAN_PACKEL, [(1,), (2, 9)], 2)
+    with pytest.raises(DomainError):
+        family_score(TemplateId.HOLLER_PACKEL, [0b100], 2)
 
 
 def test_family_score_matches_problem_route(chain):
