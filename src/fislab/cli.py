@@ -3,7 +3,9 @@
 Subcommands: explain, score, props, repro, wvg.  Reports are deterministic
 for a fixed configuration and seed; rational values are authoritative, the
 6-place decimals are display only.  Exit codes: 0 success / all checks pass,
-1 a check failed, 2 bad usage or unparsable input.
+1 a check failed, 2 bad usage or unparsable input, 3 internal error (a
+result contradicted a theorem the library relies on, reported on one
+``internal error:`` line).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .scores import FIS_IDS, TemplateId
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
+INTERNAL_ERROR = 3
 FIS_PROPERTIES = ("P05", "P06", "P07", "P08", "P09")
 
 
@@ -205,7 +208,7 @@ def cmd_score(args) -> int:
 # props
 
 def cmd_props(args) -> int:
-    if args.search:
+    if args.search is not None:
         subject = args.fis if args.fis else "E"
         if args.search.split("-")[0] in FIS_PROPERTIES:
             # P01..P04 take a template name ("banzhaf" names a template
@@ -367,16 +370,26 @@ def cmd_wvg(args) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _worker_count(text: str) -> int:
-    """--workers: a process count from 1 to the number of CPUs."""
-    limit = os.cpu_count() or 1
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 1 <= count <= limit:
-        raise argparse.ArgumentTypeError(f"{count} is outside 1..{limit}")
-    return count
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer from low to high (no upper bound if None)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"{value} is above {high}")
+        return value
+    return parse
+
+
+def _fis_list(text: str) -> str:
+    """argparse type for score --fis: at least one score id."""
+    if not any(part.strip() for part in text.split(",")):
+        raise argparse.ArgumentTypeError("no score id given")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=_worker_count, default=1)
+        p.add_argument("--workers", type=_int_in(1, os.cpu_count() or 1),
+                       default=1)
         if model:
             p.add_argument("--model", required=True, help="model document (JSON)")
             p.add_argument("--instance", default=None,
@@ -402,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_score = sub.add_parser("score", help="compute feature-importance scores")
     common(p_score, model=True)
-    p_score.add_argument("--fis", default="all",
+    p_score.add_argument("--fis", type=_fis_list, default="all",
                          help="comma list of score ids (or DUAL(id)), or 'all'")
     p_score.add_argument("--dual", action="store_true",
                          help="also report the dual of each score")
@@ -419,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_props.add_argument("--duality", action="store_true",
                          help="tabulate duality levels over random problems")
     p_props.add_argument("--fis", default=None)
-    p_props.add_argument("--budget", type=int, default=600)
-    p_props.add_argument("--corpus", type=int, default=60,
+    p_props.add_argument("--budget", type=_int_in(1), default=600)
+    p_props.add_argument("--corpus", type=_int_in(0), default=60,
                          help="random problems behind the matrix audit")
     p_props.set_defaults(func=cmd_props)
 
@@ -449,6 +463,9 @@ def main(argv=None) -> int:
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except explain.InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -15,6 +15,10 @@ from dataclasses import dataclass
 from .model import ExplanationProblem, as_mask, features_of
 
 
+class InvariantError(RuntimeError):
+    """A result contradicts a theorem the library relies on: a bug, not bad input."""
+
+
 class ExplanationKind(enum.Enum):
     """The explanation families; each value is the family's report name."""
 
@@ -191,7 +195,7 @@ def relevant_features(problem: ExplanationProblem) -> int:
         for s in enumerate_cxps(problem).members:
             via_c |= s
         if via_a != via_c:
-            raise AssertionError(
+            raise InvariantError(
                 f"relevancy mismatch between explanation families: "
                 f"{features_of(via_a)} vs {features_of(via_c)}")
         problem._cache[key] = via_a

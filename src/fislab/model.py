@@ -276,6 +276,11 @@ class WeightedVotingGame:
         object.__setattr__(self, "weights", tuple(self.weights))
         if not self.weights:
             raise DomainError("a voting game needs at least one voter")
+        limit = max_feature_limit()
+        if len(self.weights) > limit:
+            # scoring enumerates all 2^m coalitions
+            raise ScaleLimitError(
+                f"{len(self.weights)} voters exceeds the limit of {limit}")
         if any(type(w) is not int or w < 0 for w in self.weights):
             raise DomainError("weights must be non-negative integers")
         if type(self.quota) is not int:

@@ -211,11 +211,23 @@ def check_dummy(problem: ExplanationProblem, template_id: TemplateId,
 # ---------------------------------------------------------------------------
 # P05..P08 act on an instantiated FIS
 
+def _fis(problem: ExplanationProblem, fis_id: str) -> ScoreVector:
+    """scores.compute_fis, kept on the problem for the P05..P08 checks.
+
+    The audits of one problem read each vector several times; a duality
+    sweep reads each once, so the memo stays out of compute_fis itself.
+    """
+    key = ("fis", fis_id)
+    if key not in problem._cache:
+        problem._cache[key] = scores.compute_fis(fis_id, problem)
+    return problem._cache[key]
+
+
 def check_minimal_monotonicity(problem: ExplanationProblem, fis_id: str) -> PropertyVerdict:
     """Containment of per-feature minimal-explanation families must not invert scores."""
     fam = explain.enumerate_axps(problem)
     per_feature = [frozenset(fam.containing(i)) for i in range(1, problem.m + 1)]
-    vec = scores.compute_fis(fis_id, problem)
+    vec = _fis(problem, fis_id)
     for i in range(1, problem.m + 1):
         for j in range(1, problem.m + 1):
             if i == j or not per_feature[i - 1] <= per_feature[j - 1]:
@@ -232,7 +244,7 @@ def check_minimal_monotonicity(problem: ExplanationProblem, fis_id: str) -> Prop
 
 def gamma_value(problem: ExplanationProblem, fis_id: str) -> Fraction:
     """Exact per-feature score total (the efficiency-style constant)."""
-    return scores.compute_fis(fis_id, problem).total()
+    return _fis(problem, fis_id).total()
 
 
 def label_rotation(classes) -> dict[int, int]:
@@ -248,16 +260,24 @@ def label_scramble(classes) -> dict[int, int]:
 
 
 def relabeled_problem(problem: ExplanationProblem, sigma) -> ExplanationProblem:
-    new_classifier = relabel_classes(problem.classifier, sigma)
-    return ExplanationProblem(new_classifier,
-                              Instance(problem.v, sigma[problem.c]))
+    """The problem with its classes renamed by sigma, kept on the problem.
+
+    The result is a problem of its own, with its own cache: every score on it
+    is computed from its own labels, never read across from the base.
+    """
+    key = ("relabeled", tuple(sorted(sigma.items())))
+    if key not in problem._cache:
+        problem._cache[key] = ExplanationProblem(
+            relabel_classes(problem.classifier, sigma),
+            Instance(problem.v, sigma[problem.c]))
+    return problem._cache[key]
 
 
 def check_class_relabeling(problem: ExplanationProblem, fis_id: str,
                            sigma) -> PropertyVerdict:
     """Scores must survive any bijective renaming of the class labels."""
-    base = scores.compute_fis(fis_id, problem)
-    other = scores.compute_fis(fis_id, relabeled_problem(problem, sigma))
+    base = _fis(problem, fis_id)
+    other = _fis(relabeled_problem(problem, sigma), fis_id)
     for i in range(1, problem.m + 1):
         if base.score(i) != other.score(i):
             witness = Witness(problem, {
@@ -272,7 +292,7 @@ def check_class_relabeling(problem: ExplanationProblem, fis_id: str,
 def check_relevancy_consistency(problem: ExplanationProblem, fis_id: str) -> PropertyVerdict:
     """Non-zero score exactly on the features that occur in some explanation."""
     relevant = explain.relevant_features(problem)
-    vec = scores.compute_fis(fis_id, problem)
+    vec = _fis(problem, fis_id)
     for i in range(1, problem.m + 1):
         is_relevant = bool(relevant >> (i - 1) & 1)
         if (vec.score(i) != 0) != is_relevant:
@@ -548,7 +568,10 @@ def reverify(verdict: PropertyVerdict) -> bool:
         raise ValueError("only failing verdicts carry a witness to re-check")
     _, run = _check_for(verdict.property_id)
     witness = verdict.witness
-    return not run(witness.problem, witness.data, verdict.property_id).holds
+    # a fresh problem, so that the replay recomputes instead of reading memos
+    problem = ExplanationProblem(witness.problem.classifier,
+                                 witness.problem.instance)
+    return not run(problem, witness.data, verdict.property_id).holds
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +631,29 @@ def _fis_corpus_violation(fis_id, prop, corpus, seed) -> Witness | None:
     return None
 
 
+def _additivity_rows(seed: int, budget: int,
+                     m_range: tuple[int, int]) -> dict[TemplateId, Witness | None]:
+    """Each template's first P03 witness, from one pass over the search stream.
+
+    A row closes at its first violation and is tagged as search_counterexample
+    tags it, so every row equals that template's own search.
+    """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    found: dict[TemplateId, Witness | None] = dict.fromkeys(TemplateId)
+    for k in range(budget):
+        open_rows = [t for t, witness in found.items() if witness is None]
+        if not open_rows:
+            break
+        problem = random_problem(seed, k, m_range)
+        for template in open_rows:
+            verdict = _probe("P03", (template.value,), problem, k)
+            if verdict is not None:
+                found[template] = _tagged(verdict, {
+                    "seed": seed, "index": k, "m_range": list(m_range)})
+    return found
+
+
 def _cell(witness: Witness | None) -> Cell:
     return Cell("holds*", True) if witness is None else Cell("fails", False, witness)
 
@@ -623,6 +669,7 @@ def property_matrix(*, seed: int = 0, corpus_count: int = 60,
     witness_problem = reference.single_decider_problem()
     corpus = build_corpus(seed, corpus_count, m_range)
     cells: dict[tuple[str, str], Cell] = {}
+    additivity = _additivity_rows(seed, search_budget, m_range)
 
     def put(row, col, cell):
         cells[(row, col)] = cell
@@ -644,9 +691,7 @@ def property_matrix(*, seed: int = 0, corpus_count: int = 60,
                 verdict = check(witness_problem, template,
                                 charfun.cf_waxp(witness_problem))
             put(row, prop, _cell(verdict.witness))
-        put(row, "P03", _cell(search_counterexample(
-            "P03", (template.value,), seed=seed, budget=search_budget,
-            m_range=m_range)))
+        put(row, "P03", _cell(additivity[template]))
         for prop in ("P05", "P06", "P07", "P08", "P09"):
             put(row, prop, Cell("n/a"))
 

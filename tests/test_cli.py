@@ -6,7 +6,8 @@ import os
 
 import pytest
 
-from fislab.cli import decimal_str, main
+from fislab import explain
+from fislab.cli import INTERNAL_ERROR, decimal_str, main
 from fractions import Fraction
 
 
@@ -340,6 +341,49 @@ def test_workers_limited_to_cpu_count(workers, expected, chain_model, capsys):
     if expected:
         assert out == ""
         assert "--workers" in err
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--budget", ["props", "--duality", "--budget", "-3"]),
+    ("--budget", ["props", "--budget", "0"]),
+    ("--corpus", ["props", "--corpus", "-2"]),
+    ("--fis", ["score", "--fis", ""]),
+    ("--fis", ["score", "--fis", " , "]),
+], ids=["negative-budget", "zero-budget", "negative-corpus", "empty-fis",
+        "blank-fis"])
+def test_argv_that_would_report_nothing_is_a_usage_error(flag, argv, chain_model,
+                                                         capsys):
+    if argv[0] == "score":
+        argv = argv + ["--model", chain_model]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}" in err
+
+
+def test_wvg_voter_limit(monkeypatch, capsys):
+    monkeypatch.delenv("FISLAB_MAX_FEATURES", raising=False)
+    code, out, err = run(capsys, "wvg", "--quota", "2", "--weights", ",".join("1" * 17))
+    assert code == 2
+    assert out == ""
+    assert err == "error: 17 voters exceeds the limit of 16\n"
+
+
+def test_invariant_error_has_its_own_exit_path(chain_model, monkeypatch, capsys):
+    # the contrastive family loses a member, so relevancy disagrees
+    cxps = explain.enumerate_cxps
+
+    def short_cxps(problem):
+        family = cxps(problem)
+        return explain.ExplanationFamily(family.kind, family.members[:1], problem)
+
+    monkeypatch.setattr(explain, "enumerate_cxps", short_cxps)
+    code, out, err = run(capsys, "explain", "--model", chain_model)
+    assert INTERNAL_ERROR not in (0, 1, 2)
+    assert code == INTERNAL_ERROR
+    assert out == ""
+    assert err.startswith("internal error: relevancy mismatch")
+    assert err.count("\n") == 1
 
 
 def test_usage_error_exit_code(capsys):

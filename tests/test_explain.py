@@ -196,6 +196,14 @@ def test_relevancy_same_from_both_families():
         assert via_a == via_c == relevant_features(problem)
 
 
+def test_relevancy_mismatch_is_an_invariant_error(chain, monkeypatch):
+    cxps = enumerate_cxps(chain)  # {1}, {2, 3}, {2, 4}: keep only {1}
+    short = explain.ExplanationFamily(cxps.kind, cxps.members[:1], chain)
+    monkeypatch.setattr(explain, "enumerate_cxps", lambda problem: short)
+    with pytest.raises(explain.InvariantError, match="relevancy mismatch"):
+        relevant_features(chain)
+
+
 def test_members_stay_inside_relevant_set():
     for k in range(25):
         problem = props.random_problem(13, k, (2, 5))

@@ -397,6 +397,17 @@ def test_point_limit(monkeypatch):
         Classifier(features, frozenset({0, 1}), TableBody(()))
 
 
+def test_voting_game_voter_limit(monkeypatch):
+    # construction refuses before any coalition is enumerated
+    from fislab.model import WVGBody, WeightedVotingGame
+    monkeypatch.delenv("FISLAB_MAX_FEATURES", raising=False)
+    with pytest.raises(ScaleLimitError, match="17 voters"):
+        WeightedVotingGame(2, (1,) * 17)
+    with pytest.raises(ScaleLimitError, match="17 voters"):
+        WVGBody(2, (1,) * 17)
+    assert WeightedVotingGame(2, (1,) * 16).m == 16
+
+
 # ---------------------------------------------------------------------------
 # instances
 
