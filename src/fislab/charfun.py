@@ -43,7 +43,6 @@ class CharacteristicTable:
     n_features: int
     values: tuple[Fraction, ...]
     problem: ExplanationProblem | None = None
-    children: tuple[str, ...] = ()
 
     def __post_init__(self):
         if len(self.values) != 1 << self.n_features:
@@ -126,20 +125,10 @@ def cf_generator(problem: ExplanationProblem) -> CharacteristicTable:
     """
     def build():
         sufficient = set(explain.enumerate_waxps(problem).members)
-        full = problem.full_mask
-        accepted = []
-        for mask in range(1 << problem.m):
-            rest = full & ~mask
-            ok = True
-            i = 0
-            while rest >> i:
-                if rest >> i & 1 and (mask | 1 << i) not in sufficient:
-                    ok = False
-                    break
-                i += 1
-            if ok:
-                accepted.append(mask)
-        return _indicator(problem, CF_G, accepted)
+        return _indicator(problem, CF_G, (
+            mask for mask in range(1 << problem.m)
+            if all(mask | 1 << i in sufficient
+                   for i in range(problem.m) if not mask >> i & 1)))
     return _cached(problem, CF_G, build)
 
 
@@ -158,8 +147,7 @@ def cf_sum(table1: CharacteristicTable, table2: CharacteristicTable) -> Characte
         raise ValueError("cannot add tables built on different problems")
     values = tuple(a + b for a, b in zip(table1.values, table2.values))
     return CharacteristicTable(CF_SUM, table1.n_features, values,
-                               table1.problem or table2.problem,
-                               children=(table1.cf_id, table2.cf_id))
+                               table1.problem or table2.problem)
 
 
 def dual_id(cf_id: str) -> str:

@@ -63,11 +63,7 @@ def _load_problem(args) -> ExplanationProblem:
         return load_problem(document)
     classifier = parse_model(document)
     point = _parse_point(classifier, args.instance)
-    label = args.label
-    if label is not None and classifier.evaluate(point) != label:
-        raise DomainError(f"label mismatch: instance says {label}, "
-                          f"classifier says {classifier.evaluate(point)}")
-    return make_problem(classifier, point, label)
+    return make_problem(classifier, point, args.label)
 
 
 def _parse_point(classifier, text: str) -> tuple:
@@ -208,6 +204,9 @@ def cmd_score(args) -> int:
 # props
 
 def cmd_props(args) -> int:
+    if args.corpus is not None and (args.search is not None or args.duality):
+        raise ValueError("props --corpus sizes the matrix audit; "
+                         "--search and --duality do not read it")
     if args.search is not None:
         subject = args.fis if args.fis else "E"
         if args.search.split("-")[0] in FIS_PROPERTIES:
@@ -251,9 +250,12 @@ def cmd_props(args) -> int:
         _emit(report, rows, text, args.format)
         return 0
 
-    matrix = props.property_matrix(seed=args.seed,
-                                   corpus_count=args.corpus,
-                                   search_budget=args.budget)
+    if args.fis is not None:
+        raise ValueError("props --fis names the subject of --search or "
+                         "--duality; the matrix audits every score")
+    matrix = props.property_matrix(
+        seed=args.seed, corpus_count=60 if args.corpus is None else args.corpus,
+        search_budget=args.budget)
     cells_json = {}
     witnesses = {}
     rows = []
@@ -428,14 +430,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_props = sub.add_parser("props", help="audit the property matrix")
     common(p_props)
-    p_props.add_argument("--search", default=None, metavar="PROPERTY",
-                         help="hunt a counterexample for one property (e.g. P05)")
-    p_props.add_argument("--duality", action="store_true",
-                         help="tabulate duality levels over random problems")
+    mode = p_props.add_mutually_exclusive_group()
+    mode.add_argument("--search", default=None, metavar="PROPERTY",
+                      help="hunt a counterexample for one property (e.g. P05)")
+    mode.add_argument("--duality", action="store_true",
+                      help="tabulate duality levels over random problems")
     p_props.add_argument("--fis", default=None)
     p_props.add_argument("--budget", type=_int_in(1), default=600)
-    p_props.add_argument("--corpus", type=_int_in(0), default=60,
-                         help="random problems behind the matrix audit")
+    p_props.add_argument("--corpus", type=_int_in(0), default=None,
+                         help="random problems behind the matrix audit "
+                              "(default 60; matrix only)")
     p_props.set_defaults(func=cmd_props)
 
     p_repro = sub.add_parser("repro", help="recompute the frozen reference values")

@@ -60,7 +60,7 @@ class ExplanationFamily:
         return len(self.members)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in set(self.members)
+        return mask in self.members
 
 
 def is_waxp(problem: ExplanationProblem, subset) -> bool:
@@ -154,31 +154,25 @@ def enumerate_cxps(problem: ExplanationProblem) -> ExplanationFamily:
 
 
 def minimal_hitting_sets(members, universe_mask: int) -> tuple[int, ...]:
-    """All subset-minimal H <= universe with H intersecting every member.
+    """All subset-minimal H <= universe with H intersecting every member,
+    sorted by (cardinality, mask).
 
-    Brute force over the subset lattice in increasing cardinality.
+    Hitting every member is up-closed, so these are the minimal masks over
+    one flag per subset of the universe.  The scan renumbers the universe's
+    bits 0..k-1, which keeps their order and so the sort.
     """
     members = tuple(members)
     if not members:
         raise ValueError("hitting sets of an empty family are undefined")
     if any(t & ~universe_mask for t in members):
         raise ValueError("family member outside the universe")
-    hits = []
-    m = universe_mask.bit_count()
-    universe_bits = [1 << i for i in range(universe_mask.bit_length())
-                     if universe_mask >> i & 1]
-    for s in sorted(range(1 << m), key=_by_cardinality):
-        h = 0
-        rest = s
-        for bit in universe_bits:
-            if rest & 1:
-                h |= bit
-            rest >>= 1
-        if any(t & ~h == 0 for t in hits):
-            continue
-        if all(h & t for t in members):
-            hits.append(h)
-    return tuple(sorted(hits, key=lambda x: (x.bit_count(), x)))
+    bits = list(_bits(universe_mask))
+    packed = [sum(1 << j for j, bit in enumerate(bits) if t & bit)
+              for t in members]
+    hits = minimal_masks([all(s & t for t in packed)
+                          for s in range(1 << len(bits))])
+    return tuple(sum(bit for j, bit in enumerate(bits) if s >> j & 1)
+                 for s in hits)
 
 
 def relevant_features(problem: ExplanationProblem) -> int:

@@ -427,9 +427,6 @@ class Classifier:
         """Features flagged for having single-valued domains."""
         return tuple(d.feature_id for d in self.features if d.trivial)
 
-    def domain_values(self, i: int) -> tuple:
-        return self.features[i - 1].values
-
     def points(self) -> Iterator[tuple]:
         """All points of the feature space, lexicographic by feature index."""
         return itertools.product(*(d.values for d in self.features))
@@ -445,9 +442,6 @@ class Classifier:
                 raise DomainError(
                     f"value {x!r} not in the domain of feature {i + 1}") from None
         return rank
-
-    def label_by_rank(self, rank: int) -> int:
-        return self._labels[rank]
 
     def evaluate(self, point) -> int:
         return self._labels[self.point_rank(point)]
@@ -633,9 +627,8 @@ def _agreement_sums(problem: ExplanationProblem) -> AgreementSums:
 def make_problem(classifier: Classifier, point, label: int | None = None) -> ExplanationProblem:
     """Bundle a classifier with an instance, deriving the label when omitted."""
     point = tuple(point)
-    actual = classifier.evaluate(point)
     if label is None:
-        label = actual
+        label = classifier.evaluate(point)
     return ExplanationProblem(classifier, Instance(point, label))
 
 
@@ -814,13 +807,19 @@ def _parse_tree_node(obj, where: str):
     return TreeSplit(obj["feature"], branches)
 
 
+def _as_document(document):
+    """A model document given as JSON text, parsed; any other value as is."""
+    if not isinstance(document, str):
+        return document
+    try:
+        return json.loads(document)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not valid JSON: {exc}") from None
+
+
 def parse_model(document) -> Classifier:
     """Build a validated classifier from a model document (dict or JSON text)."""
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc}") from None
+    document = _as_document(document)
     if not isinstance(document, dict):
         raise ParseError("model document must be a single JSON object")
     with _reading_document():
@@ -847,8 +846,7 @@ def parse_model(document) -> Classifier:
 
 def load_problem(document) -> ExplanationProblem:
     """Classifier plus embedded instance from one document."""
-    if isinstance(document, str):
-        document = json.loads(document)
+    document = _as_document(document)
     classifier = parse_model(document)
     raw = document.get("instance")
     if raw is None:

@@ -9,6 +9,7 @@ re-evaluation reproduces the violation.
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -509,14 +510,41 @@ def audit(property_id: str, subject, problem: ExplanationProblem) -> PropertyVer
     return verdict
 
 
-def _search_block(property_id: str, subject, base_seed: int, start: int,
-                  stop: int, m_range: tuple[int, int]):
-    for k in range(start, stop):
-        problem = random_problem(base_seed, k, m_range)
-        verdict = _probe(property_id, subject, problem, k)
-        if verdict is not None:
-            return k, verdict
-    return None
+def _first_failures(property_id: str, subjects,
+                    stream) -> list[Witness | None]:
+    """Each subject's first failing witness, or None, over a stream of
+    (index, problem, generator) triples; the witness is tagged with the
+    generator of the problem it fails on.
+
+    A subject closes at its first failure, and no further problem is drawn
+    once every subject has closed.
+    """
+    found: list[Witness | None] = [None] * len(subjects)
+    for index, problem, generator in stream:
+        for k, subject in enumerate(subjects):
+            if found[k] is None:
+                verdict = _probe(property_id, subject, problem, index)
+                if verdict is not None:
+                    found[k] = _tagged(verdict, generator)
+        if None not in found:
+            break
+    return found
+
+
+def _seeded(seed: int, start: int, stop: int, m_range: tuple[int, int]):
+    """The seeded search stream over indices start..stop-1, drawn lazily."""
+    return ((k, random_problem(seed, k, m_range),
+             {"seed": seed, "index": k, "m_range": list(m_range)})
+            for k in range(start, stop))
+
+
+def _search_block(property_id: str, subject, seed: int,
+                  m_range: tuple[int, int], start: int,
+                  stop: int) -> Witness | None:
+    """First witness in one block of the seeded stream; top level so that a
+    process pool can pickle it."""
+    return _first_failures(property_id, [subject],
+                           _seeded(seed, start, stop, m_range))[0]
 
 
 def search_counterexample(property_id: str, subject, problems=None, *,
@@ -532,34 +560,23 @@ def search_counterexample(property_id: str, subject, problems=None, *,
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if problems is not None:
-        for k, item in enumerate(problems):
-            if k >= budget:
-                break
-            index, problem = item if isinstance(item, tuple) else (k, item)
-            verdict = _probe(property_id, subject, problem, index)
-            if verdict is not None:
-                return _tagged(verdict, {"seed": None, "index": index})
-        return None
+        pairs = (item if isinstance(item, tuple) else (k, item)
+                 for k, item in enumerate(itertools.islice(problems, budget)))
+        stream = ((index, problem, {"seed": None, "index": index})
+                  for index, problem in pairs)
+        return _first_failures(property_id, [subject], stream)[0]
+    if workers <= 1:
+        return _search_block(property_id, subject, seed, m_range, 0, budget)
 
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        block = max(1, min(200, budget // workers))
-        spans = [(s, min(s + block, budget)) for s in range(0, budget, block)]
-        best = None
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_search_block, property_id, subject, seed,
-                                   a, b, m_range) for a, b in spans]
-            for fut in futures:
-                res = fut.result()
-                if res is not None and (best is None or res[0] < best[0]):
-                    best = res
-        found = best
-    else:
-        found = _search_block(property_id, subject, seed, 0, budget, m_range)
-    if found is None:
-        return None
-    index, verdict = found
-    return _tagged(verdict, {"seed": seed, "index": index, "m_range": list(m_range)})
+    from concurrent.futures import ProcessPoolExecutor
+    block = max(1, min(200, budget // workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_search_block, property_id, subject, seed,
+                               m_range, start, min(start + block, budget))
+                   for start in range(0, budget, block)]
+        # blocks are contiguous and in order: the first witness is the lowest
+        blocks = [future.result() for future in futures]
+    return next((witness for witness in blocks if witness is not None), None)
 
 
 def reverify(verdict: PropertyVerdict) -> bool:
@@ -623,37 +640,6 @@ class PropertyMatrix:
         return list(self.template_rows) + list(self.fis_rows)
 
 
-def _fis_corpus_violation(fis_id, prop, corpus, seed) -> Witness | None:
-    for k, problem in enumerate(corpus):
-        verdict = _probe(prop, fis_id, problem, k)
-        if verdict is not None:
-            return _tagged(verdict, {"seed": seed, "index": k})
-    return None
-
-
-def _additivity_rows(seed: int, budget: int,
-                     m_range: tuple[int, int]) -> dict[TemplateId, Witness | None]:
-    """Each template's first P03 witness, from one pass over the search stream.
-
-    A row closes at its first violation and is tagged as search_counterexample
-    tags it, so every row equals that template's own search.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    found: dict[TemplateId, Witness | None] = dict.fromkeys(TemplateId)
-    for k in range(budget):
-        open_rows = [t for t, witness in found.items() if witness is None]
-        if not open_rows:
-            break
-        problem = random_problem(seed, k, m_range)
-        for template in open_rows:
-            verdict = _probe("P03", (template.value,), problem, k)
-            if verdict is not None:
-                found[template] = _tagged(verdict, {
-                    "seed": seed, "index": k, "m_range": list(m_range)})
-    return found
-
-
 def _cell(witness: Witness | None) -> Cell:
     return Cell("holds*", True) if witness is None else Cell("fails", False, witness)
 
@@ -665,17 +651,23 @@ def property_matrix(*, seed: int = 0, corpus_count: int = 60,
     pinned expected cells."""
     from . import reference
 
+    if search_budget < 1:
+        raise ValueError("budget must be >= 1")
     audit = reference.and_or_chain_problem()
     witness_problem = reference.single_decider_problem()
-    corpus = build_corpus(seed, corpus_count, m_range)
+    corpus = [(k, problem, {"seed": seed, "index": k})
+              for k, problem in problem_stream(seed, corpus_count, m_range)]
     cells: dict[tuple[str, str], Cell] = {}
-    additivity = _additivity_rows(seed, search_budget, m_range)
+    # each template's P03 row closes at its first violation, with the
+    # witness its own search would report
+    additivity = _first_failures("P03", [t.value for t in TemplateId],
+                                 _seeded(seed, 0, search_budget, m_range))
 
     def put(row, col, cell):
         cells[(row, col)] = cell
 
     # template rows: P01..P04 with the canonical tables
-    for template in TemplateId:
+    for template, additivity_witness in zip(TemplateId, additivity):
         row = template.value
         cf_id = scores.TEMPLATE_DEFAULTS[template][0]
         table = charfun.build_table(cf_id, audit)
@@ -691,7 +683,7 @@ def property_matrix(*, seed: int = 0, corpus_count: int = 60,
                 verdict = check(witness_problem, template,
                                 charfun.cf_waxp(witness_problem))
             put(row, prop, _cell(verdict.witness))
-        put(row, "P03", _cell(additivity[template]))
+        put(row, "P03", _cell(additivity_witness))
         for prop in ("P05", "P06", "P07", "P08", "P09"):
             put(row, prop, Cell("n/a"))
 
@@ -701,16 +693,13 @@ def property_matrix(*, seed: int = 0, corpus_count: int = 60,
         for prop in ("P01", "P02", "P03", "P04"):
             put(row, prop, Cell("n/a"))
         for prop in ("P05", "P07", "P08"):
-            verdict = _probe(prop, fis_id, audit, 0)
-            if verdict is not None:
-                witness = _tagged(verdict, {"reference": "and_or_chain"})
-            else:
-                witness = _fis_corpus_violation(fis_id, prop, corpus, seed)
-            if witness is None and fis_id in ("E", "M"):
-                witness = search_counterexample(prop, fis_id, seed=seed,
-                                                budget=search_budget,
-                                                m_range=m_range)
-            put(row, prop, _cell(witness))
+            # the reference chain, the corpus and, for E and M (pinned to
+            # fail P05), the seeded search stream
+            stream = itertools.chain(
+                [(0, audit, {"reference": "and_or_chain"})], corpus,
+                _seeded(seed, 0, search_budget, m_range)
+                if fis_id in ("E", "M") else ())
+            put(row, prop, _cell(_first_failures(prop, [fis_id], stream)[0]))
         gamma = gamma_value(audit, fis_id)
         put(row, "P06", Cell(str(gamma)))
         dv = check_duality(audit, fis_id)

@@ -79,12 +79,6 @@ class ScoreVector:
         pos = {v: k + 1 for k, v in enumerate(distinct)}
         return tuple(pos[v] for v in self.values)
 
-    def __add__(self, other: "ScoreVector") -> "ScoreVector":
-        if self.m != other.m:
-            raise ValueError("score vectors of different lengths")
-        return ScoreVector(tuple(a + b for a, b in zip(self.values, other.values)),
-                           f"{self.label}+{other.label}")
-
 
 # ---------------------------------------------------------------------------
 # template evaluation cores

@@ -141,6 +141,15 @@ def test_props_matrix_consistent(capsys):
                            "330b77e583b24caffd865c1ac88cfd70")
 
 
+def test_props_matrix_pinned_at_another_seed(capsys):
+    # a second seed: another corpus and other search witnesses
+    code, out, _ = run(capsys, "props", "--seed", "3", "--corpus", "20",
+                       "--budget", "200", "--format", "json")
+    assert code == 0
+    assert sha256(out) == ("f2ac17f219b6cc9d2ed467522d2bb4ca"
+                           "c27a513a145fb75ab15dc8208a514e2b")
+
+
 def test_props_search(capsys):
     code, out, _ = run(capsys, "props", "--search", "P05", "--fis", "E",
                        "--budget", "50", "--format", "json")
@@ -359,6 +368,19 @@ def test_argv_that_would_report_nothing_is_a_usage_error(flag, argv, chain_model
     assert code == 2
     assert out == ""
     assert f"argument {flag}" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--search", "P05", "--duality"], "--duality"),
+    (["--fis", "S"], "--fis"),
+    (["--search", "P05", "--fis", "E", "--corpus", "5"], "--corpus"),
+], ids=["search-and-duality", "fis-in-matrix", "corpus-outside-matrix"])
+def test_props_flag_of_a_mode_not_run_is_a_usage_error(argv, flag, capsys):
+    code, out, err = run(capsys, "props", "--budget", "1", *argv)
+    assert code == 2
+    assert out == ""
+    error_lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(error_lines) == 1 and flag in error_lines[0]
 
 
 def test_wvg_voter_limit(monkeypatch, capsys):

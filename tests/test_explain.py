@@ -161,6 +161,18 @@ def test_hitting_sets_match_brute_force():
     assert [set(features_of(s)) for s in got] == expected
 
 
+@pytest.mark.parametrize("universe", [0b10110, 0b1101001])
+def test_hitting_sets_in_a_non_contiguous_universe(universe):
+    submasks = [s for s in range(1, universe + 1) if not s & ~universe]
+    for members in itertools.combinations(submasks, 3):
+        got = minimal_hitting_sets(members, universe)
+        assert list(got) == sorted(got, key=lambda s: (s.bit_count(), s))
+        expected = brute_hitting_sets([features_of(t) for t in members],
+                                      features_of(universe))
+        assert (sorted(map(features_of, got))
+                == sorted(tuple(sorted(s)) for s in expected))
+
+
 def test_hitting_sets_empty_family_rejected():
     with pytest.raises(ValueError):
         minimal_hitting_sets((), 0b11)

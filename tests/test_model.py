@@ -336,6 +336,12 @@ def test_load_problem_label_mismatch():
         load_problem(doc)
 
 
+@pytest.mark.parametrize("load", [parse_model, load_problem])
+def test_invalid_json_text_is_a_parse_error(load):
+    with pytest.raises(ParseError, match="not valid JSON"):
+        load("{")
+
+
 def test_problem_document_roundtrip(chain):
     doc = problem_to_document(chain)
     again = load_problem(doc)

@@ -311,6 +311,20 @@ def test_search_parallel_matches_serial():
     assert serial.data["generator"] == parallel.data["generator"]
 
 
+@pytest.mark.parametrize("property_id, subject, kwargs, index", [
+    ("P03", ("responsibility",), {"budget": 20, "m_range": (2, 5)}, 16),
+    ("P09-strong", "D", {"budget": 10}, 9),
+])
+def test_search_parallel_witness_in_a_later_block(property_id, subject, kwargs,
+                                                  index):
+    serial = search_counterexample(property_id, subject, seed=1, **kwargs)
+    parallel = search_counterexample(property_id, subject, seed=1, workers=2,
+                                     **kwargs)
+    assert serial.data["generator"]["index"] == index
+    assert parallel.data == serial.data
+    assert parallel.problem == serial.problem
+
+
 def test_random_problem_deterministic():
     a = random_problem(0, 5)
     b = random_problem(0, 5)
