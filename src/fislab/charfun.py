@@ -1,11 +1,14 @@
 """Memoized exact-rational characteristic-function tables over all subsets.
 
-Every table holds 2^m Fraction values indexed by subset mask.  Values are
-never forced: the empty set gets whatever the defining formula yields.
+Every table holds 2^m integer numerators indexed by subset mask over one
+denominator: the space size for CF_E and CF_M, 1 for the indicators.  Values
+are never forced: the empty set gets whatever the defining formula yields.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +27,6 @@ CF_WVG = "CF_WVG"        # indicator of winning coalitions
 CF_SUM = "CF_SUM"
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # the indicator table of each explanation family.  A table's dual is the
 # indicator of the dual family; CF_E and CF_M read no family and are their
@@ -37,23 +39,31 @@ _DUALS.update((cf_id, _INDICATOR[kind.dual]) for kind, cf_id in _INDICATOR.items
 
 @dataclass(frozen=True)
 class CharacteristicTable:
-    """One set function, fully materialized."""
+    """One set function, fully materialized: subset mask S has value nums[S] / den."""
 
     cf_id: str
     n_features: int
-    values: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
     problem: ExplanationProblem | None = None
 
     def __post_init__(self):
-        if len(self.values) != 1 << self.n_features:
+        if len(self.nums) != 1 << self.n_features:
             raise ValueError(
-                f"{len(self.values)} values for {self.n_features} features")
+                f"{len(self.nums)} values for {self.n_features} features")
+        if self.den < 1:
+            raise ValueError(f"denominator {self.den} is below 1")
+
+    @functools.cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """The values as Fractions, built on first use."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def value(self, subset) -> Fraction:
-        return self.values[as_mask(subset, self.n_features)]
+        return self[as_mask(subset, self.n_features)]
 
     def __getitem__(self, mask: int) -> Fraction:
-        return self.values[mask]
+        return Fraction(self.nums[mask], self.den)
 
     @property
     def full_mask(self) -> int:
@@ -71,35 +81,40 @@ def _cached(problem: ExplanationProblem, cf_id: str, build):
     return problem._cache[key]
 
 
-def cf_expected(problem: ExplanationProblem) -> CharacteristicTable:
-    """Mean class label over the points that agree with the instance on S."""
+def _agreement_table(problem: ExplanationProblem, cf_id: str,
+                     field: str) -> CharacteristicTable:
+    """One field of the agreement sums over the point count of each subset,
+    as numerators over the space size."""
     def build():
         sums = problem.agreement_sums()
-        values = tuple(map(Fraction, sums.label_sum, sums.count))
-        return CharacteristicTable(CF_E, problem.m, values, problem)
-    return _cached(problem, CF_E, build)
+        space = sums.count[0]
+        nums = tuple(n * (space // count)
+                     for n, count in zip(getattr(sums, field), sums.count))
+        return CharacteristicTable(cf_id, problem.m, nums, space, problem)
+    return _cached(problem, cf_id, build)
+
+
+def cf_expected(problem: ExplanationProblem) -> CharacteristicTable:
+    """Mean class label over the points that agree with the instance on S."""
+    return _agreement_table(problem, CF_E, "label_sum")
 
 
 def cf_similarity(problem: ExplanationProblem) -> CharacteristicTable:
     """Fraction of agreeing points whose prediction matches the instance."""
-    def build():
-        sums = problem.agreement_sums()
-        values = tuple(map(Fraction, sums.same, sums.count))
-        return CharacteristicTable(CF_M, problem.m, values, problem)
-    return _cached(problem, CF_M, build)
+    return _agreement_table(problem, CF_M, "same")
 
 
-def _indicator(problem, cf_id, accepted_masks) -> CharacteristicTable:
-    accepted = set(accepted_masks)
-    values = tuple(ONE if mask in accepted else ZERO
-                   for mask in range(1 << problem.m))
-    return CharacteristicTable(cf_id, problem.m, values, problem)
+def _indicator(cf_id, m, accepted_masks, problem=None) -> CharacteristicTable:
+    nums = [0] * (1 << m)
+    for mask in accepted_masks:
+        nums[mask] = 1
+    return CharacteristicTable(cf_id, m, tuple(nums), 1, problem)
 
 
 def _family_indicator(problem, kind) -> CharacteristicTable:
     cf_id = _INDICATOR[kind]
     return _cached(problem, cf_id, lambda: _indicator(
-        problem, cf_id, explain.family(problem, kind).members))
+        cf_id, problem.m, explain.family(problem, kind).members, problem))
 
 
 def cf_waxp(problem: ExplanationProblem) -> CharacteristicTable:
@@ -125,18 +140,17 @@ def cf_generator(problem: ExplanationProblem) -> CharacteristicTable:
     """
     def build():
         sufficient = set(explain.enumerate_waxps(problem).members)
-        return _indicator(problem, CF_G, (
+        return _indicator(CF_G, problem.m, (
             mask for mask in range(1 << problem.m)
             if all(mask | 1 << i in sufficient
-                   for i in range(problem.m) if not mask >> i & 1)))
+                   for i in range(problem.m) if not mask >> i & 1)), problem)
     return _cached(problem, CF_G, build)
 
 
 def cf_wvg(game: WeightedVotingGame) -> CharacteristicTable:
     """Indicator of winning coalitions; monotone by non-negative weights."""
-    values = tuple(ONE if game.is_winning(mask) else ZERO
-                   for mask in range(1 << game.m))
-    return CharacteristicTable(CF_WVG, game.m, values)
+    return _indicator(CF_WVG, game.m, (mask for mask in range(1 << game.m)
+                                       if game.is_winning(mask)))
 
 
 def cf_sum(table1: CharacteristicTable, table2: CharacteristicTable) -> CharacteristicTable:
@@ -145,8 +159,10 @@ def cf_sum(table1: CharacteristicTable, table2: CharacteristicTable) -> Characte
     if table1.problem is not None and table2.problem is not None \
             and table1.problem != table2.problem:
         raise ValueError("cannot add tables built on different problems")
-    values = tuple(a + b for a, b in zip(table1.values, table2.values))
-    return CharacteristicTable(CF_SUM, table1.n_features, values,
+    den = math.lcm(table1.den, table2.den)
+    k1, k2 = den // table1.den, den // table2.den
+    nums = tuple(a * k1 + b * k2 for a, b in zip(table1.nums, table2.nums))
+    return CharacteristicTable(CF_SUM, table1.n_features, nums, den,
                                table1.problem or table2.problem)
 
 
@@ -190,17 +206,13 @@ def delta_i(table: CharacteristicTable, i: int, subset) -> Fraction:
     bit = 1 << (i - 1)
     if not mask & bit:
         raise ValueError(f"feature {i} is not in the subset")
-    return table.values[mask] - table.values[mask & ~bit]
+    return Fraction(table.nums[mask] - table.nums[mask & ~bit], table.den)
 
 
 def delta_total(table: CharacteristicTable, subset) -> Fraction:
     """Sum of the per-feature influences over the subset's own features."""
     mask = as_mask(subset, table.n_features)
-    total = ZERO
-    value = table.values[mask]
-    i = 0
-    while mask >> i:
-        if mask >> i & 1:
-            total += value - table.values[mask & ~(1 << i)]
-        i += 1
-    return total
+    nums = table.nums
+    total = sum(nums[mask] - nums[mask & ~(1 << i)]
+                for i in range(table.n_features) if mask >> i & 1)
+    return Fraction(total, table.den)

@@ -311,17 +311,15 @@ def cmd_repro(args) -> int:
     results = reference.run_checks()
     variants = reference.responsibility_variants(reference.and_or_chain_problem())
     all_ok = all(r.ok for r in results)
-    report = {
-        "command": "repro",
-        "checks": [{"section": r.section, "name": r.name, "expected": r.expected,
-                    "got": r.got, "status": "PASS" if r.ok else "FAIL"}
-                   for r in results],
-        "responsibility_variants": variants,
-        "status": "PASS" if all_ok else "FAIL",
-    }
     rows = [{"section": r.section, "name": r.name, "expected": r.expected,
              "got": r.got, "status": "PASS" if r.ok else "FAIL"}
             for r in results]
+    report = {
+        "command": "repro",
+        "checks": rows,
+        "responsibility_variants": variants,
+        "status": "PASS" if all_ok else "FAIL",
+    }
     lines = [f"{'PASS' if r.ok else 'FAIL'} [{r.section}] {r.name}: "
              f"expected {r.expected}, got {r.got}" for r in results]
     lines.append("responsibility variants (plain vs family-normalized): "
@@ -403,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, model=False):
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=_int_in(1, os.cpu_count() or 1),
                        default=1)
         if model:
@@ -430,6 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_props = sub.add_parser("props", help="audit the property matrix")
     common(p_props)
+    p_props.add_argument("--seed", type=int, default=0)
     mode = p_props.add_mutually_exclusive_group()
     mode.add_argument("--search", default=None, metavar="PROPERTY",
                       help="hunt a counterexample for one property (e.g. P05)")

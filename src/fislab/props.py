@@ -95,13 +95,13 @@ def symmetric_pairs(table: CharacteristicTable) -> list[tuple[int, int]]:
     """Pairs (i, j) interchangeable under the table on all avoiding subsets."""
     m = table.n_features
     full = table.full_mask
+    nums = table.nums
     pairs = []
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             bi, bj = 1 << (i - 1), 1 << (j - 1)
             rest = full & ~bi & ~bj
-            if all(table.values[s | bi] == table.values[s | bj]
-                   for s in _submasks(rest)):
+            if all(nums[s | bi] == nums[s | bj] for s in _submasks(rest)):
                 pairs.append((i, j))
     return pairs
 
@@ -110,11 +110,12 @@ def dummy_features(table: CharacteristicTable) -> list[int]:
     """Features whose presence never changes the table value."""
     m = table.n_features
     full = table.full_mask
+    nums = table.nums
     out = []
     for i in range(1, m + 1):
         bit = 1 << (i - 1)
         rest = full & ~bit
-        if all(table.values[s] == table.values[s | bit] for s in _submasks(rest)):
+        if all(nums[s] == nums[s | bit] for s in _submasks(rest)):
             out.append(i)
     return out
 
@@ -142,6 +143,12 @@ def _template_failure(property_id: str, subject: str, problem, template_id,
     return PropertyVerdict(property_id, subject, False, witness)
 
 
+def _fis_failure(property_id: str, fis_id: str, problem, **found) -> PropertyVerdict:
+    """Failing verdict whose witness names the property and the score."""
+    witness = Witness(problem, {"property": property_id, "fis": fis_id, **found})
+    return PropertyVerdict(property_id, fis_id, False, witness)
+
+
 def check_efficiency(problem: ExplanationProblem, template_id: TemplateId,
                      table: CharacteristicTable,
                      family_mode: ExplanationKind | None = None,
@@ -149,7 +156,7 @@ def check_efficiency(problem: ExplanationProblem, template_id: TemplateId,
     """Score total must equal the table swing between the full and empty set."""
     vec = scores.template_score(template_id, problem, table, family_mode, normalized)
     total = vec.total()
-    target = table.values[table.full_mask] - table.values[0]
+    target = Fraction(table.nums[table.full_mask] - table.nums[0], table.den)
     subject = _subject(template_id, table, normalized)
     if total == target:
         return PropertyVerdict("P01", subject, True)
@@ -234,12 +241,11 @@ def check_minimal_monotonicity(problem: ExplanationProblem, fis_id: str) -> Prop
             if i == j or not per_feature[i - 1] <= per_feature[j - 1]:
                 continue
             if vec.score(i) > vec.score(j):
-                witness = Witness(problem, {
-                    "property": "P05", "fis": fis_id, "pair": (i, j),
-                    "scores": (str(vec.score(i)), str(vec.score(j))),
-                    "families": ([list(features_of(s)) for s in sorted(per_feature[i - 1])],
-                                 [list(features_of(s)) for s in sorted(per_feature[j - 1])])})
-                return PropertyVerdict("P05", fis_id, False, witness)
+                return _fis_failure(
+                    "P05", fis_id, problem, pair=(i, j),
+                    scores=(str(vec.score(i)), str(vec.score(j))),
+                    families=([list(features_of(s)) for s in sorted(per_feature[i - 1])],
+                              [list(features_of(s)) for s in sorted(per_feature[j - 1])]))
     return PropertyVerdict("P05", fis_id, True)
 
 
@@ -281,12 +287,10 @@ def check_class_relabeling(problem: ExplanationProblem, fis_id: str,
     other = _fis(relabeled_problem(problem, sigma), fis_id)
     for i in range(1, problem.m + 1):
         if base.score(i) != other.score(i):
-            witness = Witness(problem, {
-                "property": "P07", "fis": fis_id,
-                "sigma": {str(k): v for k, v in sigma.items()},
-                "feature": i,
-                "scores": (str(base.score(i)), str(other.score(i)))})
-            return PropertyVerdict("P07", fis_id, False, witness)
+            return _fis_failure(
+                "P07", fis_id, problem,
+                sigma={str(k): v for k, v in sigma.items()}, feature=i,
+                scores=(str(base.score(i)), str(other.score(i))))
     return PropertyVerdict("P07", fis_id, True)
 
 
@@ -297,10 +301,8 @@ def check_relevancy_consistency(problem: ExplanationProblem, fis_id: str) -> Pro
     for i in range(1, problem.m + 1):
         is_relevant = bool(relevant >> (i - 1) & 1)
         if (vec.score(i) != 0) != is_relevant:
-            witness = Witness(problem, {
-                "property": "P08", "fis": fis_id, "feature": i,
-                "relevant": is_relevant, "score": str(vec.score(i))})
-            return PropertyVerdict("P08", fis_id, False, witness)
+            return _fis_failure("P08", fis_id, problem, feature=i,
+                                relevant=is_relevant, score=str(vec.score(i)))
     return PropertyVerdict("P08", fis_id, True)
 
 
@@ -451,10 +453,8 @@ def _run_duality(problem, params, property_id):
     dv = check_duality(problem, fis_id)
     if getattr(dv, level):
         return PropertyVerdict(property_id, fis_id, True)
-    witness = Witness(problem, {
-        "property": property_id, "fis": fis_id,
-        "primal": dv.primal.as_strings(), "dual": dv.dual.as_strings()})
-    return PropertyVerdict(property_id, fis_id, False, witness)
+    return _fis_failure(property_id, fis_id, problem,
+                        primal=dv.primal.as_strings(), dual=dv.dual.as_strings())
 
 
 # property -> (subject expansion, run on one replay-parameter dict).  The

@@ -97,7 +97,7 @@ def run_checks() -> list[CheckResult]:
     nu_w = charfun.cf_waxp(chain)
     nu_wd = charfun.cf_wcxp(chain)
     check("charfun", "chain_sufficient_count",
-          sum(1 for v in nu_w.values if v), "5")
+          sum(1 for n in nu_w.nums if n), "5")
     check("charfun", "chain_contrastive_of_{1}", nu_wd.value([1]), "1")
     check("charfun", "chain_minimal_indicator_of_{1,2}",
           charfun.cf_axp(chain).value([1, 2]), "1")

@@ -83,22 +83,14 @@ class ScoreVector:
 # ---------------------------------------------------------------------------
 # template evaluation cores
 #
-# A table enters as integer numerators over one common denominator, so every
+# A table holds integer numerators over one common denominator, so every
 # marginal gain is an integer.  The cores sum gains per feature (and per
 # coalition size where the weight depends on it) and build one Fraction per
 # result at the end.
 
-def _numerators(table: CharacteristicTable) -> tuple[list[int], int]:
-    """The table's values as integer numerators over their least common
-    denominator, and that denominator."""
-    ratios = [v.as_integer_ratio() for v in table.values]
-    den = math.lcm(*{d for _, d in ratios})
-    return [n * (den // d) for n, d in ratios], den
-
-
 def _score_all_subsets(template: TemplateId, table: CharacteristicTable) -> tuple[Fraction, ...]:
     m = table.n_features
-    nums, den = _numerators(table)
+    nums, den = table.nums, table.den
     if template is TemplateId.JOHNSTON:
         return _johnston(nums, m)
     # weight[k] of a gain completing a coalition of size k, as an integer
@@ -124,7 +116,7 @@ def _score_all_subsets(template: TemplateId, table: CharacteristicTable) -> tupl
                  for bit in (1 << i for i in range(m)))
 
 
-def _johnston(nums: list[int], m: int) -> tuple[Fraction, ...]:
+def _johnston(nums: tuple[int, ...], m: int) -> tuple[Fraction, ...]:
     """Each coalition with a nonzero gain total splits one unit among its
     features in proportion to their gains; the common denominator cancels."""
     by_total: dict[int, list[int]] = {}  # gain total -> summed gains per feature
@@ -152,10 +144,7 @@ def _score_family(template: TemplateId, table: CharacteristicTable | None,
     count = len(members)
     if not count:
         return (ZERO,) * m
-    if table is None:
-        nums, den = None, 1
-    else:
-        nums, den = _numerators(table)
+    nums, den = (None, 1) if table is None else (table.nums, table.den)
     # per feature, (gain, member size) over the members containing it
     terms: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for s in members:

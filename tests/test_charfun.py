@@ -145,8 +145,16 @@ def test_sum_of_expected_and_similarity_at_empty(chain):
 
 def test_sum_with_zero_table_is_identity(chain):
     table = cf_expected(chain)
-    zero = CharacteristicTable(charfun.CF_SUM, 4, (Fraction(0),) * 16, chain)
+    zero = CharacteristicTable(charfun.CF_SUM, 4, (0,) * 16, 1, chain)
     assert cf_sum(table, zero).values == table.values
+
+
+@pytest.mark.parametrize("nums, den", [((0,) * 16, 0), ((1,) * 16, -3),
+                                       ((0,) * 15, 1), ((0,) * 17, 1)],
+                         ids=["zero-den", "negative-den", "short", "long"])
+def test_malformed_table_is_refused(nums, den):
+    with pytest.raises(ValueError):
+        CharacteristicTable(charfun.CF_SUM, 4, nums, den)
 
 
 def test_sum_rejects_dimension_mismatch(chain, single):

@@ -243,9 +243,9 @@ def test_wvg_quota_above_total_weight(capsys):
 
 def test_reports_byte_identical(chain_model, capsys):
     _, first, _ = run(capsys, "score", "--model", chain_model, "--fis", "all",
-                      "--format", "json", "--seed", "0")
+                      "--format", "json")
     _, second, _ = run(capsys, "score", "--model", chain_model, "--fis", "all",
-                       "--format", "json", "--seed", "0")
+                       "--format", "json")
     assert first == second
     _, t1, _ = run(capsys, "props", "--corpus", "10", "--budget", "100")
     _, t2, _ = run(capsys, "props", "--corpus", "10", "--budget", "100")
@@ -284,6 +284,32 @@ def test_score_report_pinned_ternary_tree(tmp_path, capsys):
     assert code == 0
     assert sha256(out) == ("191c9abbf9fcb5535f52b910292ac488"
                            "81e9a4545954c551c3e3d93ec2a66a97")
+
+
+def test_score_report_pinned_mixed_domain_sizes(tmp_path, capsys):
+    # domain sizes 1, 2, 3 and 4: the point count of a subset's slice is not a
+    # power of two and differs from subset to subset
+    doc = {"features": [{"id": i, "values": list(range(i))} for i in range(1, 5)],
+           "classes": [0, 1, 2],
+           "body": {"kind": "table",
+                    "labels": [0, 0, 1, 2, 1, 1, 1, 2, 1, 1, 1, 2,
+                               0, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1]},
+           "instance": {"point": [0, 1, 1, 2], "label": 1}}
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "score", "--model", str(path), "--fis", "all",
+                       "--dual", "--rank", "--format", "json")
+    assert code == 0
+    assert sha256(out) == ("b3cf053155925600d47779f385dd44c4"
+                           "f40e7173bc2a7bdcd38d393e05e57905")
+
+
+def test_wvg_report_pinned(capsys):
+    code, out, _ = run(capsys, "wvg", "--quota", "5", "--weights", "3,2,2,1",
+                       "--template", "all", "--format", "json")
+    assert code == 0
+    assert sha256(out) == ("10f08f5f471421620c94eb20813cad9c"
+                           "453280b37ffdb340fd6fde26a703dad4")
 
 
 def _chain_document():
@@ -381,6 +407,20 @@ def test_props_flag_of_a_mode_not_run_is_a_usage_error(argv, flag, capsys):
     assert out == ""
     error_lines = [line for line in err.splitlines() if "error:" in line]
     assert len(error_lines) == 1 and flag in error_lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["explain", "--model", "MODEL"], ["score", "--model", "MODEL"], ["repro"],
+    ["wvg", "--quota", "3", "--weights", "2,1,1"]],
+    ids=["explain", "score", "repro", "wvg"])
+def test_seed_only_on_props(argv, chain_model, capsys):
+    # only props draws random problems; the other subcommands refuse --seed
+    argv = [chain_model if arg == "MODEL" else arg for arg in argv]
+    code, out, err = run(capsys, *argv, "--seed", "9")
+    assert code == 2
+    assert out == ""
+    error_lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(error_lines) == 1 and "--seed" in error_lines[0]
 
 
 def test_wvg_voter_limit(monkeypatch, capsys):

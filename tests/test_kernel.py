@@ -17,8 +17,8 @@ from fislab.charfun import CharacteristicTable, ZERO
 from fislab.explain import ExplanationKind, is_waxp, is_wcxp
 from fislab.model import (Classifier, DomainError, FeatureDomain,
                           TableBody, TreeBody, TreeLeaf, TreeSplit, WVGBody,
-                          WeightedVotingGame, make_problem, parse_boolean_expression,
-                          superset_sums)
+                          WeightedVotingGame, features_of, make_problem,
+                          parse_boolean_expression, superset_sums)
 from fislab.scores import TemplateId, coefficient_sigma
 
 ALL_SUBSET_TEMPLATES = (TemplateId.SHAPLEY_SHUBIK, TemplateId.BANZHAF,
@@ -204,6 +204,13 @@ def corpus():
 CORPUS = list(corpus())
 
 
+def assert_one_value_per_mask(table):
+    """Every way of reading a table entry gives the same rational."""
+    for mask in range(1 << table.n_features):
+        assert (table[mask] == table.value(features_of(mask)) == table.values[mask]
+                == Fraction(table.nums[mask], table.den)), (table.cf_id, mask)
+
+
 @pytest.mark.parametrize("problem", [p for _, p in CORPUS], ids=[n for n, _ in CORPUS])
 def test_kernel_matches_exhaustive_scans(problem):
     expected, similar = brute_values(problem)
@@ -215,6 +222,8 @@ def test_kernel_matches_exhaustive_scans(problem):
 
     m = problem.m
     tables = [charfun.build_table(cf_id, problem) for cf_id in TABLE_IDS]
+    for table in tables + [charfun.cf_sum(tables[0], tables[1])]:
+        assert_one_value_per_mask(table)
     for table in tables:
         for template in ALL_SUBSET_TEMPLATES:
             assert (scores._score_all_subsets(template, table)
@@ -234,6 +243,7 @@ def test_wvg_power_indices_match_oracle_cores(m):
     weights = tuple(rng.randint(0, 4) for _ in range(m))
     game = WeightedVotingGame(rng.randint(0, sum(weights)), weights)
     table = charfun.cf_wvg(game)
+    assert_one_value_per_mask(table)
     winning = [s for s in range(1 << m) if game.is_winning(s)]
     minimal = [s for s in sorted(winning, key=lambda s: (s.bit_count(), s))
                if not any(t != s and t & ~s == 0 for t in winning)]

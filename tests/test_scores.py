@@ -288,8 +288,8 @@ def test_strong_duality_sample():
 def test_positive_scaling_preserves_ranking(chain):
     factor = F(3, 7)
     table = cf_waxp(chain)
-    scaled = CharacteristicTable("CF_SUM", 4,
-                                 tuple(v * factor for v in table.values), chain)
+    scaled = CharacteristicTable("CF_SUM", 4, tuple(3 * n for n in table.nums),
+                                 7 * table.den, chain)
     for template in (TemplateId.SHAPLEY_SHUBIK, TemplateId.BANZHAF,
                      TemplateId.DEEGAN_PACKEL, TemplateId.HOLLER_PACKEL,
                      TemplateId.ANDJIGA):
