@@ -16,7 +16,7 @@ import io
 import json
 import os
 import sys
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 
 from . import charfun, explain, props, reference, scores
@@ -32,12 +32,26 @@ FIS_PROPERTIES = ("P05", "P06", "P07", "P08", "P09")
 
 
 def decimal_str(value: Fraction, places: int = 6) -> str:
-    """Half-even decimal rendering; never used in comparisons."""
+    """Half-even decimal rendering; never used in comparisons.
+
+    The quotient is taken to 50 significant digits.  When the rounded value
+    has more digits than that, quantize cannot hold it, and the quotient is
+    taken to exactly the digits of the rounded value instead.
+    """
+    num, den = Decimal(value.numerator), Decimal(value.denominator)
+    quantum = Decimal(1).scaleb(-places)
     with localcontext() as ctx:
         ctx.prec = 50
-        quantum = Decimal(1).scaleb(-places)
-        dec = (Decimal(value.numerator) / Decimal(value.denominator)
-               ).quantize(quantum, rounding=ROUND_HALF_EVEN)
+        try:
+            dec = (num / den).quantize(quantum, rounding=ROUND_HALF_EVEN)
+        except InvalidOperation:
+            # |value| in units of the last place, rounded half-up, has as
+            # many digits as the half-even result: the two differ on ties
+            # only, and a tie just below a power of ten rounds up either way
+            rounded = (2 * abs(value.numerator) * 10 ** places + value.denominator
+                       ) // (2 * value.denominator)
+            ctx.prec = len(str(rounded))
+            dec = (num / den).quantize(quantum, rounding=ROUND_HALF_EVEN)
     return str(dec)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .model import ExplanationProblem, as_mask, features_of
+from .model import ExplanationProblem, as_mask, features_of, superset_sums
 
 
 class InvariantError(RuntimeError):
@@ -157,9 +157,12 @@ def minimal_hitting_sets(members, universe_mask: int) -> tuple[int, ...]:
     """All subset-minimal H <= universe with H intersecting every member,
     sorted by (cardinality, mask).
 
-    Hitting every member is up-closed, so these are the minimal masks over
-    one flag per subset of the universe.  The scan renumbers the universe's
-    bits 0..k-1, which keeps their order and so the sort.
+    The universe's bits are renumbered 0..k-1, which keeps their order and
+    so the sort.  H misses a member T exactly when T lies inside the
+    complement of H, so one superset pass over the member indicator, each T
+    put at its complement's index, counts at H the members H misses.
+    Hitting every member is up-closed, so the hitting sets are the minimal
+    masks among those that miss none.
     """
     members = tuple(members)
     if not members:
@@ -167,10 +170,12 @@ def minimal_hitting_sets(members, universe_mask: int) -> tuple[int, ...]:
     if any(t & ~universe_mask for t in members):
         raise ValueError("family member outside the universe")
     bits = list(_bits(universe_mask))
-    packed = [sum(1 << j for j, bit in enumerate(bits) if t & bit)
-              for t in members]
-    hits = minimal_masks([all(s & t for t in packed)
-                          for s in range(1 << len(bits))])
+    top = (1 << len(bits)) - 1
+    missed = [0] * (top + 1)
+    for t in members:
+        missed[top ^ sum(1 << j for j, bit in enumerate(bits) if t & bit)] += 1
+    superset_sums(missed)
+    hits = minimal_masks([n == 0 for n in missed])
     return tuple(sum(bit for j, bit in enumerate(bits) if s >> j & 1)
                  for s in hits)
 

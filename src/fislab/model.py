@@ -13,6 +13,7 @@ import itertools
 import json
 import os
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import add
@@ -96,21 +97,33 @@ def as_mask(subset, m: int) -> int:
     return mask_of(subset, m)
 
 
-def superset_sums(values: list[int]) -> None:
+def superset_sums(values: list[int], op=add) -> None:
     """In place, values[S] becomes the sum of values[T] over all masks T
     containing S (Yates' zeta transform).  len(values) is 2^m; each of the m
-    bits takes 2^(m-1) additions, done as slices."""
+    bits takes 2^(m-1) applications of op, done as slices.  op is addition
+    by default; any associative and commutative op folds the same way, so
+    op=operator.or_ gives the union of the int masks at all supersets."""
     n = len(values)
     bit = 1
     while bit < n:
         step = bit << 1
         if bit < n // step:  # fewer offsets than blocks: strided slices
             for k in range(bit):
-                values[k::step] = map(add, values[k::step], values[k + bit::step])
+                values[k::step] = map(op, values[k::step], values[k + bit::step])
         else:
             for j in range(0, n, step):
-                values[j:j + bit] = map(add, values[j:j + bit], values[j + bit:j + step])
+                values[j:j + bit] = map(op, values[j:j + bit], values[j + bit:j + step])
         bit = step
+
+
+def _rank_sums(rows) -> list[int]:
+    """Per point, in rank order, the sum over features i of rows[i][k] with
+    k the index of the point's value of feature i.  Each feature expands the
+    list for the features before it, so feature 1 varies slowest."""
+    sums = [0]
+    for row in rows:
+        sums = [s + x for s in sums for x in row]
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +240,6 @@ class Or:
     right: object
 
 
-def _expr_eval(node, point) -> int:
-    if isinstance(node, Var):
-        return 1 if point[node.index - 1] else 0
-    if isinstance(node, Not):
-        return 1 - _expr_eval(node.operand, point)
-    if isinstance(node, And):
-        return _expr_eval(node.left, point) and _expr_eval(node.right, point)
-    return _expr_eval(node.left, point) or _expr_eval(node.right, point)
-
-
 _PREC = {Or: 1, And: 2, Not: 3, Var: 4}
 
 
@@ -312,23 +315,89 @@ class WVGBody(WeightedVotingGame):
         return {"kind": "wvg", "quota": self.quota, "weights": list(self.weights)}
 
 
-def _eval_body(body, features: tuple[FeatureDomain, ...], point) -> int:
-    if isinstance(body, TreeBody):
-        node = body.root
-        while isinstance(node, TreeSplit):
-            x = point[node.feature - 1]
-            for value, child in node.branches:
-                if value == x:
-                    node = child
-                    break
-            else:  # construction guarantees totality; defensive
-                raise DomainError(f"tree has no branch for feature {node.feature} value {x!r}")
-        return node.label
-    if isinstance(body, BoolExprBody):
-        return _expr_eval(body.ast, point)
-    if isinstance(body, WVGBody):
-        return int(body.is_winning(sum(1 << i for i, x in enumerate(point) if x == 1)))
-    raise TypeError(f"not a classifier body: {body!r}")
+# ---------------------------------------------------------------------------
+# label tables as whole-space bit operations
+#
+# A rank bitmap is an int whose bit r is set iff the point of rank r belongs
+# to a set; every body is labelled by combining such ints.
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _value_bitmaps(cls: Classifier) -> list[int]:
+    """Per feature, the rank bitmap of its domain's first value: a block of
+    stride ones, repeated every size * stride ranks by a repunit.  Shifted
+    left by k * stride it gives the ranks taking value k."""
+    n = cls.space_size
+    bitmaps = []
+    for dom, stride in zip(cls.features, cls._strides):
+        period = stride * dom.size
+        repunit, ones = 1, 1  # a one every period bits, doubled up to n bits
+        while ones < n // period:
+            repunit |= repunit << ones * period
+            ones *= 2
+        bitmaps.append(((1 << stride) - 1) * (repunit & (1 << n) - 1))
+    return bitmaps
+
+
+def _expr_bitmap(node, ones: list[int], full: int) -> int:
+    """Ranks on which a boolean expression is true; ones[i] holds the ranks
+    with feature i + 1 equal to 1."""
+    if isinstance(node, Var):
+        return ones[node.index - 1]
+    if isinstance(node, Not):
+        return full ^ _expr_bitmap(node.operand, ones, full)
+    left = _expr_bitmap(node.left, ones, full)
+    right = _expr_bitmap(node.right, ones, full)
+    return left & right if isinstance(node, And) else left | right
+
+
+def _tree_bitmaps(cls: Classifier, root) -> dict[int, int]:
+    """Ranks per leaf class: the ranks reaching a leaf are the AND of the
+    tested values' bitmaps along its path, ORed per class."""
+    first = _value_bitmaps(cls)
+    by_label: dict[int, int] = {}
+    stack = [(root, (1 << cls.space_size) - 1)]
+    while stack:
+        node, reach = stack.pop()
+        if isinstance(node, TreeLeaf):
+            by_label[node.label] = by_label.get(node.label, 0) | reach
+            continue
+        i = node.feature - 1
+        stride, index = cls._strides[i], cls._value_index[i]
+        for value, child in node.branches:
+            sub = reach & first[i] << index[value] * stride
+            if sub:
+                stack.append((child, sub))
+    return by_label
+
+
+def _label_table(by_label: dict[int, int], n: int) -> tuple[int, ...]:
+    """The label of each of n ranks, from one rank bitmap per label; the
+    bitmaps partition the ranks.  Each rank's position in the label list is
+    assembled bit-sliced: bit plane b ORs the bitmaps of the labels whose
+    position has bit b set.  A plane's binary digits, spread to one byte per
+    rank and shifted left by b mod 8, add up to byte b // 8 of every rank's
+    position."""
+    labels = list(by_label)
+    planes = [0] * max(1, (len(labels) - 1).bit_length())
+    for k, bitmap in enumerate(by_label.values()):
+        for b in range(len(planes)):
+            if k >> b & 1:
+                planes[b] |= bitmap
+    width = 1  # bytes per position, a size memoryview.cast reads
+    while len(planes) > 8 * width:
+        width *= 2
+    digits = [0] * width
+    for b, plane in enumerate(planes):
+        spread = int.from_bytes(format(plane, f"0{n}b").encode().translate(_BIT_BYTES), "big")
+        digits[b // 8] += spread << b % 8
+    codes = bytearray(n * width)
+    for d, digit in enumerate(digits):
+        start = d if sys.byteorder == "little" else width - 1 - d
+        codes[start::width] = digit.to_bytes(n, "little")
+    positions = memoryview(codes).cast({1: "B", 2: "H", 4: "I"}[width])
+    return tuple(map(labels.__getitem__, positions))
 
 
 # ---------------------------------------------------------------------------
@@ -387,22 +456,37 @@ class Classifier:
                 raise DomainError(f"class labels must be non-negative integers, got {c!r}")
 
     def _build_labels(self) -> tuple[int, ...]:
-        if isinstance(self.body, TableBody):
-            if len(self.body.labels) != self.space_size:
+        """The label of every point, in rank order, from whole-space
+        operations on the body: rank sums for a voting game, rank bitmaps
+        for an expression or a tree."""
+        body = self.body
+        if isinstance(body, TableBody):
+            if len(body.labels) != self.space_size:
                 raise ParseError(
-                    f"table body has {len(self.body.labels)} entries, "
+                    f"table body has {len(body.labels)} entries, "
                     f"feature space has {self.space_size} points")
-            return self.body.labels
-        if isinstance(self.body, BoolExprBody):
-            _check_boolean_domains(self.features, "boolexpr")
-            _check_expr_vars(self.body.ast, self.m)
-        if isinstance(self.body, WVGBody):
+            return body.labels
+        if isinstance(body, WVGBody):
             _check_boolean_domains(self.features, "wvg")
-            if len(self.body.weights) != self.m:
+            if len(body.weights) != self.m:
                 raise ParseError("wvg body needs one weight per feature")
-        if isinstance(self.body, TreeBody):
-            _check_tree(self.body.root, self.features)
-        return tuple(_eval_body(self.body, self.features, p) for p in self.points())
+            # each rank's coalition weight: the weights of its 1-valued features
+            weights = _rank_sums([[w if x == 1 else 0 for x in dom.values]
+                                  for w, dom in zip(body.weights, self.features)])
+            return tuple(bytes(map(body.quota.__le__, weights)))
+        if isinstance(body, BoolExprBody):
+            _check_boolean_domains(self.features, "boolexpr")
+            _check_expr_vars(body.ast, self.m)
+            first = _value_bitmaps(self)
+            ones = [bits << index[1] * stride for bits, index, stride
+                    in zip(first, self._value_index, self._strides)]
+            full = (1 << self.space_size) - 1
+            true = _expr_bitmap(body.ast, ones, full)
+            return _label_table({0: full ^ true, 1: true}, self.space_size)
+        if isinstance(body, TreeBody):
+            _check_tree(body.root, self.features)
+            return _label_table(_tree_bitmaps(self, body.root), self.space_size)
+        raise TypeError(f"not a classifier body: {body!r}")
 
     def _validate_labels(self):
         emitted = set(self._labels)
@@ -605,11 +689,10 @@ def _agreement_sums(problem: ExplanationProblem) -> AgreementSums:
     with the instance; superset sums then give the totals for every subset.
     The point count of a subset is the product of its free domains' sizes."""
     cls = problem.classifier
-    masks = [0]  # agreement mask of every point, in rank order
-    for i, dom in enumerate(cls.features):
-        at = cls._value_index[i][problem.v[i]]
-        row = [1 << i if k == at else 0 for k in range(dom.size)]
-        masks = [mask | bit for mask in masks for bit in row]
+    # agreement mask of every point, in rank order
+    masks = _rank_sums([[1 << i if k == index[v] else 0 for k in range(dom.size)]
+                        for i, (dom, index, v)
+                        in enumerate(zip(cls.features, cls._value_index, problem.v))])
     label_sum, same = [0] * (1 << problem.m), [0] * (1 << problem.m)
     c = problem.c
     for mask, label in zip(masks, cls._labels):

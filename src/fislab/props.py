@@ -555,7 +555,9 @@ def search_counterexample(property_id: str, subject, problems=None, *,
 
     problems may inject a fixed stream of problems or (index, problem)
     pairs; otherwise the seeded random generator is used.  With several
-    workers the search is partitioned but the lowest index still wins.
+    workers the search is partitioned into blocks but the lowest index
+    still wins: the first block runs in process before any pool starts, and
+    the pool's blocks are read in order until one holds a witness.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -568,15 +570,22 @@ def search_counterexample(property_id: str, subject, problems=None, *,
     if workers <= 1:
         return _search_block(property_id, subject, seed, m_range, 0, budget)
 
-    from concurrent.futures import ProcessPoolExecutor
     block = max(1, min(200, budget // workers))
+    witness = _search_block(property_id, subject, seed, m_range, 0, block)
+    if witness is not None or block >= budget:
+        return witness
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_search_block, property_id, subject, seed,
                                m_range, start, min(start + block, budget))
-                   for start in range(0, budget, block)]
+                   for start in range(block, budget, block)]
         # blocks are contiguous and in order: the first witness is the lowest
-        blocks = [future.result() for future in futures]
-    return next((witness for witness in blocks if witness is not None), None)
+        for future in futures:
+            witness = future.result()
+            if witness is not None:
+                pool.shutdown(cancel_futures=True)
+                break
+    return witness
 
 
 def reverify(verdict: PropertyVerdict) -> bool:

@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import or_
 
 from . import charfun, explain
 from .charfun import CharacteristicTable, ZERO
@@ -293,26 +294,43 @@ def compute_fis(fis_id: str, problem: ExplanationProblem, dual: bool = False) ->
 # ---------------------------------------------------------------------------
 # coverage
 
-def _coverage_ranks(problem: ExplanationProblem, i: int, contrastive: bool) -> set[int]:
-    fam = explain.enumerate_cxps(problem) if contrastive else explain.enumerate_axps(problem)
-    covered: set[int] = set()
-    for s in fam.containing(i):
-        covered.update(problem.select_ranks(s))
-    return covered
+def _minimal_family(problem: ExplanationProblem, contrastive: bool):
+    return explain.enumerate_cxps(problem) if contrastive else explain.enumerate_axps(problem)
 
 
 def coverage_set(problem: ExplanationProblem, i: int, contrastive: bool = False) -> tuple:
     """Points lying in the cube of some minimal explanation containing i."""
-    ranks = sorted(_coverage_ranks(problem, i, contrastive))
+    ranks: set[int] = set()
+    for s in _minimal_family(problem, contrastive).containing(i):
+        ranks.update(problem.select_ranks(s))
     all_points = list(problem.classifier.points())
-    return tuple(all_points[r] for r in ranks)
+    return tuple(all_points[r] for r in sorted(ranks))
 
 
 def coverage_score(problem: ExplanationProblem, contrastive: bool = False) -> ScoreVector:
-    """Covered fraction of feature space per feature."""
+    """Covered fraction of feature space per feature.
+
+    A point that agrees with the instance on exactly the mask A lies in the
+    cube of each minimal explanation S inside A.  Each S is put at index
+    full ^ S, so one superset pass with or gives, at full ^ A, cov[A]: the
+    union of the members inside A.  The mask A holds prod over i not in A of
+    (|D_i| - 1) points, and they count toward every feature in cov[A].
+    """
+    full = problem.full_mask
+    union = [0] * (full + 1)
+    for s in _minimal_family(problem, contrastive).members:
+        union[full ^ s] = s
+    superset_sums(union, or_)
+    exact = [1]  # points agreeing with the instance on exactly each mask
+    for dom in problem.classifier.features:
+        exact = [n * (dom.size - 1) for n in exact] + exact
+    tally: dict[int, int] = {}  # cov[A] -> points over the masks A
+    for covered, n in zip(reversed(union), exact):
+        if covered and n:
+            tally[covered] = tally.get(covered, 0) + n
     size = problem.classifier.space_size
-    values = tuple(Fraction(len(_coverage_ranks(problem, i, contrastive)), size)
-                   for i in range(1, problem.m + 1))
+    values = tuple(Fraction(sum(n for covered, n in tally.items() if covered & bit), size)
+                   for bit in (1 << i for i in range(problem.m)))
     return ScoreVector(values, "coverage", None, problem)
 
 

@@ -459,3 +459,51 @@ def test_decimal_display_half_even():
     assert decimal_str(Fraction(1, 2) + Fraction(5, 10**7)) == "0.500000"
     assert decimal_str(Fraction(15, 10**7)) == "0.000002"
     assert decimal_str(Fraction(-1, 3)) == "-0.333333"
+
+
+@pytest.fixture
+def huge_label_model(tmp_path):
+    """One feature; the instance's class has 61 digits, so the expected
+    value's decimal needs more than 50 significant digits."""
+    doc = {
+        "features": [{"id": 1, "values": [0, 1]}],
+        "classes": [0, 10**60],
+        "body": {"kind": "table", "labels": [0, 10**60]},
+        "instance": {"point": [1], "label": 10**60},
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_decimal_of_a_value_past_50_digits(huge_label_model, capsys):
+    value = "5" + "0" * 59
+    decimal = value + ".000000"
+    code, out, err = run(capsys, "score", "--model", huge_label_model, "--fis", "E")
+    assert (code, err) == (0, "")
+    assert f"{value} ({decimal})" in out
+    code, out, err = run(capsys, "score", "--model", huge_label_model, "--fis", "E",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    entry = json.loads(out)["scores"]["E"]
+    assert (entry["values"], entry["decimals"]) == ([value], [decimal])
+    code, out, err = run(capsys, "score", "--model", huge_label_model, "--fis", "E",
+                         "--format", "csv")
+    assert (code, err) == (0, "")
+    assert list(csv.DictReader(io.StringIO(out))) == [
+        {"fis": "E", "feature": "1", "value": value, "decimal": decimal}]
+
+
+def test_decimal_rounds_half_even_past_50_digits():
+    big = 10**60
+    assert decimal_str(Fraction(big * 10**7 + 5, 10**7)) == f"{big}.000000"
+    assert decimal_str(Fraction(big * 10**7 + 15, 10**7)) == f"{big}.000002"
+    assert decimal_str(Fraction(-big * 10**7 - 5000001, 10**7)) == f"-{big}.500000"
+    # rounding up adds a digit
+    assert decimal_str(Fraction(big * 10**7 - 5, 10**7)) == f"{big}.000000"
+    assert decimal_str(Fraction(-big, 3)) == "-" + "3" * 60 + ".333333"
+    assert decimal_str(Fraction(-1, 10**9)) == "-0.000000"
+    # 50 digits fit the default precision, 51 do not
+    assert decimal_str(Fraction(10**44 - 1) + Fraction(1, 3)) == "9" * 44 + ".333333"
+    assert decimal_str(Fraction(10**44) + Fraction(1, 3)) == f"{10**44}.333333"
+    assert decimal_str(Fraction(10**51 - 5, 10**7)) == f"{10**44}.000000"

@@ -4,21 +4,28 @@ and template core, against exhaustive scans on a seeded corpus.
 The oracles share nothing with the kernel: characteristic values come from
 select_points, families from the is_waxp/is_wcxp scans with a containment
 loop for minimality, and the template cores are the per-mask Fraction
-implementations the integer cores replaced.
+implementations the integer cores replaced.  The whole-space transforms are
+checked the same way: label tables against the per-point body evaluator,
+coverage against the union of select_ranks cubes (coverage_set) and hitting
+sets against a scan over every candidate.
 """
 
+import itertools
 import random
 from fractions import Fraction
+from operator import or_
 
 import pytest
+from test_explain import brute_hitting_sets
 
 from fislab import charfun, explain, scores
 from fislab.charfun import CharacteristicTable, ZERO
 from fislab.explain import ExplanationKind, is_waxp, is_wcxp
-from fislab.model import (Classifier, DomainError, FeatureDomain,
-                          TableBody, TreeBody, TreeLeaf, TreeSplit, WVGBody,
-                          WeightedVotingGame, features_of, make_problem,
-                          parse_boolean_expression, superset_sums)
+from fislab.model import (And, BoolExprBody, Classifier, DomainError,
+                          FeatureDomain, Not, TableBody, TreeBody, TreeLeaf,
+                          TreeSplit, Var, WVGBody, WeightedVotingGame,
+                          features_of, make_problem, parse_boolean_expression,
+                          superset_sums)
 from fislab.scores import TemplateId, coefficient_sigma
 
 ALL_SUBSET_TEMPLATES = (TemplateId.SHAPLEY_SHUBIK, TemplateId.BANZHAF,
@@ -102,6 +109,38 @@ def oracle_score_family(template: TemplateId, table: CharacteristicTable | None,
 
 
 # ---------------------------------------------------------------------------
+# oracle label tables: the per-point body evaluator, kept as it was
+
+def _expr_eval(node, point) -> int:
+    if isinstance(node, Var):
+        return 1 if point[node.index - 1] else 0
+    if isinstance(node, Not):
+        return 1 - _expr_eval(node.operand, point)
+    if isinstance(node, And):
+        return _expr_eval(node.left, point) and _expr_eval(node.right, point)
+    return _expr_eval(node.left, point) or _expr_eval(node.right, point)
+
+
+def _eval_body(body, features: tuple[FeatureDomain, ...], point) -> int:
+    if isinstance(body, TreeBody):
+        node = body.root
+        while isinstance(node, TreeSplit):
+            x = point[node.feature - 1]
+            for value, child in node.branches:
+                if value == x:
+                    node = child
+                    break
+            else:  # construction guarantees totality; defensive
+                raise DomainError(f"tree has no branch for feature {node.feature} value {x!r}")
+        return node.label
+    if isinstance(body, BoolExprBody):
+        return _expr_eval(body.ast, point)
+    if isinstance(body, WVGBody):
+        return int(body.is_winning(sum(1 << i for i, x in enumerate(point) if x == 1)))
+    raise TypeError(f"not a classifier body: {body!r}")
+
+
+# ---------------------------------------------------------------------------
 # oracle tables and families
 
 def brute_values(problem):
@@ -137,11 +176,12 @@ def brute_families(problem):
 # seeded corpus: every body kind, m = 1..8, several instances per model
 
 def _nonconstant(build):
-    while True:
+    for _ in range(1000):
         try:
             return build()
         except DomainError:
             continue
+    raise AssertionError("1,000 draws in a row gave a constant classifier")
 
 
 def random_table(rng, m):
@@ -290,3 +330,128 @@ def test_injected_families_match_oracle_core():
             for template, normalized in FAMILY_VARIANTS:
                 assert (scores._score_family(template, None, members, m, normalized)
                         == oracle_score_family(template, None, members, m, normalized))
+
+
+# ---------------------------------------------------------------------------
+# whole-space transforms: label tables, coverage and hitting sets
+
+def _leaves(labels):
+    return tuple(TreeLeaf(c) for c in labels)
+
+
+def _split(feature, values, children):
+    return TreeSplit(feature, tuple(zip(values, children)))
+
+
+def label_cases():
+    """(features, classes, body) triples that stress the label kernel beyond
+    the corpus; the classifiers are built inside the tests."""
+    ternary = tuple(FeatureDomain(i, (0, 1, 2)) for i in (1, 2))
+    # feature 1 is tested again below feature 2: one branch of the inner
+    # test is the only reachable one
+    inner = _split(1, (0, 1, 2), _leaves((2, 0, 1)))
+    yield "tree-tests-a-feature-twice", (ternary, {0, 1, 2}, TreeBody(
+        _split(1, (0, 1, 2), (_split(2, (0, 1, 2), (inner, TreeLeaf(1), TreeLeaf(0))),
+                              TreeLeaf(0),
+                              _split(2, (0, 1, 2), (inner, inner, TreeLeaf(2)))))))
+    mixed = (FeatureDomain(1, ("lo", "hi")), FeatureDomain(2, ("only",)),
+             FeatureDomain(3, ("c", "a", "b")))
+    yield "tree-non-numeric-and-one-value", (mixed, {0, 5, 7}, TreeBody(
+        _split(3, ("a", "b", "c"), (
+            _split(1, ("hi", "lo"), _leaves((7, 0))),
+            _split(2, ("only",), (_split(1, ("lo", "hi"), _leaves((5, 7))),)),
+            TreeLeaf(5)))))
+    reversed_bits = tuple(FeatureDomain(i, (1, 0) if i % 2 else (0, 1))
+                          for i in range(1, 5))
+    ast = parse_boolean_expression("x1 & !x2 | x3 & (x4 | !x1)").body.ast
+    yield "boolexpr-over-1-0-domains", (reversed_bits, {0, 1}, BoolExprBody(ast))
+    yield "wvg-with-zero-weights", (reversed_bits, {0, 1}, WVGBody(2, (0, 2, 0, 1)))
+    # more than 256 labels: the label positions take two bytes per rank
+    wide = (FeatureDomain(1, tuple(range(300))), FeatureDomain(2, (0, 1)))
+    yield "tree-600-labels", (wide, set(range(600)), TreeBody(_split(2, (1, 0), tuple(
+        _split(1, tuple(range(300)), _leaves(2 * v + b for v in range(300)))
+        for b in (1, 0)))))
+    yield "tree-300-sparse-labels", (wide, {10**9 + v for v in range(300)}, TreeBody(
+        _split(1, tuple(range(300)), _leaves(10**9 + v for v in range(300)))))
+
+
+LABEL_CASES = dict(label_cases())
+
+
+def _points(features):
+    return itertools.product(*(dom.values for dom in features))
+
+
+@pytest.mark.parametrize("name", LABEL_CASES)
+def test_label_table_matches_per_point_evaluation(name):
+    features, classes, body = LABEL_CASES[name]
+    labels = Classifier(features, frozenset(classes), body)._labels
+    assert labels == tuple(_eval_body(body, features, x) for x in _points(features))
+    assert {type(label) for label in labels} == {int}
+
+
+def test_label_positions_past_two_bytes():
+    # 70,000 labels take four bytes per rank; the per-point oracle would
+    # scan 70,000 branches per point, so the expected table is written out
+    n = 70_000
+    cls = Classifier((FeatureDomain(1, tuple(range(n))),), frozenset(range(n)),
+                     TreeBody(_split(1, range(n), _leaves(range(n - 1, -1, -1)))))
+    assert cls._labels == tuple(range(n - 1, -1, -1))
+
+
+def test_corpus_label_tables_match_per_point_evaluation():
+    for name, problem in CORPUS:
+        cls = problem.classifier
+        if not isinstance(cls.body, TableBody):  # a table carries its labels
+            assert cls._labels == tuple(_eval_body(cls.body, cls.features, x)
+                                        for x in _points(cls.features)), name
+
+
+def assert_coverage_is_cube_union(problem):
+    size = problem.classifier.space_size
+    for contrastive in (False, True):
+        expected = tuple(
+            Fraction(len(scores.coverage_set(problem, i, contrastive)), size)
+            for i in range(1, problem.m + 1))
+        assert scores.coverage_score(problem, contrastive).values == expected
+
+
+@pytest.mark.parametrize("problem", [p for _, p in CORPUS], ids=[n for n, _ in CORPUS])
+def test_coverage_matches_cube_union(problem):
+    assert_coverage_is_cube_union(problem)
+
+
+@pytest.mark.parametrize("name", LABEL_CASES)
+def test_coverage_matches_cube_union_off_the_corpus(name):
+    features, classes, body = LABEL_CASES[name]
+    cls = Classifier(features, frozenset(classes), body)
+    for point in list(_points(features))[::97][:3]:
+        assert_coverage_is_cube_union(make_problem(cls, point))
+
+
+def test_hitting_sets_match_brute_force_on_corpus_families():
+    for name, problem in CORPUS:
+        full = problem.full_mask
+        for kind in (ExplanationKind.AXP, ExplanationKind.CXP):
+            members = explain.family(problem, kind).members
+            got = explain.minimal_hitting_sets(members, full)
+            assert list(got) == sorted(got, key=lambda s: (s.bit_count(), s))
+            expected = brute_hitting_sets([features_of(t) for t in members],
+                                          features_of(full))
+            assert (sorted(map(features_of, got))
+                    == sorted(tuple(sorted(s)) for s in expected)), (name, kind)
+
+
+@pytest.mark.parametrize("m", range(0, 7))
+def test_superset_or_is_the_union_over_supersets(m):
+    rng = random.Random(m)
+    values = [rng.randrange(1 << m) for _ in range(1 << m)]
+    expected = []
+    for s in range(1 << m):
+        union = 0
+        for t, v in enumerate(values):
+            if t & s == s:
+                union |= v
+        expected.append(union)
+    superset_sums(values, or_)
+    assert values == expected

@@ -325,6 +325,22 @@ def test_search_parallel_witness_in_a_later_block(property_id, subject, kwargs,
     assert parallel.problem == serial.problem
 
 
+def test_search_parallel_witness_in_the_first_block_starts_no_pool(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    serial = search_counterexample("P03", ("responsibility",), seed=1, budget=4000)
+    parallel = search_counterexample("P03", ("responsibility",), seed=1,
+                                     budget=4000, workers=2)
+    # 4,000 problems over 2 workers make blocks of 200: index 16 is in the first
+    assert serial.data["generator"]["index"] == 16
+    assert parallel.data == serial.data
+    assert parallel.problem == serial.problem
+
+
 def test_random_problem_deterministic():
     a = random_problem(0, 5)
     b = random_problem(0, 5)
