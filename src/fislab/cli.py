@@ -16,7 +16,6 @@ import io
 import json
 import os
 import sys
-from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 
 from . import charfun, explain, props, reference, scores
@@ -31,28 +30,15 @@ INTERNAL_ERROR = 3
 FIS_PROPERTIES = ("P05", "P06", "P07", "P08", "P09")
 
 
-def decimal_str(value: Fraction, places: int = 6) -> str:
-    """Half-even decimal rendering; never used in comparisons.
-
-    The quotient is taken to 50 significant digits.  When the rounded value
-    has more digits than that, quantize cannot hold it, and the quotient is
-    taken to exactly the digits of the rounded value instead.
-    """
-    num, den = Decimal(value.numerator), Decimal(value.denominator)
-    quantum = Decimal(1).scaleb(-places)
-    with localcontext() as ctx:
-        ctx.prec = 50
-        try:
-            dec = (num / den).quantize(quantum, rounding=ROUND_HALF_EVEN)
-        except InvalidOperation:
-            # |value| in units of the last place, rounded half-up, has as
-            # many digits as the half-even result: the two differ on ties
-            # only, and a tie just below a power of ten rounds up either way
-            rounded = (2 * abs(value.numerator) * 10 ** places + value.denominator
-                       ) // (2 * value.denominator)
-            ctx.prec = len(str(rounded))
-            dec = (num / den).quantize(quantum, rounding=ROUND_HALF_EVEN)
-    return str(dec)
+def decimal_str(value: Fraction) -> str:
+    """The exact value rounded half-even to 6 places; display only, never
+    used in comparisons.  A negative value that rounds to zero keeps its
+    minus sign."""
+    units, rest = divmod(abs(value.numerator) * 10**6, value.denominator)
+    if 2 * rest > value.denominator or 2 * rest == value.denominator and units % 2:
+        units += 1
+    whole, places = divmod(units, 10**6)
+    return f"{'-' if value < 0 else ''}{whole}.{places:06d}"
 
 
 def _emit(report: dict, rows: list[dict], text: str, fmt: str) -> None:

@@ -352,39 +352,52 @@ def _expr_bitmap(node, ones: list[int], full: int) -> int:
     return left & right if isinstance(node, And) else left | right
 
 
-def _tree_bitmaps(cls: Classifier, root) -> dict[int, int]:
-    """Ranks per leaf class: the ranks reaching a leaf are the AND of the
-    tested values' bitmaps along its path, ORed per class."""
+def _tree_planes(cls: Classifier, root) -> tuple[list[int], list[int]]:
+    """A tree's leaf classes and their ranks, bit-sliced for _label_table.
+    The ranks reaching a leaf are the AND of the tested values' bitmaps
+    along its path.  A class takes the next position in the class list when
+    a leaf first reaches it, and plane b ORs the ranks of every leaf whose
+    class position has bit b set.  Branches are walked lazily, one iterator
+    per tree level, so only a few rank bitmaps per level are alive."""
     first = _value_bitmaps(cls)
-    by_label: dict[int, int] = {}
-    stack = [(root, (1 << cls.space_size) - 1)]
-    while stack:
-        node, reach = stack.pop()
+    labels: list[int] = []
+    position: dict[int, int] = {}
+    planes: list[int] = []
+    stack = []
+
+    def enter(node, reach):
         if isinstance(node, TreeLeaf):
-            by_label[node.label] = by_label.get(node.label, 0) | reach
-            continue
-        i = node.feature - 1
-        stride, index = cls._strides[i], cls._value_index[i]
-        for value, child in node.branches:
-            sub = reach & first[i] << index[value] * stride
+            k = position.setdefault(node.label, len(labels))
+            if k == len(labels):
+                labels.append(node.label)
+                if k.bit_length() > len(planes):
+                    planes.append(0)
+            for b in range(k.bit_length()):
+                if k >> b & 1:
+                    planes[b] |= reach
+        else:
+            i = node.feature - 1
+            stack.append((iter(node.branches), reach, first[i],
+                          cls._strides[i], cls._value_index[i]))
+
+    enter(root, (1 << cls.space_size) - 1)
+    while stack:
+        branches, reach, bits, stride, index = stack[-1]
+        for value, child in branches:
+            sub = reach & bits << index[value] * stride
             if sub:
-                stack.append((child, sub))
-    return by_label
+                enter(child, sub)
+                break  # back to the top of the stack, which may be the child
+        else:
+            stack.pop()
+    return labels, planes
 
 
-def _label_table(by_label: dict[int, int], n: int) -> tuple[int, ...]:
-    """The label of each of n ranks, from one rank bitmap per label; the
-    bitmaps partition the ranks.  Each rank's position in the label list is
-    assembled bit-sliced: bit plane b ORs the bitmaps of the labels whose
-    position has bit b set.  A plane's binary digits, spread to one byte per
-    rank and shifted left by b mod 8, add up to byte b // 8 of every rank's
-    position."""
-    labels = list(by_label)
-    planes = [0] * max(1, (len(labels) - 1).bit_length())
-    for k, bitmap in enumerate(by_label.values()):
-        for b in range(len(planes)):
-            if k >> b & 1:
-                planes[b] |= bitmap
+def _label_table(labels: list[int], planes: list[int], n: int) -> tuple[int, ...]:
+    """The label of each of n ranks, given bit-sliced: bit b of a rank's
+    position in labels is that rank's bit of planes[b].  A plane's binary
+    digits, spread to one byte per rank and shifted left by b mod 8, add up
+    to byte b // 8 of every rank's position."""
     width = 1  # bytes per position, a size memoryview.cast reads
     while len(planes) > 8 * width:
         width *= 2
@@ -480,12 +493,11 @@ class Classifier:
             first = _value_bitmaps(self)
             ones = [bits << index[1] * stride for bits, index, stride
                     in zip(first, self._value_index, self._strides)]
-            full = (1 << self.space_size) - 1
-            true = _expr_bitmap(body.ast, ones, full)
-            return _label_table({0: full ^ true, 1: true}, self.space_size)
+            true = _expr_bitmap(body.ast, ones, (1 << self.space_size) - 1)
+            return _label_table([0, 1], [true], self.space_size)
         if isinstance(body, TreeBody):
             _check_tree(body.root, self.features)
-            return _label_table(_tree_bitmaps(self, body.root), self.space_size)
+            return _label_table(*_tree_planes(self, body.root), self.space_size)
         raise TypeError(f"not a classifier body: {body!r}")
 
     def _validate_labels(self):

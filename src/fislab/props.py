@@ -556,8 +556,8 @@ def search_counterexample(property_id: str, subject, problems=None, *,
     problems may inject a fixed stream of problems or (index, problem)
     pairs; otherwise the seeded random generator is used.  With several
     workers the search is partitioned into blocks but the lowest index
-    still wins: the first block runs in process before any pool starts, and
-    the pool's blocks are read in order until one holds a witness.
+    still wins: a short first block runs in process before any pool starts,
+    and the pool's blocks are read in order until one holds a witness.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -571,14 +571,17 @@ def search_counterexample(property_id: str, subject, problems=None, *,
         return _search_block(property_id, subject, seed, m_range, 0, budget)
 
     block = max(1, min(200, budget // workers))
-    witness = _search_block(property_id, subject, seed, m_range, 0, block)
-    if witness is not None or block >= budget:
+    # a short first block: an early witness starts no pool, and a search
+    # without one waits a fraction of a pool round for it
+    head = max(1, block // workers)
+    witness = _search_block(property_id, subject, seed, m_range, 0, head)
+    if witness is not None or head >= budget:
         return witness
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_search_block, property_id, subject, seed,
                                m_range, start, min(start + block, budget))
-                   for start in range(block, budget, block)]
+                   for start in range(head, budget, block)]
         # blocks are contiguous and in order: the first witness is the lowest
         for future in futures:
             witness = future.result()

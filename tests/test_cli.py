@@ -503,7 +503,7 @@ def test_decimal_rounds_half_even_past_50_digits():
     assert decimal_str(Fraction(big * 10**7 - 5, 10**7)) == f"{big}.000000"
     assert decimal_str(Fraction(-big, 3)) == "-" + "3" * 60 + ".333333"
     assert decimal_str(Fraction(-1, 10**9)) == "-0.000000"
-    # 50 digits fit the default precision, 51 do not
+    # rounded values of 50 and of 51 digits
     assert decimal_str(Fraction(10**44 - 1) + Fraction(1, 3)) == "9" * 44 + ".333333"
     assert decimal_str(Fraction(10**44) + Fraction(1, 3)) == f"{10**44}.333333"
     assert decimal_str(Fraction(10**51 - 5, 10**7)) == f"{10**44}.000000"

@@ -62,14 +62,6 @@ def brute_cxps(problem):
     return brute_minimal(weak)
 
 
-def brute_hitting_sets(members, universe):
-    members = [set(m) for m in members]
-    hitting = [set(c) for r in range(len(universe) + 1)
-               for c in itertools.combinations(sorted(universe), r)
-               if all(set(c) & m for m in members)]
-    return brute_minimal(hitting)
-
-
 # ---------------------------------------------------------------------------
 # predicate examples
 
@@ -154,7 +146,7 @@ def test_hitting_sets_trivial():
     assert minimal_hitting_sets((0b1,), 0b1) == (0b1,)
 
 
-def test_hitting_sets_match_brute_force():
+def test_hitting_sets_match_brute_force(brute_hitting_sets):
     members = (0b011, 0b101, 0b110)
     got = minimal_hitting_sets(members, 0b111)
     expected = brute_hitting_sets([{1, 2}, {1, 3}, {2, 3}], {1, 2, 3})
@@ -162,7 +154,7 @@ def test_hitting_sets_match_brute_force():
 
 
 @pytest.mark.parametrize("universe", [0b10110, 0b1101001])
-def test_hitting_sets_in_a_non_contiguous_universe(universe):
+def test_hitting_sets_in_a_non_contiguous_universe(universe, brute_hitting_sets):
     submasks = [s for s in range(1, universe + 1) if not s & ~universe]
     for members in itertools.combinations(submasks, 3):
         got = minimal_hitting_sets(members, universe)

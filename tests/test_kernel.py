@@ -12,11 +12,11 @@ sets against a scan over every candidate.
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from operator import or_
 
 import pytest
-from test_explain import brute_hitting_sets
 
 from fislab import charfun, explain, scores
 from fislab.charfun import CharacteristicTable, ZERO
@@ -394,9 +394,19 @@ def test_label_positions_past_two_bytes():
     # 70,000 labels take four bytes per rank; the per-point oracle would
     # scan 70,000 branches per point, so the expected table is written out
     n = 70_000
-    cls = Classifier((FeatureDomain(1, tuple(range(n))),), frozenset(range(n)),
-                     TreeBody(_split(1, range(n), _leaves(range(n - 1, -1, -1)))))
+    args = ((FeatureDomain(1, tuple(range(n))),), frozenset(range(n)),
+            TreeBody(_split(1, range(n), _leaves(range(n - 1, -1, -1)))))
+    tracemalloc.start()
+    try:
+        cls = Classifier(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert cls._labels == tuple(range(n - 1, -1, -1))
+    # a few n-bit rank bitmaps per tree level and per bit of a label
+    # position: about 10 MB here, where one bitmap per branch or per label
+    # would hold some 70,000 * n / 16 bytes (300 MB) at once
+    assert peak < 40 * 2**20
 
 
 def test_corpus_label_tables_match_per_point_evaluation():
@@ -429,7 +439,7 @@ def test_coverage_matches_cube_union_off_the_corpus(name):
         assert_coverage_is_cube_union(make_problem(cls, point))
 
 
-def test_hitting_sets_match_brute_force_on_corpus_families():
+def test_hitting_sets_match_brute_force_on_corpus_families(brute_hitting_sets):
     for name, problem in CORPUS:
         full = problem.full_mask
         for kind in (ExplanationKind.AXP, ExplanationKind.CXP):

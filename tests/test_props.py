@@ -335,7 +335,8 @@ def test_search_parallel_witness_in_the_first_block_starts_no_pool(monkeypatch):
     serial = search_counterexample("P03", ("responsibility",), seed=1, budget=4000)
     parallel = search_counterexample("P03", ("responsibility",), seed=1,
                                      budget=4000, workers=2)
-    # 4,000 problems over 2 workers make blocks of 200: index 16 is in the first
+    # 4,000 problems over 2 workers make blocks of 200 behind an in-process
+    # first block of 100: index 16 is in that one
     assert serial.data["generator"]["index"] == 16
     assert parallel.data == serial.data
     assert parallel.problem == serial.problem
