@@ -11,10 +11,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import and_
 
 from . import explain
 from .explain import ExplanationKind
-from .model import ExplanationProblem, WeightedVotingGame, as_mask
+from .model import ExplanationProblem, WeightedVotingGame, as_mask, bit_slices
 
 CF_E = "CF_E"            # conditional expected value of the class label
 CF_M = "CF_M"            # fraction of points keeping the prediction
@@ -136,21 +138,25 @@ def cf_cxp(problem: ExplanationProblem) -> CharacteristicTable:
 def cf_generator(problem: ExplanationProblem) -> CharacteristicTable:
     """Indicator of subsets whose every one-feature extension is sufficient.
 
-    The full set qualifies vacuously.
+    The full set qualifies vacuously.  Per bit, each mask without the bit
+    stays a generator only if the same mask with the bit is sufficient.
     """
     def build():
-        sufficient = set(explain.enumerate_waxps(problem).members)
-        return _indicator(CF_G, problem.m, (
-            mask for mask in range(1 << problem.m)
-            if all(mask | 1 << i in sufficient
-                   for i in range(problem.m) if not mask >> i & 1)), problem)
+        n = 1 << problem.m
+        sufficient = [False] * n
+        for mask in explain.enumerate_waxps(problem).members:
+            sufficient[mask] = True
+        generator = [True] * n
+        for pairs in bit_slices(n):
+            for with_bit, without in pairs:
+                generator[without] = map(and_, generator[without], sufficient[with_bit])
+        return _indicator(CF_G, problem.m, compress(range(n), generator), problem)
     return _cached(problem, CF_G, build)
 
 
 def cf_wvg(game: WeightedVotingGame) -> CharacteristicTable:
     """Indicator of winning coalitions; monotone by non-negative weights."""
-    return _indicator(CF_WVG, game.m, (mask for mask in range(1 << game.m)
-                                       if game.is_winning(mask)))
+    return _indicator(CF_WVG, game.m, compress(range(1 << game.m), game.winning_flags()))
 
 
 def cf_sum(table1: CharacteristicTable, table2: CharacteristicTable) -> CharacteristicTable:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import compress
+from operator import gt, or_
 
-from .model import ExplanationProblem, as_mask, features_of, superset_sums
+from .model import ExplanationProblem, as_mask, bit_slices, features_of, superset_sums
 
 
 class InvariantError(RuntimeError):
@@ -96,17 +98,22 @@ def _bits(mask: int):
         mask ^= low
 
 
-def minimal_masks(qualifies) -> tuple[int, ...]:
+def minimal_masks(qualifies: list[bool]) -> tuple[int, ...]:
     """The minimal masks of an up-closed family given as one flag per mask,
     sorted by (cardinality, mask).
 
     In an up-closed family S is minimal iff it qualifies and no S minus one
-    element does.
+    element does.  Per bit, below[S] of each mask S with the bit is or-ed
+    with qualifies[S minus the bit], which leaves below[S] true iff some S
+    minus one element qualifies.
     """
-    members = []
-    for s, ok in enumerate(qualifies):
-        if ok and not any(qualifies[s & ~bit] for bit in _bits(s)):
-            members.append(s)
+    n = len(qualifies)
+    below = [False] * n
+    for pairs in bit_slices(n):
+        for with_bit, without in pairs:
+            below[with_bit] = map(or_, below[with_bit], qualifies[without])
+    # qualifies and not below: of two flags, only True > False holds
+    members = compress(range(n), map(gt, qualifies, below))
     return tuple(sorted(members, key=_by_cardinality))
 
 

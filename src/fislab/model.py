@@ -9,6 +9,7 @@ slowest), which fixes the order of every report and of table-body documents.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -97,23 +98,40 @@ def as_mask(subset, m: int) -> int:
     return mask_of(subset, m)
 
 
-def superset_sums(values: list[int], op=add) -> None:
-    """In place, values[S] becomes the sum of values[T] over all masks T
-    containing S (Yates' zeta transform).  len(values) is 2^m; each of the m
-    bits takes 2^(m-1) applications of op, done as slices.  op is addition
-    by default; any associative and commutative op folds the same way, so
-    op=operator.or_ gives the union of the int masks at all supersets."""
-    n = len(values)
+@functools.cache
+def bit_slices(n: int) -> tuple[tuple[tuple[slice, slice], ...], ...]:
+    """For each bit of the masks 0..n-1 (n a power of two), lowest first,
+    the slice pairs (masks with the bit, the same masks without it).
+
+    The masks with bit b come in runs of b every 2b masks, so the bit's
+    2^(m-1) pairs fit in b strided slices (one per offset in a run) or in
+    n / 2b blocked slices (one per run), whichever are fewer.  Cached per n:
+    the tiny tables of small problems would otherwise spend more time
+    building slices than using them.
+    """
+    per_bit = []
     bit = 1
     while bit < n:
         step = bit << 1
         if bit < n // step:  # fewer offsets than blocks: strided slices
-            for k in range(bit):
-                values[k::step] = map(op, values[k::step], values[k + bit::step])
+            pairs = [(slice(k + bit, n, step), slice(k, n, step)) for k in range(bit)]
         else:
-            for j in range(0, n, step):
-                values[j:j + bit] = map(op, values[j:j + bit], values[j + bit:j + step])
+            pairs = [(slice(j + bit, j + step), slice(j, j + bit)) for j in range(0, n, step)]
+        per_bit.append(tuple(pairs))
         bit = step
+    return tuple(per_bit)
+
+
+def superset_sums(values: list[int], op=add) -> None:
+    """In place, values[S] becomes the sum of values[T] over all masks T
+    containing S (Yates' zeta transform).  len(values) is 2^m; each of the m
+    bits takes 2^(m-1) applications of op, done as slices (bit_slices).  op
+    is addition by default; any associative and commutative op folds the
+    same way, so op=operator.or_ gives the union of the int masks at all
+    supersets."""
+    for pairs in bit_slices(len(values)):
+        for with_bit, without in pairs:
+            values[without] = map(op, values[without], values[with_bit])
 
 
 def _rank_sums(rows) -> list[int]:
@@ -305,6 +323,13 @@ class WeightedVotingGame:
 
     def is_winning(self, mask: int) -> bool:
         return self.coalition_weight(mask) >= self.quota
+
+    def winning_flags(self) -> list[bool]:
+        """Whether each coalition wins, indexed by mask.  The weights of
+        every mask come from one doubling expansion: voter 1 is bit 0, so
+        it varies fastest, which puts it last in _rank_sums' order."""
+        weights = _rank_sums([(0, w) for w in reversed(self.weights)])
+        return list(map(self.quota.__le__, weights))
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,18 @@ the table is replaced by its dual.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import or_
+from operator import add, mul, or_, sub
 
 from . import charfun, explain
 from .charfun import CharacteristicTable, ZERO
 from .explain import ExplanationKind
-from .model import ExplanationProblem, WeightedVotingGame, as_mask, superset_sums
+from .model import (ExplanationProblem, WeightedVotingGame, as_mask, bit_slices,
+                    superset_sums)
 
 
 class TemplateId(enum.Enum):
@@ -85,52 +87,67 @@ class ScoreVector:
 # template evaluation cores
 #
 # A table holds integer numerators over one common denominator, so every
-# marginal gain is an integer.  The cores sum gains per feature (and per
-# coalition size where the weight depends on it) and build one Fraction per
-# result at the end.
+# marginal gain is an integer.  The all-subset cores read the 2^m
+# numerators through the slices of model.bit_slices; the family cores add
+# one integer per feature of each member.  Each builds one Fraction per result
+# at the end.
 
 def _score_all_subsets(template: TemplateId, table: CharacteristicTable) -> tuple[Fraction, ...]:
     m = table.n_features
     nums, den = table.nums, table.den
     if template is TemplateId.JOHNSTON:
-        return _johnston(nums, m)
-    # weight[k] of a gain completing a coalition of size k, as an integer
-    # over scale: Shapley (k-1)!(m-k)!/m!, Banzhaf 1/2^(m-1)
-    if template is TemplateId.SHAPLEY_SHUBIK:
-        weight = [0] + [math.factorial(k - 1) * math.factorial(m - k)
-                        for k in range(1, m + 1)] + [0]
-        scale = math.factorial(m) * den
-    else:
-        weight = [1] * (m + 2)
-        scale = den << (m - 1)
-    sizes = [s.bit_count() for s in range(1 << m)]
+        return _johnston(nums)
     # feature i's weighted gains: the sum over S containing i of
-    # weight[|S|] * (v(S) - v(S - i)), where S - i runs over the masks T
-    # without i, weighted by weight[|T| + 1].  After superset sums, entry
-    # {i} of a list holds its sum over the masks containing i, entry 0 its
-    # total.
-    joined = [weight[k] * v for k, v in zip(sizes, nums)]
-    left = [weight[k + 1] * v for k, v in zip(sizes, nums)]
-    superset_sums(joined)
-    superset_sums(left)
-    return tuple(Fraction(joined[bit] - left[0] + left[bit], scale)
-                 for bit in (1 << i for i in range(m)))
+    # w(|S|) * v(S), less the sum over T without i of w(|T| + 1) * v(T).
+    # The masks without i are all masks less those with it, so this is the
+    # sum over S containing i of (w(|S|) + w(|S| + 1)) * v(S), less the sum
+    # over every T of w(|T| + 1) * v(T).
+    if template is TemplateId.BANZHAF:  # every weight 1/2^(m-1)
+        joined, left = [2 * v for v in nums], sum(nums)
+        scale = den << (m - 1)
+    else:
+        joined_weight, left_weight = _shapley_weights(m)
+        joined = list(map(mul, joined_weight, nums))
+        left = sum(map(mul, left_weight, nums))
+        scale = math.factorial(m) * den
+    return tuple(Fraction(sum(sum(joined[with_bit]) for with_bit, _ in pairs) - left, scale)
+                 for pairs in bit_slices(len(nums)))
 
 
-def _johnston(nums: tuple[int, ...], m: int) -> tuple[Fraction, ...]:
-    """Each coalition with a nonzero gain total splits one unit among its
-    features in proportion to their gains; the common denominator cancels."""
-    by_total: dict[int, list[int]] = {}  # gain total -> summed gains per feature
-    for mask in range(1, 1 << m):
-        v = nums[mask]
-        gains = [(i, v - nums[mask & ~(1 << i)]) for i in range(m) if mask >> i & 1]
-        total = sum(g for _, g in gains)
-        if total:
-            row = by_total.setdefault(total, [0] * m)
-            for i, g in gains:
-                row[i] += g
-    return tuple(sum((Fraction(row[i], total) for total, row in by_total.items()), ZERO)
-                 for i in range(m))
+@functools.cache
+def _shapley_weights(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per mask S, the Shapley weights w(|S|) + w(|S| + 1) and w(|S| + 1)
+    over m!, where w(k) = (k-1)!(m-k)! weighs a gain that completes a
+    coalition of size k (and w(0) = w(m + 1) = 0)."""
+    weight = [0] + [math.factorial(k - 1) * math.factorial(m - k)
+                    for k in range(1, m + 1)] + [0]
+    sizes = [s.bit_count() for s in range(1 << m)]
+    return (tuple(weight[k] + weight[k + 1] for k in sizes),
+            tuple(weight[k + 1] for k in sizes))
+
+
+def _johnston(nums: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """Each coalition S with a nonzero gain total t(S) splits one unit among
+    its features in proportion to their gains; the common denominator
+    cancels.  Over the lcm of the nonzero totals, multiple, feature i's
+    share of S is gain_i(S) * (multiple // t(S)), so each feature sums one
+    integer dot product of its gains with those quotients."""
+    n = len(nums)
+    total = [0] * n
+    for pairs in bit_slices(n):
+        for with_bit, without in pairs:
+            total[with_bit] = map(add, total[with_bit],
+                                  map(sub, nums[with_bit], nums[without]))
+    distinct = set(total)
+    distinct.discard(0)
+    multiple = math.lcm(*distinct)
+    quotient = {t: multiple // t for t in distinct}
+    quotient[0] = 0
+    share = list(map(quotient.__getitem__, total))
+    return tuple(Fraction(sum(sum(map(mul, map(sub, nums[with_bit], nums[without]),
+                                      share[with_bit]))
+                              for with_bit, without in pairs), multiple)
+                 for pairs in bit_slices(n))
 
 
 def _score_family(template: TemplateId, table: CharacteristicTable | None,
@@ -139,40 +156,47 @@ def _score_family(template: TemplateId, table: CharacteristicTable | None,
 
     With an indicator table whose members all score 1 and whose immediate
     subsets score 0 (the minimal-explanation indicators), the two readings
-    coincide.
+    coincide.  Each member walks its own set bits and adds one integer per
+    feature; the empty member only counts toward the family size.
     """
     members = tuple(members)
     count = len(members)
     if not count:
         return (ZERO,) * m
     nums, den = (None, 1) if table is None else (table.nums, table.den)
-    # per feature, (gain, member size) over the members containing it
-    terms: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for s in members:
-        size = s.bit_count()
-        for i in range(m):
-            if s >> i & 1:
-                terms[i].append((1 if nums is None else nums[s] - nums[s & ~(1 << i)], size))
-    if template in (TemplateId.DEEGAN_PACKEL, TemplateId.ANDJIGA):
-        # gain / (size * count), over the common size multiple lcm(1..m)
-        multiple = math.lcm(*range(1, m + 1))
-        return tuple(Fraction(sum(g * (multiple // size) for g, size in row),
-                              multiple * count * den) for row in terms)
+    if template is TemplateId.RESPONSIBILITY:
+        # the largest gain / size, compared by cross-multiplication
+        best_gain, best_size = [0] * m, [0] * m  # size 0: no member yet
+        for s in members:
+            size = s.bit_count()
+            rest = s
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                gain = 1 if nums is None else nums[s] - nums[s ^ low]
+                i = low.bit_length() - 1
+                if not best_size[i] or gain * best_size[i] > best_gain[i] * size:
+                    best_gain[i], best_size[i] = gain, size
+        scale = den * count if normalized else den
+        return tuple(Fraction(g, size * scale) if size else ZERO
+                     for g, size in zip(best_gain, best_size))
+    # Deegan-Packel and Andjiga: gain / (size * count), over the common size
+    # multiple lcm(1..m); Holler-Packel: gain / count
     if template is TemplateId.HOLLER_PACKEL:
-        return tuple(Fraction(sum(g for g, _ in row), count * den) for row in terms)
-    # responsibility: the largest gain / size, compared by cross-multiplication
-    scale = den * count if normalized else den
-    values = []
-    for row in terms:
-        if not row:
-            values.append(ZERO)
-            continue
-        best_gain, best_size = row[0]
-        for g, size in row[1:]:
-            if g * best_size > best_gain * size:
-                best_gain, best_size = g, size
-        values.append(Fraction(best_gain, best_size * scale))
-    return tuple(values)
+        multiple, per_size = 1, [1] * (m + 1)
+    else:
+        multiple = math.lcm(*range(1, m + 1))
+        per_size = [0] + [multiple // k for k in range(1, m + 1)]
+    acc = [0] * m
+    for s in members:
+        weight = per_size[s.bit_count()]
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            gain = 1 if nums is None else nums[s] - nums[s ^ low]
+            acc[low.bit_length() - 1] += weight * gain
+    return tuple(Fraction(a, multiple * count * den) for a in acc)
 
 
 def template_score(template_id: TemplateId, problem: ExplanationProblem,
@@ -364,12 +388,12 @@ def shapley_permutation_oracle(problem: ExplanationProblem | None,
 
 
 def winning_coalitions(game: WeightedVotingGame) -> tuple[int, ...]:
-    masks = [s for s in range(1 << game.m) if game.is_winning(s)]
+    masks = itertools.compress(range(1 << game.m), game.winning_flags())
     return tuple(sorted(masks, key=lambda s: (s.bit_count(), s)))
 
 
 def minimal_winning_coalitions(game: WeightedVotingGame) -> tuple[int, ...]:
-    return explain.minimal_masks([game.is_winning(s) for s in range(1 << game.m)])
+    return explain.minimal_masks(game.winning_flags())
 
 
 def wvg_power_index(game: WeightedVotingGame, template_id: TemplateId,

@@ -3,8 +3,9 @@ and template core, against exhaustive scans on a seeded corpus.
 
 The oracles share nothing with the kernel: characteristic values come from
 select_points, families from the is_waxp/is_wcxp scans with a containment
-loop for minimality, and the template cores are the per-mask Fraction
-implementations the integer cores replaced.  The whole-space transforms are
+loop for minimality, the template cores are the per-mask Fraction
+implementations the integer cores replaced, and minimal masks come from the
+per-mask scan the slice transform replaced.  The whole-space transforms are
 checked the same way: label tables against the per-point body evaluator,
 coverage against the union of select_ranks cubes (coverage_set) and hitting
 sets against a scan over every candidate.
@@ -106,6 +107,22 @@ def oracle_score_family(template: TemplateId, table: CharacteristicTable | None,
     if template is TemplateId.RESPONSIBILITY:
         return tuple(v if v is not None else ZERO for v in maxima)
     return tuple(sums)
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def oracle_minimal_masks(qualifies) -> tuple[int, ...]:
+    """The per-mask scan minimal_masks replaced, kept as it was."""
+    members = []
+    for s, ok in enumerate(qualifies):
+        if ok and not any(qualifies[s & ~bit] for bit in _bits(s)):
+            members.append(s)
+    return tuple(sorted(members, key=lambda s: (s.bit_count(), s)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +274,16 @@ def test_kernel_matches_exhaustive_scans(problem):
     assert charfun.cf_expected(problem).values == expected
     assert charfun.cf_similarity(problem).values == similar
 
-    for kind, members in brute_families(problem).items():
+    families = brute_families(problem)
+    for kind, members in families.items():
         assert explain.family(problem, kind).members == members
 
     m = problem.m
+    # a generator: every one-feature extension is a weak AXP
+    waxps = set(families[ExplanationKind.WAXP])
+    assert charfun.cf_generator(problem).nums == tuple(
+        int(all(s | 1 << i in waxps for i in range(m) if not s >> i & 1))
+        for s in range(1 << m))
     tables = [charfun.build_table(cf_id, problem) for cf_id in TABLE_IDS]
     for table in tables + [charfun.cf_sum(tables[0], tables[1])]:
         assert_one_value_per_mask(table)
@@ -285,6 +308,10 @@ def test_wvg_power_indices_match_oracle_cores(m):
     table = charfun.cf_wvg(game)
     assert_one_value_per_mask(table)
     winning = [s for s in range(1 << m) if game.is_winning(s)]
+    assert game.winning_flags() == [game.is_winning(s) for s in range(1 << m)]
+    assert table.nums == tuple(int(game.is_winning(s)) for s in range(1 << m))
+    assert scores.winning_coalitions(game) == tuple(
+        sorted(winning, key=lambda s: (s.bit_count(), s)))
     minimal = [s for s in sorted(winning, key=lambda s: (s.bit_count(), s))
                if not any(t != s and t & ~s == 0 for t in winning)]
     assert scores.minimal_winning_coalitions(game) == tuple(minimal)
@@ -330,6 +357,106 @@ def test_injected_families_match_oracle_core():
             for template, normalized in FAMILY_VARIANTS:
                 assert (scores._score_family(template, None, members, m, normalized)
                         == oracle_score_family(template, None, members, m, normalized))
+
+
+def _random_members(rng, m):
+    return [s for s in range(1 << m) if rng.random() < 0.3]
+
+
+def assert_cores_match_oracles(table, members):
+    for template in ALL_SUBSET_TEMPLATES:
+        assert (scores._score_all_subsets(template, table)
+                == oracle_score_all_subsets(template, table)), template
+    for template, normalized in FAMILY_VARIANTS:
+        for family_table in (table, None):
+            m = table.n_features
+            assert (scores._score_family(template, family_table, members, m, normalized)
+                    == oracle_score_family(template, family_table, members, m,
+                                           normalized)), (template, normalized)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_cores_match_oracles_on_random_integer_tables(m):
+    # negative gains everywhere, and sums of tables over unrelated denominators
+    rng = random.Random(100 + m)
+    for _ in range(3):
+        tables = [CharacteristicTable("T", m, tuple(rng.randint(-9, 9) for _ in range(1 << m)),
+                                      rng.choice((1, 2, 6, 35, 1 << 20)))
+                  for _ in range(2)]
+        for table in tables + [charfun.cf_sum(*tables)]:
+            assert_cores_match_oracles(table, _random_members(rng, m))
+
+
+def _gain_totals(table):
+    m = table.n_features
+    return [sum(table.nums[s] - table.nums[s & ~(1 << i)] for i in range(m) if s >> i & 1)
+            for s in range(1 << m)]
+
+
+@pytest.mark.parametrize("m", (6, 8))
+def test_johnston_with_many_distinct_gain_totals(m):
+    # the common multiple of the totals grows to thousands of bits
+    rng = random.Random(m)
+    table = CharacteristicTable("T", m, tuple(rng.randint(-10**6, 10**6)
+                                              for _ in range(1 << m)), 7)
+    assert len(set(_gain_totals(table))) > (1 << m) * 9 // 10
+    assert (scores._score_all_subsets(TemplateId.JOHNSTON, table)
+            == oracle_score_all_subsets(TemplateId.JOHNSTON, table))
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_cores_on_a_constant_classifier(m):
+    # every subset is sufficient, so the only minimal one is the empty set:
+    # it counts toward the family size and scores no feature
+    table = CharacteristicTable(charfun.CF_W, m, (1,) * (1 << m), 1)
+    assert_cores_match_oracles(table, (0,))
+    assert_cores_match_oracles(table, range(1 << m))
+    for template, normalized in FAMILY_VARIANTS:
+        assert scores._score_family(template, table, (0,), m, normalized) == (ZERO,) * m
+    for template in ALL_SUBSET_TEMPLATES:
+        assert scores._score_all_subsets(template, table) == (ZERO,) * m
+
+
+def test_cores_on_the_empty_family():
+    rng = random.Random(3)
+    table = CharacteristicTable("T", 4, tuple(rng.randint(-3, 3) for _ in range(16)), 5)
+    assert_cores_match_oracles(table, ())
+    for template, normalized in FAMILY_VARIANTS:
+        assert scores._score_family(template, table, (), 4, normalized) == (ZERO,) * 4
+
+
+def _up_closure(generators, m):
+    return [any(g & ~s == 0 for g in generators) for s in range(1 << m)]
+
+
+@pytest.mark.parametrize("m", range(0, 9))
+def test_minimal_masks_match_oracle(m):
+    rng = random.Random(m)
+    for _ in range(30):
+        generators = [rng.randrange(1 << m) for _ in range(rng.randint(0, 4))]
+        for flags in (_up_closure(generators, m),
+                      [rng.random() < 0.4 for _ in range(1 << m)]):
+            assert explain.minimal_masks(flags) == oracle_minimal_masks(flags)
+
+
+def test_family_core_memory_stays_flat_in_family_size():
+    # the m=14 chain (x1 & x2) | ... | (x13 & x14) has 15,397 weak AXPs
+    # at the all-ones instance; Andjiga's core adds one integer per
+    # feature per member to m running sums, where a list of terms per
+    # (member, feature) pair traced 6.7 MB
+    m = 14
+    problem = make_problem(parse_boolean_expression(
+        " | ".join(f"(x{i} & x{i + 1})" for i in range(1, m)), m), (1,) * m)
+    members = explain.enumerate_waxps(problem).members
+    table = charfun.cf_waxp(problem)
+    assert len(members) == 15_397
+    tracemalloc.start()
+    try:
+        scores._score_family(TemplateId.ANDJIGA, table, members, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 # ---------------------------------------------------------------------------
