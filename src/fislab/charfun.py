@@ -1,8 +1,12 @@
 """Memoized exact-rational characteristic-function tables over all subsets.
 
 Every table holds 2^m integer numerators indexed by subset mask over one
-denominator: the space size for CF_E and CF_M, 1 for the indicators.  Values
-are never forced: the empty set gets whatever the defining formula yields.
+denominator: the space size for CF_E and CF_M, 1 for the indicators.  An
+indicator's numerators are a flag table (one byte per mask, see
+model.lacking_bit) read as ints: the family's own flags, the generators'
+from shifts of the sufficient flags, or a voting game's winning flags.
+Values are never forced: the empty set gets whatever the defining formula
+yields.
 """
 
 from __future__ import annotations
@@ -11,12 +15,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import and_
 
 from . import explain
 from .explain import ExplanationKind
-from .model import ExplanationProblem, WeightedVotingGame, as_mask, bit_slices
+from .model import ExplanationProblem, WeightedVotingGame, as_mask, lacking_bit
 
 CF_E = "CF_E"            # conditional expected value of the class label
 CF_M = "CF_M"            # fraction of points keeping the prediction
@@ -106,17 +108,14 @@ def cf_similarity(problem: ExplanationProblem) -> CharacteristicTable:
     return _agreement_table(problem, CF_M, "same")
 
 
-def _indicator(cf_id, m, accepted_masks, problem=None) -> CharacteristicTable:
-    nums = [0] * (1 << m)
-    for mask in accepted_masks:
-        nums[mask] = 1
-    return CharacteristicTable(cf_id, m, tuple(nums), 1, problem)
+def _indicator(cf_id, m, flags: bytes, problem=None) -> CharacteristicTable:
+    return CharacteristicTable(cf_id, m, tuple(flags), 1, problem)
 
 
 def _family_indicator(problem, kind) -> CharacteristicTable:
     cf_id = _INDICATOR[kind]
     return _cached(problem, cf_id, lambda: _indicator(
-        cf_id, problem.m, explain.family(problem, kind).members, problem))
+        cf_id, problem.m, explain.family(problem, kind).flags, problem))
 
 
 def cf_waxp(problem: ExplanationProblem) -> CharacteristicTable:
@@ -138,25 +137,25 @@ def cf_cxp(problem: ExplanationProblem) -> CharacteristicTable:
 def cf_generator(problem: ExplanationProblem) -> CharacteristicTable:
     """Indicator of subsets whose every one-feature extension is sufficient.
 
-    The full set qualifies vacuously.  Per bit, each mask without the bit
-    stays a generator only if the same mask with the bit is sufficient.
+    The full set qualifies vacuously.  Per bit b, shifting the sufficient
+    flags down by one step of 8 << b puts each mask's extension by b at the
+    mask itself; a mask lacking b whose extension is not sufficient is no
+    generator.
     """
     def build():
         n = 1 << problem.m
-        sufficient = [False] * n
-        for mask in explain.enumerate_waxps(problem).members:
-            sufficient[mask] = True
-        generator = [True] * n
-        for pairs in bit_slices(n):
-            for with_bit, without in pairs:
-                generator[without] = map(and_, generator[without], sufficient[with_bit])
-        return _indicator(CF_G, problem.m, compress(range(n), generator), problem)
+        sufficient = int.from_bytes(explain.enumerate_waxps(problem).flags, "little")
+        failed = 0
+        for b, lacking in enumerate(lacking_bit(n)):
+            failed |= lacking & ~(sufficient >> (8 << b))
+        generator = int.from_bytes(b"\x01" * n, "little") & ~failed
+        return _indicator(CF_G, problem.m, generator.to_bytes(n, "little"), problem)
     return _cached(problem, CF_G, build)
 
 
 def cf_wvg(game: WeightedVotingGame) -> CharacteristicTable:
     """Indicator of winning coalitions; monotone by non-negative weights."""
-    return _indicator(CF_WVG, game.m, compress(range(1 << game.m), game.winning_flags()))
+    return _indicator(CF_WVG, game.m, bytes(game.winning_flags()))
 
 
 def cf_sum(table1: CharacteristicTable, table2: CharacteristicTable) -> CharacteristicTable:

@@ -38,7 +38,7 @@ def decimal_str(value: Fraction) -> str:
     if 2 * rest > value.denominator or 2 * rest == value.denominator and units % 2:
         units += 1
     whole, places = divmod(units, 10**6)
-    return f"{'-' if value < 0 else ''}{whole}.{places:06d}"
+    return f"{'-' if value.numerator < 0 else ''}{whole}.{places:06d}"
 
 
 def _emit(report: dict, rows: list[dict], text: str, fmt: str) -> None:
@@ -108,8 +108,12 @@ def cmd_explain(args) -> int:
     cxps = explain.enumerate_cxps(problem)
     relevant = explain.relevant_features(problem)
     full = problem.full_mask
-    duality_ok = (explain.minimal_hitting_sets(cxps.members, full) == axps.members
-                  and explain.minimal_hitting_sets(axps.members, full) == cxps.members)
+    # each family is the set of minimal hitting sets of the other (a
+    # theorem), so a mismatch is a bug, not a failed check
+    if (explain.minimal_hitting_sets(cxps.members, full) != axps.members
+            or explain.minimal_hitting_sets(axps.members, full) != cxps.members):
+        raise explain.InvariantError(
+            "hitting-set duality fails between the minimal explanation families")
     report = {
         "command": "explain",
         "instance": list(problem.v),
@@ -118,7 +122,7 @@ def cmd_explain(args) -> int:
         "cxps": cxps.member_lists(),
         "relevant_features": [i for i in range(1, problem.m + 1)
                               if relevant >> (i - 1) & 1],
-        "checks": {"hitting_set_duality": "PASS" if duality_ok else "FAIL"},
+        "checks": {"hitting_set_duality": "PASS"},
     }
     rows = [{"kind": "axp", "features": " ".join(map(str, s))}
             for s in report["axps"]]
@@ -135,7 +139,7 @@ def cmd_explain(args) -> int:
         f"hitting-set duality: {report['checks']['hitting_set_duality']}",
     ]
     _emit(report, rows, "\n".join(text) + "\n", args.format)
-    return 0 if duality_ok else CHECK_FAILURE
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,21 @@
 
 The families read the problem's agreement sums (model.AgreementSums): a
 subset is sufficient when every point agreeing with the instance on it keeps
-the instance's class.  The predicates is_waxp and is_wcxp decide one subset
-by scanning its slice of feature space; that scan is the ground truth the
-families are tested against.
+the instance's class.  A family is held as a flag table, one byte per mask
+(see model.lacking_bit), and the minimal families and the minimal hitting
+sets are whole-table shifts on it.  The predicates is_waxp and is_wcxp
+decide one subset by scanning its slice of feature space; that scan is the
+ground truth the families are tested against.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
-from operator import gt, or_
+from operator import eq
 
-from .model import ExplanationProblem, as_mask, bit_slices, features_of, superset_sums
+from .model import ExplanationProblem, as_mask, features_of, lacking_bit, up_closure
 
 
 class InvariantError(RuntimeError):
@@ -44,11 +46,22 @@ _DUAL_KIND = {ExplanationKind.WAXP: ExplanationKind.WCXP,
 
 @dataclass(frozen=True)
 class ExplanationFamily:
-    """All subsets of one explanation kind, sorted by (cardinality, mask)."""
+    """All subsets of one explanation kind, sorted by (cardinality, mask).
+
+    flags is the family's flag table over the problem's 2^m masks; it is
+    built from the members when not given."""
 
     kind: ExplanationKind
     members: tuple[int, ...]
     problem: ExplanationProblem
+    flags: bytes | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.flags is None:
+            flags = bytearray(1 << self.problem.m)
+            for s in self.members:
+                flags[s] = 1
+            object.__setattr__(self, "flags", bytes(flags))
 
     def containing(self, i: int) -> tuple[int, ...]:
         bit = 1 << (i - 1)
@@ -87,10 +100,6 @@ def is_wcxp(problem: ExplanationProblem, subset) -> bool:
     return False
 
 
-def _by_cardinality(mask: int) -> tuple[int, int]:
-    return mask.bit_count(), mask
-
-
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -98,23 +107,26 @@ def _bits(mask: int):
         mask ^= low
 
 
-def minimal_masks(qualifies: list[bool]) -> tuple[int, ...]:
-    """The minimal masks of an up-closed family given as one flag per mask,
-    sorted by (cardinality, mask).
+def members_of(flags: bytes) -> tuple[int, ...]:
+    """The masks a flag table holds, sorted by (cardinality, mask): compress
+    yields them in ascending order and the sort by cardinality is stable."""
+    return tuple(sorted(compress(range(len(flags)), flags), key=int.bit_count))
 
-    In an up-closed family S is minimal iff it qualifies and no S minus one
-    element does.  Per bit, below[S] of each mask S with the bit is or-ed
-    with qualifies[S minus the bit], which leaves below[S] true iff some S
-    minus one element qualifies.
+
+def minimal_masks(flags: bytes) -> bytes:
+    """The flag table of the minimal members of an up-closed family.
+
+    In an up-closed family S is minimal iff it is a member and no S minus
+    one element is.  Per bit b, shifting the members that lack b by one
+    step of 8 << b puts each at its superset with b, so the or over the
+    bits marks every mask with some member one element below it.
     """
-    n = len(qualifies)
-    below = [False] * n
-    for pairs in bit_slices(n):
-        for with_bit, without in pairs:
-            below[with_bit] = map(or_, below[with_bit], qualifies[without])
-    # qualifies and not below: of two flags, only True > False holds
-    members = compress(range(n), map(gt, qualifies, below))
-    return tuple(sorted(members, key=_by_cardinality))
+    n = len(flags)
+    table = int.from_bytes(flags, "little")
+    below = 0
+    for b, lacking in enumerate(lacking_bit(n)):
+        below |= (table & lacking) << (8 << b)
+    return (table & ~below).to_bytes(n, "little")
 
 
 def family(problem: ExplanationProblem, kind: ExplanationKind) -> ExplanationFamily:
@@ -126,20 +138,20 @@ def family(problem: ExplanationProblem, kind: ExplanationKind) -> ExplanationFam
     return cache[key]
 
 
+# swaps the flags 0 and 1
+_NOT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
 def _build_family(problem, kind):
     sums = problem.agreement_sums()
-    sufficient = [same == count for same, count in zip(sums.same, sums.count)]
-    if kind in (ExplanationKind.WAXP, ExplanationKind.AXP):
-        qualifies = sufficient
-    else:
-        # S is contrastive iff its complement (mask full ^ S) is not sufficient
-        qualifies = [not ok for ok in reversed(sufficient)]
+    flags = bytes(map(eq, sums.same, sums.count))  # sufficient
+    if kind in (ExplanationKind.WCXP, ExplanationKind.CXP):
+        # S is contrastive iff its complement, mask full ^ S = n - 1 - S,
+        # is not sufficient
+        flags = flags[::-1].translate(_NOT)
     if kind in (ExplanationKind.AXP, ExplanationKind.CXP):
-        members = minimal_masks(qualifies)
-    else:
-        members = tuple(sorted((s for s, ok in enumerate(qualifies) if ok),
-                               key=_by_cardinality))
-    return ExplanationFamily(kind, members, problem)
+        flags = minimal_masks(flags)
+    return ExplanationFamily(kind, members_of(flags), problem, flags)
 
 
 def enumerate_waxps(problem: ExplanationProblem) -> ExplanationFamily:
@@ -166,10 +178,10 @@ def minimal_hitting_sets(members, universe_mask: int) -> tuple[int, ...]:
 
     The universe's bits are renumbered 0..k-1, which keeps their order and
     so the sort.  H misses a member T exactly when T lies inside the
-    complement of H, so one superset pass over the member indicator, each T
-    put at its complement's index, counts at H the members H misses.
-    Hitting every member is up-closed, so the hitting sets are the minimal
-    masks among those that miss none.
+    complement of H, that is when the complement is in the up-closure of
+    the members.  Read big-endian, the closure holds the complement of H at
+    index H; inverted, it flags the hitting sets.  Hitting every member is
+    up-closed, so the minimal hitting sets are its minimal masks.
     """
     members = tuple(members)
     if not members:
@@ -177,14 +189,14 @@ def minimal_hitting_sets(members, universe_mask: int) -> tuple[int, ...]:
     if any(t & ~universe_mask for t in members):
         raise ValueError("family member outside the universe")
     bits = list(_bits(universe_mask))
-    top = (1 << len(bits)) - 1
-    missed = [0] * (top + 1)
+    n = 1 << len(bits)
+    indicator = bytearray(n)
     for t in members:
-        missed[top ^ sum(1 << j for j, bit in enumerate(bits) if t & bit)] += 1
-    superset_sums(missed)
-    hits = minimal_masks([n == 0 for n in missed])
+        indicator[sum(1 << j for j, bit in enumerate(bits) if t & bit)] = 1
+    missed = up_closure(int.from_bytes(indicator, "little"), n)
+    hits = minimal_masks(missed.to_bytes(n, "big").translate(_NOT))
     return tuple(sum(bit for j, bit in enumerate(bits) if s >> j & 1)
-                 for s in hits)
+                 for s in members_of(hits))
 
 
 def relevant_features(problem: ExplanationProblem) -> int:

@@ -122,16 +122,40 @@ def bit_slices(n: int) -> tuple[tuple[tuple[slice, slice], ...], ...]:
     return tuple(per_bit)
 
 
-def superset_sums(values: list[int], op=add) -> None:
+def superset_sums(values: list[int]) -> None:
     """In place, values[S] becomes the sum of values[T] over all masks T
     containing S (Yates' zeta transform).  len(values) is 2^m; each of the m
-    bits takes 2^(m-1) applications of op, done as slices (bit_slices).  op
-    is addition by default; any associative and commutative op folds the
-    same way, so op=operator.or_ gives the union of the int masks at all
-    supersets."""
+    bits takes 2^(m-1) additions, done as slices (bit_slices)."""
     for pairs in bit_slices(len(values)):
         for with_bit, without in pairs:
-            values[without] = map(op, values[without], values[with_bit])
+            values[without] = map(add, values[without], values[with_bit])
+
+
+# Flag tables: a family of masks 0..n-1 (n a power of two) held as one byte
+# per mask, 1 for a member and 0 otherwise, read as one little-endian int so
+# that mask S sits at bit 8*S.  Shifting such an int left by 8 << b moves
+# each mask S to S + 2^b, which is S with bit b added when S lacks it.
+
+@functools.cache
+def lacking_bit(n: int) -> tuple[int, ...]:
+    """For each bit b of the masks 0..n-1, lowest first, the flag table of
+    the masks that lack it: runs of 2^b ones and 2^b zeros, built by
+    repeating bytes.  Cached per n."""
+    selectors = []
+    run = 1
+    while run < n:
+        pattern = b"\x01" * run + b"\x00" * run
+        selectors.append(int.from_bytes(pattern * (n // (2 * run)), "little"))
+        run <<= 1
+    return tuple(selectors)
+
+
+def up_closure(flags: int, n: int) -> int:
+    """The flag table of every mask that contains some member of flags
+    (each member's supersets), from one shift per bit."""
+    for b, lacking in enumerate(lacking_bit(n)):
+        flags |= (flags & lacking) << (8 << b)
+    return flags
 
 
 def _rank_sums(rows) -> list[int]:
@@ -740,7 +764,8 @@ def _agreement_sums(problem: ExplanationProblem) -> AgreementSums:
     superset_sums(same)
     count = [1]
     for dom in cls.features:  # masks without feature i, then with it
-        count = [n * dom.size for n in count] + count
+        size = dom.size
+        count = [n * size for n in count] + count
     return AgreementSums(tuple(label_sum), tuple(same), tuple(count))
 
 

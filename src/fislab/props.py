@@ -309,17 +309,6 @@ def check_relevancy_consistency(problem: ExplanationProblem, fis_id: str) -> Pro
 # ---------------------------------------------------------------------------
 # P09: duality
 
-def _pairwise_same_order(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> bool:
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            da = (a[i] > a[j]) - (a[i] < a[j])
-            db = (b[i] > b[j]) - (b[i] < b[j])
-            if da != db:
-                return False
-    return True
-
-
 def check_duality(problem: ExplanationProblem, fis_id: str) -> DualityVerdict:
     """Compare a score with its dual on this problem instance only."""
     primal = scores.compute_fis(fis_id, problem)
@@ -346,7 +335,8 @@ def check_duality(problem: ExplanationProblem, fis_id: str) -> DualityVerdict:
         alpha = Fraction(1)  # both vectors identically zero
     if not equivalent:
         alpha = None
-    weak = equivalent or _pairwise_same_order(primal.values, dual.values)
+    # two vectors order every pair alike exactly when their dense rankings agree
+    weak = equivalent or primal.ranking() == dual.ranking()
     return DualityVerdict(fis_id, problem, primal, dual, strong, equivalent,
                           weak, alpha)
 

@@ -15,13 +15,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, or_, sub
+from operator import add, mul, sub
 
 from . import charfun, explain
 from .charfun import CharacteristicTable, ZERO
 from .explain import ExplanationKind
 from .model import (ExplanationProblem, WeightedVotingGame, as_mask, bit_slices,
-                    superset_sums)
+                    lacking_bit, up_closure)
 
 
 class TemplateId(enum.Enum):
@@ -77,10 +77,14 @@ class ScoreVector:
         return [str(v) for v in self.values]
 
     def ranking(self) -> tuple[int, ...]:
-        """Dense ranks, 1 = largest value; ties share a rank."""
-        distinct = sorted(set(self.values), reverse=True)
-        pos = {v: k + 1 for k, v in enumerate(distinct)}
-        return tuple(pos[v] for v in self.values)
+        """Dense ranks, 1 = largest value; ties share a rank.  The values are
+        ranked as integer numerators over their common denominator, which
+        hash and compare without Fraction arithmetic."""
+        values = self.values
+        den = math.lcm(*(v.denominator for v in values))
+        keys = [v.numerator * (den // v.denominator) for v in values]
+        pos = {k: rank for rank, k in enumerate(sorted(set(keys), reverse=True), 1)}
+        return tuple(map(pos.__getitem__, keys))
 
 
 # ---------------------------------------------------------------------------
@@ -335,27 +339,23 @@ def coverage_score(problem: ExplanationProblem, contrastive: bool = False) -> Sc
     """Covered fraction of feature space per feature.
 
     A point that agrees with the instance on exactly the mask A lies in the
-    cube of each minimal explanation S inside A.  Each S is put at index
-    full ^ S, so one superset pass with or gives, at full ^ A, cov[A]: the
-    union of the members inside A.  The mask A holds prod over i not in A of
-    (|D_i| - 1) points, and they count toward every feature in cov[A].
+    cube of each minimal explanation S inside A, so it is covered for
+    feature i iff A is in the up-closure of the members containing i.  The
+    mask A holds prod over j not in A of (|D_j| - 1) points.
     """
-    full = problem.full_mask
-    union = [0] * (full + 1)
-    for s in _minimal_family(problem, contrastive).members:
-        union[full ^ s] = s
-    superset_sums(union, or_)
+    family = _minimal_family(problem, contrastive)
+    n = len(family.flags)
+    members = int.from_bytes(family.flags, "little")
     exact = [1]  # points agreeing with the instance on exactly each mask
     for dom in problem.classifier.features:
-        exact = [n * (dom.size - 1) for n in exact] + exact
-    tally: dict[int, int] = {}  # cov[A] -> points over the masks A
-    for covered, n in zip(reversed(union), exact):
-        if covered and n:
-            tally[covered] = tally.get(covered, 0) + n
+        others = dom.size - 1
+        exact = [k * others for k in exact] + exact
     size = problem.classifier.space_size
-    values = tuple(Fraction(sum(n for covered, n in tally.items() if covered & bit), size)
-                   for bit in (1 << i for i in range(problem.m)))
-    return ScoreVector(values, "coverage", None, problem)
+    values = []
+    for lacking in lacking_bit(n):
+        covered = up_closure(members & ~lacking, n)
+        values.append(Fraction(sum(itertools.compress(exact, covered.to_bytes(n, "little"))), size))
+    return ScoreVector(tuple(values), "coverage", None, problem)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +388,11 @@ def shapley_permutation_oracle(problem: ExplanationProblem | None,
 
 
 def winning_coalitions(game: WeightedVotingGame) -> tuple[int, ...]:
-    masks = itertools.compress(range(1 << game.m), game.winning_flags())
-    return tuple(sorted(masks, key=lambda s: (s.bit_count(), s)))
+    return explain.members_of(bytes(game.winning_flags()))
 
 
 def minimal_winning_coalitions(game: WeightedVotingGame) -> tuple[int, ...]:
-    return explain.minimal_masks(game.winning_flags())
+    return explain.members_of(explain.minimal_masks(bytes(game.winning_flags())))
 
 
 def wvg_power_index(game: WeightedVotingGame, template_id: TemplateId,

@@ -272,21 +272,19 @@ def _ternary_tree(path=()):
                          for v in range(3)]}
 
 
-def test_score_report_pinned_ternary_tree(tmp_path, capsys):
+@pytest.fixture
+def ternary_tree_model(tmp_path):
     # multi-valued domains (729 points) and a multi-class label sum
     doc = {"features": [{"id": i, "values": [0, 1, 2]} for i in range(1, 7)],
            "classes": [0, 1, 2], "body": {"kind": "tree", "root": _ternary_tree()},
            "instance": {"point": [2, 0, 1, 1, 1, 1], "label": 0}}
     path = tmp_path / "tree.json"
     path.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "score", "--model", str(path), "--fis", "all",
-                       "--dual", "--rank", "--format", "json")
-    assert code == 0
-    assert sha256(out) == ("191c9abbf9fcb5535f52b910292ac488"
-                           "81e9a4545954c551c3e3d93ec2a66a97")
+    return str(path)
 
 
-def test_score_report_pinned_mixed_domain_sizes(tmp_path, capsys):
+@pytest.fixture
+def mixed_domain_model(tmp_path):
     # domain sizes 1, 2, 3 and 4: the point count of a subset's slice is not a
     # power of two and differs from subset to subset
     doc = {"features": [{"id": i, "values": list(range(i))} for i in range(1, 5)],
@@ -297,11 +295,37 @@ def test_score_report_pinned_mixed_domain_sizes(tmp_path, capsys):
            "instance": {"point": [0, 1, 1, 2], "label": 1}}
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "score", "--model", str(path), "--fis", "all",
+    return str(path)
+
+
+def test_score_report_pinned_ternary_tree(ternary_tree_model, capsys):
+    code, out, _ = run(capsys, "score", "--model", ternary_tree_model, "--fis", "all",
+                       "--dual", "--rank", "--format", "json")
+    assert code == 0
+    assert sha256(out) == ("191c9abbf9fcb5535f52b910292ac488"
+                           "81e9a4545954c551c3e3d93ec2a66a97")
+
+
+def test_score_report_pinned_mixed_domain_sizes(mixed_domain_model, capsys):
+    code, out, _ = run(capsys, "score", "--model", mixed_domain_model, "--fis", "all",
                        "--dual", "--rank", "--format", "json")
     assert code == 0
     assert sha256(out) == ("b3cf053155925600d47779f385dd44c4"
                            "f40e7173bc2a7bdcd38d393e05e57905")
+
+
+@pytest.mark.parametrize("model, digest", [
+    ("ternary_tree_model",
+     "1238360228877fe5f41cccbcae5987fefadf22f6d0bad2053a04ecd292579d6c"),
+    ("mixed_domain_model",
+     "b4254f6277d5b37b29caa5dfa6084af33cf31c7da6a605e8ffb88ee4de2ac03f"),
+])
+def test_explain_report_pinned(model, digest, request, capsys):
+    # the minimal families, their relevancy and the hitting-set check
+    code, out, _ = run(capsys, "explain", "--model", request.getfixturevalue(model),
+                       "--format", "json")
+    assert code == 0
+    assert sha256(out) == digest
 
 
 def test_wvg_report_pinned(capsys):
@@ -448,6 +472,18 @@ def test_invariant_error_has_its_own_exit_path(chain_model, monkeypatch, capsys)
     assert err.count("\n") == 1
 
 
+def test_hitting_set_duality_failure_is_an_internal_error(chain_model, monkeypatch,
+                                                         capsys):
+    # the duality is a theorem, so a FAIL is a bug and no report is printed
+    monkeypatch.setattr(explain, "minimal_hitting_sets",
+                        lambda members, universe: tuple(members)[:1])
+    code, out, err = run(capsys, "explain", "--model", chain_model)
+    assert code == INTERNAL_ERROR
+    assert out == ""
+    assert err.startswith("internal error: hitting-set duality")
+    assert err.count("\n") == 1
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["score"]) == 2  # --model is required
     capsys.readouterr()
@@ -459,6 +495,13 @@ def test_decimal_display_half_even():
     assert decimal_str(Fraction(1, 2) + Fraction(5, 10**7)) == "0.500000"
     assert decimal_str(Fraction(15, 10**7)) == "0.000002"
     assert decimal_str(Fraction(-1, 3)) == "-0.333333"
+    assert decimal_str(Fraction(-5, 16)) == "-0.312500"
+    assert decimal_str(Fraction(-7)) == "-7.000000"
+    assert decimal_str(Fraction(0)) == "0.000000"
+    assert decimal_str(Fraction(-3, 2 * 10**6)) == "-0.000002"
+    # negative values that round to zero keep their sign
+    assert decimal_str(Fraction(-1, 2 * 10**6)) == "-0.000000"
+    assert decimal_str(Fraction(-1, 3 * 10**6)) == "-0.000000"
 
 
 @pytest.fixture

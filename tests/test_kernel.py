@@ -4,18 +4,17 @@ and template core, against exhaustive scans on a seeded corpus.
 The oracles share nothing with the kernel: characteristic values come from
 select_points, families from the is_waxp/is_wcxp scans with a containment
 loop for minimality, the template cores are the per-mask Fraction
-implementations the integer cores replaced, and minimal masks come from the
-per-mask scan the slice transform replaced.  The whole-space transforms are
-checked the same way: label tables against the per-point body evaluator,
-coverage against the union of select_ranks cubes (coverage_set) and hitting
-sets against a scan over every candidate.
+implementations the integer cores replaced, and minimal masks and
+up-closures of flag tables come from per-mask scans.  The whole-space
+transforms are checked the same way: label tables against the per-point body
+evaluator, coverage against the union of select_ranks cubes (coverage_set)
+and hitting sets against a scan over every candidate.
 """
 
 import itertools
 import random
 import tracemalloc
 from fractions import Fraction
-from operator import or_
 
 import pytest
 
@@ -26,7 +25,7 @@ from fislab.model import (And, BoolExprBody, Classifier, DomainError,
                           FeatureDomain, Not, TableBody, TreeBody, TreeLeaf,
                           TreeSplit, Var, WVGBody, WeightedVotingGame,
                           features_of, make_problem, parse_boolean_expression,
-                          superset_sums)
+                          superset_sums, up_closure)
 from fislab.scores import TemplateId, coefficient_sigma
 
 ALL_SUBSET_TEMPLATES = (TemplateId.SHAPLEY_SHUBIK, TemplateId.BANZHAF,
@@ -276,7 +275,9 @@ def test_kernel_matches_exhaustive_scans(problem):
 
     families = brute_families(problem)
     for kind, members in families.items():
-        assert explain.family(problem, kind).members == members
+        family = explain.family(problem, kind)
+        assert family.members == members
+        assert family.flags == bytes(s in members for s in range(1 << problem.m))
 
     m = problem.m
     # a generator: every one-feature extension is a weak AXP
@@ -436,7 +437,9 @@ def test_minimal_masks_match_oracle(m):
         generators = [rng.randrange(1 << m) for _ in range(rng.randint(0, 4))]
         for flags in (_up_closure(generators, m),
                       [rng.random() < 0.4 for _ in range(1 << m)]):
-            assert explain.minimal_masks(flags) == oracle_minimal_masks(flags)
+            minimal = explain.minimal_masks(bytes(flags))
+            assert len(minimal) == 1 << m
+            assert explain.members_of(minimal) == oracle_minimal_masks(flags)
 
 
 def test_family_core_memory_stays_flat_in_family_size():
@@ -579,8 +582,11 @@ def test_hitting_sets_match_brute_force_on_corpus_families(brute_hitting_sets):
                     == sorted(tuple(sorted(s)) for s in expected)), (name, kind)
 
 
-@pytest.mark.parametrize("m", range(0, 7))
+@pytest.mark.parametrize("m", range(0, 9))
 def test_superset_or_is_the_union_over_supersets(m):
+    # the union of the int masks at all supersets of S, bit by bit: bit j
+    # of it is set iff some superset of S has bit j, that is iff the mirror
+    # top ^ S lies in the up-closure of the mirrored bit-j flags
     rng = random.Random(m)
     values = [rng.randrange(1 << m) for _ in range(1 << m)]
     expected = []
@@ -590,5 +596,62 @@ def test_superset_or_is_the_union_over_supersets(m):
             if t & s == s:
                 union |= v
         expected.append(union)
-    superset_sums(values, or_)
-    assert values == expected
+    n, top = 1 << m, (1 << m) - 1
+    union = [0] * n
+    for j in range(m):
+        mirrored = bytes(values[top ^ s] >> j & 1 for s in range(n))
+        closed = up_closure(int.from_bytes(mirrored, "little"), n).to_bytes(n, "little")
+        for s in range(n):
+            union[s] |= closed[top ^ s] << j
+    assert union == expected
+
+
+@pytest.mark.parametrize("m", range(0, 9))
+def test_up_closure_matches_superset_scan(m):
+    rng = random.Random(100 + m)
+    n = 1 << m
+    for density in (0.02, 0.2, 0.6):
+        flags = [rng.random() < density for _ in range(n)]
+        got = up_closure(int.from_bytes(bytes(flags), "little"), n)
+        members = [t for t in range(n) if flags[t]]
+        assert got.to_bytes(n, "little") == bytes(_up_closure(members, m))
+        assert got < 1 << 8 * n  # nothing is shifted past the last mask
+
+
+@pytest.mark.parametrize("m", range(0, 9))
+def test_hitting_sets_match_brute_force_on_random_families(m, brute_hitting_sets):
+    rng = random.Random(200 + m)
+    for _ in range(12):
+        # a random universe of m features among 0..9, so often not the
+        # lowest m bits
+        universe = sum(1 << k for k in rng.sample(range(10), m))
+        subsets = [s for s in range(universe + 1) if not s & ~universe]
+        members = rng.sample(subsets, min(len(subsets), rng.randint(1, 5)))
+        got = explain.minimal_hitting_sets(members, universe)
+        assert list(got) == sorted(got, key=lambda s: (s.bit_count(), s))
+        expected = brute_hitting_sets([features_of(t) for t in members],
+                                      features_of(universe))
+        assert (sorted(map(features_of, got))
+                == sorted(tuple(sorted(s)) for s in expected)), (members, universe)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_coverage_matches_cube_union_on_mixed_domains(seed):
+    # domain sizes 1..4: a mask's exact point count is a product of sizes
+    # less one, zero whenever a one-value feature is left free
+    rng = random.Random(300 + seed)
+    for m in range(1, 7):
+        features = tuple(FeatureDomain(i, tuple(range(rng.randint(1, 4))))
+                         for i in range(1, m + 1))
+        size = 1
+        for dom in features:
+            size *= dom.size
+        if not 2 <= size <= 400:  # one point gives a constant classifier
+            continue
+
+        def build():
+            labels = tuple(rng.randrange(3) for _ in range(size))
+            return Classifier(features, frozenset({0, 1, 2}), TableBody(labels))
+        cls = _nonconstant(build)
+        for point in rng.sample(list(cls.points()), min(3, size)):
+            assert_coverage_is_cube_union(make_problem(cls, point))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -255,6 +256,47 @@ def test_duality_verdict_monotone_flags(chain):
             assert verdict.equivalent and verdict.alpha == 1
         if verdict.equivalent:
             assert verdict.weak and verdict.alpha > 0
+
+
+def oracle_pairwise_same_order(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> bool:
+    """The pairwise sign scan the ranking comparison replaced, kept as it was."""
+    n = len(a)
+    for i in range(n):
+        for j in range(i + 1, n):
+            da = (a[i] > a[j]) - (a[i] < a[j])
+            db = (b[i] > b[j]) - (b[i] < b[j])
+            if da != db:
+                return False
+    return True
+
+
+def test_equal_rankings_are_pairwise_same_order():
+    # few distinct values, so ties, zeros and negative values are common
+    rng = random.Random(7)
+    pool = [F(k, d) for k in range(-3, 4) for d in (1, 2)]
+    agree = 0
+    for _ in range(3000):
+        m = rng.randint(0, 6)
+        a = tuple(rng.choice(pool) for _ in range(m))
+        if rng.random() < 0.5:  # an order-preserving image of a
+            scale, shift = F(rng.randint(1, 4), rng.randint(1, 3)), rng.choice(pool)
+            b = tuple(v * scale + shift for v in a)
+        else:
+            b = tuple(rng.choice(pool) for _ in range(m))
+        same = (scores.ScoreVector(a, "a").ranking()
+                == scores.ScoreVector(b, "b").ranking())
+        assert same == oracle_pairwise_same_order(a, b), (a, b)
+        agree += same
+    assert 500 < agree < 2500  # both outcomes are common
+
+
+def test_weak_duality_matches_pairwise_order_on_random_problems():
+    for index in range(40):
+        problem = random_problem(11, index, (2, 5))
+        for fis_id in scores.FIS_IDS:
+            verdict = check_duality(problem, fis_id)
+            assert verdict.weak == (verdict.equivalent or oracle_pairwise_same_order(
+                verdict.primal.values, verdict.dual.values))
 
 
 def test_equivalent_level_detected_on_scaled_vectors(chain):
