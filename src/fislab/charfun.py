@@ -78,13 +78,6 @@ class CharacteristicTable:
         return {mask: str(v) for mask, v in enumerate(self.values)}
 
 
-def _cached(problem: ExplanationProblem, cf_id: str, build):
-    key = ("cf", cf_id)
-    if key not in problem._cache:
-        problem._cache[key] = build()
-    return problem._cache[key]
-
-
 def _agreement_table(problem: ExplanationProblem, cf_id: str,
                      field: str) -> CharacteristicTable:
     """One field of the agreement sums over the point count of each subset,
@@ -95,7 +88,7 @@ def _agreement_table(problem: ExplanationProblem, cf_id: str,
         nums = tuple(n * (space // count)
                      for n, count in zip(getattr(sums, field), sums.count))
         return CharacteristicTable(cf_id, problem.m, nums, space, problem)
-    return _cached(problem, cf_id, build)
+    return problem._memo(("cf", cf_id), build)
 
 
 def cf_expected(problem: ExplanationProblem) -> CharacteristicTable:
@@ -114,7 +107,7 @@ def _indicator(cf_id, m, flags: bytes, problem=None) -> CharacteristicTable:
 
 def _family_indicator(problem, kind) -> CharacteristicTable:
     cf_id = _INDICATOR[kind]
-    return _cached(problem, cf_id, lambda: _indicator(
+    return problem._memo(("cf", cf_id), lambda: _indicator(
         cf_id, problem.m, explain.family(problem, kind).flags, problem))
 
 
@@ -150,7 +143,7 @@ def cf_generator(problem: ExplanationProblem) -> CharacteristicTable:
             failed |= lacking & ~(sufficient >> (8 << b))
         generator = int.from_bytes(b"\x01" * n, "little") & ~failed
         return _indicator(CF_G, problem.m, generator.to_bytes(n, "little"), problem)
-    return _cached(problem, CF_G, build)
+    return problem._memo(("cf", CF_G), build)
 
 
 def cf_wvg(game: WeightedVotingGame) -> CharacteristicTable:

@@ -131,11 +131,7 @@ def minimal_masks(flags: bytes) -> bytes:
 
 def family(problem: ExplanationProblem, kind: ExplanationKind) -> ExplanationFamily:
     """The problem's family of the given kind, memoized on the problem."""
-    cache = problem._cache
-    key = ("family", kind)
-    if key not in cache:
-        cache[key] = _build_family(problem, kind)
-    return cache[key]
+    return problem._memo(("family", kind), lambda: _build_family(problem, kind))
 
 
 # swaps the flags 0 and 1
@@ -204,8 +200,7 @@ def relevant_features(problem: ExplanationProblem) -> int:
 
     Cross-checked against the contrastive side, which must yield the same set.
     """
-    key = ("relevant",)
-    if key not in problem._cache:
+    def build():
         via_a = 0
         for s in enumerate_axps(problem).members:
             via_a |= s
@@ -216,8 +211,8 @@ def relevant_features(problem: ExplanationProblem) -> int:
             raise InvariantError(
                 f"relevancy mismatch between explanation families: "
                 f"{features_of(via_a)} vs {features_of(via_c)}")
-        problem._cache[key] = via_a
-    return problem._cache[key]
+        return via_a
+    return problem._memo(("relevant",), build)
 
 
 def is_critical(problem: ExplanationProblem, i: int, subset) -> bool:

@@ -723,12 +723,16 @@ class ExplanationProblem:
             return iter((base,))
         return (base + sum(offsets) for offsets in itertools.product(*axes))
 
+    def _memo(self, key, build):
+        """The value kept on the problem under key, from build() on first use."""
+        cache = self._cache
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
+
     def agreement_sums(self) -> AgreementSums:
         """The problem's integer kernel (see AgreementSums), built on first use."""
-        key = ("agreement_sums",)
-        if key not in self._cache:
-            self._cache[key] = _agreement_sums(self)
-        return self._cache[key]
+        return self._memo(("agreement_sums",), lambda: _agreement_sums(self))
 
 
 class AgreementSums(NamedTuple):

@@ -19,7 +19,7 @@ from . import charfun, explain, scores
 from .charfun import CharacteristicTable
 from .explain import ExplanationKind
 from .model import (Classifier, ExplanationProblem, FeatureDomain, Instance,
-                    TableBody, features_of, relabel_classes)
+                    TableBody, features_of, max_feature_limit, relabel_classes)
 from .scores import ScoreVector, TemplateId
 
 PROPERTY_IDS = ("P01", "P02", "P03", "P04", "P05", "P06", "P07", "P08", "P09")
@@ -225,10 +225,8 @@ def _fis(problem: ExplanationProblem, fis_id: str) -> ScoreVector:
     The audits of one problem read each vector several times; a duality
     sweep reads each once, so the memo stays out of compute_fis itself.
     """
-    key = ("fis", fis_id)
-    if key not in problem._cache:
-        problem._cache[key] = scores.compute_fis(fis_id, problem)
-    return problem._cache[key]
+    return problem._memo(("fis", fis_id),
+                         lambda: scores.compute_fis(fis_id, problem))
 
 
 def check_minimal_monotonicity(problem: ExplanationProblem, fis_id: str) -> PropertyVerdict:
@@ -272,12 +270,10 @@ def relabeled_problem(problem: ExplanationProblem, sigma) -> ExplanationProblem:
     The result is a problem of its own, with its own cache: every score on it
     is computed from its own labels, never read across from the base.
     """
-    key = ("relabeled", tuple(sorted(sigma.items())))
-    if key not in problem._cache:
-        problem._cache[key] = ExplanationProblem(
-            relabel_classes(problem.classifier, sigma),
-            Instance(problem.v, sigma[problem.c]))
-    return problem._cache[key]
+    return problem._memo(("relabeled", tuple(sorted(sigma.items()))),
+                         lambda: ExplanationProblem(
+                             relabel_classes(problem.classifier, sigma),
+                             Instance(problem.v, sigma[problem.c])))
 
 
 def check_class_relabeling(problem: ExplanationProblem, fis_id: str,
@@ -347,8 +343,12 @@ def check_duality(problem: ExplanationProblem, fis_id: str) -> DualityVerdict:
 def random_problem(base_seed: int, index: int,
                    m_range: tuple[int, int] = (2, 6)) -> ExplanationProblem:
     """Uniform random non-constant boolean truth table plus a random instance."""
-    rng = random.Random(base_seed * 2_654_435_761 + index * 97 + 13)
     m_lo, m_hi = m_range
+    limit = max_feature_limit()
+    if not 1 <= m_lo <= m_hi <= limit:
+        # a one-point table is constant: m = 0 would draw tables forever
+        raise ValueError(f"m_range {m_range} is not within 1..{limit}")
+    rng = random.Random(base_seed * 2_654_435_761 + index * 97 + 13)
     m = rng.randrange(m_lo, m_hi + 1)
     size = 1 << m
     while True:
@@ -500,18 +500,17 @@ def audit(property_id: str, subject, problem: ExplanationProblem) -> PropertyVer
     return verdict
 
 
-def _first_failures(property_id: str, subjects,
-                    stream) -> list[Witness | None]:
-    """Each subject's first failing witness, or None, over a stream of
-    (index, problem, generator) triples; the witness is tagged with the
-    generator of the problem it fails on.
+def _first_failures(probes, stream) -> list[Witness | None]:
+    """Each (property id, subject) probe's first failing witness, or None,
+    over a stream of (index, problem, generator) triples; the witness is
+    tagged with the generator of the problem it fails on.
 
-    A subject closes at its first failure, and no further problem is drawn
-    once every subject has closed.
+    A probe closes at its first failure, and no further problem is drawn
+    once every probe has closed.
     """
-    found: list[Witness | None] = [None] * len(subjects)
+    found: list[Witness | None] = [None] * len(probes)
     for index, problem, generator in stream:
-        for k, subject in enumerate(subjects):
+        for k, (property_id, subject) in enumerate(probes):
             if found[k] is None:
                 verdict = _probe(property_id, subject, problem, index)
                 if verdict is not None:
@@ -533,7 +532,7 @@ def _search_block(property_id: str, subject, seed: int,
                   stop: int) -> Witness | None:
     """First witness in one block of the seeded stream; top level so that a
     process pool can pickle it."""
-    return _first_failures(property_id, [subject],
+    return _first_failures([(property_id, subject)],
                            _seeded(seed, start, stop, m_range))[0]
 
 
@@ -543,8 +542,8 @@ def search_counterexample(property_id: str, subject, problems=None, *,
                           workers: int = 1) -> Witness | None:
     """First violating problem within the budget, or None.
 
-    problems may inject a fixed stream of problems or (index, problem)
-    pairs; otherwise the seeded random generator is used.  With several
+    problems may inject a fixed stream of problems, indexed from 0;
+    otherwise the seeded random generator is used.  With several
     workers the search is partitioned into blocks but the lowest index
     still wins: a short first block runs in process before any pool starts,
     and the pool's blocks are read in order until one holds a witness.
@@ -552,11 +551,10 @@ def search_counterexample(property_id: str, subject, problems=None, *,
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if problems is not None:
-        pairs = (item if isinstance(item, tuple) else (k, item)
-                 for k, item in enumerate(itertools.islice(problems, budget)))
+        problems = itertools.islice(problems, budget)
         stream = ((index, problem, {"seed": None, "index": index})
-                  for index, problem in pairs)
-        return _first_failures(property_id, [subject], stream)[0]
+                  for index, problem in enumerate(problems))
+        return _first_failures([(property_id, subject)], stream)[0]
     if workers <= 1:
         return _search_block(property_id, subject, seed, m_range, 0, budget)
 
@@ -650,65 +648,58 @@ def property_matrix(*, seed: int = 0, corpus_count: int = 60,
                     search_budget: int = 600,
                     m_range: tuple[int, int] = (2, 5)) -> PropertyMatrix:
     """Recompute the score/property classification and compare it with the
-    pinned expected cells."""
+    pinned expected cells.
+
+    Every checked cell is one probe.  The FIS cells share one pass over the
+    reference chain and the corpus; the P03 rows and the E and M cells left
+    open share one walk of the seeded search stream, whose first
+    corpus_count problems are the corpus.  A drawn problem is dropped once
+    its probes have run.
+    """
     from . import reference
 
     if search_budget < 1:
         raise ValueError("budget must be >= 1")
-    audit = reference.and_or_chain_problem()
-    witness_problem = reference.single_decider_problem()
-    corpus = [(k, problem, {"seed": seed, "index": k})
-              for k, problem in problem_stream(seed, corpus_count, m_range)]
-    cells: dict[tuple[str, str], Cell] = {}
-    # each template's P03 row closes at its first violation, with the
-    # witness its own search would report
-    additivity = _first_failures("P03", [t.value for t in TemplateId],
-                                 _seeded(seed, 0, search_budget, m_range))
+    chain = reference.and_or_chain_problem()
+    single_decider = reference.single_decider_problem()
+    template_rows = tuple(t.value for t in TemplateId)
+    fis_rows = tuple(scores.FIS_IDS)
+    cells = {(row, prop): Cell("n/a")
+             for row in template_rows + fis_rows for prop in PROPERTY_IDS}
 
-    def put(row, col, cell):
-        cells[(row, col)] = cell
+    # P01, P02 and P04 with the canonical tables; where P02 or P04 holds on
+    # the chain, the two-feature problem's generator and sufficiency
+    # indicators are the decisive probes
+    for row in template_rows:
+        for prop, decisive in (("P01", None), ("P02", charfun.CF_G),
+                               ("P04", charfun.CF_W)):
+            verdict = audit(prop, row, chain)
+            if verdict.holds and decisive:
+                verdict = audit(prop, (row, decisive), single_decider)
+            cells[(row, prop)] = _cell(verdict.witness)
 
-    # template rows: P01..P04 with the canonical tables
-    for template, additivity_witness in zip(TemplateId, additivity):
-        row = template.value
-        cf_id = scores.TEMPLATE_DEFAULTS[template][0]
-        table = charfun.build_table(cf_id, audit)
-        for prop, check in (("P01", check_efficiency), ("P02", check_symmetry),
-                            ("P04", check_dummy)):
-            verdict = check(audit, template, table)
-            if verdict.holds and prop == "P02":
-                # the generator indicator on the two-feature problem is the
-                # decisive symmetry probe
-                verdict = check(witness_problem, template,
-                                charfun.cf_generator(witness_problem))
-            if verdict.holds and prop == "P04":
-                verdict = check(witness_problem, template,
-                                charfun.cf_waxp(witness_problem))
-            put(row, prop, _cell(verdict.witness))
-        put(row, "P03", _cell(additivity_witness))
-        for prop in ("P05", "P06", "P07", "P08", "P09"):
-            put(row, prop, Cell("n/a"))
+    fis_probes = [(prop, row) for row in fis_rows
+                  for prop in ("P05", "P07", "P08")]
+    corpus = ((k, problem, {"seed": seed, "index": k})
+              for k, problem in problem_stream(seed, corpus_count, m_range))
+    stream = itertools.chain([(0, chain, {"reference": "and_or_chain"})], corpus)
+    witnesses = dict(zip(fis_probes, _first_failures(fis_probes, stream)))
+    # E and M are pinned to fail P05, so their open cells go on searching;
+    # each P03 row gets the witness its own search would report
+    walk = [("P03", row) for row in template_rows] + [
+        probe for probe in fis_probes
+        if probe[1] in ("E", "M") and witnesses[probe] is None]
+    witnesses.update(zip(walk, _first_failures(
+        walk, _seeded(seed, 0, search_budget, m_range))))
+    for (prop, row), witness in witnesses.items():
+        cells[(row, prop)] = _cell(witness)
 
-    # FIS rows
-    for fis_id in scores.FIS_IDS:
-        row = fis_id
-        for prop in ("P01", "P02", "P03", "P04"):
-            put(row, prop, Cell("n/a"))
-        for prop in ("P05", "P07", "P08"):
-            # the reference chain, the corpus and, for E and M (pinned to
-            # fail P05), the seeded search stream
-            stream = itertools.chain(
-                [(0, audit, {"reference": "and_or_chain"})], corpus,
-                _seeded(seed, 0, search_budget, m_range)
-                if fis_id in ("E", "M") else ())
-            put(row, prop, _cell(_first_failures(prop, [fis_id], stream)[0]))
-        gamma = gamma_value(audit, fis_id)
-        put(row, "P06", Cell(str(gamma)))
-        dv = check_duality(audit, fis_id)
-        put(row, "P09", Cell(dv.level.value))
+    for row in fis_rows:
+        cells[(row, "P06")] = Cell(str(gamma_value(chain, row)))
+        cells[(row, "P09")] = Cell(check_duality(chain, row).level.value)
 
     # gamma pins: totals with known closed forms on any problem
-    axps = explain.enumerate_axps(audit)
+    axps = explain.enumerate_axps(chain)
     avg_size = Fraction(sum(s.bit_count() for s in axps.members), len(axps))
     for fis_id, expected in (("S", Fraction(1)), ("D", Fraction(1)),
                              ("H", avg_size)):
@@ -731,5 +722,4 @@ def property_matrix(*, seed: int = 0, corpus_count: int = 60,
         if cells[(fis_id, "P06")].ok is not True:
             inconsistencies.append(f"{fis_id}/P06: total off its closed form")
 
-    return PropertyMatrix(tuple(t.value for t in TemplateId),
-                          tuple(scores.FIS_IDS), cells, inconsistencies)
+    return PropertyMatrix(template_rows, fis_rows, cells, inconsistencies)

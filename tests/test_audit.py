@@ -1,14 +1,15 @@
 """Audits that share one problem's work agree with audits on fresh problems.
 
 A problem keeps its relabelled problems and its audited score vectors, and
-the property matrix probes all of its P03 template rows in one pass over the
+the property matrix probes its FIS cells in one pass over the corpus and its
+P03 template rows, with the E and M cells left open, in one walk of the
 search stream.  Each shared result is compared, witness data included, with
-the same check run on a fresh ExplanationProblem.
+the same check run on a fresh problem.
 """
 
 import pytest
 
-from fislab import props
+from fislab import props, reference
 from fislab.model import (Classifier, ExplanationProblem, FeatureDomain,
                           TreeBody, TreeLeaf, TreeSplit, make_problem)
 from fislab.scores import TemplateId
@@ -88,11 +89,39 @@ def test_reverify_recomputes_on_a_fresh_problem(chain):
     assert props.reverify(verdict)
 
 
+def first_failure(prop, fis_id, seed, corpus_count, budget):
+    """The first witness over the chain, the corpus and then the search
+    stream, each problem checked on its own."""
+    verdict = props.audit(prop, fis_id, reference.and_or_chain_problem())
+    if not verdict.holds:
+        return props.Witness(verdict.witness.problem, {
+            **verdict.witness.data, "generator": {"reference": "and_or_chain"}})
+    for k in range(corpus_count):
+        verdict = props.audit(prop, fis_id, props.random_problem(seed, k, (2, 5)))
+        if not verdict.holds:
+            return props.Witness(verdict.witness.problem, {
+                **verdict.witness.data, "generator": {"seed": seed, "index": k}})
+    return props.search_counterexample(prop, fis_id, seed=seed, budget=budget,
+                                       m_range=(2, 5))
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_matrix_additivity_rows_match_their_own_searches(seed):
     budget = 30
-    matrix = props.property_matrix(seed=seed, corpus_count=4,
-                                   search_budget=budget)
+    # without a corpus, E and M fail in the search stream
+    for corpus_count in (0, 4):
+        matrix = props.property_matrix(seed=seed, corpus_count=corpus_count,
+                                       search_budget=budget)
+        for fis_id in ("E", "M"):
+            for prop in AUDITS:
+                cell = matrix.cells[(fis_id, prop)]
+                witness = first_failure(prop, fis_id, seed, corpus_count, budget)
+                assert cell.witness == witness, (corpus_count, fis_id, prop)
+                if witness is not None:
+                    assert cell.witness.data == witness.data
+                    assert cell.status == "fails"
+                else:
+                    assert cell.status == "holds*"
     for template in TemplateId:
         cell = matrix.cells[(template.value, "P03")]
         witness = props.search_counterexample(

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from fislab import explain
+from fislab import explain, scores
 from fislab.cli import INTERNAL_ERROR, decimal_str, main
 from fractions import Fraction
 
@@ -94,6 +94,25 @@ def test_score_all_with_oracle(chain_model, capsys):
         assert report["scores"][fis_id]["oracle"] == "PASS"
 
 
+def test_oracle_mismatch_is_an_internal_error(chain_model, monkeypatch, capsys):
+    # Shapley-Shubik is the permutation average, so a mismatch is a bug and
+    # no report is printed
+    oracle = scores.shapley_permutation_oracle
+
+    def perturbed(problem, table):
+        vec = oracle(problem, table)
+        return scores.ScoreVector((vec.values[0] + 1,) + vec.values[1:],
+                                  vec.label, vec.cf_id, vec.problem)
+
+    monkeypatch.setattr(scores, "shapley_permutation_oracle", perturbed)
+    code, out, err = run(capsys, "score", "--model", chain_model,
+                         "--fis", "S", "--oracle")
+    assert code == INTERNAL_ERROR
+    assert out == ""
+    assert err.startswith("internal error: permutation oracle")
+    assert err.count("\n") == 1
+
+
 def test_score_formats_agree(chain_model, capsys):
     _, json_out, _ = run(capsys, "score", "--model", chain_model,
                          "--fis", "J", "--format", "json")
@@ -148,6 +167,19 @@ def test_props_matrix_pinned_at_another_seed(capsys):
     assert code == 0
     assert sha256(out) == ("f2ac17f219b6cc9d2ed467522d2bb4ca"
                            "c27a513a145fb75ab15dc8208a514e2b")
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "e8304abb0965b692af6abb58f574756460d4b6d6f6ec668157a4e517190e3643"),
+    ("csv", "0256ac46c8e9268f8e33b6845622e6be03fac72f51357956a833e9d54471ad22"),
+], ids=["text", "csv"])
+def test_props_matrix_pinned_in_text_and_csv(fmt, digest, capsys):
+    # the text grid lists each witness with its generator; the csv rows
+    # carry every cell
+    code, out, _ = run(capsys, "props", "--seed", "5", "--corpus", "20",
+                       "--budget", "200", "--format", fmt)
+    assert code == 0
+    assert sha256(out) == digest
 
 
 def test_props_search(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fislab import charfun, props, scores
+from fislab import charfun, model, props, scores
 from fislab.charfun import cf_axp, cf_expected, cf_generator, cf_similarity, cf_waxp
 from fislab.model import (Classifier, FeatureDomain, TableBody, make_problem,
                           parse_boolean_expression)
@@ -393,6 +393,19 @@ def test_random_problem_deterministic():
         or random_problem(1, 5).v != a.v
 
 
+@pytest.mark.parametrize("m_range", [(0, 0), (3, 2), "over"],
+                         ids=["zero", "reversed", "over"])
+def test_random_problem_refuses_m_outside_the_limit(m_range, monkeypatch):
+    # a one-point table is always constant, so m = 0 would never return
+    monkeypatch.delenv("FISLAB_MAX_FEATURES", raising=False)
+    if m_range == "over":
+        m_range = (1, model.max_feature_limit() + 1)
+    with pytest.raises(ValueError, match="m_range"):
+        random_problem(0, 0, m_range)
+    with pytest.raises(ValueError, match="m_range"):
+        search_counterexample("P05", "E", budget=3, m_range=m_range)
+
+
 def test_problem_stream_is_reproducible():
     first = [p.v for _, p in props.problem_stream(4, 6)]
     second = [p.v for _, p in props.problem_stream(4, 6)]
@@ -414,6 +427,24 @@ def test_reverify_replays_every_failing_witness():
     witness = search_counterexample("P09-strong", "D", seed=0, budget=50)
     assert witness is not None and witness.data["property"] == "P09-strong"
     assert reverify(props.PropertyVerdict("P09-strong", "D", False, witness))
+
+
+def test_property_matrix_draws_each_problem_once(monkeypatch):
+    # the corpus is the first indices of the seeded stream: one pass over
+    # it, then one walk of the stream, with nothing drawn twice in either
+    draws = []
+    draw = props.random_problem
+
+    def counted(base_seed, index, m_range=(2, 6)):
+        draws.append((base_seed, index, m_range))
+        return draw(base_seed, index, m_range)
+
+    monkeypatch.setattr(props, "random_problem", counted)
+    property_matrix(seed=0)
+    corpus, walk = draws[:60], draws[60:]
+    assert len(draws) <= 60 + 600
+    assert corpus == [(0, k, (2, 5)) for k in range(60)]
+    assert walk == [(0, k, (2, 5)) for k in range(len(walk))]
 
 
 def test_property_matrix_reports_pins_it_misses(monkeypatch):
