@@ -30,8 +30,6 @@ CF_G = "CF_G"            # indicator of generators (every one-feature extension 
 CF_WVG = "CF_WVG"        # indicator of winning coalitions
 CF_SUM = "CF_SUM"
 
-ZERO = Fraction(0)
-
 # the indicator table of each explanation family.  A table's dual is the
 # indicator of the dual family; CF_E and CF_M read no family and are their
 # own duals.
@@ -196,15 +194,6 @@ def build_table(cf_id: str, problem: ExplanationProblem) -> CharacteristicTable:
     except KeyError:
         raise ValueError(f"unknown characteristic function id {cf_id!r}") from None
     return builder(problem)
-
-
-def delta_i(table: CharacteristicTable, i: int, subset) -> Fraction:
-    """Influence of feature i inside the subset: value drop when i leaves."""
-    mask = as_mask(subset, table.n_features)
-    bit = 1 << (i - 1)
-    if not mask & bit:
-        raise ValueError(f"feature {i} is not in the subset")
-    return Fraction(table.nums[mask] - table.nums[mask & ~bit], table.den)
 
 
 def delta_total(table: CharacteristicTable, subset) -> Fraction:

@@ -169,7 +169,7 @@ def cmd_score(args) -> int:
                 oracle = scores.shapley_permutation_oracle(problem, table)
                 # Shapley-Shubik is the permutation average, so a mismatch
                 # is a bug and no report is printed
-                if oracle.values != vec.values:
+                if oracle != vec:
                     raise explain.InvariantError(
                         f"permutation oracle disagrees with {label}")
                 entry["oracle"] = "PASS"

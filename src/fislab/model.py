@@ -692,14 +692,6 @@ class ExplanationProblem:
     def full_mask(self) -> int:
         return (1 << self.m) - 1
 
-    def upsilon_size(self, subset) -> int:
-        mask = as_mask(subset, self.m)
-        n = 1
-        for i, dom in enumerate(self.classifier.features):
-            if not mask >> i & 1:
-                n *= dom.size
-        return n
-
     def select_points(self, subset) -> list[tuple]:
         """Points agreeing with the instance on the given features, lexicographic."""
         mask = as_mask(subset, self.m)
@@ -779,10 +771,6 @@ def make_problem(classifier: Classifier, point, label: int | None = None) -> Exp
     if label is None:
         label = classifier.evaluate(point)
     return ExplanationProblem(classifier, Instance(point, label))
-
-
-def select_points(problem: ExplanationProblem, subset) -> list[tuple]:
-    return problem.select_points(subset)
 
 
 def agreement_set(x, v) -> int:
@@ -966,6 +954,15 @@ def _as_document(document):
         raise ParseError(f"not valid JSON: {exc}") from None
 
 
+def _array(raw: dict, key: str) -> tuple:
+    """The JSON array under key, as a tuple; a string or an object there
+    would otherwise be read as its characters or its keys."""
+    value = raw[key]
+    if not isinstance(value, list):
+        raise ParseError(f"{key!r} must be a JSON array")
+    return tuple(value)
+
+
 def parse_model(document) -> Classifier:
     """Build a validated classifier from a model document (dict or JSON text)."""
     document = _as_document(document)
@@ -973,21 +970,20 @@ def parse_model(document) -> Classifier:
         raise ParseError("model document must be a single JSON object")
     with _reading_document():
         raw_features = document["features"]
-        raw_classes = document["classes"]
         raw_body = document["body"]
-        features = tuple(FeatureDomain(f["id"], tuple(f["values"]))
+        features = tuple(FeatureDomain(f["id"], _array(f, "values"))
                          for f in raw_features)
-        classes = frozenset(raw_classes)
+        classes = frozenset(_array(document, "classes"))
         kind = raw_body.get("kind")
         if kind == "table":
-            body = TableBody(tuple(raw_body["labels"]))
+            body = TableBody(_array(raw_body, "labels"))
         elif kind == "tree":
             body = TreeBody(_parse_tree_node(raw_body["root"], "root"))
         elif kind == "boolexpr":
             ast = _ExprParser(_tokenize(raw_body["expr"])).parse()
             body = BoolExprBody(ast)
         elif kind == "wvg":
-            body = WVGBody(raw_body["quota"], tuple(raw_body["weights"]))
+            body = WVGBody(raw_body["quota"], _array(raw_body, "weights"))
         else:
             raise ParseError(f"unknown body kind {kind!r}")
         return Classifier(features, classes, body)
@@ -1001,7 +997,7 @@ def load_problem(document) -> ExplanationProblem:
     if raw is None:
         raise ParseError("model document carries no instance")
     with _reading_document():
-        point, label = tuple(raw["point"]), raw.get("label")
+        point, label = _array(raw, "point"), raw.get("label")
     if label is not None and type(label) is not int:
         raise ParseError(f"instance label must be an integer, got {label!r}")
     return make_problem(classifier, point, label)

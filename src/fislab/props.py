@@ -155,14 +155,13 @@ def check_efficiency(problem: ExplanationProblem, template_id: TemplateId,
                      normalized: bool = False) -> PropertyVerdict:
     """Score total must equal the table swing between the full and empty set."""
     vec = scores.template_score(template_id, problem, table, family_mode, normalized)
-    total = vec.total()
-    target = Fraction(table.nums[table.full_mask] - table.nums[0], table.den)
+    swing = table.nums[table.full_mask] - table.nums[0]
     subject = _subject(template_id, table, normalized)
-    if total == target:
+    if sum(vec.nums) * table.den == swing * vec.den:
         return PropertyVerdict("P01", subject, True)
     return _template_failure("P01", subject, problem, template_id, family_mode,
-                             normalized, cf_id=table.cf_id, sum=str(total),
-                             target=str(target))
+                             normalized, cf_id=table.cf_id, sum=str(vec.total()),
+                             target=str(Fraction(swing, table.den)))
 
 
 def check_symmetry(problem: ExplanationProblem, template_id: TemplateId,
@@ -173,7 +172,7 @@ def check_symmetry(problem: ExplanationProblem, template_id: TemplateId,
     vec = scores.template_score(template_id, problem, table, family_mode, normalized)
     subject = _subject(template_id, table, normalized)
     for i, j in symmetric_pairs(table):
-        if vec.score(i) != vec.score(j):
+        if vec.nums[i - 1] != vec.nums[j - 1]:
             return _template_failure(
                 "P02", subject, problem, template_id, family_mode, normalized,
                 cf_id=table.cf_id, pair=(i, j),
@@ -191,8 +190,10 @@ def check_additivity(problem: ExplanationProblem, template_id: TemplateId,
                                                family_mode, normalized)
                          for table in (combined, table1, table2))
     subject = f"{template_id.value}[{table1.cf_id}+{table2.cf_id}]"
-    for i in range(1, problem.m + 1):
-        if vec12.score(i) != vec1.score(i) + vec2.score(i):
+    # n12 / d12 == n1 / d1 + n2 / d2, cross-multiplied
+    d12, d1, d2 = vec12.den, vec1.den, vec2.den
+    for i, (n12, n1, n2) in enumerate(zip(vec12.nums, vec1.nums, vec2.nums), 1):
+        if n12 * d1 * d2 != (n1 * d2 + n2 * d1) * d12:
             return _template_failure(
                 "P03", subject, problem, template_id, family_mode, normalized,
                 cf_ids=(table1.cf_id, table2.cf_id), feature=i,
@@ -209,7 +210,7 @@ def check_dummy(problem: ExplanationProblem, template_id: TemplateId,
     vec = scores.template_score(template_id, problem, table, family_mode, normalized)
     subject = _subject(template_id, table, normalized)
     for i in dummy_features(table):
-        if vec.score(i) != 0:
+        if vec.nums[i - 1]:
             return _template_failure(
                 "P04", subject, problem, template_id, family_mode, normalized,
                 cf_id=table.cf_id, feature=i, score=str(vec.score(i)))
@@ -238,7 +239,7 @@ def check_minimal_monotonicity(problem: ExplanationProblem, fis_id: str) -> Prop
         for j in range(1, problem.m + 1):
             if i == j or not per_feature[i - 1] <= per_feature[j - 1]:
                 continue
-            if vec.score(i) > vec.score(j):
+            if vec.nums[i - 1] > vec.nums[j - 1]:
                 return _fis_failure(
                     "P05", fis_id, problem, pair=(i, j),
                     scores=(str(vec.score(i)), str(vec.score(j))),
@@ -281,8 +282,8 @@ def check_class_relabeling(problem: ExplanationProblem, fis_id: str,
     """Scores must survive any bijective renaming of the class labels."""
     base = _fis(problem, fis_id)
     other = _fis(relabeled_problem(problem, sigma), fis_id)
-    for i in range(1, problem.m + 1):
-        if base.score(i) != other.score(i):
+    for i, (b, o) in enumerate(zip(base.nums, other.nums), 1):
+        if b * other.den != o * base.den:
             return _fis_failure(
                 "P07", fis_id, problem,
                 sigma={str(k): v for k, v in sigma.items()}, feature=i,
@@ -296,7 +297,7 @@ def check_relevancy_consistency(problem: ExplanationProblem, fis_id: str) -> Pro
     vec = _fis(problem, fis_id)
     for i in range(1, problem.m + 1):
         is_relevant = bool(relevant >> (i - 1) & 1)
-        if (vec.score(i) != 0) != is_relevant:
+        if bool(vec.nums[i - 1]) != is_relevant:
             return _fis_failure("P08", fis_id, problem, feature=i,
                                 relevant=is_relevant, score=str(vec.score(i)))
     return PropertyVerdict("P08", fis_id, True)
@@ -309,32 +310,25 @@ def check_duality(problem: ExplanationProblem, fis_id: str) -> DualityVerdict:
     """Compare a score with its dual on this problem instance only."""
     primal = scores.compute_fis(fis_id, problem)
     dual = scores.compute_fis(fis_id, problem, dual=True)
-    strong = primal.values == dual.values
-    alpha: Fraction | None = None
-    equivalent = True
-    for p, d in zip(primal.values, dual.values):
-        if p == 0 and d == 0:
-            continue
-        if p == 0 or d == 0:
-            equivalent = False
-            break
-        ratio = d / p
-        if ratio <= 0:
-            equivalent = False
-            break
-        if alpha is None:
-            alpha = ratio
-        elif alpha != ratio:
-            equivalent = False
-            break
-    if equivalent and alpha is None:
-        alpha = Fraction(1)  # both vectors identically zero
-    if not equivalent:
-        alpha = None
+    return DualityVerdict(fis_id, problem, primal, dual,
+                          *_duality_levels(primal, dual))
+
+
+def _duality_levels(primal: ScoreVector, dual: ScoreVector
+                    ) -> tuple[bool, bool, bool, Fraction | None]:
+    """(strong, equivalent, weak, alpha) of two vectors of one length."""
+    strong = primal == dual
+    # dual = alpha * primal with alpha > 0: each pair (p, d) is proportional
+    # to the first nonzero pair (p0, d0), whose members share a sign.  The
+    # denominators are positive, so they leave the signs alone and cancel
+    # from the cross-multiplication.
+    pairs = list(zip(primal.nums, dual.nums))
+    p0, d0 = next((pair for pair in pairs if pair != (0, 0)), (1, 1))
+    equivalent = p0 * d0 > 0 and all(d * p0 == d0 * p for p, d in pairs)
+    alpha = Fraction(d0 * primal.den, p0 * dual.den) if equivalent else None
     # two vectors order every pair alike exactly when their dense rankings agree
     weak = equivalent or primal.ranking() == dual.ranking()
-    return DualityVerdict(fis_id, problem, primal, dual, strong, equivalent,
-                          weak, alpha)
+    return strong, equivalent, weak, alpha
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 from . import charfun, explain
-from .charfun import CharacteristicTable, ZERO
+from .charfun import CharacteristicTable
 from .explain import ExplanationKind
 from .model import (ExplanationProblem, WeightedVotingGame, as_mask, bit_slices,
                     lacking_bit, up_closure)
@@ -47,44 +47,72 @@ TEMPLATE_DEFAULTS = {
 }
 
 
-def coefficient_sigma(n_features: int, set_size: int) -> Fraction:
-    """Shapley ordering weight 1 / (m * C(m-1, k-1)); symmetric in k and m-k+1."""
-    if not 1 <= set_size <= n_features:
-        raise ValueError(f"set size {set_size} outside 1..{n_features}")
-    return Fraction(1, n_features * math.comb(n_features - 1, set_size - 1))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreVector:
-    """Per-feature exact rationals for one score on one problem."""
+    """Per-feature exact rationals for one score on one problem: feature i
+    scores nums[i - 1] / den.
 
-    values: tuple[Fraction, ...]
+    The pair is kept reduced (den >= 1 and gcd(den, *nums) == 1), so two
+    vectors are equal exactly when their nums and den are equal; the label,
+    table id and problem are not compared.
+    """
+
+    nums: tuple[int, ...]
+    den: int
     label: str
     cf_id: str | None = None
     problem: ExplanationProblem | None = None
 
+    def __post_init__(self):
+        nums, den = self.nums, self.den
+        if den < 1:
+            raise ValueError(f"denominator {den} is below 1")
+        common = math.gcd(den, *nums)
+        if common > 1:
+            object.__setattr__(self, "nums", tuple([n // common for n in nums]))
+            object.__setattr__(self, "den", den // common)
+        elif type(nums) is not tuple:
+            object.__setattr__(self, "nums", tuple(nums))
+
+    def __eq__(self, other):
+        if not isinstance(other, ScoreVector):
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+    @functools.cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """The scores as Fractions, built on first use."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
     def score(self, i: int) -> Fraction:
-        return self.values[i - 1]
+        return Fraction(self.nums[i - 1], self.den)
 
     @property
     def m(self) -> int:
-        return len(self.values)
+        return len(self.nums)
 
     def total(self) -> Fraction:
-        return sum(self.values, ZERO)
+        return Fraction(sum(self.nums), self.den)
 
     def as_strings(self) -> list[str]:
-        return [str(v) for v in self.values]
+        """Each score as str(Fraction) writes it, without building one."""
+        den = self.den
+        out = []
+        for n in self.nums:
+            common = math.gcd(n, den)
+            out.append(str(n // common) if common == den
+                       else f"{n // common}/{den // common}")
+        return out
 
     def ranking(self) -> tuple[int, ...]:
-        """Dense ranks, 1 = largest value; ties share a rank.  The values are
-        ranked as integer numerators over their common denominator, which
-        hash and compare without Fraction arithmetic."""
-        values = self.values
-        den = math.lcm(*(v.denominator for v in values))
-        keys = [v.numerator * (den // v.denominator) for v in values]
-        pos = {k: rank for rank, k in enumerate(sorted(set(keys), reverse=True), 1)}
-        return tuple(map(pos.__getitem__, keys))
+        """Dense ranks, 1 = largest value; ties share a rank.  The numerators
+        share one positive denominator, so they rank as the values do."""
+        nums = self.nums
+        pos = {k: rank for rank, k in enumerate(sorted(set(nums), reverse=True), 1)}
+        return tuple(map(pos.__getitem__, nums))
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +121,13 @@ class ScoreVector:
 # A table holds integer numerators over one common denominator, so every
 # marginal gain is an integer.  The all-subset cores read the 2^m
 # numerators through the slices of model.bit_slices; the family cores add
-# one integer per feature of each member.  Each builds one Fraction per result
-# at the end.
+# one integer per feature of each member.  Each returns one integer numerator
+# per feature over a common denominator; ScoreVector reduces the pair.
 
-def _score_all_subsets(template: TemplateId, table: CharacteristicTable) -> tuple[Fraction, ...]:
+_Scores = tuple[list[int], int]  # (numerator per feature, common denominator)
+
+
+def _score_all_subsets(template: TemplateId, table: CharacteristicTable) -> _Scores:
     m = table.n_features
     nums, den = table.nums, table.den
     if template is TemplateId.JOHNSTON:
@@ -114,8 +145,8 @@ def _score_all_subsets(template: TemplateId, table: CharacteristicTable) -> tupl
         joined = list(map(mul, joined_weight, nums))
         left = sum(map(mul, left_weight, nums))
         scale = math.factorial(m) * den
-    return tuple(Fraction(sum(sum(joined[with_bit]) for with_bit, _ in pairs) - left, scale)
-                 for pairs in bit_slices(len(nums)))
+    return ([sum(sum(joined[with_bit]) for with_bit, _ in pairs) - left
+             for pairs in bit_slices(len(nums))], scale)
 
 
 @functools.cache
@@ -130,7 +161,7 @@ def _shapley_weights(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             tuple(weight[k + 1] for k in sizes))
 
 
-def _johnston(nums: tuple[int, ...]) -> tuple[Fraction, ...]:
+def _johnston(nums: tuple[int, ...]) -> _Scores:
     """Each coalition S with a nonzero gain total t(S) splits one unit among
     its features in proportion to their gains; the common denominator
     cancels.  Over the lcm of the nonzero totals, multiple, feature i's
@@ -148,14 +179,14 @@ def _johnston(nums: tuple[int, ...]) -> tuple[Fraction, ...]:
     quotient = {t: multiple // t for t in distinct}
     quotient[0] = 0
     share = list(map(quotient.__getitem__, total))
-    return tuple(Fraction(sum(sum(map(mul, map(sub, nums[with_bit], nums[without]),
-                                      share[with_bit]))
-                              for with_bit, without in pairs), multiple)
-                 for pairs in bit_slices(n))
+    return ([sum(sum(map(mul, map(sub, nums[with_bit], nums[without]),
+                         share[with_bit]))
+                 for with_bit, without in pairs)
+             for pairs in bit_slices(n)], multiple)
 
 
 def _score_family(template: TemplateId, table: CharacteristicTable | None,
-                  members, m: int, normalized: bool = False) -> tuple[Fraction, ...]:
+                  members, m: int, normalized: bool = False) -> _Scores:
     """Family-restricted templates; a missing table means unit influence.
 
     With an indicator table whose members all score 1 and whose immediate
@@ -166,7 +197,7 @@ def _score_family(template: TemplateId, table: CharacteristicTable | None,
     members = tuple(members)
     count = len(members)
     if not count:
-        return (ZERO,) * m
+        return [0] * m, 1
     nums, den = (None, 1) if table is None else (table.nums, table.den)
     if template is TemplateId.RESPONSIBILITY:
         # the largest gain / size, compared by cross-multiplication
@@ -181,9 +212,12 @@ def _score_family(template: TemplateId, table: CharacteristicTable | None,
                 i = low.bit_length() - 1
                 if not best_size[i] or gain * best_size[i] > best_gain[i] * size:
                     best_gain[i], best_size[i] = gain, size
+        # over the lcm of the sizes that occur; a feature in no member
+        # (size 0) scores 0 and must not enter the lcm
+        multiple = math.lcm(*{size for size in best_size if size})
         scale = den * count if normalized else den
-        return tuple(Fraction(g, size * scale) if size else ZERO
-                     for g, size in zip(best_gain, best_size))
+        return ([g * (multiple // size) if size else 0
+                 for g, size in zip(best_gain, best_size)], multiple * scale)
     # Deegan-Packel and Andjiga: gain / (size * count), over the common size
     # multiple lcm(1..m); Holler-Packel: gain / count
     if template is TemplateId.HOLLER_PACKEL:
@@ -200,7 +234,7 @@ def _score_family(template: TemplateId, table: CharacteristicTable | None,
             rest ^= low
             gain = 1 if nums is None else nums[s] - nums[s ^ low]
             acc[low.bit_length() - 1] += weight * gain
-    return tuple(Fraction(a, multiple * count * den) for a in acc)
+    return acc, multiple * count * den
 
 
 def template_score(template_id: TemplateId, problem: ExplanationProblem,
@@ -221,12 +255,12 @@ def template_score(template_id: TemplateId, problem: ExplanationProblem,
         if family_mode is not None:
             raise ValueError(f"{template_id.value} sums over all subsets, "
                              f"not over a family")
-        values = _score_all_subsets(template_id, table)
+        nums, den = _score_all_subsets(template_id, table)
     else:
         members = explain.family(problem, family_mode or default).members
-        values = _score_family(template_id, table, members, problem.m, normalized)
+        nums, den = _score_family(template_id, table, members, problem.m, normalized)
     name = template_id.value + ("_normalized" if normalized else "")
-    return ScoreVector(values, name, table.cf_id, problem)
+    return ScoreVector(nums, den, name, table.cf_id, problem)
 
 
 def family_score(template_id: TemplateId, members, n_features: int,
@@ -240,9 +274,9 @@ def family_score(template_id: TemplateId, members, n_features: int,
                        TemplateId.JOHNSTON):
         raise ValueError(f"{template_id.value} needs a characteristic table, "
                          f"not a bare family")
-    values = _score_family(template_id, None, masks, n_features, normalized)
+    nums, den = _score_family(template_id, None, masks, n_features, normalized)
     name = template_id.value + ("_normalized" if normalized else "")
-    return ScoreVector(values, name)
+    return ScoreVector(nums, den, name)
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +343,14 @@ def compute_fis(fis_id: str, problem: ExplanationProblem, dual: bool = False) ->
     label = f"DUAL({fis_id})" if dual else fis_id
     if fis_id == "V":
         vec = coverage_score(problem, contrastive=dual)
-        return ScoreVector(vec.values, label, None, problem)
+        return ScoreVector(vec.nums, vec.den, label, None, problem)
     template, cf_id, family, normalized = _FIS_RECIPES[fis_id]
     if dual:
         cf_id = charfun.dual_id(cf_id)
         family = family.dual if family else None
     table = charfun.build_table(cf_id, problem)
     vec = template_score(template, problem, table, family, normalized)
-    return ScoreVector(vec.values, label, cf_id, problem)
+    return ScoreVector(vec.nums, vec.den, label, cf_id, problem)
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +385,11 @@ def coverage_score(problem: ExplanationProblem, contrastive: bool = False) -> Sc
         others = dom.size - 1
         exact = [k * others for k in exact] + exact
     size = problem.classifier.space_size
-    values = []
+    counts = []
     for lacking in lacking_bit(n):
         covered = up_closure(members & ~lacking, n)
-        values.append(Fraction(sum(itertools.compress(exact, covered.to_bytes(n, "little"))), size))
-    return ScoreVector(tuple(values), "coverage", None, problem)
+        counts.append(sum(itertools.compress(exact, covered.to_bytes(n, "little"))))
+    return ScoreVector(counts, size, "coverage", None, problem)
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +407,15 @@ def shapley_permutation_oracle(problem: ExplanationProblem | None,
         raise ValueError("table size does not match the problem")
     if m > 8:
         raise ValueError(f"permutation oracle capped at 8 features, got {m}")
-    totals = [ZERO] * m
+    nums = table.nums
+    totals = [0] * m
     for order in itertools.permutations(range(m)):
         mask = 0
         for i in order:
             grown = mask | 1 << i
-            gain = table.values[grown] - table.values[mask]
-            if gain != 0:
-                totals[i] += gain
+            totals[i] += nums[grown] - nums[mask]
             mask = grown
-    count = math.factorial(m)
-    return ScoreVector(tuple(t / count for t in totals),
+    return ScoreVector(totals, math.factorial(m) * table.den,
                        "shapley_permutation_oracle", table.cf_id, problem)
 
 
@@ -403,13 +435,13 @@ def wvg_power_index(game: WeightedVotingGame, template_id: TemplateId,
     table = charfun.cf_wvg(game)
     family = TEMPLATE_DEFAULTS[template_id][1]
     if family is None:
-        values = _score_all_subsets(template_id, table)
+        nums, den = _score_all_subsets(template_id, table)
     else:
         if family is ExplanationKind.AXP:
             members = minimal_winning_coalitions(game)
         else:
             members = winning_coalitions(game)
-        values = _score_family(template_id, table, members, game.m, normalized)
+        nums, den = _score_family(template_id, table, members, game.m, normalized)
     name = template_id.value + ("_normalized" if normalized else "")
-    return ScoreVector(values, name, charfun.CF_WVG)
+    return ScoreVector(nums, den, name, charfun.CF_WVG)
 

@@ -3,9 +3,13 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fislab
 from fislab import explain, scores
 from fislab.cli import INTERNAL_ERROR, decimal_str, main
 from fractions import Fraction
@@ -101,7 +105,7 @@ def test_oracle_mismatch_is_an_internal_error(chain_model, monkeypatch, capsys):
 
     def perturbed(problem, table):
         vec = oracle(problem, table)
-        return scores.ScoreVector((vec.values[0] + 1,) + vec.values[1:],
+        return scores.ScoreVector((vec.nums[0] + vec.den,) + vec.nums[1:], vec.den,
                                   vec.label, vec.cf_id, vec.problem)
 
     monkeypatch.setattr(scores, "shapley_permutation_oracle", perturbed)
@@ -408,6 +412,58 @@ def test_malformed_model_is_a_usage_error(mutate, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _letters_document():
+    """A table over two features with domain ["a", "b"], so that the string
+    "ab" or the object {"a": 0, "b": 1} would read as a domain or a point."""
+    return {
+        "features": [{"id": i, "values": ["a", "b"]} for i in (1, 2)],
+        "classes": [0, 1],
+        "body": {"kind": "table", "labels": [0, 1, 1, 1]},
+        "instance": {"point": ["a", "b"], "label": 1},
+    }
+
+
+def _wvg_document():
+    return {
+        "features": [{"id": i, "values": [0, 1]} for i in (1, 2)],
+        "classes": [0, 1],
+        "body": {"kind": "wvg", "quota": 2, "weights": [2, 1]},
+        "instance": {"point": [1, 0], "label": 1},
+    }
+
+
+_ARRAY_FIELDS = {
+    "values": (_letters_document, lambda doc: doc["features"][0]),
+    "point": (_letters_document, lambda doc: doc["instance"]),
+    "classes": (_letters_document, lambda doc: doc),
+    "labels": (_letters_document, lambda doc: doc["body"]),
+    "weights": (_wvg_document, lambda doc: doc["body"]),
+}
+
+
+@pytest.mark.parametrize("bad", ["ab", {"a": 0, "b": 1}], ids=["string", "object"])
+@pytest.mark.parametrize("field", list(_ARRAY_FIELDS))
+@pytest.mark.parametrize("command", ["explain", "score"])
+def test_string_or_object_where_an_array_belongs(command, field, bad, tmp_path,
+                                                 capsys):
+    # a string or an object must not be read as its characters or its keys
+    build, holder = _ARRAY_FIELDS[field]
+    doc = build()
+    code, _, _ = run(capsys, command, "--model", _written(tmp_path, doc))
+    assert code == 0
+    holder(doc)[field] = bad
+    code, out, err = run(capsys, command, "--model", _written(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {field!r} must be a JSON array\n"
+
+
+def _written(tmp_path, doc) -> str:
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def test_deep_expression_is_a_usage_error(tmp_path, capsys):
     doc = _chain_document()
     doc["body"]["expr"] = "!" * 3000 + "x1"
@@ -582,3 +638,14 @@ def test_decimal_rounds_half_even_past_50_digits():
     assert decimal_str(Fraction(10**44 - 1) + Fraction(1, 3)) == "9" * 44 + ".333333"
     assert decimal_str(Fraction(10**44) + Fraction(1, 3)) == f"{10**44}.333333"
     assert decimal_str(Fraction(10**51 - 5, 10**7)) == f"{10**44}.000000"
+
+
+def test_python_dash_m_runs_the_command_line():
+    # the package's own directory on the path, as in a checkout without install
+    src = str(Path(fislab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-m", "fislab", "--help"], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: fislab ")

@@ -55,6 +55,14 @@ JUNK = st.one_of(
     st.lists(st.integers(-1, 3), max_size=4),
     st.just({}), st.just({"kind": "table"}))
 
+# a string or an object where a JSON array belongs; over the values the
+# documents use, so that reading one as its characters or keys could pass
+STRING_OR_OBJECT = st.one_of(
+    st.text(alphabet="01lohi", max_size=4),
+    st.dictionaries(st.sampled_from(["0", "1", "lo", "hi"]), st.integers(0, 2),
+                    max_size=3))
+ARRAY_KEYS = ("values", "point", "classes", "labels", "weights")
+
 FIS_TOKENS = st.one_of(
     st.sampled_from(scores.FIS_IDS + ("all", "DUAL(S)", "e")),
     st.lists(st.sampled_from(scores.FIS_IDS), min_size=1, max_size=3).map(",".join),
@@ -103,7 +111,19 @@ def documents(draw):
         if draw(st.booleans()):
             del parent[path[-1]]
         else:
-            parent[path[-1]] = draw(JUNK)
+            parent[path[-1]] = draw(st.one_of(JUNK, STRING_OR_OBJECT))
+    return doc
+
+
+@st.composite
+def documents_with_a_non_array(draw):
+    """One document with a string or an object in place of one of its arrays."""
+    doc = copy.deepcopy(draw(st.sampled_from(DOCUMENTS)))
+    path = draw(st.sampled_from([p for p in _paths(doc) if p and p[-1] in ARRAY_KEYS]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(STRING_OR_OBJECT)
     return doc
 
 
@@ -125,6 +145,15 @@ def _model_argv(doc, command, fis, fmt, model_path):
        fis=FIS_TOKENS, fmt=FORMATS)
 def test_mutated_documents_exit_cleanly(model_path, doc, command, fis, fmt):
     assert_clean_exit(*run(_model_argv(doc, command, fis, fmt, model_path)))
+
+
+@GATE
+@given(doc=documents_with_a_non_array(), command=st.sampled_from(["explain", "score"]),
+       fmt=FORMATS)
+def test_non_array_fields_are_usage_errors(model_path, doc, command, fmt):
+    code, out, err = run(_model_argv(doc, command, "S", fmt, model_path))
+    assert_clean_exit(code, out, err)
+    assert code == 2 and "must be a JSON array" in err
 
 
 def _spoil(draw, tokens, bad):

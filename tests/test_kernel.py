@@ -12,6 +12,7 @@ and hitting sets against a scan over every candidate.
 """
 
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -19,14 +20,14 @@ from fractions import Fraction
 import pytest
 
 from fislab import charfun, explain, scores
-from fislab.charfun import CharacteristicTable, ZERO
+from fislab.charfun import CharacteristicTable
 from fislab.explain import ExplanationKind, is_waxp, is_wcxp
 from fislab.model import (And, BoolExprBody, Classifier, DomainError,
                           FeatureDomain, Not, TableBody, TreeBody, TreeLeaf,
                           TreeSplit, Var, WVGBody, WeightedVotingGame,
                           features_of, make_problem, parse_boolean_expression,
                           superset_sums, up_closure)
-from fislab.scores import TemplateId, coefficient_sigma
+from fislab.scores import ScoreVector, TemplateId
 
 ALL_SUBSET_TEMPLATES = (TemplateId.SHAPLEY_SHUBIK, TemplateId.BANZHAF,
                         TemplateId.JOHNSTON)
@@ -39,8 +40,18 @@ TABLE_IDS = (charfun.CF_E, charfun.CF_M, charfun.CF_W, charfun.CF_W_DUAL,
              charfun.CF_A, charfun.CF_A_DUAL, charfun.CF_G)
 
 
+ZERO = Fraction(0)
+
+
 # ---------------------------------------------------------------------------
 # oracle template cores: the Fraction implementations, kept as they were
+
+def coefficient_sigma(n_features: int, set_size: int) -> Fraction:
+    """Shapley ordering weight 1 / (m * C(m-1, k-1)); symmetric in k and m-k+1."""
+    if not 1 <= set_size <= n_features:
+        raise ValueError(f"set size {set_size} outside 1..{n_features}")
+    return Fraction(1, n_features * math.comb(n_features - 1, set_size - 1))
+
 
 def oracle_score_all_subsets(template: TemplateId, table: CharacteristicTable) -> tuple[Fraction, ...]:
     m = table.n_features
@@ -106,6 +117,54 @@ def oracle_score_family(template: TemplateId, table: CharacteristicTable | None,
     if template is TemplateId.RESPONSIBILITY:
         return tuple(v if v is not None else ZERO for v in maxima)
     return tuple(sums)
+
+
+def assert_reduced(vec: ScoreVector) -> ScoreVector:
+    """A vector's numerators and denominator share no factor, so equal
+    vectors have equal pairs."""
+    assert vec.den >= 1 and math.gcd(vec.den, *vec.nums) == 1, vec
+    assert type(vec.nums) is tuple and len(vec.nums) == vec.m
+    return vec
+
+
+def all_subsets_vector(template: TemplateId, table: CharacteristicTable) -> ScoreVector:
+    """The all-subset core's (numerators, denominator) pair as a vector."""
+    return assert_reduced(ScoreVector(*scores._score_all_subsets(template, table),
+                                      template.value))
+
+
+def family_vector(template: TemplateId, table: CharacteristicTable | None,
+                  members, m: int, normalized: bool = False) -> ScoreVector:
+    """The family core's (numerators, denominator) pair as a vector."""
+    return assert_reduced(ScoreVector(
+        *scores._score_family(template, table, members, m, normalized), template.value))
+
+
+def oracle_fis(fis_id: str, problem, dual: bool) -> tuple[Fraction, ...]:
+    """One FIS from the Fraction oracle cores on its table and family, and
+    coverage from the union of select_ranks cubes."""
+    if fis_id == "V":
+        size = problem.classifier.space_size
+        return tuple(Fraction(len(scores.coverage_set(problem, i, dual)), size)
+                     for i in range(1, problem.m + 1))
+    template, cf_id, kind, normalized = scores._FIS_RECIPES[fis_id]
+    if dual:
+        cf_id, kind = charfun.dual_id(cf_id), kind and kind.dual
+    table = charfun.build_table(cf_id, problem)
+    if kind is None:
+        return oracle_score_all_subsets(template, table)
+    return oracle_score_family(template, table, explain.family(problem, kind).members,
+                               problem.m, normalized)
+
+
+def assert_equal_exactly_when_values_are(vectors):
+    groups: dict[tuple[Fraction, ...], list[ScoreVector]] = {}
+    for vec in vectors:
+        groups.setdefault(vec.values, []).append(vec)
+    for same in groups.values():
+        assert all(vec == same[0] and hash(vec) == hash(same[0]) for vec in same)
+    for a, b in itertools.combinations([same[0] for same in groups.values()], 2):
+        assert a != b, (a, b)
 
 
 def _bits(mask: int):
@@ -288,17 +347,48 @@ def test_kernel_matches_exhaustive_scans(problem):
     tables = [charfun.build_table(cf_id, problem) for cf_id in TABLE_IDS]
     for table in tables + [charfun.cf_sum(tables[0], tables[1])]:
         assert_one_value_per_mask(table)
+    vectors = []
     for table in tables:
         for template in ALL_SUBSET_TEMPLATES:
-            assert (scores._score_all_subsets(template, table)
+            vectors.append(all_subsets_vector(template, table))
+            assert (vectors[-1].values
                     == oracle_score_all_subsets(template, table)), (template, table.cf_id)
     for kind in ExplanationKind:
         members = explain.family(problem, kind).members
         for table in [None] + tables:
             for template, normalized in FAMILY_VARIANTS:
-                assert (scores._score_family(template, table, members, m, normalized)
+                vectors.append(family_vector(template, table, members, m, normalized))
+                assert (vectors[-1].values
                         == oracle_score_family(template, table, members, m, normalized)), \
                     (template, kind, table and table.cf_id, normalized)
+    assert_equal_exactly_when_values_are(vectors)
+
+
+@pytest.mark.parametrize("problem", [p for _, p in CORPUS], ids=[n for n, _ in CORPUS])
+def test_score_vectors_match_fraction_oracles(problem):
+    # every FIS, primal and dual, covers every template core
+    vectors = []
+    for fis_id in scores.FIS_IDS:
+        for dual in (False, True):
+            vec = assert_reduced(scores.compute_fis(fis_id, problem, dual=dual))
+            assert vec.values == oracle_fis(fis_id, problem, dual), (fis_id, dual)
+            assert vec.as_strings() == [str(v) for v in vec.values]
+            assert vec.total() == sum(vec.values, ZERO)
+            assert [vec.score(i) for i in range(1, vec.m + 1)] == list(vec.values)
+            vectors.append(vec)
+    assert_equal_exactly_when_values_are(vectors)
+
+
+def test_vectors_are_reduced_on_construction():
+    vec = ScoreVector([4, -6, 0], 10, "x")
+    assert (vec.nums, vec.den) == ((2, -3, 0), 5)
+    assert vec == ScoreVector((2, -3, 0), 5, "y") and vec != ScoreVector((2, -3, 0), 7, "x")
+    assert vec.values == (Fraction(2, 5), Fraction(-3, 5), 0)
+    assert ScoreVector((0, 0), 12, "zero") == ScoreVector((0, 0), 1, "zero")
+    assert ScoreVector((), 3, "empty").den == 1
+    for den in (0, -2):
+        with pytest.raises(ValueError):
+            ScoreVector((1,), den, "x")
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -332,11 +422,11 @@ def test_tables_with_mixed_denominators():
     problem = next(p for name, p in CORPUS if name.startswith("tree-m5"))
     table = charfun.cf_sum(charfun.cf_expected(problem), charfun.cf_similarity(problem))
     for template in ALL_SUBSET_TEMPLATES:
-        assert (scores._score_all_subsets(template, table)
+        assert (all_subsets_vector(template, table).values
                 == oracle_score_all_subsets(template, table))
     members = explain.enumerate_waxps(problem).members
     for template in FAMILY_TEMPLATES:
-        assert (scores._score_family(template, table, members, problem.m, True)
+        assert (family_vector(template, table, members, problem.m, True).values
                 == oracle_score_family(template, table, members, problem.m, True))
 
 
@@ -356,7 +446,7 @@ def test_injected_families_match_oracle_core():
         for _ in range(10):
             members = [s for s in range(1 << m) if rng.random() < 0.3]
             for template, normalized in FAMILY_VARIANTS:
-                assert (scores._score_family(template, None, members, m, normalized)
+                assert (family_vector(template, None, members, m, normalized).values
                         == oracle_score_family(template, None, members, m, normalized))
 
 
@@ -366,12 +456,12 @@ def _random_members(rng, m):
 
 def assert_cores_match_oracles(table, members):
     for template in ALL_SUBSET_TEMPLATES:
-        assert (scores._score_all_subsets(template, table)
+        assert (all_subsets_vector(template, table).values
                 == oracle_score_all_subsets(template, table)), template
     for template, normalized in FAMILY_VARIANTS:
         for family_table in (table, None):
             m = table.n_features
-            assert (scores._score_family(template, family_table, members, m, normalized)
+            assert (family_vector(template, family_table, members, m, normalized).values
                     == oracle_score_family(template, family_table, members, m,
                                            normalized)), (template, normalized)
 
@@ -401,7 +491,7 @@ def test_johnston_with_many_distinct_gain_totals(m):
     table = CharacteristicTable("T", m, tuple(rng.randint(-10**6, 10**6)
                                               for _ in range(1 << m)), 7)
     assert len(set(_gain_totals(table))) > (1 << m) * 9 // 10
-    assert (scores._score_all_subsets(TemplateId.JOHNSTON, table)
+    assert (all_subsets_vector(TemplateId.JOHNSTON, table).values
             == oracle_score_all_subsets(TemplateId.JOHNSTON, table))
 
 
@@ -413,9 +503,9 @@ def test_cores_on_a_constant_classifier(m):
     assert_cores_match_oracles(table, (0,))
     assert_cores_match_oracles(table, range(1 << m))
     for template, normalized in FAMILY_VARIANTS:
-        assert scores._score_family(template, table, (0,), m, normalized) == (ZERO,) * m
+        assert family_vector(template, table, (0,), m, normalized).values == (ZERO,) * m
     for template in ALL_SUBSET_TEMPLATES:
-        assert scores._score_all_subsets(template, table) == (ZERO,) * m
+        assert all_subsets_vector(template, table).values == (ZERO,) * m
 
 
 def test_cores_on_the_empty_family():
@@ -423,7 +513,7 @@ def test_cores_on_the_empty_family():
     table = CharacteristicTable("T", 4, tuple(rng.randint(-3, 3) for _ in range(16)), 5)
     assert_cores_match_oracles(table, ())
     for template, normalized in FAMILY_VARIANTS:
-        assert scores._score_family(template, table, (), 4, normalized) == (ZERO,) * 4
+        assert family_vector(template, table, (), 4, normalized).values == (ZERO,) * 4
 
 
 def _up_closure(generators, m):

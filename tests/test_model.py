@@ -101,7 +101,6 @@ def test_select_points_cardinality_product():
             if not subset >> i & 1:
                 expected *= dom.size
         assert len(problem.select_points(subset)) == expected
-        assert problem.upsilon_size(subset) == expected
 
 
 def test_select_points_monotone_in_subset(chain):

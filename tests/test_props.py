@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,13 @@ from fislab.props import (DualityLevel, check_additivity,
 from fislab.scores import TemplateId
 
 F = Fraction
+
+
+def vector(values, label="v") -> scores.ScoreVector:
+    """A score vector of the given Fractions, over their common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return scores.ScoreVector([v.numerator * (den // v.denominator) for v in values],
+                              den, label)
 
 
 @pytest.fixture
@@ -283,11 +291,81 @@ def test_equal_rankings_are_pairwise_same_order():
             b = tuple(v * scale + shift for v in a)
         else:
             b = tuple(rng.choice(pool) for _ in range(m))
-        same = (scores.ScoreVector(a, "a").ranking()
-                == scores.ScoreVector(b, "b").ranking())
+        same = vector(a).ranking() == vector(b).ranking()
         assert same == oracle_pairwise_same_order(a, b), (a, b)
         agree += same
     assert 500 < agree < 2500  # both outcomes are common
+
+
+def oracle_duality_levels(primal: tuple[Fraction, ...], dual: tuple[Fraction, ...]):
+    """(strong, equivalent, weak, alpha) by the Fraction ratio loop that
+    check_duality ran before score vectors were integers, kept as it was;
+    weak by the pairwise sign scan."""
+    strong = primal == dual
+    alpha: Fraction | None = None
+    equivalent = True
+    for p, d in zip(primal, dual):
+        if p == 0 and d == 0:
+            continue
+        if p == 0 or d == 0:
+            equivalent = False
+            break
+        ratio = d / p
+        if ratio <= 0:
+            equivalent = False
+            break
+        if alpha is None:
+            alpha = ratio
+        elif alpha != ratio:
+            equivalent = False
+            break
+    if equivalent and alpha is None:
+        alpha = Fraction(1)  # both vectors identically zero
+    if not equivalent:
+        alpha = None
+    weak = equivalent or oracle_pairwise_same_order(primal, dual)
+    return strong, equivalent, weak, alpha
+
+
+def _unreduced(values, factor: int) -> scores.ScoreVector:
+    """values over their common denominator times factor, for the vector to
+    reduce."""
+    den = math.lcm(*(v.denominator for v in values)) * factor
+    return scores.ScoreVector([v.numerator * (den // v.denominator) for v in values],
+                              den, "v")
+
+
+def test_duality_levels_match_the_fraction_loop():
+    rng = random.Random(11)
+    pool = [F(k, d) for k in range(-3, 4) for d in (1, 2, 3)]
+    kinds = ("equal", "scaled", "negated", "zero", "random")
+    seen = dict.fromkeys(kinds, 0)
+    levels = dict.fromkeys(("strong", "equivalent", "weak", "none"), 0)
+    for _ in range(3000):
+        m = rng.randint(0, 6)
+        a = tuple(rng.choice(pool) for _ in range(m))
+        kind = rng.choice(kinds)
+        if kind == "equal":
+            b = a
+        elif kind == "scaled":
+            scale = F(rng.randint(1, 4), rng.randint(1, 3))
+            b = tuple(v * scale for v in a)
+        elif kind == "negated":
+            b = tuple(-2 * v for v in a)
+        elif kind == "zero":  # zeros in one vector where the other has none
+            b = tuple(v if rng.random() < 0.5 else F(0) for v in a)
+        else:
+            b = tuple(rng.choice(pool) for _ in range(m))
+        expected = oracle_duality_levels(a, b)
+        got = props._duality_levels(_unreduced(a, rng.randint(1, 6)),
+                                    _unreduced(b, rng.randint(1, 6)))
+        assert got == expected, (a, b)
+        if kind == "negated" and any(a):
+            assert not got[1]  # a -2x scale is never equivalent
+        seen[kind] += 1
+        levels[("strong", "equivalent", "weak", "none")[
+            [*got[:3], True].index(True)]] += 1
+    assert min(seen.values()) > 400 and min(levels.values()) > 100, (seen, levels)
 
 
 def test_weak_duality_matches_pairwise_order_on_random_problems():
@@ -297,13 +375,15 @@ def test_weak_duality_matches_pairwise_order_on_random_problems():
             verdict = check_duality(problem, fis_id)
             assert verdict.weak == (verdict.equivalent or oracle_pairwise_same_order(
                 verdict.primal.values, verdict.dual.values))
+            assert (verdict.strong, verdict.equivalent, verdict.weak, verdict.alpha) \
+                == oracle_duality_levels(verdict.primal.values, verdict.dual.values)
 
 
 def test_equivalent_level_detected_on_scaled_vectors(chain):
     # the dual of the normalized best-size score rescales by the family
     # sizes; build a synthetic pair instead: primal vs primal*3/2
     primal = scores.compute_fis("D", chain)
-    scaled = scores.ScoreVector(tuple(v * F(3, 2) for v in primal.values), "x")
+    scaled = vector(tuple(v * F(3, 2) for v in primal.values))
     verdict = props.DualityVerdict("D", chain, primal, scaled, False, True,
                                    True, F(3, 2))
     assert verdict.level is DualityLevel.EQUIVALENT

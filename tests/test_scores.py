@@ -7,11 +7,11 @@ import pytest
 from fislab import charfun, explain, props, scores
 from fislab.charfun import CharacteristicTable, cf_expected, cf_generator, cf_waxp
 from fislab.model import DomainError, WeightedVotingGame
-from fislab.scores import (TemplateId, coefficient_sigma,
-                           compute_fis, coverage_set, family_score,
+from fislab.scores import (TemplateId, compute_fis, coverage_set, family_score,
                            minimal_winning_coalitions, parse_fis_id,
                            shapley_permutation_oracle, template_score,
                            wvg_power_index)
+from test_kernel import coefficient_sigma  # the Fraction oracles' weight
 
 F = Fraction
 
