@@ -11,14 +11,14 @@ yields.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import explain
 from .explain import ExplanationKind
-from .model import ExplanationProblem, WeightedVotingGame, as_mask, lacking_bit
+from .model import (ExplanationProblem, WeightedVotingGame, as_mask, cached_value,
+                    lacking_bit)
 
 CF_E = "CF_E"            # conditional expected value of the class label
 CF_M = "CF_M"            # fraction of points keeping the prediction
@@ -56,7 +56,7 @@ class CharacteristicTable:
         if self.den < 1:
             raise ValueError(f"denominator {self.den} is below 1")
 
-    @functools.cached_property
+    @cached_value
     def values(self) -> tuple[Fraction, ...]:
         """The values as Fractions, built on first use."""
         return tuple(Fraction(n, self.den) for n in self.nums)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -398,7 +399,10 @@ def _fis_list(text: str) -> str:
     return text
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls and returns a fresh namespace each time."""
     parser = argparse.ArgumentParser(
         prog="fislab",
         description="Exact feature-importance scores for discrete classifiers")
@@ -417,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_explain = sub.add_parser("explain", help="enumerate minimal explanations")
     common(p_explain, model=True)
-    p_explain.set_defaults(func=cmd_explain)
 
     p_score = sub.add_parser("score", help="compute feature-importance scores")
     common(p_score, model=True)
@@ -429,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="cross-check ordering-based scores against the "
                               "permutation oracle")
     p_score.add_argument("--rank", action="store_true")
-    p_score.set_defaults(func=cmd_score)
 
     p_props = sub.add_parser("props", help="audit the property matrix")
     common(p_props)
@@ -444,18 +446,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_props.add_argument("--corpus", type=_int_in(0), default=None,
                          help="random problems behind the matrix audit "
                               "(default 60; matrix only)")
-    p_props.set_defaults(func=cmd_props)
 
     p_repro = sub.add_parser("repro", help="recompute the frozen reference values")
     common(p_repro)
-    p_repro.set_defaults(func=cmd_repro)
 
     p_wvg = sub.add_parser("wvg", help="power indices of a weighted voting game")
     common(p_wvg)
     p_wvg.add_argument("--quota", type=int, required=True)
     p_wvg.add_argument("--weights", required=True, help="comma list, e.g. 2,1,1")
     p_wvg.add_argument("--template", default="all")
-    p_wvg.set_defaults(func=cmd_wvg)
     return parser
 
 
@@ -465,8 +464,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    # the command is looked up at each call, not bound into the cached
+    # parser, so a cmd_* re-bound after the first call is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (ParseError, DomainError, ScaleLimitError, RelabelError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

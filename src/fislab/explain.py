@@ -31,6 +31,10 @@ class ExplanationKind(enum.Enum):
     WCXP = "wcxp"
     CXP = "cxp"
 
+    # members are singletons compared by identity, so the identity hash
+    # (in C) serves the memo keys and _DUAL_KIND
+    __hash__ = object.__hash__
+
     @property
     def dual(self) -> "ExplanationKind":
         """The mechanical dual: sufficiency swapped for contrast, weak or

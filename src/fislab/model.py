@@ -15,9 +15,9 @@ import json
 import os
 import re
 import sys
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import add
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 HARD_FEATURE_CAP = 20
@@ -122,32 +122,79 @@ def bit_slices(n: int) -> tuple[tuple[tuple[slice, slice], ...], ...]:
     return tuple(per_bit)
 
 
-def superset_sums(values: list[int]) -> None:
-    """In place, values[S] becomes the sum of values[T] over all masks T
-    containing S (Yates' zeta transform).  len(values) is 2^m; each of the m
-    bits takes 2^(m-1) additions, done as slices (bit_slices)."""
-    for pairs in bit_slices(len(values)):
-        for with_bit, without in pairs:
-            values[without] = map(add, values[without], values[with_bit])
-
-
 # Flag tables: a family of masks 0..n-1 (n a power of two) held as one byte
 # per mask, 1 for a member and 0 otherwise, read as one little-endian int so
 # that mask S sits at bit 8*S.  Shifting such an int left by 8 << b moves
 # each mask S to S + 2^b, which is S with bit b added when S lacks it.
+# Packed sums (superset_sums) hold one wider field per mask the same way.
 
-@functools.cache
-def lacking_bit(n: int) -> tuple[int, ...]:
-    """For each bit b of the masks 0..n-1, lowest first, the flag table of
-    the masks that lack it: runs of 2^b ones and 2^b zeros, built by
-    repeating bytes.  Cached per n."""
-    selectors = []
+def _lacking_runs(n: int, width: int) -> Iterator[int]:
+    """For each bit b of the masks 0..n-1, lowest first, the table of the
+    masks that lack it, one width-byte field per mask holding 1 or 0: runs
+    of 2^b ones and 2^b zeros, built by repeating bytes."""
+    one, zero = (1).to_bytes(width, "little"), bytes(width)
     run = 1
     while run < n:
-        pattern = b"\x01" * run + b"\x00" * run
-        selectors.append(int.from_bytes(pattern * (n // (2 * run)), "little"))
+        yield int.from_bytes((one * run + zero * run) * (n // (2 * run)), "little")
         run <<= 1
-    return tuple(selectors)
+
+
+@functools.cache
+def lacking_bit(n: int, width: int = 1) -> tuple[int, ...]:
+    """The tables of _lacking_runs, cached per (n, width); width 1 gives
+    flag tables."""
+    return tuple(_lacking_runs(n, width))
+
+
+# (item size, array typecode) for each size the unsigned typecodes offer,
+# smallest first: the packed fields of superset_sums
+_FIELD_CODES = sorted({array(code).itemsize: code for code in "BHILQ"}.items())
+
+
+def superset_sums(values: list[int]) -> tuple[int, ...]:
+    """The superset sums of non-negative values (Yates' zeta transform):
+    entry S is the sum of values[T] over all masks T containing S, with
+    len(values) = 2^m.
+
+    The values are packed into k-byte fields of one int, k wide enough for
+    their total, which is entry 0 and bounds every other entry.  Per bit b,
+    shifting the int right by 8k << b moves each mask's field to the mask
+    without b, so one shift, mask and add does the bit's 2^(m-1) additions.
+    Fields of up to 8 bytes pack and unpack through an array whose item
+    size is the field's; wider ones through int.to_bytes per field.  A
+    negative value raises OverflowError.
+    """
+    n = len(values)
+    width = max(1, (sum(values).bit_length() + 7) // 8)
+    code = next((code for size, code in _FIELD_CODES if size >= width), None)
+    if code is not None:
+        items = array(code, values)
+        width = items.itemsize
+        if sys.byteorder == "big":
+            items.byteswap()
+        packed = int.from_bytes(items, "little")
+        del items  # each copy of the table goes once the next is made
+    else:
+        packed = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values),
+                                "little")
+    step = 8 * width
+    ones = (1 << step) - 1  # a whole field
+    # selectors of more than 64 KiB are built one at a time, not cached:
+    # building one costs less than its step, and a cache of 4-byte ones
+    # would keep 18 MB at m = 18 and 80 MB at m = 20
+    selectors = lacking_bit(n, width) if n * width <= 1 << 16 else _lacking_runs(n, width)
+    for b, lacking in enumerate(selectors):
+        packed += (packed >> (step << b)) & (lacking * ones)
+    data = packed.to_bytes(n * width, "little")
+    del packed
+    if code is None:
+        return tuple(int.from_bytes(data[k:k + width], "little")
+                     for k in range(0, len(data), width))
+    items = array(code, data)
+    del data
+    if sys.byteorder == "big":
+        items.byteswap()
+    return tuple(items)
 
 
 def up_closure(flags: int, n: int) -> int:
@@ -166,6 +213,24 @@ def _rank_sums(rows) -> list[int]:
     for row in rows:
         sums = [s + x for s in sums for x in row]
     return sums
+
+
+class cached_value:
+    """A method read as an attribute and computed once per instance: the
+    result goes into the instance's __dict__, where later reads find it
+    before this (non-data) descriptor.  functools.cached_property does the
+    same, but on Python 3.11 it takes a lock on every first read."""
+
+    def __init__(self, method):
+        self.method = method
+        self.name = method.__name__
+        self.__doc__ = method.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.method(instance)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -743,8 +808,9 @@ class AgreementSums(NamedTuple):
 
 def _agreement_sums(problem: ExplanationProblem) -> AgreementSums:
     """One pass over the label table bins each point by its agreement mask
-    with the instance; superset sums then give the totals for every subset.
-    The point count of a subset is the product of its free domains' sizes."""
+    with the instance; superset sums then give the totals for every subset
+    (labels are non-negative, as superset_sums needs).  The point count of a
+    subset is the product of its free domains' sizes."""
     cls = problem.classifier
     # agreement mask of every point, in rank order
     masks = _rank_sums([[1 << i if k == index[v] else 0 for k in range(dom.size)]
@@ -756,13 +822,11 @@ def _agreement_sums(problem: ExplanationProblem) -> AgreementSums:
         label_sum[mask] += label
         if label == c:
             same[mask] += 1
-    superset_sums(label_sum)
-    superset_sums(same)
     count = [1]
     for dom in cls.features:  # masks without feature i, then with it
         size = dom.size
         count = [n * size for n in count] + count
-    return AgreementSums(tuple(label_sum), tuple(same), tuple(count))
+    return AgreementSums(superset_sums(label_sum), superset_sums(same), tuple(count))
 
 
 def make_problem(classifier: Classifier, point, label: int | None = None) -> ExplanationProblem:

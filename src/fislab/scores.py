@@ -21,7 +21,7 @@ from . import charfun, explain
 from .charfun import CharacteristicTable
 from .explain import ExplanationKind
 from .model import (ExplanationProblem, WeightedVotingGame, as_mask, bit_slices,
-                    lacking_bit, up_closure)
+                    cached_value, lacking_bit, up_closure)
 
 
 class TemplateId(enum.Enum):
@@ -32,6 +32,10 @@ class TemplateId(enum.Enum):
     HOLLER_PACKEL = "holler_packel"
     RESPONSIBILITY = "responsibility"
     ANDJIGA = "andjiga"
+
+    # members are singletons compared by identity, so the identity hash
+    # (in C) serves every dict keyed by them
+    __hash__ = object.__hash__
 
 
 # template -> (canonical characteristic id, family summed over); a family of
@@ -82,7 +86,7 @@ class ScoreVector:
     def __hash__(self):
         return hash((self.nums, self.den))
 
-    @functools.cached_property
+    @cached_value
     def values(self) -> tuple[Fraction, ...]:
         """The scores as Fractions, built on first use."""
         return tuple(Fraction(n, self.den) for n in self.nums)

@@ -11,7 +11,7 @@ import pytest
 
 import fislab
 from fislab import explain, scores
-from fislab.cli import INTERNAL_ERROR, decimal_str, main
+from fislab.cli import INTERNAL_ERROR, build_parser, decimal_str, main
 from fractions import Fraction
 
 
@@ -570,6 +570,40 @@ def test_hitting_set_duality_failure_is_an_internal_error(chain_model, monkeypat
     assert out == ""
     assert err.startswith("internal error: hitting-set duality")
     assert err.count("\n") == 1
+
+
+def test_parser_is_built_once_and_reused(chain_model, ternary_tree_model, capsys):
+    # one parser serves every command of a process; no parse leaks into the
+    # next, so each report matches its pin or the first call of its argv
+    build_parser.cache_clear()
+    code, out, err = run(capsys, "score")  # --model is required
+    assert (code, out) == (2, "")
+    assert "--model" in err
+    score_argv = ["score", "--model", chain_model, "--fis", "all", "--dual", "--rank",
+                  "--format", "json"]
+    code, first, _ = run(capsys, *score_argv)
+    assert code == 0
+    assert sha256(first) == ("171e6642d755ee37e12a8d2e8de75ecf"
+                             "1f2eb77a6180a612410d522f1863ff9a")
+    code, out, _ = run(capsys, "explain", "--model", ternary_tree_model, "--format", "json")
+    assert code == 0
+    assert sha256(out) == ("1238360228877fe5f41cccbcae5987fe"
+                           "fadf22f6d0bad2053a04ecd292579d6c")
+    # after a call that set --dual, --rank and --format, the defaults are back
+    code, text, _ = run(capsys, "score", "--model", chain_model, "--fis", "D")
+    assert code == 0 and text.startswith("feature")
+    assert run(capsys, *score_argv) == (0, first, "")
+    code, out, _ = run(capsys, "props", "--corpus", "20", "--budget", "200",
+                       "--format", "json")
+    assert code == 0
+    assert sha256(out) == ("fb47c63031aeedd527ad6ccd95e51718"
+                           "330b77e583b24caffd865c1ac88cfd70")
+    assert run(capsys, "score", "--model", chain_model, "--fis", "D") == (0, text, "")
+    code, out, err = run(capsys, "score", "--model", chain_model, "--fis", "D",
+                         "--workers", str((os.cpu_count() or 1) + 1))
+    assert (code, out) == (2, "")
+    assert "--workers" in err
+    assert build_parser.cache_info().misses == 1
 
 
 def test_usage_error_exit_code(capsys):

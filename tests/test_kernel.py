@@ -7,8 +7,9 @@ loop for minimality, the template cores are the per-mask Fraction
 implementations the integer cores replaced, and minimal masks and
 up-closures of flag tables come from per-mask scans.  The whole-space
 transforms are checked the same way: label tables against the per-point body
-evaluator, coverage against the union of select_ranks cubes (coverage_set)
-and hitting sets against a scan over every candidate.
+evaluator, coverage against the union of select_ranks cubes (coverage_set),
+hitting sets against a scan over every candidate, and the packed superset
+sums against the list-slice transform they replaced.
 """
 
 import itertools
@@ -16,6 +17,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -25,8 +27,8 @@ from fislab.explain import ExplanationKind, is_waxp, is_wcxp
 from fislab.model import (And, BoolExprBody, Classifier, DomainError,
                           FeatureDomain, Not, TableBody, TreeBody, TreeLeaf,
                           TreeSplit, Var, WVGBody, WeightedVotingGame,
-                          features_of, make_problem, parse_boolean_expression,
-                          superset_sums, up_closure)
+                          bit_slices, features_of, lacking_bit, make_problem,
+                          parse_boolean_expression, superset_sums, up_closure)
 from fislab.scores import ScoreVector, TemplateId
 
 ALL_SUBSET_TEMPLATES = (TemplateId.SHAPLEY_SHUBIK, TemplateId.BANZHAF,
@@ -181,6 +183,30 @@ def oracle_minimal_masks(qualifies) -> tuple[int, ...]:
         if ok and not any(qualifies[s & ~bit] for bit in _bits(s)):
             members.append(s)
     return tuple(sorted(members, key=lambda s: (s.bit_count(), s)))
+
+
+# ---------------------------------------------------------------------------
+# oracle transforms: the list-slice superset sums and the flag selectors,
+# kept as they were
+
+def oracle_superset_sums(values: list[int]) -> None:
+    """In place, values[S] becomes the sum of values[T] over all masks T
+    containing S (Yates' zeta transform), any signs.  len(values) is 2^m;
+    each of the m bits takes 2^(m-1) additions, done as slices (bit_slices)."""
+    for pairs in bit_slices(len(values)):
+        for with_bit, without in pairs:
+            values[without] = map(add, values[without], values[with_bit])
+
+
+def oracle_lacking_bit(n: int) -> tuple[int, ...]:
+    """Per bit, the flag table of the masks 0..n-1 that lack it."""
+    selectors = []
+    run = 1
+    while run < n:
+        pattern = b"\x01" * run + b"\x00" * run
+        selectors.append(int.from_bytes(pattern * (n // (2 * run)), "little"))
+        run <<= 1
+    return tuple(selectors)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +417,19 @@ def test_vectors_are_reduced_on_construction():
             ScoreVector((1,), den, "x")
 
 
+def test_fraction_views_are_lazy_and_kept():
+    vec = ScoreVector([1, 3], 6, "x")
+    table = CharacteristicTable(charfun.CF_E, 1, (0, 4), 8)
+    for obj, expected in ((vec, (Fraction(1, 6), Fraction(1, 2))),
+                          (table, (Fraction(0), Fraction(1, 2)))):
+        assert "values" not in vars(obj)  # nothing built before the first read
+        values = obj.values
+        assert type(values) is tuple and all(type(v) is Fraction for v in values)
+        assert values == expected
+        assert obj.values is values and vars(obj)["values"] is values
+    assert vec == ScoreVector([1, 3], 6, "y")  # the view is not compared
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_wvg_power_indices_match_oracle_cores(m):
     rng = random.Random(m)
@@ -436,8 +475,60 @@ def test_superset_sums_match_direct_sums(m):
     values = [rng.randint(-5, 5) for _ in range(1 << m)]
     expected = [sum(v for t, v in enumerate(values) if t & s == s)
                 for s in range(1 << m)]
-    superset_sums(values)
+    oracle_superset_sums(values)
     assert values == expected
+
+
+@pytest.mark.parametrize("m", range(0, 11))
+def test_packed_superset_sums_match_the_oracle(m):
+    # the total (entry 0) sets the field width: entries drawn up to 2^bits
+    # make fields of 1 to 9 bytes, and labels up to 10**60 wider ones
+    rng = random.Random(100 + m)
+    n = 1 << m
+    tops = [0, 1, 2**7 - 1, 2**8, 2**15, 2**23, 2**31, 2**39, 2**47, 2**55, 2**63,
+            2**64, 2**70, 10**60]
+    widths = set()
+    for top in tops:
+        for fill in ("random", "sparse", "top"):
+            if fill == "random":
+                values = [rng.randint(0, top) for _ in range(n)]
+            elif fill == "sparse":
+                values = [top if rng.random() < 0.1 else 0 for _ in range(n)]
+            else:
+                values = [top] * n
+            expected = list(values)
+            oracle_superset_sums(expected)
+            assert superset_sums(values) == tuple(expected)
+            widths.add(-(-sum(values).bit_length() // 8))
+    if m == 10:
+        assert set(range(1, 10)) <= widths
+
+
+@pytest.mark.parametrize("top", [1, 2**40, 10**30])
+def test_packed_superset_sums_with_uncached_selectors(top):
+    # at m = 14, 2-byte fields read cached selectors; 8-byte and 13-byte
+    # fields need more than 64 KiB each, built one at a time
+    rng = random.Random(top)
+    values = [rng.randint(0, top) for _ in range(1 << 14)]
+    expected = list(values)
+    oracle_superset_sums(expected)
+    assert superset_sums(values) == tuple(expected)
+
+
+def test_packed_superset_sums_reject_negative_values():
+    with pytest.raises(OverflowError):
+        superset_sums([1, -1])
+
+
+@pytest.mark.parametrize("m", range(0, 11))
+def test_lacking_bit_selectors(m):
+    n = 1 << m
+    assert lacking_bit(n) == lacking_bit(n, 1) == oracle_lacking_bit(n)
+    for width in (2, 3, 9):
+        for b, selector in enumerate(lacking_bit(n, width)):
+            fields = selector.to_bytes(n * width, "little")
+            assert [int.from_bytes(fields[k * width:(k + 1) * width], "little")
+                    for k in range(n)] == [0 if s >> b & 1 else 1 for s in range(n)]
 
 
 def test_injected_families_match_oracle_core():
