@@ -4,7 +4,8 @@ Every table holds 2^m integer numerators indexed by subset mask over one
 denominator: the space size for CF_E and CF_M, 1 for the indicators.  An
 indicator's numerators are a flag table (one byte per mask, see
 model.lacking_bit) read as ints: the family's own flags, the generators'
-from shifts of the sufficient flags, or a voting game's winning flags.
+from shifts of the sufficient flags, or a voting game's winning flags.  The
+table keeps the bytes too, for the swing counts of scores' flag cores.
 Values are never forced: the empty set gets whatever the defining formula
 yields.
 """
@@ -12,7 +13,7 @@ yields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import explain
@@ -41,13 +42,18 @@ _DUALS.update((cf_id, _INDICATOR[kind.dual]) for kind, cf_id in _INDICATOR.items
 
 @dataclass(frozen=True)
 class CharacteristicTable:
-    """One set function, fully materialized: subset mask S has value nums[S] / den."""
+    """One set function, fully materialized: subset mask S has value nums[S] / den.
+
+    An indicator table also keeps its flag table (one byte per mask, the
+    bytes of nums) in flags; a numeric table has none.
+    """
 
     cf_id: str
     n_features: int
     nums: tuple[int, ...]
     den: int
     problem: ExplanationProblem | None = None
+    flags: bytes | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.nums) != 1 << self.n_features:
@@ -100,7 +106,7 @@ def cf_similarity(problem: ExplanationProblem) -> CharacteristicTable:
 
 
 def _indicator(cf_id, m, flags: bytes, problem=None) -> CharacteristicTable:
-    return CharacteristicTable(cf_id, m, tuple(flags), 1, problem)
+    return CharacteristicTable(cf_id, m, tuple(flags), 1, problem, flags)
 
 
 def _family_indicator(problem, kind) -> CharacteristicTable:

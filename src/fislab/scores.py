@@ -124,9 +124,11 @@ class ScoreVector:
 #
 # A table holds integer numerators over one common denominator, so every
 # marginal gain is an integer.  The all-subset cores read the 2^m
-# numerators through the slices of model.bit_slices; the family cores add
-# one integer per feature of each member.  Each returns one integer numerator
-# per feature over a common denominator; ScoreVector reduces the pair.
+# numerators through the slices of model.bit_slices, except that Banzhaf and
+# Johnston on an indicator table count swings in its flag table; the family
+# cores add one integer per feature of each member.  Each returns one
+# integer numerator per feature over a common denominator; ScoreVector
+# reduces the pair.
 
 _Scores = tuple[list[int], int]  # (numerator per feature, common denominator)
 
@@ -134,6 +136,10 @@ _Scores = tuple[list[int], int]  # (numerator per feature, common denominator)
 def _score_all_subsets(template: TemplateId, table: CharacteristicTable) -> _Scores:
     m = table.n_features
     nums, den = table.nums, table.den
+    if table.flags is not None and template is not TemplateId.SHAPLEY_SHUBIK:
+        if template is TemplateId.JOHNSTON:
+            return _johnston_flags(table.flags)
+        return _banzhaf_flags(table.flags)
     if template is TemplateId.JOHNSTON:
         return _johnston(nums)
     # feature i's weighted gains: the sum over S containing i of
@@ -187,6 +193,61 @@ def _johnston(nums: tuple[int, ...]) -> _Scores:
                          share[with_bit]))
                  for with_bit, without in pairs)
              for pairs in bit_slices(n)], multiple)
+
+
+# The flag cores read an indicator's flag table as one int V, mask S at bit
+# 8*S (see model.lacking_bit).  With L_i = V & lacking_i, the flags of the
+# masks without feature i, V ^ L_i flags v(S) at the masks S with i and
+# L_i << (8 << i) moves v(S - i) onto the same masks, so feature i's gain at
+# S is the first flag less the second.
+
+def _banzhaf_flags(flags: bytes) -> _Scores:
+    """Feature i's gains sum to the members with i less the members without
+    it: popcount(V) - 2 * popcount(L_i), over 2^(m-1)."""
+    n = len(flags)
+    table = int.from_bytes(flags, "little")
+    members = table.bit_count()
+    return ([members - 2 * (table & lacking).bit_count() for lacking in lacking_bit(n)],
+            n >> 1)
+
+
+def _johnston_flags(flags: bytes) -> _Scores:
+    """_johnston on a flag table, where every gain is -1, 0 or 1.
+
+    Adding each feature's gains to m in every byte field gives each mask's
+    gain total t(S) + m, one byte per mask: the running field stays within
+    0..2m (m is at most 20), so no field borrows from or carries into the
+    next.  One
+    bytes.translate per nonzero total flags the masks that have it, and
+    feature i's numerator over the lcm of the totals, multiple, is the sum
+    over them of (multiple // t) times its gains on those masks, counted by
+    popcount.  The gains are built again in that second pass rather than
+    kept, m pairs of 2^m-byte ints.
+    """
+    n = len(flags)
+    m = n.bit_length() - 1
+    table = int.from_bytes(flags, "little")
+    lacking = lacking_bit(n)
+    biased = int.from_bytes(bytes((m,)) * n, "little")
+    for b, without in enumerate(lacking):
+        low = table & without
+        biased = biased + (table ^ low) - (low << (8 << b))
+    totals = biased.to_bytes(n, "little")
+    del biased
+    codes = set(totals)
+    codes.discard(m)  # a total of 0 shares nothing out
+    multiple = math.lcm(*(code - m for code in codes))
+    by_total = [(multiple // (code - m), int.from_bytes(
+                    totals.translate(bytes(code) + b"\x01" + bytes(255 - code)), "little"))
+                for code in codes]
+    del totals
+    nums = []
+    for b, without in enumerate(lacking):
+        low = table & without
+        gained, lost = table ^ low, low << (8 << b)
+        nums.append(sum(share * ((gained & masks).bit_count() - (lost & masks).bit_count())
+                        for share, masks in by_total))
+    return nums, multiple
 
 
 def _score_family(template: TemplateId, table: CharacteristicTable | None,
@@ -244,11 +305,12 @@ def _score_family(template: TemplateId, table: CharacteristicTable | None,
 def template_score(template_id: TemplateId, problem: ExplanationProblem,
                    table: CharacteristicTable,
                    family_mode: ExplanationKind | None = None,
-                   normalized: bool = False) -> ScoreVector:
+                   normalized: bool = False, *, label: str | None = None) -> ScoreVector:
     """Evaluate one template on a problem with the given characteristic table.
 
     family_mode overrides the explanation family a family template sums
-    over; the all-subset templates take none.
+    over; the all-subset templates take none.  The vector is labelled with
+    the template's name unless a label is given.
     """
     if table.problem is not None and table.problem != problem:
         raise ValueError("table was built on a different problem")
@@ -263,8 +325,9 @@ def template_score(template_id: TemplateId, problem: ExplanationProblem,
     else:
         members = explain.family(problem, family_mode or default).members
         nums, den = _score_family(template_id, table, members, problem.m, normalized)
-    name = template_id.value + ("_normalized" if normalized else "")
-    return ScoreVector(nums, den, name, table.cf_id, problem)
+    if label is None:
+        label = template_id.value + ("_normalized" if normalized else "")
+    return ScoreVector(nums, den, label, table.cf_id, problem)
 
 
 def family_score(template_id: TemplateId, members, n_features: int,
@@ -346,15 +409,13 @@ def compute_fis(fis_id: str, problem: ExplanationProblem, dual: bool = False) ->
         raise ValueError(f"unknown score id {fis_id!r}")
     label = f"DUAL({fis_id})" if dual else fis_id
     if fis_id == "V":
-        vec = coverage_score(problem, contrastive=dual)
-        return ScoreVector(vec.nums, vec.den, label, None, problem)
+        return coverage_score(problem, contrastive=dual, label=label)
     template, cf_id, family, normalized = _FIS_RECIPES[fis_id]
     if dual:
         cf_id = charfun.dual_id(cf_id)
         family = family.dual if family else None
     table = charfun.build_table(cf_id, problem)
-    vec = template_score(template, problem, table, family, normalized)
-    return ScoreVector(vec.nums, vec.den, label, cf_id, problem)
+    return template_score(template, problem, table, family, normalized, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +434,8 @@ def coverage_set(problem: ExplanationProblem, i: int, contrastive: bool = False)
     return tuple(all_points[r] for r in sorted(ranks))
 
 
-def coverage_score(problem: ExplanationProblem, contrastive: bool = False) -> ScoreVector:
+def coverage_score(problem: ExplanationProblem, contrastive: bool = False, *,
+                   label: str = "coverage") -> ScoreVector:
     """Covered fraction of feature space per feature.
 
     A point that agrees with the instance on exactly the mask A lies in the
@@ -393,7 +455,7 @@ def coverage_score(problem: ExplanationProblem, contrastive: bool = False) -> Sc
     for lacking in lacking_bit(n):
         covered = up_closure(members & ~lacking, n)
         counts.append(sum(itertools.compress(exact, covered.to_bytes(n, "little"))))
-    return ScoreVector(counts, size, "coverage", None, problem)
+    return ScoreVector(counts, size, label, None, problem)
 
 
 # ---------------------------------------------------------------------------

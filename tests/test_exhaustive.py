@@ -1,0 +1,50 @@
+"""The bounded-exhaustive gate of tools/boolean_gate.py on every
+non-constant boolean function with m <= 3 at the all-ones instance: every
+pinned holds* cell holds, and the flag and integer Banzhaf and Johnston
+cores agree on each problem's indicator tables."""
+
+import importlib.util
+import itertools
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "boolean_gate.py"
+_SPEC = importlib.util.spec_from_file_location("boolean_gate", _PATH)
+gate = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(gate)
+
+
+def test_pinned_cells_hold_on_every_boolean_problem_up_to_three_features():
+    drawn, failures = gate.run_gate(range(1, 4))
+    assert drawn == 2 + 14 + 254
+    assert failures == []
+
+
+def test_gate_reports_cells_that_fail():
+    drawn, failures = gate.run_gate(range(1, 4), probes=[
+        ("P01", "banzhaf"), ("P05", "E"), ("P01", "shapley_shubik")])
+    assert drawn == 270
+    assert [line.split(" fails")[0] for line in failures] == ["P01 banzhaf", "P05 E"]
+
+
+@pytest.mark.parametrize("m, classes", [(1, 2), (2, 10), (3, 78)])
+def test_renumbering_classes(m, classes):
+    # each class's orbit, taken over every renumbering, covers every
+    # non-constant function exactly once
+    n = 1 << m
+    least = list(gate.nonconstant_functions(m, up_to_renumbering=True))
+    assert len(least) == classes
+
+    def renumbered(f, order):
+        out = 0
+        for r in range(n):
+            point = [r >> (m - 1 - j) & 1 for j in range(m)]
+            moved = sum(point[order[k]] << (m - 1 - k) for k in range(m))
+            out |= (f >> moved & 1) << r
+        return out
+
+    orbits = [{renumbered(f, order) for order in itertools.permutations(range(m))}
+              for f in least]
+    assert all(f == min(orbit) for f, orbit in zip(least, orbits))
+    assert sum(map(len, orbits)) == len(set().union(*orbits)) == (1 << n) - 2

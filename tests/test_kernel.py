@@ -9,9 +9,12 @@ up-closures of flag tables come from per-mask scans.  The whole-space
 transforms are checked the same way: label tables against the per-point body
 evaluator, coverage against the union of select_ranks cubes (coverage_set),
 hitting sets against a scan over every candidate, and the packed superset
-sums against the list-slice transform they replaced.
+sums against the list-slice transform they replaced.  Banzhaf and Johnston
+on an indicator's flag bytes are checked against both the integer core on
+the same numerators and the Fraction oracle.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -584,6 +587,72 @@ def test_johnston_with_many_distinct_gain_totals(m):
     assert len(set(_gain_totals(table))) > (1 << m) * 9 // 10
     assert (all_subsets_vector(TemplateId.JOHNSTON, table).values
             == oracle_score_all_subsets(TemplateId.JOHNSTON, table))
+
+
+# ---------------------------------------------------------------------------
+# flag cores: Banzhaf and Johnston on an indicator's flag bytes
+
+FLAG_TEMPLATES = (TemplateId.BANZHAF, TemplateId.JOHNSTON)
+INDICATOR_IDS = (charfun.CF_W, charfun.CF_W_DUAL, charfun.CF_A,
+                 charfun.CF_A_DUAL, charfun.CF_G)
+
+
+def assert_flag_cores_match(table):
+    """The flag core's (numerators, denominator) pair is the integer core's
+    on the same numerators, unreduced, and its values are the oracle's."""
+    assert table.flags is not None and table.nums == tuple(table.flags)
+    plain = dataclasses.replace(table, flags=None)
+    assert plain == table and plain.flags is None
+    for template in FLAG_TEMPLATES:
+        nums, den = scores._score_all_subsets(template, table)
+        assert (list(nums), den) == scores._score_all_subsets(template, plain), \
+            (template, table.cf_id)
+        assert (ScoreVector(nums, den, template.value).values
+                == oracle_score_all_subsets(template, table)), (template, table.cf_id)
+
+
+def flag_table(m, flags):
+    return charfun._indicator("T", m, bytes(flags))
+
+
+@pytest.mark.parametrize("problem", [p for _, p in CORPUS], ids=[n for n, _ in CORPUS])
+def test_flag_cores_on_corpus_indicator_tables(problem):
+    for cf_id in INDICATOR_IDS:
+        assert_flag_cores_match(charfun.build_table(cf_id, problem))
+    for cf_id in (charfun.CF_E, charfun.CF_M):
+        assert charfun.build_table(cf_id, problem).flags is None
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_flag_cores_on_wvg_winning_tables(m):
+    rng = random.Random(400 + m)
+    for _ in range(4):
+        weights = tuple(rng.randint(0, 4) for _ in range(m))
+        assert_flag_cores_match(charfun.cf_wvg(
+            WeightedVotingGame(rng.randint(0, sum(weights)), weights)))
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_flag_cores_on_random_non_monotone_tables(m):
+    # a gain of -1 where a mask is flagged and its extension is not; the
+    # gain totals run from -m to m
+    rng = random.Random(500 + m)
+    n = 1 << m
+    for density in (0.1, 0.5, 0.9):
+        for _ in range(3):
+            assert_flag_cores_match(flag_table(m, [rng.random() < density
+                                                   for _ in range(n)]))
+    # only the full mask has total -m: it is the one mask left out
+    assert_flag_cores_match(flag_table(m, [s != n - 1 for s in range(n)]))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_flag_cores_on_constant_tables(m):
+    for fill in (0, 1):
+        table = flag_table(m, [fill] * (1 << m))
+        assert_flag_cores_match(table)
+        assert scores._score_all_subsets(TemplateId.JOHNSTON, table) == ([0] * m, 1)
+        assert scores._score_all_subsets(TemplateId.BANZHAF, table)[0] == [0] * m
 
 
 @pytest.mark.parametrize("m", range(1, 6))
