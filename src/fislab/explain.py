@@ -177,7 +177,8 @@ def minimal_hitting_sets(members, universe_mask: int) -> tuple[int, ...]:
     sorted by (cardinality, mask).
 
     The universe's bits are renumbered 0..k-1, which keeps their order and
-    so the sort.  H misses a member T exactly when T lies inside the
+    so the sort; a universe that already is 0..k-1 (a full mask) is read
+    as it is.  H misses a member T exactly when T lies inside the
     complement of H, that is when the complement is in the up-closure of
     the members.  Read big-endian, the closure holds the complement of H at
     index H; inverted, it flags the hitting sets.  Hitting every member is
@@ -188,15 +189,19 @@ def minimal_hitting_sets(members, universe_mask: int) -> tuple[int, ...]:
         raise ValueError("hitting sets of an empty family are undefined")
     if any(t & ~universe_mask for t in members):
         raise ValueError("family member outside the universe")
+    contiguous = universe_mask & (universe_mask + 1) == 0
     bits = list(_bits(universe_mask))
+    if not contiguous:
+        members = [sum(1 << j for j, bit in enumerate(bits) if t & bit) for t in members]
     n = 1 << len(bits)
     indicator = bytearray(n)
     for t in members:
-        indicator[sum(1 << j for j, bit in enumerate(bits) if t & bit)] = 1
+        indicator[t] = 1
     missed = up_closure(int.from_bytes(indicator, "little"), n)
-    hits = minimal_masks(missed.to_bytes(n, "big").translate(_NOT))
-    return tuple(sum(bit for j, bit in enumerate(bits) if s >> j & 1)
-                 for s in members_of(hits))
+    hits = members_of(minimal_masks(missed.to_bytes(n, "big").translate(_NOT)))
+    if contiguous:
+        return hits
+    return tuple(sum(bit for j, bit in enumerate(bits) if s >> j & 1) for s in hits)
 
 
 def relevant_features(problem: ExplanationProblem) -> int:

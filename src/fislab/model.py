@@ -146,6 +146,39 @@ def lacking_bit(n: int, width: int = 1) -> tuple[int, ...]:
     return tuple(_lacking_runs(n, width))
 
 
+# selectors of more than 64 KiB are built one at a time, not cached:
+# building one costs less than the passes that read it, and a cache of the
+# 4-byte packed selectors would keep 18 MB at m = 18 and 80 MB at m = 20
+CACHED_SELECTOR_BYTES = 1 << 16
+
+# adds one to every byte
+_INCREMENT = bytes(range(1, 256)) + b"\x00"
+
+
+def _size_runs(n: int) -> Iterator[int]:
+    """For each size k = 1..m of the masks 0..n-1, the flag table of the
+    masks with k bits.  The bit count of every mask, one byte each, doubles
+    from mask 0 (the masks with the next bit are the ones below it, plus
+    one), and one bytes.translate per size picks out its masks."""
+    counts = b"\x00"
+    while len(counts) < n:
+        counts += counts.translate(_INCREMENT)
+    for k in range(1, n.bit_length()):
+        yield int.from_bytes(counts.translate(bytes(k) + b"\x01" + bytes(255 - k)),
+                             "little")
+
+
+@functools.cache
+def _cached_sizes(n: int) -> tuple[int, ...]:
+    return tuple(_size_runs(n))
+
+
+def size_classes(n: int) -> Iterable[int]:
+    """The tables of _size_runs, cached per n up to CACHED_SELECTOR_BYTES
+    and built one at a time above it."""
+    return _cached_sizes(n) if n <= CACHED_SELECTOR_BYTES else _size_runs(n)
+
+
 # (item size, array typecode) for each size the unsigned typecodes offer,
 # smallest first: the packed fields of superset_sums
 _FIELD_CODES = sorted({array(code).itemsize: code for code in "BHILQ"}.items())
@@ -179,10 +212,10 @@ def superset_sums(values: list[int]) -> tuple[int, ...]:
                                 "little")
     step = 8 * width
     ones = (1 << step) - 1  # a whole field
-    # selectors of more than 64 KiB are built one at a time, not cached:
-    # building one costs less than its step, and a cache of 4-byte ones
-    # would keep 18 MB at m = 18 and 80 MB at m = 20
-    selectors = lacking_bit(n, width) if n * width <= 1 << 16 else _lacking_runs(n, width)
+    if n * width <= CACHED_SELECTOR_BYTES:
+        selectors = lacking_bit(n, width)
+    else:
+        selectors = _lacking_runs(n, width)
     for b, lacking in enumerate(selectors):
         packed += (packed >> (step << b)) & (lacking * ones)
     data = packed.to_bytes(n * width, "little")

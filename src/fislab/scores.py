@@ -21,7 +21,7 @@ from . import charfun, explain
 from .charfun import CharacteristicTable
 from .explain import ExplanationKind
 from .model import (ExplanationProblem, WeightedVotingGame, as_mask, bit_slices,
-                    cached_value, lacking_bit, up_closure)
+                    cached_value, lacking_bit, size_classes, up_closure)
 
 
 class TemplateId(enum.Enum):
@@ -250,19 +250,71 @@ def _johnston_flags(flags: bytes) -> _Scores:
     return nums, multiple
 
 
+def _family_flags(template: TemplateId, table: bytes, family: bytes) -> _Scores:
+    """Deegan-Packel, Holler-Packel and Andjiga from flag tables: the
+    indicator's, V, and the family's, F.
+
+    Feature i's gains at the masks with i are V ^ L_i less L_i << (8 << i),
+    as in the all-subset flag cores, so its gains over the members of one
+    size k are popcounts of their and with F_k, the members with k bits.
+    The size weight lcm(1..m) // k of Deegan-Packel and Andjiga multiplies
+    each size's count; Holler-Packel weighs every member 1 and reads F
+    whole.  The empty mask lies in no F_k and has no gains, so it only
+    counts toward the family size.  The pair is _score_family's, unreduced.
+    """
+    n = len(family)
+    m = n.bit_length() - 1
+    members = int.from_bytes(family, "little")
+    count = members.bit_count()
+    if not count:
+        return [0] * m, 1
+    if template is TemplateId.HOLLER_PACKEL:
+        multiple, by_size = 1, [(1, members)]
+    else:
+        multiple = math.lcm(*range(1, m + 1))
+        by_size = []
+        for k, sized in enumerate(size_classes(n), 1):
+            part = members & sized
+            if part:
+                by_size.append((multiple // k, part))
+    values = int.from_bytes(table, "little")
+    nums = []
+    for b, lacking in enumerate(lacking_bit(n)):
+        low = values & lacking
+        gained, lost = values ^ low, low << (8 << b)
+        nums.append(sum(weight * ((part & gained).bit_count() - (part & lost).bit_count())
+                        for weight, part in by_size))
+    return nums, multiple * count
+
+
+def _dense(count: int, m: int) -> bool:
+    """Whether a family of count members over m features is dense enough
+    for _family_flags to beat the member walk: more than 4m members, and
+    more than 2m(1 + 2^m / 256).  The walk costs about m / 2 steps per
+    member, the flag core m passes over the 2^m-byte tables per size
+    whatever the count; below 4m members its fixed cost loses on small m."""
+    return count * 128 > m * max((1 << m) + 256, 512)
+
+
 def _score_family(template: TemplateId, table: CharacteristicTable | None,
-                  members, m: int, normalized: bool = False) -> _Scores:
+                  members, m: int, normalized: bool = False,
+                  flags: bytes | None = None) -> _Scores:
     """Family-restricted templates; a missing table means unit influence.
 
     With an indicator table whose members all score 1 and whose immediate
     subsets score 0 (the minimal-explanation indicators), the two readings
     coincide.  Each member walks its own set bits and adds one integer per
-    feature; the empty member only counts toward the family size.
+    feature; the empty member only counts toward the family size.  Given
+    the family's flag table, the sums of gains over a dense family on an
+    indicator table are read from the flags instead (_family_flags).
     """
     members = tuple(members)
     count = len(members)
     if not count:
         return [0] * m, 1
+    if (flags is not None and table is not None and table.flags is not None
+            and template is not TemplateId.RESPONSIBILITY and _dense(count, m)):
+        return _family_flags(template, table.flags, flags)
     nums, den = (None, 1) if table is None else (table.nums, table.den)
     if template is TemplateId.RESPONSIBILITY:
         # the largest gain / size, compared by cross-multiplication
@@ -323,8 +375,9 @@ def template_score(template_id: TemplateId, problem: ExplanationProblem,
                              f"not over a family")
         nums, den = _score_all_subsets(template_id, table)
     else:
-        members = explain.family(problem, family_mode or default).members
-        nums, den = _score_family(template_id, table, members, problem.m, normalized)
+        family = explain.family(problem, family_mode or default)
+        nums, den = _score_family(template_id, table, family.members, problem.m,
+                                  normalized, family.flags)
     if label is None:
         label = template_id.value + ("_normalized" if normalized else "")
     return ScoreVector(nums, den, label, table.cf_id, problem)
@@ -503,11 +556,12 @@ def wvg_power_index(game: WeightedVotingGame, template_id: TemplateId,
     if family is None:
         nums, den = _score_all_subsets(template_id, table)
     else:
+        # the table's flags are the winning coalitions'
+        flags = table.flags
         if family is ExplanationKind.AXP:
-            members = minimal_winning_coalitions(game)
-        else:
-            members = winning_coalitions(game)
-        nums, den = _score_family(template_id, table, members, game.m, normalized)
+            flags = explain.minimal_masks(flags)
+        nums, den = _score_family(template_id, table, explain.members_of(flags),
+                                  game.m, normalized, flags)
     name = template_id.value + ("_normalized" if normalized else "")
     return ScoreVector(nums, den, name, charfun.CF_WVG)
 

@@ -1,7 +1,9 @@
 """The bounded-exhaustive gate of tools/boolean_gate.py on every
 non-constant boolean function with m <= 3 at the all-ones instance: every
-pinned holds* cell holds, and the flag and integer Banzhaf and Johnston
-cores agree on each problem's indicator tables."""
+pinned holds* cell holds, the flag and integer Banzhaf and Johnston cores
+agree on each problem's indicator tables, and the flag and walk
+Deegan-Packel, Holler-Packel and Andjiga cores agree on each of its
+families with each of those tables."""
 
 import importlib.util
 import itertools

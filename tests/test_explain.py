@@ -153,16 +153,26 @@ def test_hitting_sets_match_brute_force(brute_hitting_sets):
     assert [set(features_of(s)) for s in got] == expected
 
 
-@pytest.mark.parametrize("universe", [0b10110, 0b1101001])
-def test_hitting_sets_in_a_non_contiguous_universe(universe, brute_hitting_sets):
+def assert_triples_match_brute_force(universe, brute_hitting_sets):
     submasks = [s for s in range(1, universe + 1) if not s & ~universe]
-    for members in itertools.combinations(submasks, 3):
+    for members in itertools.combinations(submasks, min(3, len(submasks))):
         got = minimal_hitting_sets(members, universe)
         assert list(got) == sorted(got, key=lambda s: (s.bit_count(), s))
         expected = brute_hitting_sets([features_of(t) for t in members],
                                       features_of(universe))
         assert (sorted(map(features_of, got))
                 == sorted(tuple(sorted(s)) for s in expected))
+
+
+@pytest.mark.parametrize("universe", [0b10110, 0b1101001])
+def test_hitting_sets_in_a_non_contiguous_universe(universe, brute_hitting_sets):
+    assert_triples_match_brute_force(universe, brute_hitting_sets)
+
+
+@pytest.mark.parametrize("universe", [0b1, 0b11, 0b111, 0b1111])
+def test_hitting_sets_in_a_contiguous_universe(universe, brute_hitting_sets):
+    # the features 1..k keep their numbers: no renumbering either way
+    assert_triples_match_brute_force(universe, brute_hitting_sets)
 
 
 def test_hitting_sets_empty_family_rejected():

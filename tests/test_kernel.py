@@ -11,7 +11,9 @@ evaluator, coverage against the union of select_ranks cubes (coverage_set),
 hitting sets against a scan over every candidate, and the packed superset
 sums against the list-slice transform they replaced.  Banzhaf and Johnston
 on an indicator's flag bytes are checked against both the integer core on
-the same numerators and the Fraction oracle.
+the same numerators and the Fraction oracle, and so are Deegan-Packel,
+Holler-Packel and Andjiga on a family's and an indicator's flag bytes
+against the member walk and the Fraction oracle.
 """
 
 import dataclasses
@@ -31,7 +33,8 @@ from fislab.model import (And, BoolExprBody, Classifier, DomainError,
                           FeatureDomain, Not, TableBody, TreeBody, TreeLeaf,
                           TreeSplit, Var, WVGBody, WeightedVotingGame,
                           bit_slices, features_of, lacking_bit, make_problem,
-                          parse_boolean_expression, superset_sums, up_closure)
+                          parse_boolean_expression, size_classes, superset_sums,
+                          up_closure)
 from fislab.scores import ScoreVector, TemplateId
 
 ALL_SUBSET_TEMPLATES = (TemplateId.SHAPLEY_SHUBIK, TemplateId.BANZHAF,
@@ -534,6 +537,28 @@ def test_lacking_bit_selectors(m):
                     for k in range(n)] == [0 if s >> b & 1 else 1 for s in range(n)]
 
 
+@pytest.mark.parametrize("m", range(0, 9))
+def test_size_classes_flag_the_masks_of_each_size(m):
+    n = 1 << m
+    classes = size_classes(n)
+    assert len(classes) == m
+    for k, sized in enumerate(classes, 1):
+        assert sized.to_bytes(n, "little") == bytes(s.bit_count() == k for s in range(n))
+
+
+def test_size_classes_past_the_cache_bound():
+    # 2^17 one-byte flags exceed the 64 KiB bound: built one at a time
+    m = 17
+    n = 1 << m
+    assert not isinstance(size_classes(n), tuple)
+    classes = list(size_classes(n))
+    assert [sized.bit_count() for sized in classes] == [math.comb(m, k)
+                                                        for k in range(1, m + 1)]
+    assert sum(classes) == int.from_bytes(b"\x00" + b"\x01" * (n - 1), "little")
+    for s in random.Random(m).sample(range(1, n), 300):
+        assert classes[s.bit_count() - 1] >> 8 * s & 1
+
+
 def test_injected_families_match_oracle_core():
     rng = random.Random(5)
     for m in range(1, 7):
@@ -655,6 +680,84 @@ def test_flag_cores_on_constant_tables(m):
         assert scores._score_all_subsets(TemplateId.BANZHAF, table)[0] == [0] * m
 
 
+# ---------------------------------------------------------------------------
+# family flag core: sums of gains over a family on an indicator's flag bytes
+
+SUM_TEMPLATES = (TemplateId.DEEGAN_PACKEL, TemplateId.HOLLER_PACKEL, TemplateId.ANDJIGA)
+
+
+def assert_family_flag_core_matches(template, table, family_flags):
+    """Called directly, so that no selection hides either side: the flag
+    core's (numerators, denominator) pair is the member walk's on the same
+    family, unreduced, and its values are the oracle's."""
+    m = table.n_features
+    members = explain.members_of(family_flags)
+    nums, den = scores._family_flags(template, table.flags, family_flags)
+    assert (nums, den) == scores._score_family(template, table, members, m), \
+        (template, table.cf_id)
+    assert (ScoreVector(nums, den, template.value).values
+            == oracle_score_family(template, table, members, m)), (template, table.cf_id)
+
+
+# (template, family, table): the recipes' pairs and their duals, then pairs
+# whose family is not the table's (the tables P02 and P04 also try)
+FAMILY_TABLE_PAIRS = (
+    (TemplateId.ANDJIGA, ExplanationKind.WAXP, charfun.CF_W),
+    (TemplateId.ANDJIGA, ExplanationKind.WCXP, charfun.CF_W_DUAL),
+    (TemplateId.DEEGAN_PACKEL, ExplanationKind.AXP, charfun.CF_A),
+    (TemplateId.HOLLER_PACKEL, ExplanationKind.AXP, charfun.CF_A),
+    (TemplateId.DEEGAN_PACKEL, ExplanationKind.CXP, charfun.CF_A_DUAL),
+    (TemplateId.HOLLER_PACKEL, ExplanationKind.CXP, charfun.CF_A_DUAL),
+    (TemplateId.DEEGAN_PACKEL, ExplanationKind.WAXP, charfun.CF_G),
+    (TemplateId.HOLLER_PACKEL, ExplanationKind.WAXP, charfun.CF_G),
+    (TemplateId.ANDJIGA, ExplanationKind.WAXP, charfun.CF_G),
+    (TemplateId.ANDJIGA, ExplanationKind.AXP, charfun.CF_W),
+)
+
+
+@pytest.mark.parametrize("problem", [p for _, p in CORPUS], ids=[n for n, _ in CORPUS])
+def test_family_flag_core_on_corpus_families(problem):
+    for template, kind, cf_id in FAMILY_TABLE_PAIRS:
+        assert_family_flag_core_matches(template, charfun.build_table(cf_id, problem),
+                                        explain.family(problem, kind).flags)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_family_flag_core_on_random_non_monotone_tables(m):
+    rng = random.Random(600 + m)
+    n = 1 << m
+    for density in (0.1, 0.5, 0.9):
+        table = flag_table(m, [rng.random() < density for _ in range(n)])
+        for family_density in (0.05, 0.5):
+            family = bytes(rng.random() < family_density for _ in range(n))
+            for template in SUM_TEMPLATES:
+                assert_family_flag_core_matches(template, table, family)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_family_flag_core_on_edge_families(m):
+    # the empty family scores 0 over 1; mask 0 only counts toward the size
+    rng = random.Random(700 + m)
+    n = 1 << m
+    table = flag_table(m, [rng.random() < 0.5 for _ in range(n)])
+    only_empty_mask = b"\x01" + bytes(n - 1)
+    for family in (bytes(n), only_empty_mask, b"\x01" * n):
+        for template in SUM_TEMPLATES:
+            assert_family_flag_core_matches(template, table, family)
+    for template in SUM_TEMPLATES:
+        assert scores._family_flags(template, table.flags, bytes(n)) == ([0] * m, 1)
+        nums, den = scores._family_flags(template, table.flags, only_empty_mask)
+        assert nums == [0] * m and den > 0
+
+
+def test_dense_families_take_the_flag_core():
+    # the m=20 chain's 1,030,865 weak AXPs are scored from flags, its
+    # 17,711 weak CXPs by the walk; small problems walk below 4m members
+    assert scores._dense(1_030_865, 20) and not scores._dense(17_711, 20)
+    assert scores._dense(1280, 11) and not scores._dense(10, 11)
+    assert not scores._dense(20, 5) and scores._dense(21, 5)
+
+
 @pytest.mark.parametrize("m", range(1, 6))
 def test_cores_on_a_constant_classifier(m):
     # every subset is sufficient, so the only minimal one is the empty set:
@@ -709,6 +812,26 @@ def test_family_core_memory_stays_flat_in_family_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_family_flag_core_memory_stays_flat_in_family_size():
+    # the same chain's weak AXPs through the flag core: m size classes and
+    # a few working tables of 2^14 bytes each, once the selector caches are
+    # warm
+    m = 14
+    problem = make_problem(parse_boolean_expression(
+        " | ".join(f"(x{i} & x{i + 1})" for i in range(1, m)), m), (1,) * m)
+    family = explain.enumerate_waxps(problem).flags
+    table = charfun.cf_waxp(problem)
+    expected = scores._family_flags(TemplateId.ANDJIGA, table.flags, family)
+    tracemalloc.start()
+    try:
+        got = scores._family_flags(TemplateId.ANDJIGA, table.flags, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
     assert peak < 2**20, peak
 
 

@@ -4,7 +4,7 @@ Renumbering features permutes every score and renaming values changes none
 (tests/test_metamorphic.py), so a boolean problem is fixed, up to feature
 renumbering, by its truth table read at the all-ones instance.  For every
 non-constant boolean function of m features at that instance, the gate
-asserts two things:
+asserts three things:
 
 * every cell pinned to hold in props.PINNED_TEMPLATE and props.PINNED_FIS
   holds, probed as the matrix probes it (the template cells also with the
@@ -12,7 +12,10 @@ asserts two things:
   additivity pair);
 * Banzhaf and Johnston read from the flag bytes of each indicator table
   give the same (numerators, denominator) pair as the integer slice cores
-  on the same numerators.
+  on the same numerators;
+* Deegan-Packel, Holler-Packel and Andjiga read from the flag bytes of
+  each explanation family and indicator table give the same pair as the
+  member walk over that family and table.
 
 Tier-1 runs it on all 270 functions with m <= 3 (tests/test_exhaustive.py).
 Run from the repository root, this script runs it on one function of each
@@ -32,12 +35,14 @@ import itertools
 import sys
 import time
 
-from fislab import charfun, props, scores
+from fislab import charfun, explain, props, scores
+from fislab.explain import ExplanationKind
 from fislab.model import Classifier, FeatureDomain, TableBody, make_problem
 from fislab.scores import TemplateId
 
 INDICATOR_IDS = (charfun.CF_W, charfun.CF_W_DUAL, charfun.CF_A,
                  charfun.CF_A_DUAL, charfun.CF_G)
+SUM_TEMPLATES = (TemplateId.DEEGAN_PACKEL, TemplateId.HOLLER_PACKEL, TemplateId.ANDJIGA)
 
 
 def nonconstant_functions(m: int, up_to_renumbering: bool = False):
@@ -89,8 +94,11 @@ def pinned_probes() -> list[tuple[str, object]]:
 
 
 def core_mismatches(problem) -> list[str]:
-    """The indicator tables on which the flag and integer B/J cores differ."""
+    """The indicator tables on which the flag and integer B/J cores differ,
+    and the (family, indicator table) pairs on which the flag and walk
+    D/H/A cores differ."""
     out = []
+    families = [explain.family(problem, kind) for kind in ExplanationKind]
     for cf_id in INDICATOR_IDS:
         table = charfun.build_table(cf_id, problem)
         plain = dataclasses.replace(table, flags=None)
@@ -98,6 +106,12 @@ def core_mismatches(problem) -> list[str]:
             if (scores._score_all_subsets(template, table)
                     != scores._score_all_subsets(template, plain)):
                 out.append(f"{template.value}[{cf_id}]")
+        for family in families:
+            for template in SUM_TEMPLATES:
+                if (scores._family_flags(template, table.flags, family.flags)
+                        != scores._score_family(template, table, family.members,
+                                                problem.m)):
+                    out.append(f"{template.value}[{family.kind.value}, {cf_id}]")
     return out
 
 
