@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import explain
 from .explain import ExplanationKind
 from .model import (ExplanationProblem, WeightedVotingGame, as_mask, cached_value,
-                    lacking_bit)
+                    lacking_bit, weak_field)
 
 CF_E = "CF_E"            # conditional expected value of the class label
 CF_M = "CF_M"            # fraction of points keeping the prediction
@@ -45,14 +45,15 @@ class CharacteristicTable:
     """One set function, fully materialized: subset mask S has value nums[S] / den.
 
     An indicator table also keeps its flag table (one byte per mask, the
-    bytes of nums) in flags; a numeric table has none.
+    bytes of nums) in flags; a numeric table has none.  The problem is held
+    weakly (model.weak_field): a table does not keep it alive.
     """
 
     cf_id: str
     n_features: int
     nums: tuple[int, ...]
     den: int
-    problem: ExplanationProblem | None = None
+    problem: ExplanationProblem | None = weak_field()
     flags: bytes | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):

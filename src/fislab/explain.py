@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from itertools import compress
 from operator import eq
 
-from .model import ExplanationProblem, as_mask, features_of, lacking_bit, up_closure
+from .model import (ExplanationProblem, as_mask, features_of, lacking_bit, up_closure,
+                    weak_field)
 
 
 class InvariantError(RuntimeError):
@@ -53,11 +54,12 @@ class ExplanationFamily:
     """All subsets of one explanation kind, sorted by (cardinality, mask).
 
     flags is the family's flag table over the problem's 2^m masks; it is
-    built from the members when not given."""
+    built from the members when not given.  The problem is held weakly
+    (model.weak_field): a family does not keep it alive."""
 
     kind: ExplanationKind
     members: tuple[int, ...]
-    problem: ExplanationProblem
+    problem: ExplanationProblem | None = weak_field()
     flags: bytes | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -197,7 +199,7 @@ def minimal_hitting_sets(members, universe_mask: int) -> tuple[int, ...]:
     indicator = bytearray(n)
     for t in members:
         indicator[t] = 1
-    missed = up_closure(int.from_bytes(indicator, "little"), n)
+    missed = up_closure(int.from_bytes(indicator, "little"), lacking_bit(n))
     hits = members_of(minimal_masks(missed.to_bytes(n, "big").translate(_NOT)))
     if contiguous:
         return hits

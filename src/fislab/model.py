@@ -15,6 +15,7 @@ import json
 import os
 import re
 import sys
+import weakref
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -139,17 +140,26 @@ def _lacking_runs(n: int, width: int) -> Iterator[int]:
         run <<= 1
 
 
+# selectors of more than 64 KiB are built one at a time, not cached:
+# building one costs less than the passes that read it, and a cache of them
+# would keep 20 MB of flag selectors at m = 20, and 18 MB of 4-byte packed
+# ones at m = 18 (80 MB at m = 20)
+CACHED_SELECTOR_BYTES = 1 << 16
+
+
 @functools.cache
-def lacking_bit(n: int, width: int = 1) -> tuple[int, ...]:
-    """The tables of _lacking_runs, cached per (n, width); width 1 gives
-    flag tables."""
+def _cached_lacking(n: int, width: int) -> tuple[int, ...]:
     return tuple(_lacking_runs(n, width))
 
 
-# selectors of more than 64 KiB are built one at a time, not cached:
-# building one costs less than the passes that read it, and a cache of the
-# 4-byte packed selectors would keep 18 MB at m = 18 and 80 MB at m = 20
-CACHED_SELECTOR_BYTES = 1 << 16
+def lacking_bit(n: int, width: int = 1) -> Iterable[int]:
+    """The tables of _lacking_runs, cached per (n, width) up to
+    CACHED_SELECTOR_BYTES each and built one at a time above it, so a
+    caller that reads them twice keeps its own tuple.  Width 1 gives flag
+    tables."""
+    if n * width <= CACHED_SELECTOR_BYTES:
+        return _cached_lacking(n, width)
+    return _lacking_runs(n, width)
 
 # adds one to every byte
 _INCREMENT = bytes(range(1, 256)) + b"\x00"
@@ -212,11 +222,7 @@ def superset_sums(values: list[int]) -> tuple[int, ...]:
                                 "little")
     step = 8 * width
     ones = (1 << step) - 1  # a whole field
-    if n * width <= CACHED_SELECTOR_BYTES:
-        selectors = lacking_bit(n, width)
-    else:
-        selectors = _lacking_runs(n, width)
-    for b, lacking in enumerate(selectors):
+    for b, lacking in enumerate(lacking_bit(n, width)):
         packed += (packed >> (step << b)) & (lacking * ones)
     data = packed.to_bytes(n * width, "little")
     del packed
@@ -230,11 +236,12 @@ def superset_sums(values: list[int]) -> tuple[int, ...]:
     return tuple(items)
 
 
-def up_closure(flags: int, n: int) -> int:
+def up_closure(flags: int, lacking: Iterable[int]) -> int:
     """The flag table of every mask that contains some member of flags
-    (each member's supersets), from one shift per bit."""
-    for b, lacking in enumerate(lacking_bit(n)):
-        flags |= (flags & lacking) << (8 << b)
+    (each member's supersets), from one shift per bit; lacking is
+    lacking_bit(n) of the table's n masks."""
+    for b, without in enumerate(lacking):
+        flags |= (flags & without) << (8 << b)
     return flags
 
 
@@ -264,6 +271,34 @@ class cached_value:
             return self
         value = instance.__dict__[self.name] = self.method(instance)
         return value
+
+
+class weak_field:
+    """A dataclass field that does not keep its value alive: the instance
+    holds a weakref.ref, and a read returns the referent while it lives and
+    None after that.  The field defaults to None.
+
+    Tables, families and score vectors name the problem they were built on
+    through one, so that a problem's memo, which holds them, forms no
+    reference cycle with it and goes by reference counting alone.  A data
+    descriptor is set even through object.__setattr__, which frozen
+    dataclasses use.  The ref goes in an attribute of its own, "_<name>_ref":
+    reading the instance's __dict__ would build it as a real dict, which
+    slows every attribute of the instance.
+    """
+
+    def __set_name__(self, owner, name):
+        self.attr = f"_{name}_ref"
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return None  # the default dataclasses read off the class
+        ref = getattr(instance, self.attr)
+        return ref if ref is None else ref()
+
+    def __set__(self, instance, value):
+        object.__setattr__(instance, self.attr,
+                           None if value is None else weakref.ref(value))
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +610,7 @@ class Classifier:
     features: tuple[FeatureDomain, ...]
     classes: frozenset[int]
     body: object
+    m: int = field(init=False, compare=False, repr=False)
     _labels: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _strides: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _value_index: tuple = field(init=False, compare=False, repr=False)
@@ -582,6 +618,7 @@ class Classifier:
     def __post_init__(self):
         object.__setattr__(self, "features", tuple(self.features))
         object.__setattr__(self, "classes", frozenset(self.classes))
+        object.__setattr__(self, "m", len(self.features))
         self._validate_shape()
         strides = [1] * self.m
         for i in range(self.m - 2, -1, -1):
@@ -653,10 +690,6 @@ class Classifier:
             raise DomainError(f"labels {sorted(emitted - self.classes)} not in the class set")
         if len(emitted) < 2:
             raise DomainError("classification function is constant")
-
-    @property
-    def m(self) -> int:
-        return len(self.features)
 
     @property
     def space_size(self) -> int:
@@ -812,6 +845,11 @@ class ExplanationProblem:
         if not axes:
             return iter((base,))
         return (base + sum(offsets) for offsets in itertools.product(*axes))
+
+    def __reduce__(self):
+        # the memo is derived data, and its tables hold weak references,
+        # which do not pickle: a problem sent to a worker goes without it
+        return ExplanationProblem, (self.classifier, self.instance)
 
     def _memo(self, key, build):
         """The value kept on the problem under key, from build() on first use."""

@@ -220,37 +220,44 @@ def check_dummy(problem: ExplanationProblem, template_id: TemplateId,
 # ---------------------------------------------------------------------------
 # P05..P08 act on an instantiated FIS
 
-def _fis(problem: ExplanationProblem, fis_id: str) -> ScoreVector:
-    """scores.compute_fis, kept on the problem for the P05..P08 checks.
+def _axp_containment(problem: ExplanationProblem) -> tuple[tuple[int, int], ...]:
+    """The ordered pairs (i, j) of distinct features such that every AXP
+    containing i contains j, row-major; kept on the problem.
 
-    The audits of one problem read each vector several times; a duality
-    sweep reads each once, so the memo stays out of compute_fis itself.
+    The AXPs containing i all contain j exactly when j lies in their
+    intersection (every feature does when no AXP contains i).
     """
-    return problem._memo(("fis", fis_id),
-                         lambda: scores.compute_fis(fis_id, problem))
+    def build():
+        m = problem.m
+        common = [problem.full_mask] * m
+        for s in explain.enumerate_axps(problem).members:
+            rest = s
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                common[low.bit_length() - 1] &= s
+        return tuple((i, j) for i in range(1, m + 1) for j in range(1, m + 1)
+                     if i != j and common[i - 1] >> (j - 1) & 1)
+    return problem._memo(("axp_containment",), build)
 
 
 def check_minimal_monotonicity(problem: ExplanationProblem, fis_id: str) -> PropertyVerdict:
     """Containment of per-feature minimal-explanation families must not invert scores."""
-    fam = explain.enumerate_axps(problem)
-    per_feature = [frozenset(fam.containing(i)) for i in range(1, problem.m + 1)]
-    vec = _fis(problem, fis_id)
-    for i in range(1, problem.m + 1):
-        for j in range(1, problem.m + 1):
-            if i == j or not per_feature[i - 1] <= per_feature[j - 1]:
-                continue
-            if vec.nums[i - 1] > vec.nums[j - 1]:
-                return _fis_failure(
-                    "P05", fis_id, problem, pair=(i, j),
-                    scores=(str(vec.score(i)), str(vec.score(j))),
-                    families=([list(features_of(s)) for s in sorted(per_feature[i - 1])],
-                              [list(features_of(s)) for s in sorted(per_feature[j - 1])]))
+    vec = scores.compute_fis(fis_id, problem)
+    for i, j in _axp_containment(problem):
+        if vec.nums[i - 1] > vec.nums[j - 1]:
+            fam = explain.enumerate_axps(problem)
+            return _fis_failure(
+                "P05", fis_id, problem, pair=(i, j),
+                scores=(str(vec.score(i)), str(vec.score(j))),
+                families=tuple([list(features_of(s)) for s in sorted(fam.containing(k))]
+                               for k in (i, j)))
     return PropertyVerdict("P05", fis_id, True)
 
 
 def gamma_value(problem: ExplanationProblem, fis_id: str) -> Fraction:
     """Exact per-feature score total (the efficiency-style constant)."""
-    return _fis(problem, fis_id).total()
+    return scores.compute_fis(fis_id, problem).total()
 
 
 def label_rotation(classes) -> dict[int, int]:
@@ -280,8 +287,8 @@ def relabeled_problem(problem: ExplanationProblem, sigma) -> ExplanationProblem:
 def check_class_relabeling(problem: ExplanationProblem, fis_id: str,
                            sigma) -> PropertyVerdict:
     """Scores must survive any bijective renaming of the class labels."""
-    base = _fis(problem, fis_id)
-    other = _fis(relabeled_problem(problem, sigma), fis_id)
+    base = scores.compute_fis(fis_id, problem)
+    other = scores.compute_fis(fis_id, relabeled_problem(problem, sigma))
     for i, (b, o) in enumerate(zip(base.nums, other.nums), 1):
         if b * other.den != o * base.den:
             return _fis_failure(
@@ -294,7 +301,7 @@ def check_class_relabeling(problem: ExplanationProblem, fis_id: str,
 def check_relevancy_consistency(problem: ExplanationProblem, fis_id: str) -> PropertyVerdict:
     """Non-zero score exactly on the features that occur in some explanation."""
     relevant = explain.relevant_features(problem)
-    vec = _fis(problem, fis_id)
+    vec = scores.compute_fis(fis_id, problem)
     for i in range(1, problem.m + 1):
         is_relevant = bool(relevant >> (i - 1) & 1)
         if bool(vec.nums[i - 1]) != is_relevant:
@@ -411,8 +418,9 @@ def _fis_runs(subject, problem, index) -> list[dict]:
 
 def _relabel_runs(subject, problem, index) -> list[dict]:
     classes = problem.classifier.classes
-    return [{"fis": subject, "sigma": sigma}
-            for sigma in (label_rotation(classes), label_scramble(classes))]
+    sigmas = problem._memo(("relabelings",), lambda: (label_rotation(classes),
+                                                      label_scramble(classes)))
+    return [{"fis": subject, "sigma": sigma} for sigma in sigmas]
 
 
 def _run_template(check, problem, params):

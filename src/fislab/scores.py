@@ -21,7 +21,7 @@ from . import charfun, explain
 from .charfun import CharacteristicTable
 from .explain import ExplanationKind
 from .model import (ExplanationProblem, WeightedVotingGame, as_mask, bit_slices,
-                    cached_value, lacking_bit, size_classes, up_closure)
+                    cached_value, lacking_bit, size_classes, up_closure, weak_field)
 
 
 class TemplateId(enum.Enum):
@@ -58,14 +58,15 @@ class ScoreVector:
 
     The pair is kept reduced (den >= 1 and gcd(den, *nums) == 1), so two
     vectors are equal exactly when their nums and den are equal; the label,
-    table id and problem are not compared.
+    table id and problem are not compared.  The problem is held weakly
+    (model.weak_field): a vector does not keep it alive.
     """
 
     nums: tuple[int, ...]
     den: int
     label: str
     cf_id: str | None = None
-    problem: ExplanationProblem | None = None
+    problem: ExplanationProblem | None = weak_field()
 
     def __post_init__(self):
         nums, den = self.nums, self.den
@@ -227,7 +228,7 @@ def _johnston_flags(flags: bytes) -> _Scores:
     n = len(flags)
     m = n.bit_length() - 1
     table = int.from_bytes(flags, "little")
-    lacking = lacking_bit(n)
+    lacking = tuple(lacking_bit(n))  # read twice
     biased = int.from_bytes(bytes((m,)) * n, "little")
     for b, without in enumerate(lacking):
         low = table & without
@@ -364,7 +365,7 @@ def template_score(template_id: TemplateId, problem: ExplanationProblem,
     over; the all-subset templates take none.  The vector is labelled with
     the template's name unless a label is given.
     """
-    if table.problem is not None and table.problem != problem:
+    if table.problem not in (None, problem):
         raise ValueError("table was built on a different problem")
     if table.n_features != problem.m:
         raise ValueError("table size does not match the problem")
@@ -457,9 +458,24 @@ def _normalize_fis(text: str) -> str:
 
 
 def compute_fis(fis_id: str, problem: ExplanationProblem, dual: bool = False) -> ScoreVector:
-    """One named feature-importance score, primal or mechanically dualized."""
-    if fis_id not in FIS_IDS:
-        raise ValueError(f"unknown score id {fis_id!r}")
+    """One named feature-importance score, primal or mechanically dualized,
+    kept on the problem.
+
+    The template's result is kept too, keyed by its inputs (template,
+    table id and family kind), so scores with the same inputs share one
+    pass: DUAL(E) and DUAL(M) read E's and M's, as CF_E and CF_M are their
+    own duals, and R_NORM and DUAL(R_NORM) read R's and DUAL(R)'s.
+    """
+    # the memo inline: an audit reads each vector many times
+    key, cache = ("fis", fis_id, dual), problem._cache
+    if key not in cache:
+        if fis_id not in FIS_IDS:
+            raise ValueError(f"unknown score id {fis_id!r}")
+        cache[key] = _fis_vector(fis_id, problem, dual)
+    return cache[key]
+
+
+def _fis_vector(fis_id: str, problem: ExplanationProblem, dual: bool) -> ScoreVector:
     label = f"DUAL({fis_id})" if dual else fis_id
     if fis_id == "V":
         return coverage_score(problem, contrastive=dual, label=label)
@@ -467,8 +483,21 @@ def compute_fis(fis_id: str, problem: ExplanationProblem, dual: bool = False) ->
     if dual:
         cf_id = charfun.dual_id(cf_id)
         family = family.dual if family else None
-    table = charfun.build_table(cf_id, problem)
-    return template_score(template, problem, table, family, normalized, label=label)
+    # the template's (nums, den), shared by every score with these inputs;
+    # the score that runs the pass returns its vector as it is, unless
+    # that score is normalized
+    key = ("template", template, cf_id, family)
+    pair = problem._cache.get(key)
+    if pair is None:
+        vec = template_score(template, problem, charfun.build_table(cf_id, problem),
+                             family, label=label)
+        pair = problem._cache[key] = vec.nums, vec.den
+        if not normalized:
+            return vec
+    nums, den = pair
+    if normalized:  # over the family size; an empty family scores 0 over 1
+        den *= len(explain.family(problem, family)) or 1
+    return ScoreVector(nums, den, label, cf_id, problem)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +534,9 @@ def coverage_score(problem: ExplanationProblem, contrastive: bool = False, *,
         exact = [k * others for k in exact] + exact
     size = problem.classifier.space_size
     counts = []
-    for lacking in lacking_bit(n):
-        covered = up_closure(members & ~lacking, n)
+    lacking = tuple(lacking_bit(n))  # read once per feature and in each closure
+    for without in lacking:
+        covered = up_closure(members & ~without, lacking)
         counts.append(sum(itertools.compress(exact, covered.to_bytes(n, "little"))))
     return ScoreVector(counts, size, label, None, problem)
 

@@ -1,9 +1,11 @@
 """The bounded-exhaustive gate of tools/boolean_gate.py on every
 non-constant boolean function with m <= 3 at the all-ones instance: every
 pinned holds* cell holds, the flag and integer Banzhaf and Johnston cores
-agree on each problem's indicator tables, and the flag and walk
+agree on each problem's indicator tables, the flag and walk
 Deegan-Packel, Holler-Packel and Andjiga cores agree on each of its
-families with each of those tables."""
+families with each of those tables, and every FIS vector, primal and dual,
+read from the problem's memo after the probes equals the vector computed on
+a fresh problem."""
 
 import importlib.util
 import itertools

@@ -13,11 +13,15 @@ sums against the list-slice transform they replaced.  Banzhaf and Johnston
 on an indicator's flag bytes are checked against both the integer core on
 the same numerators and the Fraction oracle, and so are Deegan-Packel,
 Holler-Packel and Andjiga on a family's and an indicator's flag bytes
-against the member walk and the Fraction oracle.
+against the member walk and the Fraction oracle.  Score vectors and audit
+facts kept on a problem are checked against fresh computations: the FISs
+that share a template pass, and minimal monotonicity (P05) against the
+per-score containment scan it replaced.
 """
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -26,11 +30,11 @@ from operator import add
 
 import pytest
 
-from fislab import charfun, explain, scores
+from fislab import charfun, explain, model, props, scores
 from fislab.charfun import CharacteristicTable
 from fislab.explain import ExplanationKind, is_waxp, is_wcxp
 from fislab.model import (And, BoolExprBody, Classifier, DomainError,
-                          FeatureDomain, Not, TableBody, TreeBody, TreeLeaf,
+                          ExplanationProblem, FeatureDomain, Not, TableBody, TreeBody, TreeLeaf,
                           TreeSplit, Var, WVGBody, WeightedVotingGame,
                           bit_slices, features_of, lacking_bit, make_problem,
                           parse_boolean_expression, size_classes, superset_sums,
@@ -411,6 +415,102 @@ def test_score_vectors_match_fraction_oracles(problem):
     assert_equal_exactly_when_values_are(vectors)
 
 
+def fresh(problem):
+    return ExplanationProblem(problem.classifier, problem.instance)
+
+
+@pytest.mark.parametrize("problem", [p for _, p in CORPUS], ids=[n for n, _ in CORPUS])
+def test_scores_sharing_a_template_pass_match_fresh_problems(problem):
+    # DUAL(E) and DUAL(M) read E's and M's Shapley pass on the same table
+    for fis_id, cf_id in (("E", charfun.CF_E), ("M", charfun.CF_M)):
+        primal = scores.compute_fis(fis_id, problem)
+        dual = scores.compute_fis(fis_id, problem, dual=True)
+        alone = fresh(problem)
+        expected = scores.template_score(TemplateId.SHAPLEY_SHUBIK, alone,
+                                         charfun.build_table(cf_id, alone))
+        for vec in (primal, dual):
+            assert (vec.nums, vec.den, vec.cf_id) == (expected.nums, expected.den, cf_id)
+        assert dual.label == f"DUAL({fis_id})"
+    # R_NORM and its dual read R's and DUAL(R)'s member walk
+    for dual, cf_id, kind in ((False, charfun.CF_A, ExplanationKind.AXP),
+                              (True, charfun.CF_A_DUAL, ExplanationKind.CXP)):
+        scores.compute_fis("R", problem, dual=dual)
+        shared = scores.compute_fis("R_NORM", problem, dual=dual)
+        alone = fresh(problem)
+        expected = scores.template_score(TemplateId.RESPONSIBILITY, alone,
+                                         charfun.build_table(cf_id, alone), kind,
+                                         normalized=True)
+        assert (shared.nums, shared.den, shared.cf_id) == (expected.nums, expected.den, cf_id)
+
+
+def test_scores_sharing_a_template_pass_run_it_once(chain, monkeypatch):
+    passes = []
+    template_score = scores.template_score
+
+    def counted(template, problem, table, *args, **kwargs):
+        passes.append((template, table.cf_id))
+        return template_score(template, problem, table, *args, **kwargs)
+
+    monkeypatch.setattr(scores, "template_score", counted)
+    problem = fresh(chain)
+    for fis_id in ("E", "M", "R", "R_NORM"):
+        for dual in (False, True):
+            first = scores.compute_fis(fis_id, problem, dual=dual)
+            assert scores.compute_fis(fis_id, problem, dual=dual) is first
+    assert passes == [(TemplateId.SHAPLEY_SHUBIK, charfun.CF_E),
+                      (TemplateId.SHAPLEY_SHUBIK, charfun.CF_M),
+                      (TemplateId.RESPONSIBILITY, charfun.CF_A),
+                      (TemplateId.RESPONSIBILITY, charfun.CF_A_DUAL)]
+
+
+def oracle_minimal_monotonicity(problem, fis_id: str) -> props.PropertyVerdict:
+    """The per-score containment scan of check_minimal_monotonicity, kept as
+    it was before the containment relation was kept on the problem."""
+    fam = explain.enumerate_axps(problem)
+    per_feature = [frozenset(fam.containing(i)) for i in range(1, problem.m + 1)]
+    vec = scores.compute_fis(fis_id, problem)
+    for i in range(1, problem.m + 1):
+        for j in range(1, problem.m + 1):
+            if i == j or not per_feature[i - 1] <= per_feature[j - 1]:
+                continue
+            if vec.nums[i - 1] > vec.nums[j - 1]:
+                return props._fis_failure(
+                    "P05", fis_id, problem, pair=(i, j),
+                    scores=(str(vec.score(i)), str(vec.score(j))),
+                    families=([list(features_of(s)) for s in sorted(per_feature[i - 1])],
+                              [list(features_of(s)) for s in sorted(per_feature[j - 1])]))
+    return props.PropertyVerdict("P05", fis_id, True)
+
+
+def test_minimal_monotonicity_matches_the_per_score_scan():
+    failures = set()
+    for _, problem in CORPUS:
+        for fis_id in props.AUDITED_FIS + ("E", "M"):
+            got = props.check_minimal_monotonicity(problem, fis_id)
+            expected = oracle_minimal_monotonicity(fresh(problem), fis_id)
+            assert got == expected, (fis_id, problem)
+            if not got.holds:
+                assert got.witness.data == expected.witness.data
+                failures.add(fis_id)
+    assert failures == {"E", "M"}  # so failing witnesses are compared too
+
+
+def test_relabeling_witness_replays_from_string_keys():
+    replayed = 0
+    for _, problem in CORPUS:
+        for fis_id in props.AUDITED_FIS:
+            props.audit("P07", fis_id, problem)  # fills the kept relabelings
+        verdict = props.audit("P07", "E", problem)
+        if verdict.holds:
+            continue
+        data = json.loads(json.dumps(verdict.witness.data))
+        assert data["sigma"] and all(isinstance(k, str) for k in data["sigma"])
+        stored = dataclasses.replace(verdict, witness=props.Witness(problem, data))
+        assert props.reverify(stored)
+        replayed += 1
+    assert replayed
+
+
 def test_vectors_are_reduced_on_construction():
     vec = ScoreVector([4, -6, 0], 10, "x")
     assert (vec.nums, vec.den) == ((2, -3, 0), 5)
@@ -557,6 +657,33 @@ def test_size_classes_past_the_cache_bound():
     assert sum(classes) == int.from_bytes(b"\x00" + b"\x01" * (n - 1), "little")
     for s in random.Random(m).sample(range(1, n), 300):
         assert classes[s.bit_count() - 1] >> 8 * s & 1
+
+
+def test_flag_passes_past_the_cache_bound_cache_no_selector():
+    # 2^17 one-byte flags exceed the 64 KiB bound: every flag pass builds
+    # its selectors and keeps none
+    m = 17
+    n = 1 << m
+    assert not isinstance(lacking_bit(n), tuple)
+    assert tuple(lacking_bit(n)) == oracle_lacking_bit(n)
+    rng = random.Random(m)
+    flags = bytes(rng.random() < 0.3 for _ in range(n))
+    family = bytes(rng.random() < 0.1 for _ in range(n))
+    cached = model._cached_lacking.cache_info().currsize
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        up_closure(int.from_bytes(flags, "little"), lacking_bit(n))
+        explain.minimal_masks(flags)
+        scores._banzhaf_flags(flags)
+        scores._johnston_flags(flags)
+        scores._family_flags(TemplateId.ANDJIGA, flags, family)
+        superset_sums(list(flags))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert model._cached_lacking.cache_info().currsize == cached
+    assert kept < n  # less than one selector of this size
 
 
 def test_injected_families_match_oracle_core():
@@ -973,7 +1100,8 @@ def test_superset_or_is_the_union_over_supersets(m):
     union = [0] * n
     for j in range(m):
         mirrored = bytes(values[top ^ s] >> j & 1 for s in range(n))
-        closed = up_closure(int.from_bytes(mirrored, "little"), n).to_bytes(n, "little")
+        closed = up_closure(int.from_bytes(mirrored, "little"),
+                            lacking_bit(n)).to_bytes(n, "little")
         for s in range(n):
             union[s] |= closed[top ^ s] << j
     assert union == expected
@@ -985,7 +1113,7 @@ def test_up_closure_matches_superset_scan(m):
     n = 1 << m
     for density in (0.02, 0.2, 0.6):
         flags = [rng.random() < density for _ in range(n)]
-        got = up_closure(int.from_bytes(bytes(flags), "little"), n)
+        got = up_closure(int.from_bytes(bytes(flags), "little"), lacking_bit(n))
         members = [t for t in range(n) if flags[t]]
         assert got.to_bytes(n, "little") == bytes(_up_closure(members, m))
         assert got < 1 << 8 * n  # nothing is shifted past the last mask

@@ -1,0 +1,104 @@
+"""A dropped problem goes by reference counting alone.
+
+A problem's memo holds its tables, families and score vectors, and those
+hold the problem weakly (model.weak_field), so the two form no reference
+cycle.  With the cyclic collector off, a sweep-style and an audit-style
+operation leave nothing for it to collect, and the problem is gone as soon
+as its last strong reference is.  Verdicts keep their problem alive: they
+are results, not memo entries.
+"""
+
+import gc
+import pickle
+import weakref
+
+import pytest
+
+from fislab import charfun, cli, explain, props, scores
+
+
+def sweep_op(problem):
+    """Every score and its dual with the duality level and decimals, both
+    minimal families and both hitting-set maps."""
+    report = []
+    for fis_id in scores.FIS_IDS:
+        dv = props.check_duality(problem, fis_id)
+        report.append((dv.primal.as_strings(), [cli.decimal_str(v) for v in dv.primal.values],
+                       dv.dual.as_strings(), dv.level.value))
+    axps, cxps = explain.enumerate_axps(problem), explain.enumerate_cxps(problem)
+    report += [explain.minimal_hitting_sets(family.members, problem.full_mask)
+               for family in (cxps, axps)]
+    return report
+
+
+def audit_op(problem):
+    """P05, P07 and P08 on every audited score, and S and B duality."""
+    verdicts = [props.audit(prop, fis_id, problem).holds
+                for prop in ("P05", "P07", "P08") for fis_id in props.AUDITED_FIS]
+    return verdicts + [props.check_duality(problem, fis_id).level
+                       for fis_id in ("S", "B")]
+
+
+def cyclic_garbage(run) -> int:
+    """What the cyclic collector finds after run(), with it off meanwhile."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("op", [sweep_op, audit_op])
+def test_an_operation_leaves_no_cyclic_garbage(op):
+    dead = []
+
+    def run():
+        for k in range(8):
+            problem = props.random_problem(5, k, (2, 5))
+            result = op(problem)
+            ref = weakref.ref(problem)
+            del problem, result
+            dead.append(ref() is None)  # no collection has run
+
+    assert cyclic_garbage(run) == 0
+    assert dead == [True] * 8
+
+
+def test_memo_entries_outlive_their_problem_without_it():
+    problem = props.random_problem(5, 1, (3, 3))
+    table = charfun.cf_waxp(problem)
+    family = explain.enumerate_axps(problem)
+    vec = scores.compute_fis("S", problem)
+    assert table.problem is family.problem is vec.problem is problem
+    del problem
+    assert table.problem is None and family.problem is None and vec.problem is None
+    # the frozen dataclasses still hash and print
+    assert hash(table) == hash(charfun.CharacteristicTable(
+        table.cf_id, table.n_features, table.nums, table.den))
+    assert "problem=None" in repr(table) and "problem=None" in repr(family)
+    hash(family)
+    assert vec.as_strings() and "problem=None" in repr(vec)
+
+
+def test_verdicts_keep_their_problem_alive(chain):
+    problem = props.relabeled_problem(chain, {0: 1, 1: 0})
+    ref = weakref.ref(problem)
+    duality = props.check_duality(problem, "S")
+    verdict = props.audit("P07", "E", problem)
+    assert not verdict.holds
+    del problem
+    assert ref() is duality.problem is verdict.witness.problem
+    assert props.reverify(verdict)
+
+
+def test_a_pickled_problem_leaves_its_memo_behind():
+    problem = props.random_problem(5, 2, (3, 3))
+    audit_op(problem)
+    assert problem._cache
+    copy = pickle.loads(pickle.dumps(problem))
+    assert copy == problem and copy._cache == {}
+    assert scores.compute_fis("S", copy) == scores.compute_fis("S", problem)

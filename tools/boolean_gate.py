@@ -15,7 +15,10 @@ asserts three things:
   on the same numerators;
 * Deegan-Packel, Holler-Packel and Andjiga read from the flag bytes of
   each explanation family and indicator table give the same pair as the
-  member walk over that family and table.
+  member walk over that family and table;
+* once the probes have run on the problem, every scores.compute_fis vector
+  (each FIS, primal and dual) read from its memo equals the vector
+  computed on a fresh problem of its own.
 
 Tier-1 runs it on all 270 functions with m <= 3 (tests/test_exhaustive.py).
 Run from the repository root, this script runs it on one function of each
@@ -37,7 +40,8 @@ import time
 
 from fislab import charfun, explain, props, scores
 from fislab.explain import ExplanationKind
-from fislab.model import Classifier, FeatureDomain, TableBody, make_problem
+from fislab.model import (Classifier, ExplanationProblem, FeatureDomain, TableBody,
+                          make_problem)
 from fislab.scores import TemplateId
 
 INDICATOR_IDS = (charfun.CF_W, charfun.CF_W_DUAL, charfun.CF_A,
@@ -115,6 +119,22 @@ def core_mismatches(problem) -> list[str]:
     return out
 
 
+def memo_mismatches(problem) -> list[str]:
+    """The FIS vectors, primal and dual, that the problem's memo gives
+    otherwise than a fresh problem per vector does.  The primal scores come
+    first, so each dual that shares a template pass with one reads it."""
+    out = []
+    for dual in (False, True):
+        for fis_id in scores.FIS_IDS:
+            shared = scores.compute_fis(fis_id, problem, dual)
+            alone = scores.compute_fis(fis_id, ExplanationProblem(
+                problem.classifier, problem.instance), dual)
+            if (shared.nums, shared.den, shared.label, shared.cf_id) != (
+                    alone.nums, alone.den, alone.label, alone.cf_id):
+                out.append(shared.label)
+    return out
+
+
 def run_gate(ms, up_to_renumbering: bool = False,
              probes=None) -> tuple[int, list[str]]:
     """(problems drawn, failures) over the functions of each m in ms; probes
@@ -131,6 +151,8 @@ def run_gate(ms, up_to_renumbering: bool = False,
                 failures.extend(f"cores differ on {name}, m={m} function={function:#x}"
                                 for name in core_mismatches(problem))
                 yield drawn, problem, {"m": m, "function": function}
+                failures.extend(f"memo differs on {name}, m={m} function={function:#x}"
+                                for name in memo_mismatches(problem))
                 drawn += 1
 
     for (prop, subject), witness in zip(probes, props._first_failures(probes, stream())):
