@@ -157,16 +157,26 @@ def cf_wvg(game: WeightedVotingGame) -> CharacteristicTable:
 
 
 def cf_sum(table1: CharacteristicTable, table2: CharacteristicTable) -> CharacteristicTable:
+    """The pointwise sum, over the lcm of the two denominators.  The sum of
+    two of a problem's own memoized tables is memoized on the problem too,
+    keyed by their ids."""
     if table1.n_features != table2.n_features:
         raise ValueError("cannot add tables over different feature counts")
-    if table1.problem is not None and table2.problem is not None \
-            and table1.problem != table2.problem:
+    problem1, problem2 = table1.problem, table2.problem
+    if problem1 is not None and problem2 is not None and problem1 != problem2:
         raise ValueError("cannot add tables built on different problems")
-    den = math.lcm(table1.den, table2.den)
-    k1, k2 = den // table1.den, den // table2.den
-    nums = tuple(a * k1 + b * k2 for a, b in zip(table1.nums, table2.nums))
-    return CharacteristicTable(CF_SUM, table1.n_features, nums, den,
-                               table1.problem or table2.problem)
+
+    def build():
+        den = math.lcm(table1.den, table2.den)
+        k1, k2 = den // table1.den, den // table2.den
+        nums = tuple(a * k1 + b * k2 for a, b in zip(table1.nums, table2.nums))
+        return CharacteristicTable(CF_SUM, table1.n_features, nums, den,
+                                   problem1 or problem2)
+
+    if problem2 is problem1 is not None and all(
+            problem1._cache.get(("cf", t.cf_id)) is t for t in (table1, table2)):
+        return problem1._memo(("cf_sum", table1.cf_id, table2.cf_id), build)
+    return build()
 
 
 def dual_id(cf_id: str) -> str:

@@ -1,12 +1,16 @@
 """Weak/minimal abductive and contrastive explanations, criticality, duality.
 
-The families read the problem's agreement sums (model.AgreementSums): a
-subset is sufficient when every point agreeing with the instance on it keeps
-the instance's class.  A family is held as a flag table, one byte per mask
-(see model.lacking_bit), and the minimal families and the minimal hitting
-sets are whole-table shifts on it.  The predicates is_waxp and is_wcxp
-decide one subset by scanning its slice of feature space; that scan is the
-ground truth the families are tested against.
+Every family reads the problem's one table of sufficient subsets
+(ExplanationProblem._sufficient_flags): a subset is sufficient when every
+point agreeing with the instance on it keeps the instance's class.  On
+problems with two values per domain and classes below 256 that table is a
+down-closure over the label bytes, and the integer agreement sums
+(model.AgreementSums) are left to the CF_E and CF_M tables.  A family is
+held as a flag table, one byte per mask (see model.lacking_bit), and the
+minimal families and the minimal hitting sets are whole-table shifts on it.
+The predicates is_waxp and is_wcxp decide one subset by scanning its slice
+of feature space; that scan is the ground truth the families are tested
+against.
 """
 
 from __future__ import annotations
@@ -14,10 +18,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import eq
 
-from .model import (ExplanationProblem, as_mask, features_of, lacking_bit, up_closure,
-                    weak_field)
+from .model import (FLIP_FLAGS, ExplanationProblem, as_mask, features_of, lacking_bit,
+                    up_closure, weak_field)
 
 
 class InvariantError(RuntimeError):
@@ -140,17 +143,12 @@ def family(problem: ExplanationProblem, kind: ExplanationKind) -> ExplanationFam
     return problem._memo(("family", kind), lambda: _build_family(problem, kind))
 
 
-# swaps the flags 0 and 1
-_NOT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-
-
 def _build_family(problem, kind):
-    sums = problem.agreement_sums()
-    flags = bytes(map(eq, sums.same, sums.count))  # sufficient
+    flags = problem._sufficient_flags()
     if kind in (ExplanationKind.WCXP, ExplanationKind.CXP):
         # S is contrastive iff its complement, mask full ^ S = n - 1 - S,
         # is not sufficient
-        flags = flags[::-1].translate(_NOT)
+        flags = flags[::-1].translate(FLIP_FLAGS)
     if kind in (ExplanationKind.AXP, ExplanationKind.CXP):
         flags = minimal_masks(flags)
     return ExplanationFamily(kind, members_of(flags), problem, flags)
@@ -200,7 +198,7 @@ def minimal_hitting_sets(members, universe_mask: int) -> tuple[int, ...]:
     for t in members:
         indicator[t] = 1
     missed = up_closure(int.from_bytes(indicator, "little"), lacking_bit(n))
-    hits = members_of(minimal_masks(missed.to_bytes(n, "big").translate(_NOT)))
+    hits = members_of(minimal_masks(missed.to_bytes(n, "big").translate(FLIP_FLAGS)))
     if contiguous:
         return hits
     return tuple(sum(bit for j, bit in enumerate(bits) if s >> j & 1) for s in hits)

@@ -19,6 +19,7 @@ import weakref
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import eq
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 HARD_FEATURE_CAP = 20
@@ -128,6 +129,10 @@ def bit_slices(n: int) -> tuple[tuple[tuple[slice, slice], ...], ...]:
 # that mask S sits at bit 8*S.  Shifting such an int left by 8 << b moves
 # each mask S to S + 2^b, which is S with bit b added when S lacks it.
 # Packed sums (superset_sums) hold one wider field per mask the same way.
+
+# swaps the flags 0 and 1
+FLIP_FLAGS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
 
 def _lacking_runs(n: int, width: int) -> Iterator[int]:
     """For each bit b of the masks 0..n-1, lowest first, the table of the
@@ -860,7 +865,20 @@ class ExplanationProblem:
 
     def agreement_sums(self) -> AgreementSums:
         """The problem's integer kernel (see AgreementSums), built on first use."""
-        return self._memo(("agreement_sums",), lambda: _agreement_sums(self))
+        return self._memo(("agreement_sums",),
+                          lambda: _agreement_sums(self, self._mask_labels()))
+
+    def _mask_labels(self) -> bytes | None:
+        """The label of the one point at each agreement mask with the
+        instance, or None unless every domain has two values and every class
+        is below 256 (see _mask_labels); built on first use."""
+        return self._memo(("mask_labels",), lambda: _mask_labels(self))
+
+    def _sufficient_flags(self) -> bytes:
+        """The flag table of the sufficient subsets, the masks S such that
+        every point agreeing with the instance on S has its class; built on
+        first use.  Every explanation family reads it."""
+        return self._memo(("sufficient",), lambda: _sufficient_flags(self))
 
 
 class AgreementSums(NamedTuple):
@@ -869,7 +887,9 @@ class AgreementSums(NamedTuple):
     Each field is indexed by subset mask S and sums over the points x with
     x_i = v_i for every feature i in S: ``label_sum`` adds their labels,
     ``same`` counts those labelled with the instance's class and ``count``
-    counts them all.  Every table and family of a problem reads these.
+    counts them all.  The CF_E and CF_M tables read these; the explanation
+    families read the problem's sufficient flags, which a non-boolean
+    problem takes from ``same`` and ``count``.
     """
 
     label_sum: tuple[int, ...]
@@ -877,22 +897,86 @@ class AgreementSums(NamedTuple):
     count: tuple[int, ...]
 
 
-def _agreement_sums(problem: ExplanationProblem) -> AgreementSums:
-    """One pass over the label table bins each point by its agreement mask
-    with the instance; superset sums then give the totals for every subset
-    (labels are non-negative, as superset_sums needs).  The point count of a
-    subset is the product of its free domains' sizes."""
+def _class_flags(c: int) -> bytes:
+    """A bytes.translate table that maps byte c to 1 and every other byte to 0."""
+    return bytes(c) + b"\x01" + bytes(255 - c)
+
+
+def _mask_labels(problem: ExplanationProblem) -> bytes | None:
+    """The label of each point, one byte each, moved from its rank to its
+    agreement mask with the instance, when every domain has two values and
+    every class is below 256 (otherwise None).  With two values per domain
+    each mask holds exactly one point, so this is an index permutation,
+    done in whole-table swaps on the bytes read as one little-endian int.
+
+    Rank order puts feature 1 in the top bit of the rank, and mask order in
+    bit 0, so m // 2 delta swaps (Knuth, TAOCP 4A, 7.1.3) of bits j and
+    m - 1 - j first reverse the index bits: entry q then holds the point
+    whose value index on feature i is bit i of q.  That point agrees with
+    the instance on i when the two indices are equal, so for each feature
+    whose instance value has index 0 a half-swap on bit i (each block of
+    2^i entries trades places with its neighbour) flips bit i of every
+    entry's index.
+    """
     cls = problem.classifier
-    # agreement mask of every point, in rank order
-    masks = _rank_sums([[1 << i if k == index[v] else 0 for k in range(dom.size)]
-                        for i, (dom, index, v)
-                        in enumerate(zip(cls.features, cls._value_index, problem.v))])
-    label_sum, same = [0] * (1 << problem.m), [0] * (1 << problem.m)
+    if max(cls.classes) > 255 or any(dom.size != 2 for dom in cls.features):
+        return None
+    m, n = problem.m, len(cls._labels)
+    # per bit, 0xff in the bytes of the masks that lack it
+    lacking = [flags * 0xFF for flags in lacking_bit(n)]
+    table = int.from_bytes(bytes(cls._labels), "little")
+    for j in range(m // 2):
+        k = m - 1 - j
+        shift = 8 * ((1 << k) - (1 << j))  # from a mask with j, without k
+        moved = ((table >> shift) ^ table) & lacking[k] & ~lacking[j]
+        table ^= moved ^ (moved << shift)
+    for i, (index, v) in enumerate(zip(cls._value_index, problem.v)):
+        if index[v] == 0:
+            shift = 8 << i
+            table = ((table & lacking[i]) << shift) | ((table >> shift) & lacking[i])
+    return table.to_bytes(n, "little")
+
+
+def _sufficient_flags(problem: ExplanationProblem) -> bytes:
+    """S is sufficient iff no point of another class agrees with the
+    instance on a superset of S.  From the mask labels: flag the masks whose
+    point has another class, OR each flag down to every subset (per bit, the
+    masks with it shifted onto the masks without it: the mirror of
+    up_closure) and take the complement.  Otherwise from the agreement sums,
+    where S is sufficient when all its points have the instance's class."""
+    labels = problem._mask_labels()
+    if labels is None:
+        sums = problem.agreement_sums()
+        return bytes(map(eq, sums.same, sums.count))
+    n = len(labels)
+    other = _class_flags(problem.c).translate(FLIP_FLAGS)
+    bad = int.from_bytes(labels.translate(other), "little")
+    for b, without in enumerate(lacking_bit(n)):
+        bad |= (bad >> (8 << b)) & without
+    return bad.to_bytes(n, "little").translate(FLIP_FLAGS)
+
+
+def _agreement_sums(problem: ExplanationProblem, labels: bytes | None) -> AgreementSums:
+    """Each point is binned by its agreement mask with the instance: from
+    labels, the mask labels of a boolean problem (_mask_labels), when given,
+    and otherwise by one pass over the label table.  Superset sums then give
+    the totals for every subset (labels are non-negative, as superset_sums
+    needs).  The point count of a subset is the product of its free domains'
+    sizes."""
+    cls = problem.classifier
     c = problem.c
-    for mask, label in zip(masks, cls._labels):
-        label_sum[mask] += label
-        if label == c:
-            same[mask] += 1
+    if labels is not None:
+        label_sum, same = list(labels), list(labels.translate(_class_flags(c)))
+    else:
+        # agreement mask of every point, in rank order
+        masks = _rank_sums([[1 << i if k == index[v] else 0 for k in range(dom.size)]
+                            for i, (dom, index, v)
+                            in enumerate(zip(cls.features, cls._value_index, problem.v))])
+        label_sum, same = [0] * (1 << problem.m), [0] * (1 << problem.m)
+        for mask, label in zip(masks, cls._labels):
+            label_sum[mask] += label
+            if label == c:
+                same[mask] += 1
     count = [1]
     for dom in cls.features:  # masks without feature i, then with it
         size = dom.size

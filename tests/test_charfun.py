@@ -8,7 +8,7 @@ from fislab.charfun import (CharacteristicTable, cf_axp, cf_cxp, cf_expected,
                             cf_generator, cf_similarity, cf_sum, cf_waxp,
                             cf_wcxp, cf_wvg, delta_total, dual_table)
 from fislab.explain import is_critical
-from fislab.model import WeightedVotingGame, as_mask, mask_of
+from fislab.model import ExplanationProblem, WeightedVotingGame, as_mask, mask_of
 
 
 def delta_i(table, i: int, subset) -> Fraction:
@@ -148,6 +148,18 @@ def test_sum_doubles_indicator(chain):
 def test_sum_of_expected_and_similarity_at_empty(chain):
     combined = cf_sum(cf_expected(chain), cf_similarity(chain))
     assert combined.value(0) == Fraction(10, 16)
+
+
+def test_sum_of_memoized_tables_is_memoized(chain):
+    problem = ExplanationProblem(chain.classifier, chain.instance)
+    combined = cf_sum(cf_expected(problem), cf_waxp(problem))
+    assert cf_sum(cf_expected(problem), cf_waxp(problem)) is combined
+    assert cf_sum(cf_waxp(problem), cf_expected(problem)) is not combined
+    # a table the problem does not keep gives a sum it does not keep
+    own = CharacteristicTable(charfun.CF_E, 4, cf_expected(problem).nums,
+                              cf_expected(problem).den, problem)
+    assert cf_sum(own, cf_waxp(problem)) is not cf_sum(own, cf_waxp(problem))
+    assert cf_sum(own, cf_waxp(problem)).values == combined.values
 
 
 def test_sum_with_zero_table_is_identity(chain):

@@ -3,9 +3,10 @@ non-constant boolean function with m <= 3 at the all-ones instance: every
 pinned holds* cell holds, the flag and integer Banzhaf and Johnston cores
 agree on each problem's indicator tables, the flag and walk
 Deegan-Packel, Holler-Packel and Andjiga cores agree on each of its
-families with each of those tables, and every FIS vector, primal and dual,
-read from the problem's memo after the probes equals the vector computed on
-a fresh problem."""
+families with each of those tables, the WAXP flag table and the agreement
+sums equal the per-point binning loop's, and every FIS vector, primal and
+dual, read from the problem's memo after the probes equals the vector
+computed on a fresh problem."""
 
 import importlib.util
 import itertools
@@ -30,6 +31,23 @@ def test_gate_reports_cells_that_fail():
         ("P01", "banzhaf"), ("P05", "E"), ("P01", "shapley_shubik")])
     assert drawn == 270
     assert [line.split(" fails")[0] for line in failures] == ["P01 banzhaf", "P05 E"]
+
+
+@pytest.mark.parametrize("broken, expected", [
+    # label bytes left in rank order: wrong wherever reversing the bit
+    # order or flipping the instance's bits moves a label
+    (lambda problem: bytes(problem.classifier._labels),
+     ["kernel differs on agreement sums at 0...0, m=1 function=0x1",
+      "kernel differs on waxp flags, m=2 function=0x2"]),
+    # no mask labels: the loop would be compared with itself
+    (lambda problem: None, ["kernel differs on mask labels, m=1 function=0x1"]),
+], ids=["rank-order", "none"])
+def test_gate_reports_kernel_mismatches(broken, expected, monkeypatch):
+    monkeypatch.setattr(gate.model, "_mask_labels", broken)
+    drawn, failures = gate.run_gate(range(1, 3))
+    assert drawn == 16
+    assert all(line.startswith("kernel differs") for line in failures)
+    assert set(expected) <= set(failures)
 
 
 @pytest.mark.parametrize("m, classes", [(1, 2), (2, 10), (3, 78)])

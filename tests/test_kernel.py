@@ -16,7 +16,10 @@ Holler-Packel and Andjiga on a family's and an indicator's flag bytes
 against the member walk and the Fraction oracle.  Score vectors and audit
 facts kept on a problem are checked against fresh computations: the FISs
 that share a template pass, and minimal monotonicity (P05) against the
-per-score containment scan it replaced.
+per-score containment scan it replaced.  The sufficient flags every family
+reads and the agreement sums are checked against the per-point binning loop,
+which boolean problems no longer run, on the corpus and on random tables
+over two-valued domains in both value orders.
 """
 
 import dataclasses
@@ -26,7 +29,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from operator import add
+from operator import add, eq
 
 import pytest
 
@@ -36,7 +39,7 @@ from fislab.explain import ExplanationKind, is_waxp, is_wcxp
 from fislab.model import (And, BoolExprBody, Classifier, DomainError,
                           ExplanationProblem, FeatureDomain, Not, TableBody, TreeBody, TreeLeaf,
                           TreeSplit, Var, WVGBody, WeightedVotingGame,
-                          bit_slices, features_of, lacking_bit, make_problem,
+                          agreement_set, bit_slices, features_of, lacking_bit, make_problem,
                           parse_boolean_expression, size_classes, superset_sums,
                           up_closure)
 from fislab.scores import ScoreVector, TemplateId
@@ -417,6 +420,48 @@ def test_score_vectors_match_fraction_oracles(problem):
 
 def fresh(problem):
     return ExplanationProblem(problem.classifier, problem.instance)
+
+
+# ---------------------------------------------------------------------------
+# boolean problems: the permuted label bytes against the per-point loop
+
+def boolean_corpus():
+    """Random tables over two-valued domains, each in a random value order,
+    at random instances: labels {0, 1}, three classes, classes up to 255,
+    and a class of 256, which the permutation does not take."""
+    rng = random.Random(20261019)
+    for m in range(1, 9):
+        for classes in ((0, 1), (0, 1, 2), (7, 255), (0, 256)):
+            features = tuple(FeatureDomain(i, rng.choice(((0, 1), (1, 0))))
+                             for i in range(1, m + 1))
+            classifier = _nonconstant(lambda: Classifier(
+                features, frozenset(classes),
+                TableBody(tuple(rng.choice(classes) for _ in range(1 << m)))))
+            for _ in range(3):
+                point = tuple(rng.choice(dom.values) for dom in features)
+                order = "".join(str(dom.values[0]) for dom in features)
+                yield (f"boolean-m{m}-{max(classes) + 1}cls-{order}-{point}",
+                       make_problem(classifier, point))
+
+
+KERNEL_CORPUS = CORPUS + list(boolean_corpus())
+
+
+@pytest.mark.parametrize("problem", [p for _, p in KERNEL_CORPUS],
+                         ids=[n for n, _ in KERNEL_CORPUS])
+def test_sufficient_flags_and_agreement_sums_match_the_point_loop(problem):
+    problem = fresh(problem)
+    cls = problem.classifier
+    permuted = max(cls.classes) < 256 and all(dom.size == 2 for dom in cls.features)
+    labels = problem._mask_labels()
+    assert (labels is not None) == permuted
+    if permuted:
+        # each mask holds the label of the one point agreeing with v on it
+        assert labels == bytes(cls.evaluate(x) for x in sorted(
+            cls.points(), key=lambda x: agreement_set(x, problem.v)))
+    loop = model._agreement_sums(problem, None)
+    assert problem._sufficient_flags() == bytes(map(eq, loop.same, loop.count))
+    assert problem.agreement_sums() == loop
 
 
 @pytest.mark.parametrize("problem", [p for _, p in CORPUS], ids=[n for n, _ in CORPUS])

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -525,6 +527,30 @@ def test_property_matrix_draws_each_problem_once(monkeypatch):
     assert len(draws) <= 60 + 600
     assert corpus == [(0, k, (2, 5)) for k in range(60)]
     assert walk == [(0, k, (2, 5)) for k in range(len(walk))]
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "f27b7ff51467e3bc021bd387cdd4a01b834c6d6bc8d089e5b6523ceb5c4b4b8b"),
+    (3, "6bc611d2406ad42b1a6c317f054ed4c09ee26d6eda09be21be9571a361abbd7d"),
+])
+def test_p03_rows_share_one_sum_table_per_problem(seed, digest, monkeypatch):
+    # the seven P03 rows probe each problem of the walk with the same
+    # additivity pair, and read one sum table kept on the problem; every P03
+    # cell and witness is as it was when each row built its own
+    sums = []
+    cf_sum = charfun.cf_sum
+
+    def counted(table1, table2):
+        sums.append(cf_sum(table1, table2))  # kept alive, so ids stay unique
+        return sums[-1]
+
+    monkeypatch.setattr(charfun, "cf_sum", counted)
+    matrix = property_matrix(seed=seed)
+    p03 = {row: [cell.status, cell.witness and cell.witness.data]
+           for (row, prop), cell in sorted(matrix.cells.items()) if prop == "P03"}
+    text = json.dumps(p03, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert len(sums) > 3000 and len(set(map(id, sums))) == 600
 
 
 def test_property_matrix_reports_pins_it_misses(monkeypatch):

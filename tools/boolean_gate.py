@@ -4,7 +4,7 @@ Renumbering features permutes every score and renaming values changes none
 (tests/test_metamorphic.py), so a boolean problem is fixed, up to feature
 renumbering, by its truth table read at the all-ones instance.  For every
 non-constant boolean function of m features at that instance, the gate
-asserts three things:
+asserts five things:
 
 * every cell pinned to hold in props.PINNED_TEMPLATE and props.PINNED_FIS
   holds, probed as the matrix probes it (the template cells also with the
@@ -16,6 +16,10 @@ asserts three things:
 * Deegan-Packel, Holler-Packel and Andjiga read from the flag bytes of
   each explanation family and indicator table give the same pair as the
   member walk over that family and table;
+* the WAXP flag table, a down-closure over the label bytes moved to
+  agreement-mask order, and the agreement sums binned from those bytes
+  equal what the per-point binning loop gives, at the all-ones and at the
+  all-zeros instance;
 * once the probes have run on the problem, every scores.compute_fis vector
   (each FIS, primal and dual) read from its memo equals the vector
   computed on a fresh problem of its own.
@@ -37,8 +41,9 @@ import dataclasses
 import itertools
 import sys
 import time
+from operator import eq
 
-from fislab import charfun, explain, props, scores
+from fislab import charfun, explain, model, props, scores
 from fislab.explain import ExplanationKind
 from fislab.model import (Classifier, ExplanationProblem, FeatureDomain, TableBody,
                           make_problem)
@@ -119,6 +124,26 @@ def core_mismatches(problem) -> list[str]:
     return out
 
 
+def kernel_mismatches(problem) -> list[str]:
+    """The kernel facts that differ from the per-point binning loop: the
+    WAXP flag table and the agreement sums, on the problem and on its
+    function at the all-zeros instance (where every feature's mask bit is
+    flipped).  A boolean problem must bin by its mask labels, or the loop
+    would be compared with itself."""
+    out = []
+    zeros = make_problem(problem.classifier, (0,) * problem.m)
+    for name, case in (("", problem), (" at 0...0", zeros)):
+        if case._mask_labels() is None:
+            out.append("mask labels" + name)
+        loop = model._agreement_sums(case, None)
+        if explain.family(case, ExplanationKind.WAXP).flags != bytes(
+                map(eq, loop.same, loop.count)):
+            out.append("waxp flags" + name)
+        if case.agreement_sums() != loop:
+            out.append("agreement sums" + name)
+    return out
+
+
 def memo_mismatches(problem) -> list[str]:
     """The FIS vectors, primal and dual, that the problem's memo gives
     otherwise than a fresh problem per vector does.  The primal scores come
@@ -150,6 +175,8 @@ def run_gate(ms, up_to_renumbering: bool = False,
                 problem = all_ones_problem(m, function)
                 failures.extend(f"cores differ on {name}, m={m} function={function:#x}"
                                 for name in core_mismatches(problem))
+                failures.extend(f"kernel differs on {name}, m={m} function={function:#x}"
+                                for name in kernel_mismatches(problem))
                 yield drawn, problem, {"m": m, "function": function}
                 failures.extend(f"memo differs on {name}, m={m} function={function:#x}"
                                 for name in memo_mismatches(problem))
