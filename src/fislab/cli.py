@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import charfun, explain, props, reference, scores
 from .model import (DomainError, ExplanationProblem, ParseError, RelabelError,
@@ -31,30 +32,78 @@ INTERNAL_ERROR = 3
 FIS_PROPERTIES = ("P05", "P06", "P07", "P08", "P09")
 
 
+def _decimal(num: int, den: int) -> str:
+    """num / den (den >= 1) rounded half-even to 6 places."""
+    units, rest = divmod(abs(num) * 10**6, den)
+    if 2 * rest > den or 2 * rest == den and units % 2:
+        units += 1
+    whole, places = divmod(units, 10**6)
+    return f"{'-' if num < 0 else ''}{whole}.{places:06d}"
+
+
 def decimal_str(value: Fraction) -> str:
     """The exact value rounded half-even to 6 places; display only, never
     used in comparisons.  A negative value that rounds to zero keeps its
     minus sign."""
-    units, rest = divmod(abs(value.numerator) * 10**6, value.denominator)
-    if 2 * rest > value.denominator or 2 * rest == value.denominator and units % 2:
-        units += 1
-    whole, places = divmod(units, 10**6)
-    return f"{'-' if value.numerator < 0 else ''}{whole}.{places:06d}"
+    return _decimal(value.numerator, value.denominator)
 
 
-def _emit(report: dict, rows: list[dict], text: str, fmt: str) -> None:
+def _json(obj, depth: int = 0) -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, byte for
+    byte, at the given nesting depth.  A dict key that is not a str raises
+    TypeError.
+
+    json.dumps runs its pure-Python encoder whenever it indents; this writes
+    a list of only ints or only strs with one join, and escapes each str
+    with the C function json.dumps uses.
+    """
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        keys = sorted(obj)
+        for key in keys:
+            if not isinstance(key, str):
+                raise TypeError(f"report key {key!r} is not a str")
+        inner = depth + 1
+        items = [f"{_json_str(key)}: {_json(obj[key], inner)}" for key in keys]
+        opening, closing = "{", "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = depth + 1
+        if all(type(v) is int for v in obj):
+            items = map(int.__repr__, obj)
+        elif all(type(v) is str for v in obj):
+            items = map(_json_str, obj)
+        else:
+            items = [_json(v, inner) for v in obj]
+        opening, closing = "[", "]"
+    elif type(obj) is int:
+        return int.__repr__(obj)
+    else:
+        return json.dumps(obj)
+    indent = "\n" + "  " * inner
+    return opening + indent + ("," + indent).join(items) + indent[:-2] + closing
+
+
+def _emit(report: dict, rows, text, fmt: str) -> None:
+    """Write the report in fmt.  rows and text are zero-argument functions
+    that make the csv rows and the text; only the one fmt needs is called."""
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_json(report) + "\n")
     elif fmt == "csv":
+        built = rows()
         buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()),
+        if built:
+            writer = csv.DictWriter(buf, fieldnames=list(built[0].keys()),
                                     lineterminator="\n")
             writer.writeheader()
-            writer.writerows(rows)
+            writer.writerows(built)
         sys.stdout.write(buf.getvalue())
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text())
 
 
 def _load_problem(args) -> ExplanationProblem:
@@ -125,21 +174,28 @@ def cmd_explain(args) -> int:
                               if relevant >> (i - 1) & 1],
         "checks": {"hitting_set_duality": "PASS"},
     }
-    rows = [{"kind": "axp", "features": " ".join(map(str, s))}
-            for s in report["axps"]]
-    rows += [{"kind": "cxp", "features": " ".join(map(str, s))}
-             for s in report["cxps"]]
-    rows += [{"kind": "relevant", "features": " ".join(map(str, report["relevant_features"]))},
-             {"kind": "check:hitting_set_duality",
-              "features": report["checks"]["hitting_set_duality"]}]
-    text = [
-        f"instance: {report['instance']}  label: {problem.c}",
-        "abductive (minimal sufficient): " + "; ".join(map(str, report["axps"])),
-        "contrastive (minimal changeable): " + "; ".join(map(str, report["cxps"])),
-        f"relevant features: {report['relevant_features']}",
-        f"hitting-set duality: {report['checks']['hitting_set_duality']}",
-    ]
-    _emit(report, rows, "\n".join(text) + "\n", args.format)
+
+    def build_rows():
+        rows = [{"kind": "axp", "features": " ".join(map(str, s))}
+                for s in report["axps"]]
+        rows += [{"kind": "cxp", "features": " ".join(map(str, s))}
+                 for s in report["cxps"]]
+        rows += [{"kind": "relevant", "features": " ".join(map(str, report["relevant_features"]))},
+                 {"kind": "check:hitting_set_duality",
+                  "features": report["checks"]["hitting_set_duality"]}]
+        return rows
+
+    def build_text():
+        text = [
+            f"instance: {report['instance']}  label: {problem.c}",
+            "abductive (minimal sufficient): " + "; ".join(map(str, report["axps"])),
+            "contrastive (minimal changeable): " + "; ".join(map(str, report["cxps"])),
+            f"relevant features: {report['relevant_features']}",
+            f"hitting-set duality: {report['checks']['hitting_set_duality']}",
+        ]
+        return "\n".join(text) + "\n"
+
+    _emit(report, build_rows, build_text, args.format)
     return 0
 
 
@@ -156,7 +212,7 @@ def cmd_score(args) -> int:
         entry = {
             "name": scores.FIS_NAMES[fis_id],
             "values": vec.as_strings(),
-            "decimals": [decimal_str(v) for v in vec.values],
+            "decimals": [_decimal(n, vec.den) for n in vec.nums],
         }
         if args.dual and not dual:
             dvec = scores.compute_fis(fis_id, problem, dual=True)
@@ -177,33 +233,40 @@ def cmd_score(args) -> int:
         result[label] = entry
     report = {"command": "score", "instance": list(problem.v),
               "label": problem.c, "scores": result}
-    rows = []
-    for label, entry in result.items():
-        for i, (val, dec) in enumerate(zip(entry["values"], entry["decimals"]), 1):
-            row = {"fis": label, "feature": i, "value": val, "decimal": dec}
-            if args.rank:
-                row["rank"] = entry["ranking"][i - 1]
-            rows.append(row)
-    headers = ["feature"] + [label for label, _ in
-                             ((f"DUAL({f})" if d else f, d) for f, d in wanted)]
-    table_rows = []
-    for i in range(1, problem.m + 1):
-        row = [str(i)]
-        for fis_id, dual in wanted:
-            label = f"DUAL({fis_id})" if dual else fis_id
-            entry = result[label]
-            row.append(f"{entry['values'][i - 1]} ({entry['decimals'][i - 1]})")
-        table_rows.append(row)
-    text = _grid(headers, table_rows)
-    notes = []
-    for label, entry in result.items():
-        if "oracle" in entry:
-            notes.append(f"permutation oracle {label}: {entry['oracle']}")
-        if "dual_values" in entry:
-            notes.append(f"dual {label}: {','.join(entry['dual_values'])}")
-    if notes:
-        text += "\n".join(notes) + "\n"
-    _emit(report, rows, text, args.format)
+
+    def build_rows():
+        rows = []
+        for label, entry in result.items():
+            for i, (val, dec) in enumerate(zip(entry["values"], entry["decimals"]), 1):
+                row = {"fis": label, "feature": i, "value": val, "decimal": dec}
+                if args.rank:
+                    row["rank"] = entry["ranking"][i - 1]
+                rows.append(row)
+        return rows
+
+    def build_text():
+        headers = ["feature"] + [label for label, _ in
+                                 ((f"DUAL({f})" if d else f, d) for f, d in wanted)]
+        table_rows = []
+        for i in range(1, problem.m + 1):
+            row = [str(i)]
+            for fis_id, dual in wanted:
+                label = f"DUAL({fis_id})" if dual else fis_id
+                entry = result[label]
+                row.append(f"{entry['values'][i - 1]} ({entry['decimals'][i - 1]})")
+            table_rows.append(row)
+        text = _grid(headers, table_rows)
+        notes = []
+        for label, entry in result.items():
+            if "oracle" in entry:
+                notes.append(f"permutation oracle {label}: {entry['oracle']}")
+            if "dual_values" in entry:
+                notes.append(f"dual {label}: {','.join(entry['dual_values'])}")
+        if notes:
+            text += "\n".join(notes) + "\n"
+        return text
+
+    _emit(report, build_rows, build_text, args.format)
     return 0
 
 
@@ -237,7 +300,7 @@ def cmd_props(args) -> int:
                 + ("witness found at index "
                    f"{witness.data['generator']['index']}" if found
                    else f"no violation in {args.budget} problems") + "\n")
-        _emit(_jsonable(report), rows, text, args.format)
+        _emit(_jsonable(report), lambda: rows, lambda: text, args.format)
         return 0
     if args.duality:
         fis_list = [f for f, _ in _parse_fis_list(args.fis or "S,B")]
@@ -254,7 +317,7 @@ def cmd_props(args) -> int:
 
                                             sorted(counts[f].items())) + "\n"
                        for f in fis_list)
-        _emit(report, rows, text, args.format)
+        _emit(report, lambda: rows, lambda: text, args.format)
         return 0
 
     if args.fis is not None:
@@ -297,7 +360,7 @@ def cmd_props(args) -> int:
             text += f"  {line}\n"
     else:
         text += "pinned classification: CONSISTENT\n"
-    _emit(report, rows, text, args.format)
+    _emit(report, lambda: rows, lambda: text, args.format)
     return 0 if matrix.consistent else CHECK_FAILURE
 
 
@@ -333,7 +396,8 @@ def cmd_repro(args) -> int:
                  f"{variants['plain']} vs {variants['normalized']} "
                  f"(factor {variants['family_size']})")
     lines.append(f"overall: {report['status']}")
-    _emit(report, rows, "\n".join(lines) + "\n", args.format)
+    text = "\n".join(lines) + "\n"
+    _emit(report, lambda: rows, lambda: text, args.format)
     return 0 if all_ok else CHECK_FAILURE
 
 
@@ -352,7 +416,7 @@ def cmd_wvg(args) -> int:
         vec = scores.wvg_power_index(game, template)
         result[template.value] = {
             "values": vec.as_strings(),
-            "decimals": [decimal_str(v) for v in vec.values],
+            "decimals": [_decimal(n, vec.den) for n in vec.nums],
         }
     report = {"command": "wvg", "quota": args.quota, "weights": list(weights),
               "indices": result}
@@ -370,7 +434,7 @@ def cmd_wvg(args) -> int:
         table_rows.append(row)
     text = (f"game: quota {args.quota}, weights {list(weights)}\n"
             + _grid(headers, table_rows))
-    _emit(report, rows, text, args.format)
+    _emit(report, lambda: rows, lambda: text, args.format)
     return 0
 
 

@@ -9,6 +9,7 @@ re-evaluation reproduces the violation.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -494,11 +495,18 @@ def _tagged(verdict: PropertyVerdict, generator: dict) -> Witness:
     return Witness(witness.problem, {**witness.data, "generator": generator})
 
 
+@functools.cache
+def _holding(property_id: str, subject: str) -> PropertyVerdict:
+    """The one holding verdict of (property, subject), shared by every
+    audit that finds no violation: verdicts are frozen."""
+    return PropertyVerdict(property_id, subject, True)
+
+
 def audit(property_id: str, subject, problem: ExplanationProblem) -> PropertyVerdict:
     """One property on one problem, with the subject's canonical setup."""
     verdict = _probe(property_id, subject, problem, 0)
     if verdict is None:
-        return PropertyVerdict(property_id, str(subject), True)
+        return _holding(property_id, str(subject))
     return verdict
 
 

@@ -80,6 +80,17 @@ def test_relabeling_still_breaks_expected_value_after_shared_audits(chain):
     assert props.reverify(verdict)
 
 
+@pytest.mark.parametrize("prop", AUDITS)
+def test_holding_audits_share_one_verdict(prop, chain):
+    # frozen verdicts: every audit of (property, subject) that holds returns
+    # the same object, on the same problem and on another one
+    first = props.audit(prop, "S", chain)
+    assert first is props.audit(prop, "S", chain)
+    assert first is props.audit(prop, "S", fresh(chain))
+    assert first == props.PropertyVerdict(prop, "S", True)
+    assert props.audit(prop, "B", chain) is not first
+
+
 def test_reverify_recomputes_on_a_fresh_problem(chain):
     verdict = props.audit("P07", "E", chain)
     assert not verdict.holds

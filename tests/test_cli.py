@@ -8,10 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fislab
-from fislab import explain, scores
-from fislab.cli import INTERNAL_ERROR, build_parser, decimal_str, main
+from fislab import cli, explain, scores
+from fislab.cli import INTERNAL_ERROR, _decimal, _json, build_parser, decimal_str, main
 from fractions import Fraction
 
 
@@ -372,6 +374,120 @@ def test_wvg_report_pinned(capsys):
                            "453280b37ffdb340fd6fde26a703dad4")
 
 
+TEXT_AND_CSV_PINS = [
+    ("chain_model", ("score", "--fis", "all", "--dual", "--rank"), "text",
+     "dc18ee16b86d7fda53773a63cf89ad5ae227718f72f701c064561447e77b54cb"),
+    ("chain_model", ("score", "--fis", "all", "--dual", "--rank"), "csv",
+     "e3aca479ce45aaaf088488d9663ee66b01c4329c8a24d6b4706eefe111a1eca8"),
+    ("chain_model", ("explain",), "text",
+     "686291799d02ef44ad94e5a740c2583560c3e48719f43edc3cd16da18cfb042f"),
+    ("chain_model", ("explain",), "csv",
+     "d3748aa3e09ddc21a62db89f485bfbc453ce155891513aab61186be12fb85128"),
+    ("ternary_tree_model", ("score", "--fis", "all", "--dual", "--rank"), "text",
+     "30525fa36eaf0004ae7f5d178165a6b485a682b78e2d41ab65830ef90b4bb0c0"),
+    ("ternary_tree_model", ("score", "--fis", "all", "--dual", "--rank"), "csv",
+     "9783ff3252ea15609dccbc157cb2983d48ba71b523c0ecda751ff426e1983866"),
+    ("ternary_tree_model", ("explain",), "text",
+     "a7844af6af616aeaf9cd4117c543c148af156617064bebfd3ef8eda9af68071d"),
+    ("ternary_tree_model", ("explain",), "csv",
+     "d83228efa2ba17d4e0978a40f15be00b2664c208d3c0f3d90cd8af137f599535"),
+]
+
+
+@pytest.mark.parametrize("model, argv, fmt, digest", TEXT_AND_CSV_PINS,
+                         ids=[f"{model.removesuffix('_model')}-{argv[0]}-{fmt}"
+                              for model, argv, fmt, _ in TEXT_AND_CSV_PINS])
+def test_score_and_explain_pinned_in_text_and_csv(model, argv, fmt, digest, request,
+                                                  capsys):
+    # the text grid and csv rows are built only when asked for
+    code, out, _ = run(capsys, *argv, "--model", request.getfixturevalue(model),
+                       "--format", fmt)
+    assert code == 0
+    assert sha256(out) == digest
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer: json.dumps(obj, sort_keys=True, indent=2) is its oracle
+
+def dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+CLI_REPORTS = [
+    ("chain_model", ("explain",)),
+    ("chain_model", ("explain", "--instance", "0,0,0,0")),
+    ("ternary_tree_model", ("explain",)),
+    ("mixed_domain_model", ("explain",)),
+    ("chain_model", ("score", "--fis", "D,H")),
+    ("chain_model", ("score", "--fis", "all", "--dual", "--rank", "--oracle")),
+    ("ternary_tree_model", ("score", "--fis", "all", "--dual", "--rank")),
+    ("mixed_domain_model", ("score", "--fis", "all", "--dual", "--rank")),
+    ("huge_label_model", ("score", "--fis", "E,DUAL(E)")),
+    (None, ("props", "--corpus", "20", "--budget", "200")),
+    (None, ("props", "--seed", "3", "--corpus", "20", "--budget", "200")),
+    (None, ("props", "--search", "P05", "--fis", "E", "--budget", "50")),
+    (None, ("props", "--search", "P01", "--fis", "banzhaf", "--budget", "5")),
+    (None, ("props", "--search", "P08", "--fis", "S", "--budget", "5")),
+    (None, ("props", "--duality", "--fis", "S,B", "--budget", "25")),
+    (None, ("repro",)),
+    (None, ("wvg", "--quota", "3", "--weights", "2,1,1")),
+    (None, ("wvg", "--quota", "5", "--weights", "3,2,2,1", "--template", "all")),
+]
+
+
+@pytest.mark.parametrize("model, argv", CLI_REPORTS,
+                         ids=[" ".join(argv + ((model.removesuffix("_model"),) if model else ()))
+                              for model, argv in CLI_REPORTS])
+def test_json_writer_matches_json_dumps_on_every_report(model, argv, request,
+                                                        monkeypatch, capsys):
+    reports = []
+    emit = cli._emit
+
+    def recording_emit(report, *rest):
+        reports.append(report)
+        emit(report, *rest)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    if model is not None:
+        argv += ("--model", request.getfixturevalue(model))
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    [report] = reports
+    assert out == dumps(report) + "\n"
+
+
+SPECIAL_CHARACTERS = ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "\u00e9",
+                      "\u2028", "\ufeff", "\U0001f600", "\U0010ffff", "\ud800"]
+JSON_STRINGS = st.text(st.one_of(st.characters(), st.sampled_from(SPECIAL_CHARACTERS)),
+                       max_size=8)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.integers(-10**80, 10**80),
+    st.floats(allow_nan=True, allow_infinity=True), JSON_STRINGS)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_STRINGS, children, max_size=4),
+        st.lists(st.integers(-10**20, 10**20), max_size=4),
+        st.lists(JSON_STRINGS, max_size=4).map(tuple)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(value=JSON_VALUES)
+def test_json_writer_matches_json_dumps_on_random_values(value):
+    assert _json(value) == dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1: "a"}, {"a": {None: 1}}, {"a": [{True: 1}]}, {(1, 2): 0}, {"a": 1, 2: 3},
+    {1.5: 0},
+], ids=repr)
+def test_json_writer_refuses_keys_that_are_not_strs(value):
+    # json.dumps would write these keys as strs; a report never has them
+    with pytest.raises(TypeError):
+        _json(value)
+
 def _chain_document():
     return {
         "features": [{"id": i, "values": [0, 1]} for i in range(1, 5)],
@@ -611,19 +727,34 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
-def test_decimal_display_half_even():
-    assert decimal_str(Fraction(1, 3)) == "0.333333"
-    assert decimal_str(Fraction(5, 16)) == "0.312500"
-    assert decimal_str(Fraction(1, 2) + Fraction(5, 10**7)) == "0.500000"
-    assert decimal_str(Fraction(15, 10**7)) == "0.000002"
-    assert decimal_str(Fraction(-1, 3)) == "-0.333333"
-    assert decimal_str(Fraction(-5, 16)) == "-0.312500"
-    assert decimal_str(Fraction(-7)) == "-7.000000"
-    assert decimal_str(Fraction(0)) == "0.000000"
-    assert decimal_str(Fraction(-3, 2 * 10**6)) == "-0.000002"
+HALF_EVEN_CASES = [
+    (Fraction(1, 3), "0.333333"),
+    (Fraction(5, 16), "0.312500"),
+    (Fraction(1, 2) + Fraction(5, 10**7), "0.500000"),
+    (Fraction(15, 10**7), "0.000002"),
+    (Fraction(-1, 3), "-0.333333"),
+    (Fraction(-5, 16), "-0.312500"),
+    (Fraction(-7), "-7.000000"),
+    (Fraction(0), "0.000000"),
+    (Fraction(-3, 2 * 10**6), "-0.000002"),
     # negative values that round to zero keep their sign
-    assert decimal_str(Fraction(-1, 2 * 10**6)) == "-0.000000"
-    assert decimal_str(Fraction(-1, 3 * 10**6)) == "-0.000000"
+    (Fraction(-1, 2 * 10**6), "-0.000000"),
+    (Fraction(-1, 3 * 10**6), "-0.000000"),
+]
+
+
+def check_decimals(cases):
+    """Each case through decimal_str, and through _decimal on its reduced
+    pair and on unreduced ones (a score vector's num / den need not be
+    reduced on its own)."""
+    for value, expected in cases:
+        assert decimal_str(value) == expected, value
+        for k in (1, 2, 3, 10**6):
+            assert _decimal(value.numerator * k, value.denominator * k) == expected, (value, k)
+
+
+def test_decimal_display_half_even():
+    check_decimals(HALF_EVEN_CASES)
 
 
 @pytest.fixture
@@ -659,19 +790,24 @@ def test_decimal_of_a_value_past_50_digits(huge_label_model, capsys):
         {"fis": "E", "feature": "1", "value": value, "decimal": decimal}]
 
 
-def test_decimal_rounds_half_even_past_50_digits():
-    big = 10**60
-    assert decimal_str(Fraction(big * 10**7 + 5, 10**7)) == f"{big}.000000"
-    assert decimal_str(Fraction(big * 10**7 + 15, 10**7)) == f"{big}.000002"
-    assert decimal_str(Fraction(-big * 10**7 - 5000001, 10**7)) == f"-{big}.500000"
+BIG = 10**60
+PAST_50_DIGITS_CASES = [
+    (Fraction(BIG * 10**7 + 5, 10**7), f"{BIG}.000000"),
+    (Fraction(BIG * 10**7 + 15, 10**7), f"{BIG}.000002"),
+    (Fraction(-BIG * 10**7 - 5000001, 10**7), f"-{BIG}.500000"),
     # rounding up adds a digit
-    assert decimal_str(Fraction(big * 10**7 - 5, 10**7)) == f"{big}.000000"
-    assert decimal_str(Fraction(-big, 3)) == "-" + "3" * 60 + ".333333"
-    assert decimal_str(Fraction(-1, 10**9)) == "-0.000000"
+    (Fraction(BIG * 10**7 - 5, 10**7), f"{BIG}.000000"),
+    (Fraction(-BIG, 3), "-" + "3" * 60 + ".333333"),
+    (Fraction(-1, 10**9), "-0.000000"),
     # rounded values of 50 and of 51 digits
-    assert decimal_str(Fraction(10**44 - 1) + Fraction(1, 3)) == "9" * 44 + ".333333"
-    assert decimal_str(Fraction(10**44) + Fraction(1, 3)) == f"{10**44}.333333"
-    assert decimal_str(Fraction(10**51 - 5, 10**7)) == f"{10**44}.000000"
+    (Fraction(10**44 - 1) + Fraction(1, 3), "9" * 44 + ".333333"),
+    (Fraction(10**44) + Fraction(1, 3), f"{10**44}.333333"),
+    (Fraction(10**51 - 5, 10**7), f"{10**44}.000000"),
+]
+
+
+def test_decimal_rounds_half_even_past_50_digits():
+    check_decimals(PAST_50_DIGITS_CASES)
 
 
 def test_python_dash_m_runs_the_command_line():

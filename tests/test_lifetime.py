@@ -4,11 +4,15 @@ A problem's memo holds its tables, families and score vectors, and those
 hold the problem weakly (model.weak_field), so the two form no reference
 cycle.  With the cyclic collector off, a sweep-style and an audit-style
 operation leave nothing for it to collect, and the problem is gone as soon
-as its last strong reference is.  Verdicts keep their problem alive: they
+as its last strong reference is.  So do the JSON reports of the command
+line.  Verdicts keep their problem alive: they
 are results, not memo entries.
 """
 
+import contextlib
 import gc
+import io
+import json
 import pickle
 import weakref
 
@@ -67,6 +71,26 @@ def test_an_operation_leaves_no_cyclic_garbage(op):
     assert cyclic_garbage(run) == 0
     assert dead == [True] * 8
 
+
+
+def test_json_reports_leave_no_cyclic_garbage(tmp_path):
+    # json.dumps with an indent builds its encoder from closures that
+    # reference each other; the CLI's own writer builds none
+    model = tmp_path / "chain.json"
+    model.write_text(json.dumps({
+        "features": [{"id": i, "values": [0, 1]} for i in range(1, 5)],
+        "classes": [0, 1], "body": {"kind": "boolexpr", "expr": "x1 & (x2 | x3 & x4)"},
+        "instance": {"point": [1, 1, 1, 1], "label": 1}}))
+    common = ["--model", str(model), "--format", "json"]
+    commands = [["score", "--fis", "all", "--dual", "--rank"] + common,
+                ["explain"] + common]
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert [cli.main(argv) for argv in commands] == [0, 0]
+
+    run()  # the parser is built once per process
+    assert cyclic_garbage(run) == 0
 
 def test_memo_entries_outlive_their_problem_without_it():
     problem = props.random_problem(5, 1, (3, 3))
