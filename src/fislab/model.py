@@ -19,7 +19,7 @@ import weakref
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import eq
+from operator import add, lshift, or_
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 HARD_FEATURE_CAP = 20
@@ -248,6 +248,88 @@ def up_closure(flags: int, lacking: Iterable[int]) -> int:
     for b, without in enumerate(lacking):
         flags |= (flags & without) << (8 << b)
     return flags
+
+
+def _swap_runs(n: int, width: int) -> Iterator[int]:
+    """For each j < m // 2 of the masks 0..n-1 (n = 2^m), the table of the
+    masks with bit j and without bit m - 1 - j, every byte of each such
+    width-byte field 0xff: the fields _reverse_bits moves."""
+    m = n.bit_length() - 1
+    one, zero = b"\xff" * width, bytes(width)
+    for j in range(m // 2):
+        k = m - 1 - j
+        run = (zero * (1 << j) + one * (1 << j)) * (1 << (k - j - 1)) + zero * (1 << k)
+        yield int.from_bytes(run * (n >> (k + 1)), "little")
+
+
+@functools.cache
+def _cached_swaps(n: int, width: int) -> tuple[int, ...]:
+    return tuple(_swap_runs(n, width))
+
+
+def _reverse_bits(table: int, n: int, width: int) -> int:
+    """The table of n = 2^m width-byte fields with the m bits of every
+    field's index reversed: m // 2 delta swaps (Knuth, TAOCP 4A, 7.1.3),
+    each trading bits j and m - 1 - j.  The selectors are cached up to
+    CACHED_SELECTOR_BYTES, as lacking_bit's are."""
+    m = n.bit_length() - 1
+    swaps = (_cached_swaps(n, width) if n * width <= CACHED_SELECTOR_BYTES
+             else _swap_runs(n, width))
+    for j, select in enumerate(swaps):
+        # between each mask with bit j, not k = m - 1 - j, and the mask with k, not j
+        shift = 8 * width * ((1 << (m - 1 - j)) - (1 << j))
+        moved = ((table >> shift) ^ table) & select
+        table ^= moved ^ (moved << shift)
+    return table
+
+
+_FIELD_CODE = dict(_FIELD_CODES)
+
+
+def _le_fields(values: Iterable[int], width: int) -> bytes:
+    """Ints as little-endian width-byte fields, width an item size of
+    _FIELD_CODES.  Not for a bytes object: array() copies its raw bytes."""
+    items = array(_FIELD_CODE[width], values)
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items.tobytes()
+
+
+def _field_ints(data: bytes, width: int) -> array:
+    """The little-endian width-byte fields of data as an array of ints."""
+    items = array(_FIELD_CODE[width], data)
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items
+
+
+def _axis_fold(data: bytes, width: int, axes, combine) -> bytes:
+    """The superset aggregates of a table given in rank order as
+    little-endian width-byte fields: field S of the result, in mask order,
+    combines (combine is add or or_) the fields of the points that agree
+    with the instance on every feature of S.  axes holds each feature's
+    (domain size, index of the instance's value), feature 1 first.
+
+    Per feature, innermost (stride 1) first, with d its domain size and k
+    the instance's index: the d parts seq[j::d] hold the table at each
+    value j, and the table becomes the parts combined (any value) followed
+    by part k (the instance's value).  The feature's agreement bit is thus
+    the top bit of the index, so after m steps feature 1 sits in the top
+    bit, and _reverse_bits moves feature i to bit i - 1.  A part is one
+    array slice and one int.from_bytes, with no loop per point; the fields
+    must hold every combined value.
+    """
+    code = _FIELD_CODE[width]
+    for size, k in reversed(axes):
+        # bytes slice faster than an array of one-byte items
+        seq = bytes(data) if width == 1 else array(code, data)
+        parts = [int.from_bytes(seq[j::size], "little") for j in range(size)]
+        part = len(seq) // size * width  # bytes
+        data = (functools.reduce(combine, parts) | parts[k] << 8 * part).to_bytes(
+            2 * part, "little")
+    n = len(data) // width
+    return _reverse_bits(int.from_bytes(data, "little"), n, width).to_bytes(
+        len(data), "little")
 
 
 def _rank_sums(rows) -> list[int]:
@@ -877,7 +959,8 @@ class ExplanationProblem:
     def _sufficient_flags(self) -> bytes:
         """The flag table of the sufficient subsets, the masks S such that
         every point agreeing with the instance on S has its class; built on
-        first use.  Every explanation family reads it."""
+        first use, from the labels alone, without the agreement sums.  Every
+        explanation family reads it."""
         return self._memo(("sufficient",), lambda: _sufficient_flags(self))
 
 
@@ -887,9 +970,9 @@ class AgreementSums(NamedTuple):
     Each field is indexed by subset mask S and sums over the points x with
     x_i = v_i for every feature i in S: ``label_sum`` adds their labels,
     ``same`` counts those labelled with the instance's class and ``count``
-    counts them all.  The CF_E and CF_M tables read these; the explanation
-    families read the problem's sufficient flags, which a non-boolean
-    problem takes from ``same`` and ``count``.
+    counts them all.  Only the CF_E and CF_M tables read these; the
+    explanation families read the problem's sufficient flags, which every
+    problem builds by a flag fold of its own (_sufficient_flags).
     """
 
     label_sum: tuple[int, ...]
@@ -921,15 +1004,10 @@ def _mask_labels(problem: ExplanationProblem) -> bytes | None:
     cls = problem.classifier
     if max(cls.classes) > 255 or any(dom.size != 2 for dom in cls.features):
         return None
-    m, n = problem.m, len(cls._labels)
+    n = len(cls._labels)
     # per bit, 0xff in the bytes of the masks that lack it
     lacking = [flags * 0xFF for flags in lacking_bit(n)]
-    table = int.from_bytes(bytes(cls._labels), "little")
-    for j in range(m // 2):
-        k = m - 1 - j
-        shift = 8 * ((1 << k) - (1 << j))  # from a mask with j, without k
-        moved = ((table >> shift) ^ table) & lacking[k] & ~lacking[j]
-        table ^= moved ^ (moved << shift)
+    table = _reverse_bits(int.from_bytes(bytes(cls._labels), "little"), n, 1)
     for i, (index, v) in enumerate(zip(cls._value_index, problem.v)):
         if index[v] == 0:
             shift = 8 << i
@@ -939,15 +1017,16 @@ def _mask_labels(problem: ExplanationProblem) -> bytes | None:
 
 def _sufficient_flags(problem: ExplanationProblem) -> bytes:
     """S is sufficient iff no point of another class agrees with the
-    instance on a superset of S.  From the mask labels: flag the masks whose
-    point has another class, OR each flag down to every subset (per bit, the
-    masks with it shifted onto the masks without it: the mirror of
-    up_closure) and take the complement.  Otherwise from the agreement sums,
-    where S is sufficient when all its points have the instance's class."""
+    instance on a superset of S.  Flag the points of another class, OR the
+    flags of every mask down to its subsets and take the complement.  From
+    the mask labels, each flag sits at its mask already and one shift per
+    bit moves the masks with the bit onto the masks without it (the mirror
+    of up_closure); otherwise _axis_fold ORs the flag bytes in rank order."""
     labels = problem._mask_labels()
     if labels is None:
-        sums = problem.agreement_sums()
-        return bytes(map(eq, sums.same, sums.count))
+        same = _same_class(problem, _label_bytes(problem.classifier))
+        return _axis_fold(same.translate(FLIP_FLAGS), 1, _fold_axes(problem),
+                          or_).translate(FLIP_FLAGS)
     n = len(labels)
     other = _class_flags(problem.c).translate(FLIP_FLAGS)
     bad = int.from_bytes(labels.translate(other), "little")
@@ -956,32 +1035,89 @@ def _sufficient_flags(problem: ExplanationProblem) -> bytes:
     return bad.to_bytes(n, "little").translate(FLIP_FLAGS)
 
 
-def _agreement_sums(problem: ExplanationProblem, labels: bytes | None) -> AgreementSums:
-    """Each point is binned by its agreement mask with the instance: from
-    labels, the mask labels of a boolean problem (_mask_labels), when given,
-    and otherwise by one pass over the label table.  Superset sums then give
-    the totals for every subset (labels are non-negative, as superset_sums
-    needs).  The point count of a subset is the product of its free domains'
-    sizes."""
-    cls = problem.classifier
+def _label_bytes(cls: Classifier) -> bytes | None:
+    """The label table, one byte per point in rank order, or None when a
+    class is above 255."""
+    return bytes(cls._labels) if max(cls.classes) < 256 else None
+
+
+def _same_class(problem: ExplanationProblem, labels: bytes | None) -> bytes:
+    """One byte per point, in rank order: 1 where the point has the
+    instance's class, 0 elsewhere; labels is _label_bytes of its classifier."""
     c = problem.c
     if labels is not None:
-        label_sum, same = list(labels), list(labels.translate(_class_flags(c)))
+        return labels.translate(_class_flags(c))
+    return bytes(map(c.__eq__, problem.classifier._labels))
+
+
+def _fold_axes(problem: ExplanationProblem) -> list[tuple[int, int]]:
+    """Per feature, feature 1 first, (domain size, index of the instance's
+    value): the axes of _axis_fold."""
+    cls = problem.classifier
+    return [(dom.size, index[v])
+            for dom, index, v in zip(cls.features, cls._value_index, problem.v)]
+
+
+# the limbs of labels too large for 4-byte fields: 32 bits each, whose sums
+# over at most POINT_LIMIT points fit 8-byte fields
+_LIMB_BYTES = 4
+
+
+def _agreement_sums(problem: ExplanationProblem, labels: bytes | None) -> AgreementSums:
+    """From labels, the mask labels of a boolean problem (_mask_labels), when
+    given: each mask holds one point, and superset sums give the totals for
+    every subset.  Otherwise _axis_fold sums the label table in rank order,
+    on fields that hold a point's label in their low half and its same-class
+    flag in their high half, so one fold gives both sums.  Labels whose
+    total needs more than 4 bytes fold in 32-bit limbs, recombined at the
+    end, and the flags fold alone.  The point count of a subset is the
+    product of its free domains' sizes."""
+    cls = problem.classifier
+    if labels is not None:
+        label_sum = superset_sums(list(labels))
+        same = superset_sums(list(labels.translate(_class_flags(problem.c))))
     else:
-        # agreement mask of every point, in rank order
-        masks = _rank_sums([[1 << i if k == index[v] else 0 for k in range(dom.size)]
-                            for i, (dom, index, v)
-                            in enumerate(zip(cls.features, cls._value_index, problem.v))])
-        label_sum, same = [0] * (1 << problem.m), [0] * (1 << problem.m)
-        for mask, label in zip(masks, cls._labels):
-            label_sum[mask] += label
-            if label == c:
-                same[mask] += 1
+        label_sum, same = _folded_sums(problem)
     count = [1]
     for dom in cls.features:  # masks without feature i, then with it
-        size = dom.size
-        count = [n * size for n in count] + count
-    return AgreementSums(superset_sums(label_sum), superset_sums(same), tuple(count))
+        count = list(map(dom.size.__mul__, count)) + count
+    return AgreementSums(label_sum, same, tuple(count))
+
+
+def _folded_sums(problem: ExplanationProblem) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """label_sum and same of AgreementSums, by _axis_fold over the label
+    table (see _agreement_sums)."""
+    cls = problem.classifier
+    values, labels = cls._labels, _label_bytes(cls)
+    axes, flags = _fold_axes(problem), _same_class(problem, labels)
+    # bounds every label sum and every count
+    bits = (max(max(cls.classes), 1) * len(values)).bit_length()
+    half = next((size for size in (1, 2, 4) if 8 * size >= bits), None)
+    if half is not None:
+        # each label in the low half of its field, each flag in the high half
+        width = 2 * half
+        if labels is None:
+            fused = bytearray(_le_fields(values, width))
+        else:
+            fused = bytearray(len(values) * width)
+            fused[::width] = labels
+        fused[half::width] = flags
+        halves = _field_ints(_axis_fold(fused, width, axes, add), half)
+        return tuple(halves[0::2]), tuple(halves[1::2])
+    width = 8  # holds the flag sums and the sums of one limb
+    spread = bytearray(len(values) * width)
+    spread[::width] = flags
+    same = tuple(_field_ints(_axis_fold(spread, width, axes, add), width))
+    n_limbs = -(-max(values).bit_length() // (8 * _LIMB_BYTES))
+    limbs = _field_ints(b"".join(map(int.to_bytes, values, itertools.repeat(
+        n_limbs * _LIMB_BYTES), itertools.repeat("little"))), _LIMB_BYTES)
+    label_sum = itertools.repeat(0)
+    for t in range(n_limbs):
+        fields = _le_fields(limbs[t::n_limbs], width)
+        sums = _field_ints(_axis_fold(fields, width, axes, add), width)
+        shift = itertools.repeat(8 * _LIMB_BYTES * t)
+        label_sum = map(add, label_sum, map(lshift, sums, shift))
+    return tuple(label_sum), same
 
 
 def make_problem(classifier: Classifier, point, label: int | None = None) -> ExplanationProblem:

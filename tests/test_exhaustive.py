@@ -1,15 +1,17 @@
 """The bounded-exhaustive gate of tools/boolean_gate.py on every
-non-constant boolean function with m <= 3 at the all-ones instance: every
-pinned holds* cell holds, the flag and integer Banzhaf and Johnston cores
-agree on each problem's indicator tables, the flag and walk
-Deegan-Packel, Holler-Packel and Andjiga cores agree on each of its
-families with each of those tables, the WAXP flag table and the agreement
-sums equal the per-point binning loop's, and every FIS vector, primal and
-dual, read from the problem's memo after the probes equals the vector
-computed on a fresh problem."""
+non-constant boolean function with m <= 3 at the all-ones instance, and on
+every non-constant labelling of four small mixed spaces at the instance of
+all first values: every pinned holds* cell holds, the flag and integer
+Banzhaf and Johnston cores agree on each problem's indicator tables, the
+flag and walk Deegan-Packel, Holler-Packel and Andjiga cores agree on each
+of its families with each of those tables, the WAXP flag table and the
+agreement sums equal the per-point binning loop's, and every FIS vector,
+primal and dual, read from the problem's memo after the probes equals the
+vector computed on a fresh problem."""
 
 import importlib.util
 import itertools
+import math
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,33 @@ def test_gate_reports_kernel_mismatches(broken, expected, monkeypatch):
     assert drawn == 16
     assert all(line.startswith("kernel differs") for line in failures)
     assert set(expected) <= set(failures)
+
+
+# the script's mixed spaces but the largest: (3) with 3 classes, (3, 2)
+# with 2, (2, 2) with 3 and (4, 2) with 2
+TIER1_SPACES = gate.MIXED_SPACES[:-1]
+
+
+@pytest.mark.parametrize("sizes, n_classes", TIER1_SPACES,
+                         ids=[f"{sizes}-{n}cls" for sizes, n in TIER1_SPACES])
+def test_pinned_cells_hold_on_every_problem_of_small_mixed_spaces(sizes, n_classes):
+    drawn, failures = gate.run_problems(gate.labelling_problems(sizes, n_classes))
+    # every labelling but the n_classes constant ones: 24, 62, 78 and 254
+    assert drawn == n_classes ** math.prod(sizes) - n_classes
+    assert failures == []
+
+
+def test_gate_reports_fold_mismatches(monkeypatch):
+    # the fold's index bits left in reverse order: wrong wherever the two
+    # features' agreement bits differ
+    monkeypatch.setattr(gate.model, "_reverse_bits", lambda table, n, width: table)
+    drawn, failures = gate.run_problems(gate.labelling_problems((3, 2), 2))
+    assert drawn == 62
+    assert all(line.startswith("kernel differs") for line in failures)
+    assert {line.split(",")[0] for line in failures} == {
+        "kernel differs on waxp flags", "kernel differs on agreement sums",
+        "kernel differs on waxp flags at the last values",
+        "kernel differs on agreement sums at the last values"}
 
 
 @pytest.mark.parametrize("m, classes", [(1, 2), (2, 10), (3, 78)])

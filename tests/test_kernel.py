@@ -17,12 +17,14 @@ against the member walk and the Fraction oracle.  Score vectors and audit
 facts kept on a problem are checked against fresh computations: the FISs
 that share a template pass, and minimal monotonicity (P05) against the
 per-score containment scan it replaced.  The sufficient flags every family
-reads and the agreement sums are checked against the per-point binning loop,
-which boolean problems no longer run, on the corpus and on random tables
-over two-valued domains in both value orders.
+reads and the agreement sums are checked against the per-point binning loop
+(tools/boolean_gate.py), which no product path runs, on the corpus, on
+random tables over two-valued domains in both value orders, and on tables
+of mixed domain sizes for the per-axis fold.
 """
 
 import dataclasses
+import importlib.util
 import itertools
 import json
 import math
@@ -30,6 +32,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from operator import add, eq
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +46,12 @@ from fislab.model import (And, BoolExprBody, Classifier, DomainError,
                           parse_boolean_expression, size_classes, superset_sums,
                           up_closure)
 from fislab.scores import ScoreVector, TemplateId
+
+# the per-point binning loop, the kernel's oracle, lives with the gate
+_GATE_PATH = Path(__file__).resolve().parents[1] / "tools" / "boolean_gate.py"
+_GATE_SPEC = importlib.util.spec_from_file_location("boolean_gate", _GATE_PATH)
+gate = importlib.util.module_from_spec(_GATE_SPEC)
+_GATE_SPEC.loader.exec_module(gate)
 
 ALL_SUBSET_TEMPLATES = (TemplateId.SHAPLEY_SHUBIK, TemplateId.BANZHAF,
                         TemplateId.JOHNSTON)
@@ -459,9 +468,92 @@ def test_sufficient_flags_and_agreement_sums_match_the_point_loop(problem):
         # each mask holds the label of the one point agreeing with v on it
         assert labels == bytes(cls.evaluate(x) for x in sorted(
             cls.points(), key=lambda x: agreement_set(x, problem.v)))
-    loop = model._agreement_sums(problem, None)
+    loop = gate.point_loop_sums(problem)
     assert problem._sufficient_flags() == bytes(map(eq, loop.same, loop.count))
     assert problem.agreement_sums() == loop
+
+
+# ---------------------------------------------------------------------------
+# multi-valued problems: the per-axis fold against the per-point loop
+
+# domain sizes 1..5, one-value domains among them, mixed in one table, m <= 8
+FOLD_SHAPES = ((3,), (5,), (1, 4), (2, 3), (3, 1, 2), (5, 2, 1, 3), (4, 4, 3),
+               (2, 1, 3, 1, 2, 2), (1, 2, 2, 3, 2, 1, 2, 2), (3, 2, 2, 2, 2, 2, 2, 2))
+# the last class forces fields wider than 8 bytes
+FOLD_CLASSES = ((0, 1, 2), (7, 255), (0, 256), (0, 2**70))
+
+
+def fold_corpus():
+    """Random tables over FOLD_SHAPES, each domain's values in a random
+    order, for each class set of FOLD_CLASSES; per table, the instance at
+    value index k on every feature with more than k values, for each k, so
+    that each feature has the instance at each of its positions."""
+    rng = random.Random(20261020)
+    for sizes in FOLD_SHAPES:
+        for classes in FOLD_CLASSES:
+            features = tuple(FeatureDomain(i, tuple(rng.sample(range(10, 20), size)))
+                             for i, size in enumerate(sizes, start=1))
+            classifier = _nonconstant(lambda: Classifier(
+                features, frozenset(classes),
+                TableBody(tuple(rng.choice(classes) for _ in range(math.prod(sizes))))))
+            for k in range(max(sizes)):
+                point = tuple(dom.values[min(k, dom.size - 1)] for dom in features)
+                yield (f"fold-{sizes}-{max(classes)}-at{k}",
+                       make_problem(classifier, point))
+
+
+FOLD_CORPUS = list(fold_corpus())
+
+
+@pytest.mark.parametrize("problem", [p for _, p in FOLD_CORPUS],
+                         ids=[n for n, _ in FOLD_CORPUS])
+def test_fold_matches_the_point_loop(problem):
+    problem = fresh(problem)
+    assert problem._mask_labels() is None
+    loop = gate.point_loop_sums(problem)
+    # the flags first, from their own OR fold: no sums are built for them
+    assert problem._sufficient_flags() == bytes(map(eq, loop.same, loop.count))
+    assert ("agreement_sums",) not in problem._cache
+    assert problem.agreement_sums() == loop
+
+
+def test_fold_corpus_covers_every_position_and_wide_fields():
+    positions = {}  # (table, feature, domain size) -> the instance's value indices
+    for _, problem in FOLD_CORPUS:
+        cls = problem.classifier
+        for i, (dom, index, v) in enumerate(zip(cls.features, cls._value_index, problem.v)):
+            positions.setdefault((id(cls), i, dom.size), set()).add(index[v])
+    assert all(seen == set(range(size)) for (_, _, size), seen in positions.items())
+    assert {size for _, _, size in positions} == {1, 2, 3, 4, 5}
+    # a label sum past 8 bytes
+    assert max(max(p.agreement_sums().label_sum) for _, p in FOLD_CORPUS) >= 2**64
+
+
+def ternary_chain(m):
+    """A tree over m ternary features: value 0 of feature i goes on to
+    feature i + 1, and the other two values are leaves."""
+    def node(i):
+        if i == m:
+            return TreeSplit(i, tuple((v, TreeLeaf(v)) for v in range(3)))
+        return TreeSplit(i, ((0, node(i + 1)), (1, TreeLeaf(i % 3)),
+                             (2, TreeLeaf((i + 1) % 3))))
+    features = tuple(FeatureDomain(i, (0, 1, 2)) for i in range(1, m + 1))
+    return Classifier(features, frozenset({0, 1, 2}), TreeBody(node(1)))
+
+
+def test_sufficient_flags_of_a_ternary_tree_keep_no_per_point_list():
+    # 3^12 points: a list or tuple of one int per point would take 4 MiB
+    problem = make_problem(ternary_chain(12), (0,) * 12)
+    tracemalloc.start()
+    try:
+        flags = problem._sufficient_flags()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    # only the instance's own mask, all of it, is sufficient: any free
+    # feature lets a point of another class in
+    assert flags == bytes((1 << 12) - 1) + b"\x01"
 
 
 @pytest.mark.parametrize("problem", [p for _, p in CORPUS], ids=[n for n, _ in CORPUS])

@@ -1,10 +1,11 @@
 """Bounded-exhaustive gate for the pinned property matrix.
 
-Renumbering features permutes every score and renaming values changes none
-(tests/test_metamorphic.py), so a boolean problem is fixed, up to feature
-renumbering, by its truth table read at the all-ones instance.  For every
-non-constant boolean function of m features at that instance, the gate
-asserts five things:
+Renumbering features permutes every score and renaming or reordering a
+domain's values changes none (tests/test_metamorphic.py), so a problem is
+fixed, up to feature renumbering, by its label table read at one chosen
+instance: the all-ones instance for boolean functions, the instance of all
+first values for labellings of mixed spaces.  For every problem drawn, the
+gate asserts five things:
 
 * every cell pinned to hold in props.PINNED_TEMPLATE and props.PINNED_FIS
   holds, probed as the matrix probes it (the template cells also with the
@@ -16,18 +17,21 @@ asserts five things:
 * Deegan-Packel, Holler-Packel and Andjiga read from the flag bytes of
   each explanation family and indicator table give the same pair as the
   member walk over that family and table;
-* the WAXP flag table, a down-closure over the label bytes moved to
-  agreement-mask order, and the agreement sums binned from those bytes
-  equal what the per-point binning loop gives, at the all-ones and at the
-  all-zeros instance;
+* the WAXP flag table and the agreement sums equal what the per-point
+  binning loop (point_loop_sums, the kernel's only oracle) gives, at the
+  problem's instance and at the other end of its space; a boolean problem
+  gets them from its label bytes moved to agreement-mask order, any other
+  from the per-axis fold;
 * once the probes have run on the problem, every scores.compute_fis vector
   (each FIS, primal and dual) read from its memo equals the vector
   computed on a fresh problem of its own.
 
-Tier-1 runs it on all 270 functions with m <= 3 (tests/test_exhaustive.py).
-Run from the repository root, this script runs it on one function of each
-of the 3,982 non-constant classes of m = 4 functions under feature
-renumbering:
+Tier-1 runs it on all 270 boolean functions with m <= 3 and on every
+non-constant labelling of the first four MIXED_SPACES
+(tests/test_exhaustive.py).  Run from the repository root, this script runs
+it on one function of each of the 3,982 non-constant classes of m = 4
+boolean functions under feature renumbering, and on every labelling of all
+five MIXED_SPACES:
 
     PYTHONPATH=src python tools/boolean_gate.py
 
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import sys
 import time
 from operator import eq
@@ -124,18 +129,48 @@ def core_mismatches(problem) -> list[str]:
     return out
 
 
+def point_loop_sums(problem) -> model.AgreementSums:
+    """The agreement sums by the per-point binning loop, the oracle of the
+    kernel: each point's label and same-class count go to the bin of its
+    agreement mask with the instance, superset sums give every subset's
+    totals, and a subset's point count is the product of its free domains'
+    sizes."""
+    cls = problem.classifier
+    # agreement mask of every point, in rank order
+    masks = model._rank_sums([[1 << i if k == index[v] else 0 for k in range(dom.size)]
+                              for i, (dom, index, v)
+                              in enumerate(zip(cls.features, cls._value_index, problem.v))])
+    label_sum, same = [0] * (1 << problem.m), [0] * (1 << problem.m)
+    for mask, label in zip(masks, cls._labels):
+        label_sum[mask] += label
+        if label == problem.c:
+            same[mask] += 1
+    count = [1]
+    for dom in cls.features:  # masks without feature i, then with it
+        count = [n * dom.size for n in count] + count
+    return model.AgreementSums(model.superset_sums(label_sum), model.superset_sums(same),
+                               tuple(count))
+
+
 def kernel_mismatches(problem) -> list[str]:
     """The kernel facts that differ from the per-point binning loop: the
-    WAXP flag table and the agreement sums, on the problem and on its
-    function at the all-zeros instance (where every feature's mask bit is
-    flipped).  A boolean problem must bin by its mask labels, or the loop
-    would be compared with itself."""
+    WAXP flag table and the agreement sums, on the problem and at the other
+    end of its space: the all-zeros (all first values) instance for the
+    gate's all-ones problems, the all-last-values one for problems at the
+    first values.  A problem whose domains all have two values must bin by
+    its mask labels; any other takes the per-axis fold."""
     out = []
-    zeros = make_problem(problem.classifier, (0,) * problem.m)
-    for name, case in (("", problem), (" at 0...0", zeros)):
-        if case._mask_labels() is None:
+    cls = problem.classifier
+    firsts = tuple(dom.values[0] for dom in cls.features)
+    if problem.v != firsts:
+        other, where = firsts, " at 0...0"
+    else:
+        other, where = tuple(dom.values[-1] for dom in cls.features), " at the last values"
+    boolean = all(dom.size == 2 for dom in cls.features)
+    for name, case in (("", problem), (where, make_problem(cls, other))):
+        if boolean and case._mask_labels() is None:
             out.append("mask labels" + name)
-        loop = model._agreement_sums(case, None)
+        loop = point_loop_sums(case)
         if explain.family(case, ExplanationKind.WAXP).flags != bytes(
                 map(eq, loop.same, loop.count)):
             out.append("waxp flags" + name)
@@ -160,9 +195,32 @@ def memo_mismatches(problem) -> list[str]:
     return out
 
 
-def run_gate(ms, up_to_renumbering: bool = False,
-             probes=None) -> tuple[int, list[str]]:
-    """(problems drawn, failures) over the functions of each m in ms; probes
+def boolean_problems(ms, up_to_renumbering: bool = False):
+    """(tag, problem) for each non-constant function of each m in ms, at the
+    all-ones instance (see nonconstant_functions)."""
+    for m in ms:
+        for function in nonconstant_functions(m, up_to_renumbering):
+            yield f"m={m} function={function:#x}", all_ones_problem(m, function)
+
+
+def labelling_problems(sizes, n_classes: int):
+    """(tag, problem) for every non-constant labelling, with the classes
+    0..n_classes-1, of the space whose feature i has the values
+    0..sizes[i-1]-1, at the instance of all first values.  Renaming or
+    reordering a domain's values changes no score, so this covers every
+    problem over these domain sizes and classes."""
+    features = tuple(FeatureDomain(i, tuple(range(size)))
+                     for i, size in enumerate(sizes, start=1))
+    classes = frozenset(range(n_classes))
+    for labels in itertools.product(range(n_classes), repeat=math.prod(sizes)):
+        if len(set(labels)) > 1:
+            classifier = Classifier(features, classes, TableBody(labels))
+            yield (f"domains={tuple(sizes)} labels={''.join(map(str, labels))}",
+                   make_problem(classifier, (0,) * len(sizes)))
+
+
+def run_problems(problems, probes=None) -> tuple[int, list[str]]:
+    """(problems drawn, failures) over the (tag, problem) pairs; probes
     defaults to pinned_probes()."""
     probes = pinned_probes() if probes is None else probes
     failures: list[str] = []
@@ -170,29 +228,40 @@ def run_gate(ms, up_to_renumbering: bool = False,
 
     def stream():
         nonlocal drawn
-        for m in ms:
-            for function in nonconstant_functions(m, up_to_renumbering):
-                problem = all_ones_problem(m, function)
-                failures.extend(f"cores differ on {name}, m={m} function={function:#x}"
-                                for name in core_mismatches(problem))
-                failures.extend(f"kernel differs on {name}, m={m} function={function:#x}"
-                                for name in kernel_mismatches(problem))
-                yield drawn, problem, {"m": m, "function": function}
-                failures.extend(f"memo differs on {name}, m={m} function={function:#x}"
-                                for name in memo_mismatches(problem))
-                drawn += 1
+        for tag, problem in problems:
+            failures.extend(f"cores differ on {name}, {tag}"
+                            for name in core_mismatches(problem))
+            failures.extend(f"kernel differs on {name}, {tag}"
+                            for name in kernel_mismatches(problem))
+            yield drawn, problem, tag
+            failures.extend(f"memo differs on {name}, {tag}"
+                            for name in memo_mismatches(problem))
+            drawn += 1
 
     for (prop, subject), witness in zip(probes, props._first_failures(probes, stream())):
         if witness is not None:
-            tag = witness.data["generator"]
-            failures.append(f"{prop} {subject} fails, m={tag['m']} "
-                            f"function={tag['function']:#x}")
+            failures.append(f"{prop} {subject} fails, {witness.data['generator']}")
     return drawn, failures
+
+
+def run_gate(ms, up_to_renumbering: bool = False,
+             probes=None) -> tuple[int, list[str]]:
+    """run_problems over the boolean functions of each m in ms."""
+    return run_problems(boolean_problems(ms, up_to_renumbering), probes)
+
+
+# the mixed spaces the script checks: (domain sizes, class count); Tier-1
+# checks all but the last (tests/test_exhaustive.py)
+MIXED_SPACES = (((3,), 3), ((3, 2), 2), ((2, 2), 3), ((4, 2), 2), ((3, 2), 3))
 
 
 def main() -> int:
     start = time.perf_counter()
     drawn, failures = run_gate([4], up_to_renumbering=True)
+    for sizes, n_classes in MIXED_SPACES:
+        more, failed = run_problems(labelling_problems(sizes, n_classes))
+        drawn += more
+        failures += failed
     for line in failures:
         print(line)
     print(f"{drawn} problems, {len(failures)} failures, "
