@@ -108,7 +108,7 @@ def _emit(report: dict, rows, text, fmt: str) -> None:
 
 def _load_problem(args) -> ExplanationProblem:
     with open(args.model, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
+        document = handle.read()  # JSON text: the library parses it
     if args.instance is None:
         return load_problem(document)
     classifier = parse_model(document)

@@ -2,10 +2,10 @@
 
 Every family reads the problem's one table of sufficient subsets
 (ExplanationProblem._sufficient_flags): a subset is sufficient when every
-point agreeing with the instance on it keeps the instance's class.  On
-problems with two values per domain and classes below 256 that table is a
-down-closure over the label bytes, and the integer agreement sums
-(model.AgreementSums) are left to the CF_E and CF_M tables.  A family is
+point agreeing with the instance on it keeps the instance's class.  That
+table is the problem's fold (model._fold_order) of its other-class flags
+with OR, on every problem, and builds no integer agreement sums
+(model.AgreementSums): the CF_E and CF_M tables read those.  A family is
 held as a flag table, one byte per mask (see model.lacking_bit), and the
 minimal families and the minimal hitting sets are whole-table shifts on it.
 The predicates is_waxp and is_wcxp decide one subset by scanning its slice

@@ -128,22 +128,11 @@ def bit_slices(n: int) -> tuple[tuple[tuple[slice, slice], ...], ...]:
 # per mask, 1 for a member and 0 otherwise, read as one little-endian int so
 # that mask S sits at bit 8*S.  Shifting such an int left by 8 << b moves
 # each mask S to S + 2^b, which is S with bit b added when S lacks it.
-# Packed sums (superset_sums) hold one wider field per mask the same way.
+# The folds (_superset_fold, _axis_fold) hold one wider field per mask the
+# same way.
 
 # swaps the flags 0 and 1
 FLIP_FLAGS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-
-
-def _lacking_runs(n: int, width: int) -> Iterator[int]:
-    """For each bit b of the masks 0..n-1, lowest first, the table of the
-    masks that lack it, one width-byte field per mask holding 1 or 0: runs
-    of 2^b ones and 2^b zeros, built by repeating bytes."""
-    one, zero = (1).to_bytes(width, "little"), bytes(width)
-    run = 1
-    while run < n:
-        yield int.from_bytes((one * run + zero * run) * (n // (2 * run)), "little")
-        run <<= 1
-
 
 # selectors of more than 64 KiB are built one at a time, not cached:
 # building one costs less than the passes that read it, and a cache of them
@@ -152,29 +141,57 @@ def _lacking_runs(n: int, width: int) -> Iterator[int]:
 CACHED_SELECTOR_BYTES = 1 << 16
 
 
+def _selectors(runs, n: int, width: int) -> Iterable[int]:
+    """The tables runs(n, width) yields over n width-byte fields, cached
+    per (runs, n, width) up to CACHED_SELECTOR_BYTES each and built one at
+    a time above it, so a caller that reads them twice keeps its own
+    tuple."""
+    if n * width > CACHED_SELECTOR_BYTES:
+        return runs(n, width)
+    return _selector_cache(runs, n, width)
+
+
 @functools.cache
-def _cached_lacking(n: int, width: int) -> tuple[int, ...]:
-    return tuple(_lacking_runs(n, width))
+def _selector_cache(runs, n: int, width: int) -> tuple[int, ...]:
+    return tuple(runs(n, width))
+
+
+def _runs(n: int, one: bytes, zero: bytes) -> Iterator[int]:
+    """For each bit b of the masks 0..n-1, lowest first, the table of the
+    masks that lack it, the field one at each such mask and zero at the
+    others: runs of 2^b of each, built by repeating bytes."""
+    run = 1
+    while run < n:
+        yield int.from_bytes((one * run + zero * run) * (n // (2 * run)), "little")
+        run <<= 1
+
+
+def _lacking_runs(n: int, width: int) -> Iterator[int]:
+    """The tables of _runs over width-byte fields holding 1 or 0."""
+    return _runs(n, (1).to_bytes(width, "little"), bytes(width))
+
+
+def _lacking_fields(n: int, width: int) -> Iterator[int]:
+    """The tables of _runs with every byte of the masks that lack the bit
+    0xff, so that an & keeps their fields whole."""
+    return _runs(n, b"\xff" * width, bytes(width))
 
 
 def lacking_bit(n: int, width: int = 1) -> Iterable[int]:
-    """The tables of _lacking_runs, cached per (n, width) up to
-    CACHED_SELECTOR_BYTES each and built one at a time above it, so a
-    caller that reads them twice keeps its own tuple.  Width 1 gives flag
+    """The tables of _lacking_runs (see _selectors).  Width 1 gives flag
     tables."""
-    if n * width <= CACHED_SELECTOR_BYTES:
-        return _cached_lacking(n, width)
-    return _lacking_runs(n, width)
+    return _selectors(_lacking_runs, n, width)
 
 # adds one to every byte
 _INCREMENT = bytes(range(1, 256)) + b"\x00"
 
 
-def _size_runs(n: int) -> Iterator[int]:
+def _size_runs(n: int, width: int) -> Iterator[int]:
     """For each size k = 1..m of the masks 0..n-1, the flag table of the
-    masks with k bits.  The bit count of every mask, one byte each, doubles
-    from mask 0 (the masks with the next bit are the ones below it, plus
-    one), and one bytes.translate per size picks out its masks."""
+    masks with k bits (width is 1, a flag per byte).  The bit count of
+    every mask, one byte each, doubles from mask 0 (the masks with the next
+    bit are the ones below it, plus one), and one bytes.translate per size
+    picks out its masks."""
     counts = b"\x00"
     while len(counts) < n:
         counts += counts.translate(_INCREMENT)
@@ -183,62 +200,9 @@ def _size_runs(n: int) -> Iterator[int]:
                              "little")
 
 
-@functools.cache
-def _cached_sizes(n: int) -> tuple[int, ...]:
-    return tuple(_size_runs(n))
-
-
 def size_classes(n: int) -> Iterable[int]:
-    """The tables of _size_runs, cached per n up to CACHED_SELECTOR_BYTES
-    and built one at a time above it."""
-    return _cached_sizes(n) if n <= CACHED_SELECTOR_BYTES else _size_runs(n)
-
-
-# (item size, array typecode) for each size the unsigned typecodes offer,
-# smallest first: the packed fields of superset_sums
-_FIELD_CODES = sorted({array(code).itemsize: code for code in "BHILQ"}.items())
-
-
-def superset_sums(values: list[int]) -> tuple[int, ...]:
-    """The superset sums of non-negative values (Yates' zeta transform):
-    entry S is the sum of values[T] over all masks T containing S, with
-    len(values) = 2^m.
-
-    The values are packed into k-byte fields of one int, k wide enough for
-    their total, which is entry 0 and bounds every other entry.  Per bit b,
-    shifting the int right by 8k << b moves each mask's field to the mask
-    without b, so one shift, mask and add does the bit's 2^(m-1) additions.
-    Fields of up to 8 bytes pack and unpack through an array whose item
-    size is the field's; wider ones through int.to_bytes per field.  A
-    negative value raises OverflowError.
-    """
-    n = len(values)
-    width = max(1, (sum(values).bit_length() + 7) // 8)
-    code = next((code for size, code in _FIELD_CODES if size >= width), None)
-    if code is not None:
-        items = array(code, values)
-        width = items.itemsize
-        if sys.byteorder == "big":
-            items.byteswap()
-        packed = int.from_bytes(items, "little")
-        del items  # each copy of the table goes once the next is made
-    else:
-        packed = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values),
-                                "little")
-    step = 8 * width
-    ones = (1 << step) - 1  # a whole field
-    for b, lacking in enumerate(lacking_bit(n, width)):
-        packed += (packed >> (step << b)) & (lacking * ones)
-    data = packed.to_bytes(n * width, "little")
-    del packed
-    if code is None:
-        return tuple(int.from_bytes(data[k:k + width], "little")
-                     for k in range(0, len(data), width))
-    items = array(code, data)
-    del data
-    if sys.byteorder == "big":
-        items.byteswap()
-    return tuple(items)
+    """The tables of _size_runs (see _selectors)."""
+    return _selectors(_size_runs, n, 1)
 
 
 def up_closure(flags: int, lacking: Iterable[int]) -> int:
@@ -262,20 +226,13 @@ def _swap_runs(n: int, width: int) -> Iterator[int]:
         yield int.from_bytes(run * (n >> (k + 1)), "little")
 
 
-@functools.cache
-def _cached_swaps(n: int, width: int) -> tuple[int, ...]:
-    return tuple(_swap_runs(n, width))
-
-
 def _reverse_bits(table: int, n: int, width: int) -> int:
     """The table of n = 2^m width-byte fields with the m bits of every
     field's index reversed: m // 2 delta swaps (Knuth, TAOCP 4A, 7.1.3),
-    each trading bits j and m - 1 - j.  The selectors are cached up to
-    CACHED_SELECTOR_BYTES, as lacking_bit's are."""
+    each trading bits j and m - 1 - j, on the selectors of _swap_runs (see
+    _selectors)."""
     m = n.bit_length() - 1
-    swaps = (_cached_swaps(n, width) if n * width <= CACHED_SELECTOR_BYTES
-             else _swap_runs(n, width))
-    for j, select in enumerate(swaps):
+    for j, select in enumerate(_selectors(_swap_runs, n, width)):
         # between each mask with bit j, not k = m - 1 - j, and the mask with k, not j
         shift = 8 * width * ((1 << (m - 1 - j)) - (1 << j))
         moved = ((table >> shift) ^ table) & select
@@ -283,12 +240,13 @@ def _reverse_bits(table: int, n: int, width: int) -> int:
     return table
 
 
-_FIELD_CODE = dict(_FIELD_CODES)
+# the unsigned array typecode of each item size, fields of 1 to 8 bytes
+_FIELD_CODE = {array(code).itemsize: code for code in "BHILQ"}
 
 
 def _le_fields(values: Iterable[int], width: int) -> bytes:
-    """Ints as little-endian width-byte fields, width an item size of
-    _FIELD_CODES.  Not for a bytes object: array() copies its raw bytes."""
+    """Ints as little-endian width-byte fields, width a key of _FIELD_CODE.
+    Not for a bytes object: array() copies its raw bytes."""
     items = array(_FIELD_CODE[width], values)
     if sys.byteorder == "big":
         items.byteswap()
@@ -303,11 +261,28 @@ def _field_ints(data: bytes, width: int) -> array:
     return items
 
 
-def _axis_fold(data: bytes, width: int, axes, combine) -> bytes:
-    """The superset aggregates of a table given in rank order as
-    little-endian width-byte fields: field S of the result, in mask order,
-    combines (combine is add or or_) the fields of the points that agree
-    with the instance on every feature of S.  axes holds each feature's
+# The two folds below compute every agreement fact: from a table of one
+# little-endian width-byte field per point, each gives, in mask order, the
+# fields of the points agreeing with the instance on each subset S combined
+# (combine is add for sums, or_ for flags).  _superset_fold reads the table
+# in mask order, _axis_fold in rank order (see _fold_order).  The fields
+# must hold every combined value.
+
+def _superset_fold(data: bytes, width: int, combine) -> bytes:
+    """The fold of a table in mask order, which holds one point per mask:
+    Yates' zeta transform on the table read as one int.  Per bit b,
+    shifting it right by 8 * width << b moves each mask's field to the mask
+    without b, so one shift, mask and combine does the bit's 2^(m-1)
+    steps."""
+    n = len(data) // width
+    table = int.from_bytes(data, "little")
+    for b, lacking in enumerate(_selectors(_lacking_fields, n, width)):
+        table = combine(table, (table >> (8 * width << b)) & lacking)
+    return table.to_bytes(len(data), "little")
+
+
+def _axis_fold(data: bytes, width: int, combine, axes) -> bytes:
+    """The fold of a table in rank order; axes holds each feature's
     (domain size, index of the instance's value), feature 1 first.
 
     Per feature, innermost (stride 1) first, with d its domain size and k
@@ -316,8 +291,7 @@ def _axis_fold(data: bytes, width: int, axes, combine) -> bytes:
     by part k (the instance's value).  The feature's agreement bit is thus
     the top bit of the index, so after m steps feature 1 sits in the top
     bit, and _reverse_bits moves feature i to bit i - 1.  A part is one
-    array slice and one int.from_bytes, with no loop per point; the fields
-    must hold every combined value.
+    array slice and one int.from_bytes, with no loop per point.
     """
     code = _FIELD_CODE[width]
     for size, k in reversed(axes):
@@ -699,6 +673,9 @@ class Classifier:
     body: object
     m: int = field(init=False, compare=False, repr=False)
     _labels: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    # the labels as one byte per point in rank order, None when a class is
+    # above 255
+    _label_bytes: bytes | None = field(init=False, compare=False, repr=False)
     _strides: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _value_index: tuple = field(init=False, compare=False, repr=False)
 
@@ -716,6 +693,8 @@ class Classifier:
                                  for d in self.features))
         object.__setattr__(self, "_labels", self._build_labels())
         self._validate_labels()
+        object.__setattr__(self, "_label_bytes", bytes(self._labels)
+                           if max(self.classes) < 256 else None)
 
     def _validate_shape(self):
         if not self.features:
@@ -947,8 +926,7 @@ class ExplanationProblem:
 
     def agreement_sums(self) -> AgreementSums:
         """The problem's integer kernel (see AgreementSums), built on first use."""
-        return self._memo(("agreement_sums",),
-                          lambda: _agreement_sums(self, self._mask_labels()))
+        return self._memo(("agreement_sums",), lambda: _agreement_sums(self))
 
     def _mask_labels(self) -> bytes | None:
         """The label of the one point at each agreement mask with the
@@ -971,18 +949,13 @@ class AgreementSums(NamedTuple):
     x_i = v_i for every feature i in S: ``label_sum`` adds their labels,
     ``same`` counts those labelled with the instance's class and ``count``
     counts them all.  Only the CF_E and CF_M tables read these; the
-    explanation families read the problem's sufficient flags, which every
-    problem builds by a flag fold of its own (_sufficient_flags).
+    explanation families read the problem's sufficient flags, which the
+    same fold gives from flag bytes (_sufficient_flags).
     """
 
     label_sum: tuple[int, ...]
     same: tuple[int, ...]
     count: tuple[int, ...]
-
-
-def _class_flags(c: int) -> bytes:
-    """A bytes.translate table that maps byte c to 1 and every other byte to 0."""
-    return bytes(c) + b"\x01" + bytes(255 - c)
 
 
 def _mask_labels(problem: ExplanationProblem) -> bytes | None:
@@ -1002,12 +975,12 @@ def _mask_labels(problem: ExplanationProblem) -> bytes | None:
     entry's index.
     """
     cls = problem.classifier
-    if max(cls.classes) > 255 or any(dom.size != 2 for dom in cls.features):
+    labels = cls._label_bytes
+    if labels is None or any(dom.size != 2 for dom in cls.features):
         return None
-    n = len(cls._labels)
-    # per bit, 0xff in the bytes of the masks that lack it
-    lacking = [flags * 0xFF for flags in lacking_bit(n)]
-    table = _reverse_bits(int.from_bytes(bytes(cls._labels), "little"), n, 1)
+    n = len(labels)
+    lacking = list(_selectors(_lacking_fields, n, 1))
+    table = _reverse_bits(int.from_bytes(labels, "little"), n, 1)
     for i, (index, v) in enumerate(zip(cls._value_index, problem.v)):
         if index[v] == 0:
             shift = 8 << i
@@ -1015,47 +988,40 @@ def _mask_labels(problem: ExplanationProblem) -> bytes | None:
     return table.to_bytes(n, "little")
 
 
+def _fold_order(problem: ExplanationProblem):
+    """(label bytes, fold): the problem's labels, one byte per point in the
+    order its fold reads, and the fold, called as fold(data, width,
+    combine) (see _superset_fold).  A problem with mask labels folds them
+    in mask order by _superset_fold; any other folds its classifier's label
+    bytes in rank order by _axis_fold, and its label bytes are None when a
+    class is above 255."""
+    labels = problem._mask_labels()
+    if labels is not None:
+        return labels, _superset_fold
+    cls = problem.classifier
+    # per feature, feature 1 first, (domain size, index of the instance's value)
+    axes = [(dom.size, index[v])
+            for dom, index, v in zip(cls.features, cls._value_index, problem.v)]
+    return cls._label_bytes, functools.partial(_axis_fold, axes=axes)
+
+
+def _class_bytes(problem: ExplanationProblem, labels: bytes | None, same: int) -> bytes:
+    """One byte per point of labels, in their order: same (0 or 1) where
+    the point has the instance's class, 1 - same elsewhere.  labels None
+    stands for the classifier's labels in rank order."""
+    c = problem.c
+    if labels is None:
+        return bytes(map(c.__eq__ if same else c.__ne__, problem.classifier._labels))
+    rest = bytes((1 - same,))
+    return labels.translate(rest * c + bytes((same,)) + rest * (255 - c))
+
+
 def _sufficient_flags(problem: ExplanationProblem) -> bytes:
     """S is sufficient iff no point of another class agrees with the
-    instance on a superset of S.  Flag the points of another class, OR the
-    flags of every mask down to its subsets and take the complement.  From
-    the mask labels, each flag sits at its mask already and one shift per
-    bit moves the masks with the bit onto the masks without it (the mirror
-    of up_closure); otherwise _axis_fold ORs the flag bytes in rank order."""
-    labels = problem._mask_labels()
-    if labels is None:
-        same = _same_class(problem, _label_bytes(problem.classifier))
-        return _axis_fold(same.translate(FLIP_FLAGS), 1, _fold_axes(problem),
-                          or_).translate(FLIP_FLAGS)
-    n = len(labels)
-    other = _class_flags(problem.c).translate(FLIP_FLAGS)
-    bad = int.from_bytes(labels.translate(other), "little")
-    for b, without in enumerate(lacking_bit(n)):
-        bad |= (bad >> (8 << b)) & without
-    return bad.to_bytes(n, "little").translate(FLIP_FLAGS)
-
-
-def _label_bytes(cls: Classifier) -> bytes | None:
-    """The label table, one byte per point in rank order, or None when a
-    class is above 255."""
-    return bytes(cls._labels) if max(cls.classes) < 256 else None
-
-
-def _same_class(problem: ExplanationProblem, labels: bytes | None) -> bytes:
-    """One byte per point, in rank order: 1 where the point has the
-    instance's class, 0 elsewhere; labels is _label_bytes of its classifier."""
-    c = problem.c
-    if labels is not None:
-        return labels.translate(_class_flags(c))
-    return bytes(map(c.__eq__, problem.classifier._labels))
-
-
-def _fold_axes(problem: ExplanationProblem) -> list[tuple[int, int]]:
-    """Per feature, feature 1 first, (domain size, index of the instance's
-    value): the axes of _axis_fold."""
-    cls = problem.classifier
-    return [(dom.size, index[v])
-            for dom, index, v in zip(cls.features, cls._value_index, problem.v)]
+    instance on a superset of S: the problem's fold ORs the flags of the
+    points of another class and the complement is the table."""
+    labels, fold = _fold_order(problem)
+    return fold(_class_bytes(problem, labels, 0), 1, or_).translate(FLIP_FLAGS)
 
 
 # the limbs of labels too large for 4-byte fields: 32 bits each, whose sums
@@ -1063,35 +1029,29 @@ def _fold_axes(problem: ExplanationProblem) -> list[tuple[int, int]]:
 _LIMB_BYTES = 4
 
 
-def _agreement_sums(problem: ExplanationProblem, labels: bytes | None) -> AgreementSums:
-    """From labels, the mask labels of a boolean problem (_mask_labels), when
-    given: each mask holds one point, and superset sums give the totals for
-    every subset.  Otherwise _axis_fold sums the label table in rank order,
-    on fields that hold a point's label in their low half and its same-class
-    flag in their high half, so one fold gives both sums.  Labels whose
-    total needs more than 4 bytes fold in 32-bit limbs, recombined at the
-    end, and the flags fold alone.  The point count of a subset is the
-    product of its free domains' sizes."""
-    cls = problem.classifier
-    if labels is not None:
-        label_sum = superset_sums(list(labels))
-        same = superset_sums(list(labels.translate(_class_flags(problem.c))))
-    else:
-        label_sum, same = _folded_sums(problem)
+def _agreement_sums(problem: ExplanationProblem) -> AgreementSums:
+    """label_sum and same from the problem's fold with add (_folded_sums);
+    the point count of a subset is the product of its free domains'
+    sizes."""
+    label_sum, same = _folded_sums(problem)
     count = [1]
-    for dom in cls.features:  # masks without feature i, then with it
+    for dom in problem.classifier.features:  # masks without feature i, then with it
         count = list(map(dom.size.__mul__, count)) + count
     return AgreementSums(label_sum, same, tuple(count))
 
 
 def _folded_sums(problem: ExplanationProblem) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """label_sum and same of AgreementSums, by _axis_fold over the label
-    table (see _agreement_sums)."""
+    """label_sum and same of AgreementSums from one fold (see _fold_order)
+    of fields that hold a point's label in their low half and its
+    same-class flag in their high half.  Labels whose total needs more
+    than 4 bytes fold in 32-bit limbs, recombined at the end, and the flags
+    fold alone."""
+    labels, fold = _fold_order(problem)
     cls = problem.classifier
-    values, labels = cls._labels, _label_bytes(cls)
-    axes, flags = _fold_axes(problem), _same_class(problem, labels)
-    # bounds every label sum and every count
-    bits = (max(max(cls.classes), 1) * len(values)).bit_length()
+    values, flags = cls._labels, _class_bytes(problem, labels, 1)
+    # bounds every label sum and every count: some label is below the top
+    # class, since no classifier is constant
+    bits = (max(cls.classes) * len(values) - 1).bit_length()
     half = next((size for size in (1, 2, 4) if 8 * size >= bits), None)
     if half is not None:
         # each label in the low half of its field, each flag in the high half
@@ -1102,19 +1062,22 @@ def _folded_sums(problem: ExplanationProblem) -> tuple[tuple[int, ...], tuple[in
             fused = bytearray(len(values) * width)
             fused[::width] = labels
         fused[half::width] = flags
-        halves = _field_ints(_axis_fold(fused, width, axes, add), half)
+        halves = _field_ints(fold(fused, width, add), half)
         return tuple(halves[0::2]), tuple(halves[1::2])
+    # A total past 4 bytes needs a class above 4096, with at most
+    # POINT_LIMIT points, and such a problem has no mask labels: only the
+    # rank-order fold comes here, and values is in its order.
     width = 8  # holds the flag sums and the sums of one limb
     spread = bytearray(len(values) * width)
     spread[::width] = flags
-    same = tuple(_field_ints(_axis_fold(spread, width, axes, add), width))
+    same = tuple(_field_ints(fold(spread, width, add), width))
     n_limbs = -(-max(values).bit_length() // (8 * _LIMB_BYTES))
     limbs = _field_ints(b"".join(map(int.to_bytes, values, itertools.repeat(
         n_limbs * _LIMB_BYTES), itertools.repeat("little"))), _LIMB_BYTES)
     label_sum = itertools.repeat(0)
     for t in range(n_limbs):
         fields = _le_fields(limbs[t::n_limbs], width)
-        sums = _field_ints(_axis_fold(fields, width, axes, add), width)
+        sums = _field_ints(fold(fields, width, add), width)
         shift = itertools.repeat(8 * _LIMB_BYTES * t)
         label_sum = map(add, label_sum, map(lshift, sums, shift))
     return tuple(label_sum), same
@@ -1303,10 +1266,11 @@ def _as_document(document):
     """A model document given as JSON text, parsed; any other value as is."""
     if not isinstance(document, str):
         return document
-    try:
-        return json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from None
+    with _reading_document():
+        try:
+            return json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"not valid JSON: {exc}") from None
 
 
 def _array(raw: dict, key: str) -> tuple:
@@ -1361,9 +1325,12 @@ def load_problem(document) -> ExplanationProblem:
 @contextmanager
 def _reading_document():
     """Report a document of the wrong shape (a missing key, a value of the
-    wrong JSON type) as a ParseError."""
+    wrong JSON type, nesting too deep for Python's recursion limit) as a
+    ParseError."""
     try:
         yield
+    except RecursionError:
+        raise ParseError("model document nests too deeply") from None
     except KeyError as exc:
         raise ParseError(f"model document misses key {exc}") from None
     except (TypeError, AttributeError) as exc:

@@ -594,6 +594,15 @@ def test_deep_expression_is_a_usage_error(tmp_path, capsys):
     assert "deeper than" in err
 
 
+def test_deeply_nested_model_document_is_a_usage_error(tmp_path, capsys, deep_document):
+    path = tmp_path / "deep.json"
+    path.write_text(deep_document)
+    code, out, err = run(capsys, "explain", "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: model document nests too deeply\n"
+
+
 @pytest.mark.parametrize("workers, expected", [
     (0, 2), ((os.cpu_count() or 1) + 1, 2), (1, 0)])
 def test_workers_limited_to_cpu_count(workers, expected, chain_model, capsys):

@@ -8,12 +8,13 @@ implementations the integer cores replaced, and minimal masks and
 up-closures of flag tables come from per-mask scans.  The whole-space
 transforms are checked the same way: label tables against the per-point body
 evaluator, coverage against the union of select_ranks cubes (coverage_set),
-hitting sets against a scan over every candidate, and the packed superset
-sums against the list-slice transform they replaced.  Banzhaf and Johnston
-on an indicator's flag bytes are checked against both the integer core on
-the same numerators and the Fraction oracle, and so are Deegan-Packel,
-Holler-Packel and Andjiga on a family's and an indicator's flag bytes
-against the member walk and the Fraction oracle.  Score vectors and audit
+hitting sets against a scan over every candidate, and the mask-order fold
+(model._superset_fold) against direct superset sums and ORs, and against
+the list-slice transform where direct sums would take too long.  Banzhaf
+and Johnston on an indicator's flag bytes are checked against both the
+integer core on the same numerators and the Fraction oracle, and so are
+Deegan-Packel, Holler-Packel and Andjiga on a family's and an indicator's
+flag bytes against the member walk and the Fraction oracle.  Score vectors and audit
 facts kept on a problem are checked against fresh computations: the FISs
 that share a template pass, and minimal monotonicity (P05) against the
 per-score containment scan it replaced.  The sufficient flags every family
@@ -31,7 +32,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from operator import add, eq
+from operator import add, eq, or_
 from pathlib import Path
 
 import pytest
@@ -43,8 +44,7 @@ from fislab.model import (And, BoolExprBody, Classifier, DomainError,
                           ExplanationProblem, FeatureDomain, Not, TableBody, TreeBody, TreeLeaf,
                           TreeSplit, Var, WVGBody, WeightedVotingGame,
                           agreement_set, bit_slices, features_of, lacking_bit, make_problem,
-                          parse_boolean_expression, size_classes, superset_sums,
-                          up_closure)
+                          parse_boolean_expression, size_classes, up_closure)
 from fislab.scores import ScoreVector, TemplateId
 
 # the per-point binning loop, the kernel's oracle, lives with the gate
@@ -529,6 +529,30 @@ def test_fold_corpus_covers_every_position_and_wide_fields():
     assert max(max(p.agreement_sums().label_sum) for _, p in FOLD_CORPUS) >= 2**64
 
 
+@pytest.mark.parametrize("sizes, classes, total", [
+    ((2,) * 8, (0, 1), 255), ((2,) * 8, (1, 2), 511), ((4, 4, 4, 4), (1, 2), 511)],
+    ids=["mask-order-255", "mask-order-511", "rank-order-511"])
+def test_sums_at_the_edge_of_their_fields(sizes, classes, total):
+    # every label but one at the top class, so the label total at the empty
+    # subset is the largest the classes allow: 255 fills one-byte halves,
+    # and 511 needs one bit more than they hold; at the one point of the
+    # low class, every other point is of another class
+    low, top = classes
+    n = math.prod(sizes)
+    labels = [top] * n
+    odd = random.Random(n).randrange(1, n)
+    labels[odd] = low
+    features = tuple(FeatureDomain(i, tuple(range(size)))
+                     for i, size in enumerate(sizes, start=1))
+    classifier = Classifier(features, frozenset(classes), TableBody(tuple(labels)))
+    for point in ((0,) * len(sizes), list(classifier.points())[odd]):
+        problem = make_problem(classifier, point)
+        loop = gate.point_loop_sums(problem)
+        assert loop.label_sum[0] == total
+        assert problem.agreement_sums() == loop
+        assert problem._sufficient_flags() == bytes(map(eq, loop.same, loop.count))
+
+
 def ternary_chain(m):
     """A tree over m ternary features: value 0 of feature i goes on to
     feature i + 1, and the other two values are leaves."""
@@ -722,45 +746,64 @@ def test_superset_sums_match_direct_sums(m):
     assert values == expected
 
 
+def direct_superset_fold(values: list[int], combine) -> list[int]:
+    """Entry S combines values[T] over every mask T containing S, visiting
+    the supersets of S one by one in increasing order."""
+    n = len(values)
+    folded = []
+    for s in range(n):
+        total, t = values[s], (s + 1) | s
+        while t < n:
+            total = combine(total, values[t])
+            t = (t + 1) | s
+        folded.append(total)
+    return folded
+
+
+def superset_fold(values: list[int], width: int, combine) -> list[int]:
+    """model._superset_fold on values packed into width-byte fields."""
+    data = model._superset_fold(model._le_fields(values, width), width, combine)
+    return list(model._field_ints(data, width))
+
+
 @pytest.mark.parametrize("m", range(0, 11))
-def test_packed_superset_sums_match_the_oracle(m):
-    # the total (entry 0) sets the field width: entries drawn up to 2^bits
-    # make fields of 1 to 9 bytes, and labels up to 10**60 wider ones
+def test_superset_fold_adds_over_supersets(m):
+    # each fill keeps the total, entry 0, within one field; "one" puts a
+    # full field at one mask, which every subset of it must take whole
     rng = random.Random(100 + m)
     n = 1 << m
-    tops = [0, 1, 2**7 - 1, 2**8, 2**15, 2**23, 2**31, 2**39, 2**47, 2**55, 2**63,
-            2**64, 2**70, 10**60]
-    widths = set()
-    for top in tops:
-        for fill in ("random", "sparse", "top"):
-            if fill == "random":
-                values = [rng.randint(0, top) for _ in range(n)]
-            elif fill == "sparse":
-                values = [top if rng.random() < 0.1 else 0 for _ in range(n)]
-            else:
-                values = [top] * n
-            expected = list(values)
-            oracle_superset_sums(expected)
-            assert superset_sums(values) == tuple(expected)
-            widths.add(-(-sum(values).bit_length() // 8))
-    if m == 10:
-        assert set(range(1, 10)) <= widths
+    for width in (1, 2, 4, 8):
+        full = (1 << 8 * width) - 1
+        k = max(1, n // 10)
+        fills = {"random": [rng.randint(0, full // n) for _ in range(n)],
+                 "top": [full // n] * n,
+                 "sparse": [0] * n,
+                 "one": [0] * n}
+        for t in rng.sample(range(n), k):
+            fills["sparse"][t] = full // k
+        fills["one"][rng.randrange(n)] = full
+        for fill, values in fills.items():
+            assert (superset_fold(values, width, add)
+                    == direct_superset_fold(values, add)), (width, fill)
 
 
-@pytest.mark.parametrize("top", [1, 2**40, 10**30])
-def test_packed_superset_sums_with_uncached_selectors(top):
-    # at m = 14, 2-byte fields read cached selectors; 8-byte and 13-byte
-    # fields need more than 64 KiB each, built one at a time
-    rng = random.Random(top)
-    values = [rng.randint(0, top) for _ in range(1 << 14)]
+@pytest.mark.parametrize("m", range(0, 11))
+def test_superset_fold_ors_over_supersets(m):
+    rng = random.Random(200 + m)
+    n = 1 << m
+    for values in ([rng.randrange(256) for _ in range(n)],
+                   [rng.random() < 0.1 for _ in range(n)]):
+        assert superset_fold(values, 1, or_) == direct_superset_fold(values, or_)
+
+
+def test_superset_fold_with_uncached_selectors():
+    # at m = 14, 8-byte fields need selectors of more than 64 KiB each,
+    # built one at a time
+    rng = random.Random(14)
+    values = [rng.randint(0, 2**40) for _ in range(1 << 14)]
     expected = list(values)
     oracle_superset_sums(expected)
-    assert superset_sums(values) == tuple(expected)
-
-
-def test_packed_superset_sums_reject_negative_values():
-    with pytest.raises(OverflowError):
-        superset_sums([1, -1])
+    assert superset_fold(values, 8, add) == expected
 
 
 @pytest.mark.parametrize("m", range(0, 11))
@@ -806,7 +849,7 @@ def test_flag_passes_past_the_cache_bound_cache_no_selector():
     rng = random.Random(m)
     flags = bytes(rng.random() < 0.3 for _ in range(n))
     family = bytes(rng.random() < 0.1 for _ in range(n))
-    cached = model._cached_lacking.cache_info().currsize
+    cached = model._selector_cache.cache_info().currsize
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -815,11 +858,11 @@ def test_flag_passes_past_the_cache_bound_cache_no_selector():
         scores._banzhaf_flags(flags)
         scores._johnston_flags(flags)
         scores._family_flags(TemplateId.ANDJIGA, flags, family)
-        superset_sums(list(flags))
+        model._superset_fold(flags, 1, or_)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert model._cached_lacking.cache_info().currsize == cached
+    assert model._selector_cache.cache_info().currsize == cached
     assert kept < n  # less than one selector of this size
 
 

@@ -341,6 +341,12 @@ def test_invalid_json_text_is_a_parse_error(load):
         load("{")
 
 
+@pytest.mark.parametrize("load", [parse_model, load_problem])
+def test_deeply_nested_json_text_is_a_parse_error(load, deep_document):
+    with pytest.raises(ParseError, match="nests too deeply"):
+        load(deep_document)
+
+
 def test_problem_document_roundtrip(chain):
     doc = problem_to_document(chain)
     again = load_problem(doc)

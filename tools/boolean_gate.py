@@ -31,12 +31,15 @@ non-constant labelling of the first four MIXED_SPACES
 (tests/test_exhaustive.py).  Run from the repository root, this script runs
 it on one function of each of the 3,982 non-constant classes of m = 4
 boolean functions under feature renumbering, and on every labelling of all
-five MIXED_SPACES:
+five MIXED_SPACES and both LARGER_SPACES.  It also compares the kernel with
+the loop once more on every one of those labellings with each class c
+renamed c + 256: classes of 256 or more have no label bytes, so the sums
+take the route that packs the labels as ints (model._le_fields).
 
     PYTHONPATH=src python tools/boolean_gate.py
 
-It prints the problem count, each failure and the wall time, and exits 1
-if anything failed.
+It prints the problem count, the renamed-class count, each failure and the
+wall time, and exits 1 if anything failed.
 """
 
 from __future__ import annotations
@@ -129,12 +132,26 @@ def core_mismatches(problem) -> list[str]:
     return out
 
 
+def superset_totals(bins: list[int]) -> tuple[int, ...]:
+    """Entry S: the sum of bins[T] over every mask T containing S, visiting
+    the supersets of S one by one."""
+    totals = []
+    for s in range(len(bins)):
+        total, t = 0, s
+        while t < len(bins):
+            total += bins[t]
+            t = (t + 1) | s  # the next mask containing s
+        totals.append(total)
+    return tuple(totals)
+
+
 def point_loop_sums(problem) -> model.AgreementSums:
     """The agreement sums by the per-point binning loop, the oracle of the
     kernel: each point's label and same-class count go to the bin of its
-    agreement mask with the instance, superset sums give every subset's
-    totals, and a subset's point count is the product of its free domains'
-    sizes."""
+    agreement mask with the instance, each subset's totals add the bins of
+    its supersets (superset_totals), and a subset's point count is the
+    product of its free domains' sizes.  It shares no arithmetic with the
+    kernel's folds."""
     cls = problem.classifier
     # agreement mask of every point, in rank order
     masks = model._rank_sums([[1 << i if k == index[v] else 0 for k in range(dom.size)]
@@ -148,7 +165,7 @@ def point_loop_sums(problem) -> model.AgreementSums:
     count = [1]
     for dom in cls.features:  # masks without feature i, then with it
         count = [n * dom.size for n in count] + count
-    return model.AgreementSums(model.superset_sums(label_sum), model.superset_sums(same),
+    return model.AgreementSums(superset_totals(label_sum), superset_totals(same),
                                tuple(count))
 
 
@@ -157,8 +174,9 @@ def kernel_mismatches(problem) -> list[str]:
     WAXP flag table and the agreement sums, on the problem and at the other
     end of its space: the all-zeros (all first values) instance for the
     gate's all-ones problems, the all-last-values one for problems at the
-    first values.  A problem whose domains all have two values must bin by
-    its mask labels; any other takes the per-axis fold."""
+    first values.  A problem whose domains all have two values and whose
+    classes are below 256 must bin by its mask labels; any other takes the
+    per-axis fold."""
     out = []
     cls = problem.classifier
     firsts = tuple(dom.values[0] for dom in cls.features)
@@ -166,7 +184,7 @@ def kernel_mismatches(problem) -> list[str]:
         other, where = firsts, " at 0...0"
     else:
         other, where = tuple(dom.values[-1] for dom in cls.features), " at the last values"
-    boolean = all(dom.size == 2 for dom in cls.features)
+    boolean = max(cls.classes) < 256 and all(dom.size == 2 for dom in cls.features)
     for name, case in (("", problem), (where, make_problem(cls, other))):
         if boolean and case._mask_labels() is None:
             out.append("mask labels" + name)
@@ -253,19 +271,33 @@ def run_gate(ms, up_to_renumbering: bool = False,
 # the mixed spaces the script checks: (domain sizes, class count); Tier-1
 # checks all but the last (tests/test_exhaustive.py)
 MIXED_SPACES = (((3,), 3), ((3, 2), 2), ((2, 2), 3), ((4, 2), 2), ((3, 2), 3))
+# larger mixed spaces, of 510 and 240 problems, that only the script checks
+LARGER_SPACES = (((3, 3), 2), ((5,), 3))
+
+
+def renamed_classes(problem) -> ExplanationProblem:
+    """The problem with each class c renamed c + 256, at the same instance."""
+    cls = problem.classifier
+    return make_problem(model.relabel_classes(cls, {c: c + 256 for c in cls.classes}),
+                        problem.v)
 
 
 def main() -> int:
     start = time.perf_counter()
     drawn, failures = run_gate([4], up_to_renumbering=True)
-    for sizes, n_classes in MIXED_SPACES:
+    renamed = 0
+    for sizes, n_classes in MIXED_SPACES + LARGER_SPACES:
         more, failed = run_problems(labelling_problems(sizes, n_classes))
         drawn += more
         failures += failed
+        for tag, problem in labelling_problems(sizes, n_classes):
+            failures += [f"kernel differs on {name}, classes + 256, {tag}"
+                         for name in kernel_mismatches(renamed_classes(problem))]
+            renamed += 1
     for line in failures:
         print(line)
-    print(f"{drawn} problems, {len(failures)} failures, "
-          f"{time.perf_counter() - start:.1f} s")
+    print(f"{drawn} problems, {renamed} of them with classes renamed, "
+          f"{len(failures)} failures, {time.perf_counter() - start:.1f} s")
     return 1 if failures else 0
 
 
