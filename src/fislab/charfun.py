@@ -63,6 +63,11 @@ class CharacteristicTable:
         if self.den < 1:
             raise ValueError(f"denominator {self.den} is below 1")
 
+    def __reduce__(self):
+        # the problem is held weakly, and a weakref.ref does not pickle
+        return CharacteristicTable, (self.cf_id, self.n_features, self.nums, self.den,
+                                     None, self.flags)
+
     @cached_value
     def values(self) -> tuple[Fraction, ...]:
         """The values as Fractions, built on first use."""

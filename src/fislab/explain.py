@@ -72,6 +72,10 @@ class ExplanationFamily:
                 flags[s] = 1
             object.__setattr__(self, "flags", bytes(flags))
 
+    def __reduce__(self):
+        # the problem is held weakly, and a weakref.ref does not pickle
+        return ExplanationFamily, (self.kind, self.members, None, self.flags)
+
     def containing(self, i: int) -> tuple[int, ...]:
         bit = 1 << (i - 1)
         return tuple(s for s in self.members if s & bit)

@@ -166,21 +166,17 @@ def _runs(n: int, one: bytes, zero: bytes) -> Iterator[int]:
         run <<= 1
 
 
-def _lacking_runs(n: int, width: int) -> Iterator[int]:
-    """The tables of _runs over width-byte fields holding 1 or 0."""
-    return _runs(n, (1).to_bytes(width, "little"), bytes(width))
-
-
 def _lacking_fields(n: int, width: int) -> Iterator[int]:
     """The tables of _runs with every byte of the masks that lack the bit
     0xff, so that an & keeps their fields whole."""
     return _runs(n, b"\xff" * width, bytes(width))
 
 
-def lacking_bit(n: int, width: int = 1) -> Iterable[int]:
-    """The tables of _lacking_runs (see _selectors).  Width 1 gives flag
-    tables."""
-    return _selectors(_lacking_runs, n, width)
+def lacking_bit(n: int) -> Iterable[int]:
+    """The tables of _lacking_fields over one-byte fields (see _selectors):
+    anded with a flag table, each keeps the flags of the masks without its
+    bit."""
+    return _selectors(_lacking_fields, n, 1)
 
 # adds one to every byte
 _INCREMENT = bytes(range(1, 256)) + b"\x00"
@@ -339,13 +335,14 @@ class weak_field:
     holds a weakref.ref, and a read returns the referent while it lives and
     None after that.  The field defaults to None.
 
-    Tables, families and score vectors name the problem they were built on
-    through one, so that a problem's memo, which holds them, forms no
-    reference cycle with it and goes by reference counting alone.  A data
-    descriptor is set even through object.__setattr__, which frozen
-    dataclasses use.  The ref goes in an attribute of its own, "_<name>_ref":
-    reading the instance's __dict__ would build it as a real dict, which
-    slows every attribute of the instance.
+    Tables and families name the problem they were built on through one, so
+    that a problem's memo, which holds them, forms no reference cycle with
+    it and goes by reference counting alone; their __reduce__ leaves the
+    problem out, as a weakref.ref does not pickle.  A data descriptor is set
+    even through object.__setattr__, which frozen dataclasses use.  The ref
+    goes in an attribute of its own, "_<name>_ref": reading the instance's
+    __dict__ would build it as a real dict, which slows every attribute of
+    the instance.
     """
 
     def __set_name__(self, owner, name):
@@ -913,8 +910,8 @@ class ExplanationProblem:
         return (base + sum(offsets) for offsets in itertools.product(*axes))
 
     def __reduce__(self):
-        # the memo is derived data, and its tables hold weak references,
-        # which do not pickle: a problem sent to a worker goes without it
+        # the memo is derived data: a problem sent to a worker goes
+        # without it
         return ExplanationProblem, (self.classifier, self.instance)
 
     def _memo(self, key, build):
@@ -979,7 +976,7 @@ def _mask_labels(problem: ExplanationProblem) -> bytes | None:
     if labels is None or any(dom.size != 2 for dom in cls.features):
         return None
     n = len(labels)
-    lacking = list(_selectors(_lacking_fields, n, 1))
+    lacking = list(lacking_bit(n))
     table = _reverse_bits(int.from_bytes(labels, "little"), n, 1)
     for i, (index, v) in enumerate(zip(cls._value_index, problem.v)):
         if index[v] == 0:

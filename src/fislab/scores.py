@@ -21,7 +21,7 @@ from . import charfun, explain
 from .charfun import CharacteristicTable
 from .explain import ExplanationKind
 from .model import (ExplanationProblem, WeightedVotingGame, as_mask, bit_slices,
-                    cached_value, lacking_bit, size_classes, up_closure, weak_field)
+                    cached_value, lacking_bit, size_classes, up_closure)
 
 
 class TemplateId(enum.Enum):
@@ -51,22 +51,17 @@ TEMPLATE_DEFAULTS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ScoreVector:
     """Per-feature exact rationals for one score on one problem: feature i
     scores nums[i - 1] / den.
 
     The pair is kept reduced (den >= 1 and gcd(den, *nums) == 1), so two
-    vectors are equal exactly when their nums and den are equal; the label,
-    table id and problem are not compared.  The problem is held weakly
-    (model.weak_field): a vector does not keep it alive.
+    vectors are equal exactly when their nums and den are equal.
     """
 
     nums: tuple[int, ...]
     den: int
-    label: str
-    cf_id: str | None = None
-    problem: ExplanationProblem | None = weak_field()
 
     def __post_init__(self):
         nums, den = self.nums, self.den
@@ -78,14 +73,6 @@ class ScoreVector:
             object.__setattr__(self, "den", den // common)
         elif type(nums) is not tuple:
             object.__setattr__(self, "nums", tuple(nums))
-
-    def __eq__(self, other):
-        if not isinstance(other, ScoreVector):
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
-
-    def __hash__(self):
-        return hash((self.nums, self.den))
 
     @cached_value
     def values(self) -> tuple[Fraction, ...]:
@@ -202,6 +189,20 @@ def _johnston(nums: tuple[int, ...]) -> _Scores:
 # L_i << (8 << i) moves v(S - i) onto the same masks, so feature i's gain at
 # S is the first flag less the second.
 
+def _flag_gains(values: int, lacking, parts) -> list[int]:
+    """Per feature i, the sum over the (weight, part) pairs of parts of
+    weight times i's gains on the masks flagged in part: a popcount of
+    part & (V ^ L_i) less one of part & (L_i << (8 << i)).  lacking is
+    lacking_bit(n) of the table's n masks."""
+    nums = []
+    for b, without in enumerate(lacking):
+        low = values & without
+        gained, lost = values ^ low, low << (8 << b)
+        nums.append(sum(weight * ((part & gained).bit_count() - (part & lost).bit_count())
+                        for weight, part in parts))
+    return nums
+
+
 def _banzhaf_flags(flags: bytes) -> _Scores:
     """Feature i's gains sum to the members with i less the members without
     it: popcount(V) - 2 * popcount(L_i), over 2^(m-1)."""
@@ -222,8 +223,8 @@ def _johnston_flags(flags: bytes) -> _Scores:
     bytes.translate per nonzero total flags the masks that have it, and
     feature i's numerator over the lcm of the totals, multiple, is the sum
     over them of (multiple // t) times its gains on those masks, counted by
-    popcount.  The gains are built again in that second pass rather than
-    kept, m pairs of 2^m-byte ints.
+    popcount (_flag_gains).  The gains are built again in that second pass
+    rather than kept, m pairs of 2^m-byte ints.
     """
     n = len(flags)
     m = n.bit_length() - 1
@@ -242,13 +243,7 @@ def _johnston_flags(flags: bytes) -> _Scores:
                     totals.translate(bytes(code) + b"\x01" + bytes(255 - code)), "little"))
                 for code in codes]
     del totals
-    nums = []
-    for b, without in enumerate(lacking):
-        low = table & without
-        gained, lost = table ^ low, low << (8 << b)
-        nums.append(sum(share * ((gained & masks).bit_count() - (lost & masks).bit_count())
-                        for share, masks in by_total))
-    return nums, multiple
+    return _flag_gains(table, lacking, by_total), multiple
 
 
 def _family_flags(template: TemplateId, table: bytes, family: bytes) -> _Scores:
@@ -257,10 +252,10 @@ def _family_flags(template: TemplateId, table: bytes, family: bytes) -> _Scores:
 
     Feature i's gains at the masks with i are V ^ L_i less L_i << (8 << i),
     as in the all-subset flag cores, so its gains over the members of one
-    size k are popcounts of their and with F_k, the members with k bits.
-    The size weight lcm(1..m) // k of Deegan-Packel and Andjiga multiplies
-    each size's count; Holler-Packel weighs every member 1 and reads F
-    whole.  The empty mask lies in no F_k and has no gains, so it only
+    size k are popcounts of their and with F_k, the members with k bits
+    (_flag_gains).  The size weight lcm(1..m) // k of Deegan-Packel and
+    Andjiga multiplies each size's count; Holler-Packel weighs every member
+    1 and reads F whole.  The empty mask lies in no F_k and has no gains, so it only
     counts toward the family size.  The pair is _score_family's, unreduced.
     """
     n = len(family)
@@ -278,14 +273,8 @@ def _family_flags(template: TemplateId, table: bytes, family: bytes) -> _Scores:
             part = members & sized
             if part:
                 by_size.append((multiple // k, part))
-    values = int.from_bytes(table, "little")
-    nums = []
-    for b, lacking in enumerate(lacking_bit(n)):
-        low = values & lacking
-        gained, lost = values ^ low, low << (8 << b)
-        nums.append(sum(weight * ((part & gained).bit_count() - (part & lost).bit_count())
-                        for weight, part in by_size))
-    return nums, multiple * count
+    return (_flag_gains(int.from_bytes(table, "little"), lacking_bit(n), by_size),
+            multiple * count)
 
 
 def _dense(count: int, m: int) -> bool:
@@ -355,16 +344,23 @@ def _score_family(template: TemplateId, table: CharacteristicTable | None,
     return acc, multiple * count * den
 
 
+def _refuse_normalized(template_id: TemplateId, normalized: bool) -> None:
+    if normalized and template_id is not TemplateId.RESPONSIBILITY:
+        raise ValueError(f"{template_id.value} has no normalized form; "
+                         f"only responsibility has")
+
+
 def template_score(template_id: TemplateId, problem: ExplanationProblem,
                    table: CharacteristicTable,
                    family_mode: ExplanationKind | None = None,
-                   normalized: bool = False, *, label: str | None = None) -> ScoreVector:
+                   normalized: bool = False) -> ScoreVector:
     """Evaluate one template on a problem with the given characteristic table.
 
     family_mode overrides the explanation family a family template sums
-    over; the all-subset templates take none.  The vector is labelled with
-    the template's name unless a label is given.
+    over; the all-subset templates take none.  normalized divides
+    responsibility by the family size; no other template takes it.
     """
+    _refuse_normalized(template_id, normalized)
     if table.problem not in (None, problem):
         raise ValueError("table was built on a different problem")
     if table.n_features != problem.m:
@@ -379,25 +375,23 @@ def template_score(template_id: TemplateId, problem: ExplanationProblem,
         family = explain.family(problem, family_mode or default)
         nums, den = _score_family(template_id, table, family.members, problem.m,
                                   normalized, family.flags)
-    if label is None:
-        label = template_id.value + ("_normalized" if normalized else "")
-    return ScoreVector(nums, den, label, table.cf_id, problem)
+    return ScoreVector(nums, den)
 
 
 def family_score(template_id: TemplateId, members, n_features: int,
                  normalized: bool = False) -> ScoreVector:
     """Score an explicitly injected family of subsets (unit influence).
 
-    members may be masks or iterables of 1-based feature indices.
+    members may be masks or iterables of 1-based feature indices;
+    normalized applies to responsibility only, as in template_score.
     """
     masks = [as_mask(s, n_features) for s in members]
     if template_id in (TemplateId.SHAPLEY_SHUBIK, TemplateId.BANZHAF,
                        TemplateId.JOHNSTON):
         raise ValueError(f"{template_id.value} needs a characteristic table, "
                          f"not a bare family")
-    nums, den = _score_family(template_id, None, masks, n_features, normalized)
-    name = template_id.value + ("_normalized" if normalized else "")
-    return ScoreVector(nums, den, name)
+    _refuse_normalized(template_id, normalized)
+    return ScoreVector(*_score_family(template_id, None, masks, n_features, normalized))
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +455,11 @@ def compute_fis(fis_id: str, problem: ExplanationProblem, dual: bool = False) ->
     """One named feature-importance score, primal or mechanically dualized,
     kept on the problem.
 
-    The template's result is kept too, keyed by its inputs (template,
+    The template's vector is kept too, keyed by its inputs (template,
     table id and family kind), so scores with the same inputs share one
-    pass: DUAL(E) and DUAL(M) read E's and M's, as CF_E and CF_M are their
-    own duals, and R_NORM and DUAL(R_NORM) read R's and DUAL(R)'s.
+    pass: DUAL(E) and DUAL(M) are E's and M's vectors, as CF_E and CF_M are
+    their own duals, and R_NORM and DUAL(R_NORM) are R's and DUAL(R)'s over
+    the family size.
     """
     # the memo inline: an audit reads each vector many times
     key, cache = ("fis", fis_id, dual), problem._cache
@@ -476,28 +471,18 @@ def compute_fis(fis_id: str, problem: ExplanationProblem, dual: bool = False) ->
 
 
 def _fis_vector(fis_id: str, problem: ExplanationProblem, dual: bool) -> ScoreVector:
-    label = f"DUAL({fis_id})" if dual else fis_id
     if fis_id == "V":
-        return coverage_score(problem, contrastive=dual, label=label)
+        return coverage_score(problem, contrastive=dual)
     template, cf_id, family, normalized = _FIS_RECIPES[fis_id]
     if dual:
         cf_id = charfun.dual_id(cf_id)
         family = family.dual if family else None
-    # the template's (nums, den), shared by every score with these inputs;
-    # the score that runs the pass returns its vector as it is, unless
-    # that score is normalized
-    key = ("template", template, cf_id, family)
-    pair = problem._cache.get(key)
-    if pair is None:
-        vec = template_score(template, problem, charfun.build_table(cf_id, problem),
-                             family, label=label)
-        pair = problem._cache[key] = vec.nums, vec.den
-        if not normalized:
-            return vec
-    nums, den = pair
+    # the template's vector, shared by every score with these inputs
+    vec = problem._memo(("template", template, cf_id, family), lambda: template_score(
+        template, problem, charfun.build_table(cf_id, problem), family))
     if normalized:  # over the family size; an empty family scores 0 over 1
-        den *= len(explain.family(problem, family)) or 1
-    return ScoreVector(nums, den, label, cf_id, problem)
+        return ScoreVector(vec.nums, vec.den * (len(explain.family(problem, family)) or 1))
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +501,7 @@ def coverage_set(problem: ExplanationProblem, i: int, contrastive: bool = False)
     return tuple(all_points[r] for r in sorted(ranks))
 
 
-def coverage_score(problem: ExplanationProblem, contrastive: bool = False, *,
-                   label: str = "coverage") -> ScoreVector:
+def coverage_score(problem: ExplanationProblem, contrastive: bool = False) -> ScoreVector:
     """Covered fraction of feature space per feature.
 
     A point that agrees with the instance on exactly the mask A lies in the
@@ -538,7 +522,7 @@ def coverage_score(problem: ExplanationProblem, contrastive: bool = False, *,
     for without in lacking:
         covered = up_closure(members & ~without, lacking)
         counts.append(sum(itertools.compress(exact, covered.to_bytes(n, "little"))))
-    return ScoreVector(counts, size, label, None, problem)
+    return ScoreVector(counts, size)
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +548,7 @@ def shapley_permutation_oracle(problem: ExplanationProblem | None,
             grown = mask | 1 << i
             totals[i] += nums[grown] - nums[mask]
             mask = grown
-    return ScoreVector(totals, math.factorial(m) * table.den,
-                       "shapley_permutation_oracle", table.cf_id, problem)
+    return ScoreVector(totals, math.factorial(m) * table.den)
 
 
 def winning_coalitions(game: WeightedVotingGame) -> tuple[int, ...]:
@@ -580,7 +563,8 @@ def wvg_power_index(game: WeightedVotingGame, template_id: TemplateId,
                     normalized: bool = False) -> ScoreVector:
     """Classical power indices: the templates read the winning-coalition
     indicator, with minimal winning coalitions standing in for the minimal
-    sufficient subsets."""
+    sufficient subsets.  normalized applies to responsibility only."""
+    _refuse_normalized(template_id, normalized)
     table = charfun.cf_wvg(game)
     family = TEMPLATE_DEFAULTS[template_id][1]
     if family is None:
@@ -592,6 +576,5 @@ def wvg_power_index(game: WeightedVotingGame, template_id: TemplateId,
             flags = explain.minimal_masks(flags)
         nums, den = _score_family(template_id, table, explain.members_of(flags),
                                   game.m, normalized, flags)
-    name = template_id.value + ("_normalized" if normalized else "")
-    return ScoreVector(nums, den, name, charfun.CF_WVG)
+    return ScoreVector(nums, den)
 

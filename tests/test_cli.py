@@ -107,8 +107,7 @@ def test_oracle_mismatch_is_an_internal_error(chain_model, monkeypatch, capsys):
 
     def perturbed(problem, table):
         vec = oracle(problem, table)
-        return scores.ScoreVector((vec.nums[0] + vec.den,) + vec.nums[1:], vec.den,
-                                  vec.label, vec.cf_id, vec.problem)
+        return scores.ScoreVector((vec.nums[0] + vec.den,) + vec.nums[1:], vec.den)
 
     monkeypatch.setattr(scores, "shapley_permutation_oracle", perturbed)
     code, out, err = run(capsys, "score", "--model", chain_model,

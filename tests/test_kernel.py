@@ -153,15 +153,14 @@ def assert_reduced(vec: ScoreVector) -> ScoreVector:
 
 def all_subsets_vector(template: TemplateId, table: CharacteristicTable) -> ScoreVector:
     """The all-subset core's (numerators, denominator) pair as a vector."""
-    return assert_reduced(ScoreVector(*scores._score_all_subsets(template, table),
-                                      template.value))
+    return assert_reduced(ScoreVector(*scores._score_all_subsets(template, table)))
 
 
 def family_vector(template: TemplateId, table: CharacteristicTable | None,
                   members, m: int, normalized: bool = False) -> ScoreVector:
     """The family core's (numerators, denominator) pair as a vector."""
     return assert_reduced(ScoreVector(
-        *scores._score_family(template, table, members, m, normalized), template.value))
+        *scores._score_family(template, table, members, m, normalized)))
 
 
 def oracle_fis(fis_id: str, problem, dual: bool) -> tuple[Fraction, ...]:
@@ -221,11 +220,12 @@ def oracle_superset_sums(values: list[int]) -> None:
 
 
 def oracle_lacking_bit(n: int) -> tuple[int, ...]:
-    """Per bit, the flag table of the masks 0..n-1 that lack it."""
+    """Per bit, the table of one byte per mask 0..n-1, 0xff at the masks
+    that lack the bit and 0 at the others."""
     selectors = []
     run = 1
     while run < n:
-        pattern = b"\x01" * run + b"\x00" * run
+        pattern = b"\xff" * run + b"\x00" * run
         selectors.append(int.from_bytes(pattern * (n // (2 * run)), "little"))
         run <<= 1
     return tuple(selectors)
@@ -582,26 +582,27 @@ def test_sufficient_flags_of_a_ternary_tree_keep_no_per_point_list():
 
 @pytest.mark.parametrize("problem", [p for _, p in CORPUS], ids=[n for n, _ in CORPUS])
 def test_scores_sharing_a_template_pass_match_fresh_problems(problem):
-    # DUAL(E) and DUAL(M) read E's and M's Shapley pass on the same table
+    # DUAL(E) and DUAL(M) are E's and M's Shapley pass on the same table
     for fis_id, cf_id in (("E", charfun.CF_E), ("M", charfun.CF_M)):
         primal = scores.compute_fis(fis_id, problem)
         dual = scores.compute_fis(fis_id, problem, dual=True)
+        assert dual is primal
         alone = fresh(problem)
         expected = scores.template_score(TemplateId.SHAPLEY_SHUBIK, alone,
                                          charfun.build_table(cf_id, alone))
-        for vec in (primal, dual):
-            assert (vec.nums, vec.den, vec.cf_id) == (expected.nums, expected.den, cf_id)
-        assert dual.label == f"DUAL({fis_id})"
-    # R_NORM and its dual read R's and DUAL(R)'s member walk
+        assert (primal.nums, primal.den) == (expected.nums, expected.den)
+    # R_NORM and its dual are R's and DUAL(R)'s member walk over the family size
     for dual, cf_id, kind in ((False, charfun.CF_A, ExplanationKind.AXP),
                               (True, charfun.CF_A_DUAL, ExplanationKind.CXP)):
-        scores.compute_fis("R", problem, dual=dual)
+        plain = scores.compute_fis("R", problem, dual=dual)
         shared = scores.compute_fis("R_NORM", problem, dual=dual)
+        size = len(explain.family(problem, kind))
+        assert shared.values == tuple(v / (size or 1) for v in plain.values)
         alone = fresh(problem)
         expected = scores.template_score(TemplateId.RESPONSIBILITY, alone,
                                          charfun.build_table(cf_id, alone), kind,
                                          normalized=True)
-        assert (shared.nums, shared.den, shared.cf_id) == (expected.nums, expected.den, cf_id)
+        assert (shared.nums, shared.den) == (expected.nums, expected.den)
 
 
 def test_scores_sharing_a_template_pass_run_it_once(chain, monkeypatch):
@@ -673,19 +674,19 @@ def test_relabeling_witness_replays_from_string_keys():
 
 
 def test_vectors_are_reduced_on_construction():
-    vec = ScoreVector([4, -6, 0], 10, "x")
+    vec = ScoreVector([4, -6, 0], 10)
     assert (vec.nums, vec.den) == ((2, -3, 0), 5)
-    assert vec == ScoreVector((2, -3, 0), 5, "y") and vec != ScoreVector((2, -3, 0), 7, "x")
+    assert vec == ScoreVector((2, -3, 0), 5) and vec != ScoreVector((2, -3, 0), 7)
     assert vec.values == (Fraction(2, 5), Fraction(-3, 5), 0)
-    assert ScoreVector((0, 0), 12, "zero") == ScoreVector((0, 0), 1, "zero")
-    assert ScoreVector((), 3, "empty").den == 1
+    assert ScoreVector((0, 0), 12) == ScoreVector((0, 0), 1)
+    assert ScoreVector((), 3).den == 1
     for den in (0, -2):
         with pytest.raises(ValueError):
-            ScoreVector((1,), den, "x")
+            ScoreVector((1,), den)
 
 
 def test_fraction_views_are_lazy_and_kept():
-    vec = ScoreVector([1, 3], 6, "x")
+    vec = ScoreVector([1, 3], 6)
     table = CharacteristicTable(charfun.CF_E, 1, (0, 4), 8)
     for obj, expected in ((vec, (Fraction(1, 6), Fraction(1, 2))),
                           (table, (Fraction(0), Fraction(1, 2)))):
@@ -694,7 +695,7 @@ def test_fraction_views_are_lazy_and_kept():
         assert type(values) is tuple and all(type(v) is Fraction for v in values)
         assert values == expected
         assert obj.values is values and vars(obj)["values"] is values
-    assert vec == ScoreVector([1, 3], 6, "y")  # the view is not compared
+    assert vec == ScoreVector([1, 3], 6)  # the view is not compared
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -809,12 +810,14 @@ def test_superset_fold_with_uncached_selectors():
 @pytest.mark.parametrize("m", range(0, 11))
 def test_lacking_bit_selectors(m):
     n = 1 << m
-    assert lacking_bit(n) == lacking_bit(n, 1) == oracle_lacking_bit(n)
-    for width in (2, 3, 9):
-        for b, selector in enumerate(lacking_bit(n, width)):
+    assert lacking_bit(n) == oracle_lacking_bit(n)
+    # the folds' selectors over wider fields set every byte of a field
+    for width in (2, 4, 8):
+        top = (1 << 8 * width) - 1
+        for b, selector in enumerate(model._selectors(model._lacking_fields, n, width)):
             fields = selector.to_bytes(n * width, "little")
             assert [int.from_bytes(fields[k * width:(k + 1) * width], "little")
-                    for k in range(n)] == [0 if s >> b & 1 else 1 for s in range(n)]
+                    for k in range(n)] == [0 if s >> b & 1 else top for s in range(n)]
 
 
 @pytest.mark.parametrize("m", range(0, 9))
@@ -939,7 +942,7 @@ def assert_flag_cores_match(table):
         nums, den = scores._score_all_subsets(template, table)
         assert (list(nums), den) == scores._score_all_subsets(template, plain), \
             (template, table.cf_id)
-        assert (ScoreVector(nums, den, template.value).values
+        assert (ScoreVector(nums, den).values
                 == oracle_score_all_subsets(template, table)), (template, table.cf_id)
 
 
@@ -1002,7 +1005,7 @@ def assert_family_flag_core_matches(template, table, family_flags):
     nums, den = scores._family_flags(template, table.flags, family_flags)
     assert (nums, den) == scores._score_family(template, table, members, m), \
         (template, table.cf_id)
-    assert (ScoreVector(nums, den, template.value).values
+    assert (ScoreVector(nums, den).values
             == oracle_score_family(template, table, members, m)), (template, table.cf_id)
 
 

@@ -1,10 +1,11 @@
 """A dropped problem goes by reference counting alone.
 
-A problem's memo holds its tables, families and score vectors, and those
-hold the problem weakly (model.weak_field), so the two form no reference
-cycle.  With the cyclic collector off, a sweep-style and an audit-style
-operation leave nothing for it to collect, and the problem is gone as soon
-as its last strong reference is.  So do the JSON reports of the command
+A problem's memo holds its tables, families and score vectors: tables and
+families hold the problem weakly (model.weak_field), and a score vector is
+only its numbers, so the memo forms no reference cycle with the problem.
+With the cyclic collector off, a sweep-style and an audit-style operation
+leave nothing for it to collect, and the problem is gone as soon as its
+last strong reference is.  So do the JSON reports of the command
 line.  Verdicts keep their problem alive: they
 are results, not memo entries.
 """
@@ -97,15 +98,33 @@ def test_memo_entries_outlive_their_problem_without_it():
     table = charfun.cf_waxp(problem)
     family = explain.enumerate_axps(problem)
     vec = scores.compute_fis("S", problem)
-    assert table.problem is family.problem is vec.problem is problem
+    assert table.problem is family.problem is problem
     del problem
-    assert table.problem is None and family.problem is None and vec.problem is None
+    assert table.problem is None and family.problem is None
     # the frozen dataclasses still hash and print
     assert hash(table) == hash(charfun.CharacteristicTable(
         table.cf_id, table.n_features, table.nums, table.den))
     assert "problem=None" in repr(table) and "problem=None" in repr(family)
     hash(family)
-    assert vec.as_strings() and "problem=None" in repr(vec)
+    assert vec.as_strings()
+
+
+def test_tables_families_and_vectors_pickle_without_their_problem():
+    problem = props.random_problem(5, 3, (3, 3))
+    table = charfun.cf_waxp(problem)
+    family = explain.enumerate_axps(problem)
+    vec = scores.compute_fis("S", problem)
+    vec.values  # the kept Fraction view travels with the vector
+    table_copy, family_copy, vec_copy = pickle.loads(pickle.dumps((table, family, vec)))
+    assert table_copy.problem is None and family_copy.problem is None
+    assert ((table_copy.cf_id, table_copy.n_features, table_copy.nums, table_copy.den,
+             table_copy.flags)
+            == (table.cf_id, table.n_features, table.nums, table.den, table.flags))
+    assert table.flags is not None  # an indicator, so flags are compared
+    assert ((family_copy.kind, family_copy.members, family_copy.flags)
+            == (family.kind, family.members, family.flags))
+    assert vec_copy == vec and vec_copy.values == vec.values
+    assert table.problem is family.problem is problem  # the originals keep it
 
 
 def test_verdicts_keep_their_problem_alive(chain):

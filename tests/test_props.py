@@ -22,11 +22,10 @@ from fislab.scores import TemplateId
 F = Fraction
 
 
-def vector(values, label="v") -> scores.ScoreVector:
+def vector(values) -> scores.ScoreVector:
     """A score vector of the given Fractions, over their common denominator."""
     den = math.lcm(*(v.denominator for v in values))
-    return scores.ScoreVector([v.numerator * (den // v.denominator) for v in values],
-                              den, label)
+    return scores.ScoreVector([v.numerator * (den // v.denominator) for v in values], den)
 
 
 @pytest.fixture
@@ -333,8 +332,7 @@ def _unreduced(values, factor: int) -> scores.ScoreVector:
     """values over their common denominator times factor, for the vector to
     reduce."""
     den = math.lcm(*(v.denominator for v in values)) * factor
-    return scores.ScoreVector([v.numerator * (den // v.denominator) for v in values],
-                              den, "v")
+    return scores.ScoreVector([v.numerator * (den // v.denominator) for v in values], den)
 
 
 def test_duality_levels_match_the_fraction_loop():

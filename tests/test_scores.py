@@ -341,6 +341,31 @@ def test_template_score_rejects_foreign_table(chain, single):
         template_score(TemplateId.BANZHAF, chain, cf_waxp(single))
 
 
+@pytest.mark.parametrize("template", [t for t in TemplateId
+                                      if t is not TemplateId.RESPONSIBILITY])
+def test_only_responsibility_takes_normalized(chain, template):
+    table = charfun.build_table(scores.TEMPLATE_DEFAULTS[template][0], chain)
+    with pytest.raises(ValueError, match="no normalized form"):
+        template_score(template, chain, table, normalized=True)
+    with pytest.raises(ValueError, match="no normalized form"):
+        wvg_power_index(WeightedVotingGame(2, (1, 1, 1)), template, normalized=True)
+    if scores.TEMPLATE_DEFAULTS[template][1] is not None:
+        with pytest.raises(ValueError, match="no normalized form"):
+            family_score(template, (0b011, 0b100), 3, normalized=True)
+
+
+def test_responsibility_takes_normalized():
+    # template_score's normalized form is checked against R_NORM in test_kernel
+    members = (0b011, 0b100)
+    plain, norm = (family_score(TemplateId.RESPONSIBILITY, members, 3, normalized=flag)
+                   for flag in (False, True))
+    assert norm.values == tuple(v / 2 for v in plain.values)
+    game = WeightedVotingGame(2, (1, 1, 1))  # three minimal winning pairs
+    plain, norm = (wvg_power_index(game, TemplateId.RESPONSIBILITY, normalized=flag)
+                   for flag in (False, True))
+    assert norm.values == tuple(v / 3 for v in plain.values) == (F(1, 6),) * 3
+
+
 def test_compute_fis_rejects_unknown(chain):
     with pytest.raises(ValueError):
         compute_fis("Z", chain)

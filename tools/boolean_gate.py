@@ -198,18 +198,18 @@ def kernel_mismatches(problem) -> list[str]:
 
 
 def memo_mismatches(problem) -> list[str]:
-    """The FIS vectors, primal and dual, that the problem's memo gives
-    otherwise than a fresh problem per vector does.  The primal scores come
-    first, so each dual that shares a template pass with one reads it."""
+    """The score ids, primal and DUAL(...), whose vector the problem's memo
+    gives otherwise than a fresh problem per vector does.  The primal
+    scores come first, so each dual that shares a template pass with one
+    reads it."""
     out = []
     for dual in (False, True):
         for fis_id in scores.FIS_IDS:
             shared = scores.compute_fis(fis_id, problem, dual)
             alone = scores.compute_fis(fis_id, ExplanationProblem(
                 problem.classifier, problem.instance), dual)
-            if (shared.nums, shared.den, shared.label, shared.cf_id) != (
-                    alone.nums, alone.den, alone.label, alone.cf_id):
-                out.append(shared.label)
+            if (shared.nums, shared.den) != (alone.nums, alone.den):
+                out.append(f"DUAL({fis_id})" if dual else fis_id)
     return out
 
 
