@@ -633,11 +633,12 @@ def _tree_planes(cls: Classifier, root) -> tuple[list[int], list[int]]:
     return labels, planes
 
 
-def _label_table(labels: list[int], planes: list[int], n: int) -> tuple[int, ...]:
+def _label_table(labels: list[int], planes: list[int], n: int) -> bytes | tuple[int, ...]:
     """The label of each of n ranks, given bit-sliced: bit b of a rank's
     position in labels is that rank's bit of planes[b].  A plane's binary
     digits, spread to one byte per rank and shifted left by b mod 8, add up
-    to byte b // 8 of every rank's position."""
+    to byte b // 8 of every rank's position.  One-byte positions of labels
+    in 0..255 become labels by one bytes.translate, others by a tuple."""
     width = 1  # bytes per position, a size memoryview.cast reads
     while len(planes) > 8 * width:
         width *= 2
@@ -645,6 +646,11 @@ def _label_table(labels: list[int], planes: list[int], n: int) -> tuple[int, ...
     for b, plane in enumerate(planes):
         spread = int.from_bytes(format(plane, f"0{n}b").encode().translate(_BIT_BYTES), "big")
         digits[b // 8] += spread << b % 8
+    if width == 1:
+        try:
+            return digits[0].to_bytes(n, "little").translate(bytes(labels).ljust(256, b"\0"))
+        except (TypeError, ValueError):  # a label outside 0..255
+            pass
     codes = bytearray(n * width)
     for d, digit in enumerate(digits):
         start = d if sys.byteorder == "little" else width - 1 - d
@@ -662,17 +668,16 @@ class Classifier:
 
     The full label table is materialized at construction (desk-scale limits
     apply), so every later evaluation is a rank lookup and all predicates can
-    enumerate exhaustively.
+    enumerate exhaustively.  ``_labels`` holds the label of every point in
+    rank order: one byte per point when every class is below 256, a tuple
+    of ints otherwise.
     """
 
     features: tuple[FeatureDomain, ...]
     classes: frozenset[int]
     body: object
     m: int = field(init=False, compare=False, repr=False)
-    _labels: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    # the labels as one byte per point in rank order, None when a class is
-    # above 255
-    _label_bytes: bytes | None = field(init=False, compare=False, repr=False)
+    _labels: bytes | tuple[int, ...] = field(init=False, compare=False, repr=False)
     _strides: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _value_index: tuple = field(init=False, compare=False, repr=False)
 
@@ -688,10 +693,18 @@ class Classifier:
         object.__setattr__(self, "_value_index",
                            tuple({v: k for k, v in enumerate(d.values)}
                                  for d in self.features))
-        object.__setattr__(self, "_labels", self._build_labels())
-        self._validate_labels()
-        object.__setattr__(self, "_label_bytes", bytes(self._labels)
-                           if max(self.classes) < 256 else None)
+        labels = self._build_labels()
+        try:
+            labels = bytes(labels) if max(self.classes) < 256 else tuple(labels)
+        except (TypeError, ValueError):  # a label outside 0..255, refused below
+            pass
+        object.__setattr__(self, "_labels", labels)
+        undeclared = set(labels.translate(None, bytes(self.classes))
+                         if type(labels) is bytes else labels) - self.classes
+        if undeclared:
+            raise DomainError(f"labels {sorted(undeclared)} not in the class set")
+        if labels.count(labels[0]) == len(labels):
+            raise DomainError("classification function is constant")
 
     def _validate_shape(self):
         if not self.features:
@@ -715,7 +728,7 @@ class Classifier:
             if not isinstance(c, int) or isinstance(c, bool) or c < 0:
                 raise DomainError(f"class labels must be non-negative integers, got {c!r}")
 
-    def _build_labels(self) -> tuple[int, ...]:
+    def _build_labels(self) -> bytes | tuple[int, ...]:
         """The label of every point, in rank order, from whole-space
         operations on the body: rank sums for a voting game, rank bitmaps
         for an expression or a tree."""
@@ -733,7 +746,7 @@ class Classifier:
             # each rank's coalition weight: the weights of its 1-valued features
             weights = _rank_sums([[w if x == 1 else 0 for x in dom.values]
                                   for w, dom in zip(body.weights, self.features)])
-            return tuple(bytes(map(body.quota.__le__, weights)))
+            return bytes(map(body.quota.__le__, weights))
         if isinstance(body, BoolExprBody):
             _check_boolean_domains(self.features, "boolexpr")
             _check_expr_vars(body.ast, self.m)
@@ -746,13 +759,6 @@ class Classifier:
             _check_tree(body.root, self.features)
             return _label_table(*_tree_planes(self, body.root), self.space_size)
         raise TypeError(f"not a classifier body: {body!r}")
-
-    def _validate_labels(self):
-        emitted = set(self._labels)
-        if not emitted <= self.classes:
-            raise DomainError(f"labels {sorted(emitted - self.classes)} not in the class set")
-        if len(emitted) < 2:
-            raise DomainError("classification function is constant")
 
     @property
     def space_size(self) -> int:
@@ -841,15 +847,16 @@ def relabel_classes(classifier: Classifier, sigma: Mapping[int, int]) -> Classif
     missing = classifier.classes - set(sigma)
     if missing:
         raise RelabelError(f"relabeling not total, missing {sorted(missing)}")
-    image = [sigma[c] for c in sorted(classifier.classes)]
+    classes = sorted(classifier.classes)
+    image = [sigma[c] for c in classes]
     if len(set(image)) != len(image):
         raise RelabelError("relabeling is not injective on the class set")
-    labels = tuple(sigma[c] for c in classifier._labels)
-    return Classifier(
-        features=classifier.features,
-        classes=frozenset(image),
-        body=TableBody(labels),
-    )
+    labels = classifier._labels
+    if type(labels) is bytes and all(type(c) is int and 0 <= c < 256 for c in image):
+        labels = labels.translate(bytes.maketrans(bytes(classes), bytes(image)))
+    else:
+        labels = map(sigma.__getitem__, labels)
+    return Classifier(classifier.features, frozenset(image), TableBody(tuple(labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -972,8 +979,8 @@ def _mask_labels(problem: ExplanationProblem) -> bytes | None:
     entry's index.
     """
     cls = problem.classifier
-    labels = cls._label_bytes
-    if labels is None or any(dom.size != 2 for dom in cls.features):
+    labels = cls._labels
+    if type(labels) is not bytes or any(dom.size != 2 for dom in cls.features):
         return None
     n = len(labels)
     lacking = list(lacking_bit(n))
@@ -986,12 +993,11 @@ def _mask_labels(problem: ExplanationProblem) -> bytes | None:
 
 
 def _fold_order(problem: ExplanationProblem):
-    """(label bytes, fold): the problem's labels, one byte per point in the
-    order its fold reads, and the fold, called as fold(data, width,
-    combine) (see _superset_fold).  A problem with mask labels folds them
-    in mask order by _superset_fold; any other folds its classifier's label
-    bytes in rank order by _axis_fold, and its label bytes are None when a
-    class is above 255."""
+    """(labels, fold): the problem's labels, in the order its fold reads,
+    and the fold, called as fold(data, width, combine) (see
+    _superset_fold).  A problem with mask labels folds them in mask order
+    by _superset_fold; any other folds its classifier's labels (bytes, or
+    a tuple when a class is above 255) in rank order by _axis_fold."""
     labels = problem._mask_labels()
     if labels is not None:
         return labels, _superset_fold
@@ -999,16 +1005,15 @@ def _fold_order(problem: ExplanationProblem):
     # per feature, feature 1 first, (domain size, index of the instance's value)
     axes = [(dom.size, index[v])
             for dom, index, v in zip(cls.features, cls._value_index, problem.v)]
-    return cls._label_bytes, functools.partial(_axis_fold, axes=axes)
+    return cls._labels, functools.partial(_axis_fold, axes=axes)
 
 
-def _class_bytes(problem: ExplanationProblem, labels: bytes | None, same: int) -> bytes:
+def _class_bytes(problem: ExplanationProblem, labels: bytes | tuple, same: int) -> bytes:
     """One byte per point of labels, in their order: same (0 or 1) where
-    the point has the instance's class, 1 - same elsewhere.  labels None
-    stands for the classifier's labels in rank order."""
+    the point has the instance's class, 1 - same elsewhere."""
     c = problem.c
-    if labels is None:
-        return bytes(map(c.__eq__ if same else c.__ne__, problem.classifier._labels))
+    if type(labels) is tuple:
+        return bytes(map(c.__eq__ if same else c.__ne__, labels))
     rest = bytes((1 - same,))
     return labels.translate(rest * c + bytes((same,)) + rest * (255 - c))
 
@@ -1044,32 +1049,30 @@ def _folded_sums(problem: ExplanationProblem) -> tuple[tuple[int, ...], tuple[in
     than 4 bytes fold in 32-bit limbs, recombined at the end, and the flags
     fold alone."""
     labels, fold = _fold_order(problem)
-    cls = problem.classifier
-    values, flags = cls._labels, _class_bytes(problem, labels, 1)
+    flags = _class_bytes(problem, labels, 1)
     # bounds every label sum and every count: some label is below the top
     # class, since no classifier is constant
-    bits = (max(cls.classes) * len(values) - 1).bit_length()
+    bits = (max(problem.classifier.classes) * len(labels) - 1).bit_length()
     half = next((size for size in (1, 2, 4) if 8 * size >= bits), None)
     if half is not None:
         # each label in the low half of its field, each flag in the high half
         width = 2 * half
-        if labels is None:
-            fused = bytearray(_le_fields(values, width))
+        if type(labels) is tuple:
+            fused = bytearray(_le_fields(labels, width))
         else:
-            fused = bytearray(len(values) * width)
+            fused = bytearray(len(labels) * width)
             fused[::width] = labels
         fused[half::width] = flags
         halves = _field_ints(fold(fused, width, add), half)
         return tuple(halves[0::2]), tuple(halves[1::2])
     # A total past 4 bytes needs a class above 4096, with at most
-    # POINT_LIMIT points, and such a problem has no mask labels: only the
-    # rank-order fold comes here, and values is in its order.
+    # POINT_LIMIT points, so its labels are a tuple in rank order.
     width = 8  # holds the flag sums and the sums of one limb
-    spread = bytearray(len(values) * width)
+    spread = bytearray(len(labels) * width)
     spread[::width] = flags
     same = tuple(_field_ints(fold(spread, width, add), width))
-    n_limbs = -(-max(values).bit_length() // (8 * _LIMB_BYTES))
-    limbs = _field_ints(b"".join(map(int.to_bytes, values, itertools.repeat(
+    n_limbs = -(-max(labels).bit_length() // (8 * _LIMB_BYTES))
+    limbs = _field_ints(b"".join(map(int.to_bytes, labels, itertools.repeat(
         n_limbs * _LIMB_BYTES), itertools.repeat("little"))), _LIMB_BYTES)
     label_sum = itertools.repeat(0)
     for t in range(n_limbs):
@@ -1243,20 +1246,24 @@ def parse_boolean_expression(text: str, n_features: int | None = None) -> Classi
 # ---------------------------------------------------------------------------
 # model documents
 
-def _parse_tree_node(obj, where: str):
+def _parse_tree_node(obj, path=()):
+    """A tree node from its object; path holds the branch indices from the
+    root to it, spelled out only in an error."""
     if not isinstance(obj, dict):
-        raise ParseError(f"{where}: tree node must be an object")
-    if "class" in obj:
+        fault = "tree node must be an object"
+    elif "class" in obj:
         label = obj["class"]
-        if not isinstance(label, int) or isinstance(label, bool):
-            raise ParseError(f"{where}: leaf class must be an integer")
-        return TreeLeaf(label)
-    if "feature" not in obj or "branches" not in obj:
-        raise ParseError(f"{where}: tree node needs 'class' or 'feature'+'branches'")
-    branches = tuple(
-        (b["value"], _parse_tree_node(b["child"], f"{where}/branches[{k}]"))
-        for k, b in enumerate(obj["branches"]))
-    return TreeSplit(obj["feature"], branches)
+        if isinstance(label, int) and not isinstance(label, bool):
+            return TreeLeaf(label)
+        fault = "leaf class must be an integer"
+    elif "feature" in obj and "branches" in obj:
+        return TreeSplit(obj["feature"], tuple([
+            (b["value"], _parse_tree_node(b["child"], (*path, k)))
+            for k, b in enumerate(obj["branches"])]))
+    else:
+        fault = "tree node needs 'class' or 'feature'+'branches'"
+    steps = "".join(f"/branches[{k}]" for k in path)
+    raise ParseError(f"root{steps}: {fault}")
 
 
 def _as_document(document):
@@ -1294,7 +1301,7 @@ def parse_model(document) -> Classifier:
         if kind == "table":
             body = TableBody(_array(raw_body, "labels"))
         elif kind == "tree":
-            body = TreeBody(_parse_tree_node(raw_body["root"], "root"))
+            body = TreeBody(_parse_tree_node(raw_body["root"]))
         elif kind == "boolexpr":
             ast = _ExprParser(_tokenize(raw_body["expr"])).parse()
             body = BoolExprBody(ast)

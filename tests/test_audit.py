@@ -66,7 +66,7 @@ def test_relabeled_problem_is_kept_apart_from_its_base(chain):
     assert props.relabeled_problem(chain, sigma) is relabeled
     assert relabeled._cache is not chain._cache
     assert relabeled.c == sigma[chain.c]
-    assert relabeled.classifier._labels == tuple(
+    assert tuple(relabeled.classifier._labels) == tuple(
         sigma[c] for c in chain.classifier._labels)
 
 

@@ -15,6 +15,7 @@ import fislab
 from fislab import cli, explain, scores
 from fislab.cli import INTERNAL_ERROR, _decimal, _json, build_parser, decimal_str, main
 from fractions import Fraction
+from test_model import MALFORMED_NODES, malformed_tree_document
 
 
 @pytest.fixture
@@ -577,6 +578,15 @@ def _written(tmp_path, doc) -> str:
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+@pytest.mark.parametrize("node, message", MALFORMED_NODES)
+def test_malformed_tree_node_is_a_usage_error(node, message, tmp_path, capsys):
+    path = _written(tmp_path, malformed_tree_document(node))
+    code, out, err = run(capsys, "explain", "--model", path)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: root/branches[1]/branches[0]/branches[1]: {message}\n"
 
 
 def test_deep_expression_is_a_usage_error(tmp_path, capsys):

@@ -29,6 +29,7 @@ import importlib.util
 import itertools
 import json
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -1199,7 +1200,7 @@ def _points(features):
 def test_label_table_matches_per_point_evaluation(name):
     features, classes, body = LABEL_CASES[name]
     labels = Classifier(features, frozenset(classes), body)._labels
-    assert labels == tuple(_eval_body(body, features, x) for x in _points(features))
+    assert tuple(labels) == tuple(_eval_body(body, features, x) for x in _points(features))
     assert {type(label) for label in labels} == {int}
 
 
@@ -1226,8 +1227,53 @@ def test_corpus_label_tables_match_per_point_evaluation():
     for name, problem in CORPUS:
         cls = problem.classifier
         if not isinstance(cls.body, TableBody):  # a table carries its labels
-            assert cls._labels == tuple(_eval_body(cls.body, cls.features, x)
-                                        for x in _points(cls.features)), name
+            assert tuple(cls._labels) == tuple(_eval_body(cls.body, cls.features, x)
+                                               for x in _points(cls.features)), name
+
+
+def route_case(kind: str, top: int):
+    """(features, body) of one body kind over the classes {0, 1, top}: the
+    table and the tree emit all three, the expression and the game 0 and
+    1."""
+    ternary = tuple(FeatureDomain(i, (0, 1, 2)) for i in (1, 2))
+    boolean = tuple(FeatureDomain(i, (1, 0) if i == 2 else (0, 1)) for i in (1, 2, 3))
+    if kind == "table":
+        return ternary, TableBody((0, top, 1, 1, 0, top, top, 1, 0))
+    if kind == "tree":
+        return ternary, TreeBody(_split(2, (2, 0, 1), (
+            TreeLeaf(top), _split(1, (0, 1, 2), _leaves((1, 0, top))), TreeLeaf(0))))
+    if kind == "boolexpr":
+        return boolean, parse_boolean_expression("x1 & !x2 | x3").body
+    return boolean, WVGBody(3, (2, 1, 2))
+
+
+@pytest.mark.parametrize("top", [255, 256])
+@pytest.mark.parametrize("kind", ["table", "tree", "boolexpr", "wvg"])
+def test_label_routes_match_per_point_evaluation(kind, top):
+    """Classes below 256 keep their labels as bytes, a class of 256 or more
+    as a tuple; both hold the per-point labels, and so does a relabelling
+    onto classes below 256 and onto one above 255, from either route."""
+    features, body = route_case(kind, top)
+    classes = frozenset({0, 1, top})
+    cls = Classifier(features, classes, body)
+    assert type(cls._labels) is (bytes if top < 256 else tuple)
+    expected = (list(body.labels) if isinstance(body, TableBody)
+                else [_eval_body(body, features, x) for x in _points(features)])
+    assert list(cls._labels) == expected
+    assert [cls.evaluate(x) for x in _points(features)] == expected
+    for image in ((7, 3, 9), (7, 3, 300)):
+        sigma = dict(zip(sorted(classes), image))
+        relabeled = model.relabel_classes(cls, sigma)
+        assert type(relabeled._labels) is (bytes if max(image) < 256 else tuple)
+        assert list(relabeled._labels) == [sigma[c] for c in expected]
+        assert relabeled == Classifier(features, frozenset(image),
+                                       TableBody(tuple(sigma[c] for c in expected)))
+    # equality and hashing read the features, classes and body alone
+    same = Classifier(features, classes, body)
+    assert same == cls and hash(same) == hash(cls)
+    again = pickle.loads(pickle.dumps(cls))
+    assert again == cls and hash(again) == hash(cls)
+    assert type(again._labels) is type(cls._labels) and again._labels == cls._labels
 
 
 def assert_coverage_is_cube_union(problem):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from fislab.model import (MAX_EXPR_DEPTH, Classifier, DomainError, FeatureDomain,
                           ParseError, RelabelError, ScaleLimitError,
-                          TableBody, agreement_set, evaluate, features_of,
+                          TableBody, TreeBody, TreeLeaf, TreeSplit,
+                          agreement_set, evaluate, features_of,
                           load_problem, make_problem, mask_of,
                           parse_boolean_expression, parse_model,
                           problem_to_document, relabel_classes)
@@ -43,6 +44,76 @@ def test_labels_must_be_declared():
     features = (FeatureDomain(1, (0, 1)),)
     with pytest.raises(DomainError):
         Classifier(features, frozenset({0, 1}), TableBody((0, 3)))
+
+
+# the labels of classes below 256 are bytes, of a class set reaching 256 a tuple
+CLASS_SETS = pytest.mark.parametrize("classes", [{0, 1}, {0, 1, 256}],
+                                     ids=["bytes", "tuple"])
+
+
+@CLASS_SETS
+@pytest.mark.parametrize("labels, undeclared", [
+    ((0, 3, 1, 0), [3]),
+    ((0, -1, 300, 1), [-1, 300]),
+    ((300, 300, 2, 2), [2, 300]),
+])
+def test_undeclared_table_labels_are_named(labels, undeclared, classes):
+    features = (FeatureDomain(1, (0, 1, 2, 3)),)
+    with pytest.raises(DomainError) as info:
+        Classifier(features, frozenset(classes), TableBody(labels))
+    assert str(info.value) == f"labels {undeclared} not in the class set"
+
+
+def _ternary_split(*leaves):
+    return TreeBody(TreeSplit(1, tuple(zip((0, 1, 2), map(TreeLeaf, leaves)))))
+
+
+@CLASS_SETS
+def test_undeclared_tree_leaf_is_named(classes):
+    features = (FeatureDomain(1, (0, 1, 2)),)
+    with pytest.raises(DomainError) as info:
+        Classifier(features, frozenset(classes), _ternary_split(0, 300, 1))
+    assert str(info.value) == "labels [300] not in the class set"
+
+
+@CLASS_SETS
+@pytest.mark.parametrize("body", [TableBody((1, 1, 1)), _ternary_split(1, 1, 1)],
+                         ids=["table", "tree"])
+def test_constant_table_and_tree_are_refused(body, classes):
+    features = (FeatureDomain(1, (0, 1, 2)),)
+    with pytest.raises(DomainError) as info:
+        Classifier(features, frozenset(classes), body)
+    assert str(info.value) == "classification function is constant"
+
+
+def _split_document(feature, *children):
+    return {"feature": feature, "branches": [{"value": v, "child": child}
+                                             for v, child in enumerate(children)]}
+
+
+MALFORMED_NODES = [
+    (["class", 1], "tree node must be an object"),
+    ({"class": "1"}, "leaf class must be an integer"),
+    ({"feature": 3}, "tree node needs 'class' or 'feature'+'branches'"),
+]
+
+
+def malformed_tree_document(node) -> dict:
+    """A tree model whose node at root/branches[1]/branches[0]/branches[1],
+    three levels down, is node."""
+    leaf = {"class": 0}
+    root = _split_document(1, leaf, _split_document(
+        2, _split_document(3, leaf, node), leaf))
+    return {"features": [{"id": i, "values": [0, 1]} for i in (1, 2, 3)],
+            "classes": [0, 1], "body": {"kind": "tree", "root": root},
+            "instance": {"point": [0, 0, 0]}}
+
+
+@pytest.mark.parametrize("node, message", MALFORMED_NODES)
+def test_malformed_tree_node_is_located(node, message):
+    with pytest.raises(ParseError) as info:
+        parse_model(malformed_tree_document(node))
+    assert str(info.value) == f"root/branches[1]/branches[0]/branches[1]: {message}"
 
 
 def test_feature_ids_must_be_consecutive():
@@ -162,6 +233,18 @@ def test_relabel_rejects_bad_maps(chain):
         relabel_classes(chain.classifier, {0: 1})
     with pytest.raises(RelabelError):
         relabel_classes(chain.classifier, {0: 5, 1: 5})
+
+
+@pytest.mark.parametrize("image, message", [
+    (-1, "class labels must be non-negative integers, got -1"),
+    (True, "table labels must be integers, got True"),
+    (1.5, "table labels must be integers, got 1.5"),
+])
+def test_relabel_onto_a_bad_class_is_refused(chain, image, message):
+    # the chain's labels are bytes; a bad image class must not pass for one
+    with pytest.raises(DomainError) as info:
+        relabel_classes(chain.classifier, {0: image, 1: 0})
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +482,15 @@ def test_feature_limit_hard_cap(monkeypatch):
     labels = tuple(i & 1 for i in range(1 << 21))
     with pytest.raises(ScaleLimitError):
         boolean_table_classifier(21, labels)
+
+
+def test_feature_limit_hard_cap_alone(monkeypatch):
+    # 21 features, one of them single-valued: 2^20 points pass the point
+    # limit, so only the cap of 20 features refuses the classifier
+    monkeypatch.setenv("FISLAB_MAX_FEATURES", "25")
+    features = tuple(FeatureDomain(i, (0,) if i == 21 else (0, 1)) for i in range(1, 22))
+    with pytest.raises(ScaleLimitError, match="^21 features exceeds the limit of 20$"):
+        Classifier(features, frozenset({0, 1}), TableBody((0, 1) * (1 << 19)))
 
 
 def test_point_limit(monkeypatch):
