@@ -633,12 +633,12 @@ def _tree_planes(cls: Classifier, root) -> tuple[list[int], list[int]]:
     return labels, planes
 
 
-def _label_table(labels: list[int], planes: list[int], n: int) -> bytes | tuple[int, ...]:
+def _label_table(labels: list, planes: list, n: int, as_bytes: bool) -> bytes | tuple:
     """The label of each of n ranks, given bit-sliced: bit b of a rank's
     position in labels is that rank's bit of planes[b].  A plane's binary
     digits, spread to one byte per rank and shifted left by b mod 8, add up
-    to byte b // 8 of every rank's position.  One-byte positions of labels
-    in 0..255 become labels by one bytes.translate, others by a tuple."""
+    to byte b // 8 of every rank's position.  When as_bytes, one-byte
+    positions of labels in 0..255 become bytes by one translate."""
     width = 1  # bytes per position, a size memoryview.cast reads
     while len(planes) > 8 * width:
         width *= 2
@@ -646,10 +646,10 @@ def _label_table(labels: list[int], planes: list[int], n: int) -> bytes | tuple[
     for b, plane in enumerate(planes):
         spread = int.from_bytes(format(plane, f"0{n}b").encode().translate(_BIT_BYTES), "big")
         digits[b // 8] += spread << b % 8
-    if width == 1:
+    if as_bytes and width == 1:
         try:
             return digits[0].to_bytes(n, "little").translate(bytes(labels).ljust(256, b"\0"))
-        except (TypeError, ValueError):  # a label outside 0..255
+        except (TypeError, ValueError):  # a leaf class outside 0..255, refused later
             pass
     codes = bytearray(n * width)
     for d, digit in enumerate(digits):
@@ -693,9 +693,10 @@ class Classifier:
         object.__setattr__(self, "_value_index",
                            tuple({v: k for k, v in enumerate(d.values)}
                                  for d in self.features))
-        labels = self._build_labels()
+        narrow = max(self.classes) < 256
+        labels = self._build_labels(narrow)
         try:
-            labels = bytes(labels) if max(self.classes) < 256 else tuple(labels)
+            labels = bytes(labels) if narrow else tuple(labels)
         except (TypeError, ValueError):  # a label outside 0..255, refused below
             pass
         object.__setattr__(self, "_labels", labels)
@@ -728,10 +729,10 @@ class Classifier:
             if not isinstance(c, int) or isinstance(c, bool) or c < 0:
                 raise DomainError(f"class labels must be non-negative integers, got {c!r}")
 
-    def _build_labels(self) -> bytes | tuple[int, ...]:
+    def _build_labels(self, as_bytes: bool) -> bytes | tuple[int, ...]:
         """The label of every point, in rank order, from whole-space
         operations on the body: rank sums for a voting game, rank bitmaps
-        for an expression or a tree."""
+        for an expression or a tree; as_bytes asks _label_table for bytes."""
         body = self.body
         if isinstance(body, TableBody):
             if len(body.labels) != self.space_size:
@@ -754,10 +755,10 @@ class Classifier:
             ones = [bits << index[1] * stride for bits, index, stride
                     in zip(first, self._value_index, self._strides)]
             true = _expr_bitmap(body.ast, ones, (1 << self.space_size) - 1)
-            return _label_table([0, 1], [true], self.space_size)
+            return _label_table([0, 1], [true], self.space_size, as_bytes)
         if isinstance(body, TreeBody):
             _check_tree(body.root, self.features)
-            return _label_table(*_tree_planes(self, body.root), self.space_size)
+            return _label_table(*_tree_planes(self, body.root), self.space_size, as_bytes)
         raise TypeError(f"not a classifier body: {body!r}")
 
     @property
@@ -847,16 +848,11 @@ def relabel_classes(classifier: Classifier, sigma: Mapping[int, int]) -> Classif
     missing = classifier.classes - set(sigma)
     if missing:
         raise RelabelError(f"relabeling not total, missing {sorted(missing)}")
-    classes = sorted(classifier.classes)
-    image = [sigma[c] for c in classes]
+    image = [sigma[c] for c in sorted(classifier.classes)]
     if len(set(image)) != len(image):
         raise RelabelError("relabeling is not injective on the class set")
-    labels = classifier._labels
-    if type(labels) is bytes and all(type(c) is int and 0 <= c < 256 for c in image):
-        labels = labels.translate(bytes.maketrans(bytes(classes), bytes(image)))
-    else:
-        labels = map(sigma.__getitem__, labels)
-    return Classifier(classifier.features, frozenset(image), TableBody(tuple(labels)))
+    return Classifier(classifier.features, frozenset(image),
+                      TableBody(tuple(map(sigma.__getitem__, classifier._labels))))
 
 
 # ---------------------------------------------------------------------------
@@ -1247,8 +1243,6 @@ def parse_boolean_expression(text: str, n_features: int | None = None) -> Classi
 # model documents
 
 def _parse_tree_node(obj, path=()):
-    """A tree node from its object; path holds the branch indices from the
-    root to it, spelled out only in an error."""
     if not isinstance(obj, dict):
         fault = "tree node must be an object"
     elif "class" in obj:
@@ -1262,8 +1256,7 @@ def _parse_tree_node(obj, path=()):
             for k, b in enumerate(obj["branches"])]))
     else:
         fault = "tree node needs 'class' or 'feature'+'branches'"
-    steps = "".join(f"/branches[{k}]" for k in path)
-    raise ParseError(f"root{steps}: {fault}")
+    raise ParseError(f"root{''.join(f'/branches[{k}]' for k in path)}: {fault}")
 
 
 def _as_document(document):
