@@ -12,14 +12,16 @@ yields.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from . import explain
 from .explain import ExplanationKind
-from .model import (ExplanationProblem, WeightedVotingGame, as_mask, cached_value,
-                    lacking_bit, weak_field)
+from .model import (CACHED_SELECTOR_BYTES, ExplanationProblem, WeightedVotingGame, as_mask,
+                    cached_value, lacking_bit, weak_field)
 
 CF_E = "CF_E"            # conditional expected value of the class label
 CF_M = "CF_M"            # fraction of points keeping the prediction
@@ -88,16 +90,65 @@ class CharacteristicTable:
         return {mask: str(v) for mask, v in enumerate(self.values)}
 
 
+def mask_scale(sizes) -> tuple[int, ...]:
+    """Per subset mask S, the product of sizes[j] over the features j in S.
+    From the empty mask, each feature appends the masks with it at size
+    times the masks without it, read from a dict of the few distinct
+    products, so that equal entries share one int."""
+    scale, products = [1], {1}
+    for size in sizes:
+        times = {p: p * size for p in products}
+        products.update(times.values())
+        scale += map(times.__getitem__, tuple(scale))
+    return tuple(scale)
+
+
+def exact_groups(sizes) -> tuple[tuple[int, int], ...]:
+    """The subset masks grouped by how many points agree with an instance on
+    exactly S, the product of sizes[j] - 1 over the features j not in S:
+    (count, the group's flag table read as one int) per count above 0.
+    Each feature doubles the masks: those with it (shifted up by 8 << j
+    bits) keep their count, those without it take sizes[j] - 1 times it,
+    and a one-value feature leaves them no point.  Every domain of two
+    values makes one group."""
+    groups = {1: 1}
+    for j, size in enumerate(sizes):
+        grown: dict[int, int] = {}
+        for count, flags in groups.items():
+            grown[count] = grown.get(count, 0) | flags << (8 << j)
+            if size > 1:
+                count *= size - 1
+                grown[count] = grown.get(count, 0) | flags
+        groups = grown
+    return tuple(groups.items())
+
+
+def domain_weights(problem: ExplanationProblem, weights):
+    """weights (mask_scale or exact_groups) of the problem's domain sizes.
+    Kept per sizes for the last 32 while 8 bytes a mask fit in
+    CACHED_SELECTOR_BYTES, like model._selectors; built per call above it,
+    so that no table of 2^m weights outlives a large problem."""
+    sizes = tuple(dom.size for dom in problem.classifier.features)
+    if 8 << len(sizes) > CACHED_SELECTOR_BYTES:
+        return weights(sizes)
+    return _kept_weights(weights, sizes)
+
+
+@functools.lru_cache(maxsize=32)
+def _kept_weights(weights, sizes: tuple[int, ...]):
+    return weights(sizes)
+
+
 def _agreement_table(problem: ExplanationProblem, cf_id: str,
                      field: str) -> CharacteristicTable:
     """One field of the agreement sums over the point count of each subset,
-    as numerators over the space size."""
+    as numerators over the space size: the points agreeing on S number the
+    space size over mask_scale's entry for S, so that entry scales S."""
     def build():
-        sums = problem.agreement_sums()
-        space = sums.count[0]
-        nums = tuple(n * (space // count)
-                     for n, count in zip(getattr(sums, field), sums.count))
-        return CharacteristicTable(cf_id, problem.m, nums, space, problem)
+        nums = tuple(map(mul, getattr(problem.agreement_sums(), field),
+                         domain_weights(problem, mask_scale)))
+        return CharacteristicTable(cf_id, problem.m, nums,
+                                   problem.classifier.space_size, problem)
     return problem._memo(("cf", cf_id), build)
 
 

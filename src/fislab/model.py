@@ -269,12 +269,24 @@ def _superset_fold(data: bytes, width: int, combine) -> bytes:
     Yates' zeta transform on the table read as one int.  Per bit b,
     shifting it right by 8 * width << b moves each mask's field to the mask
     without b, so one shift, mask and combine does the bit's 2^(m-1)
-    steps."""
-    n = len(data) // width
-    table = int.from_bytes(data, "little")
-    for b, lacking in enumerate(_selectors(_lacking_fields, n, width)):
-        table = combine(table, (table >> (8 * width << b)) & lacking)
-    return table.to_bytes(len(data), "little")
+    steps.  Above CACHED_SELECTOR_BYTES the top bits fold first by halves,
+    with no selector (a block's upper half holds its masks with the top
+    bit), and the halves then share selectors built for this call alone."""
+    blocks, size = [int.from_bytes(data, "little")], len(data)
+    while size > CACHED_SELECTOR_BYTES:
+        size //= 2
+        low, halves = (1 << 8 * size) - 1, []
+        for block in blocks:
+            upper = block >> 8 * size
+            halves += combine(block & low, upper), upper
+        blocks = halves
+    selectors = (tuple(_lacking_fields(size // width, width)) if len(blocks) > 1
+                 else _selectors(_lacking_fields, size // width, width))
+    for k, table in enumerate(blocks):
+        for b, lacking in enumerate(selectors):
+            table = combine(table, (table >> (8 * width << b)) & lacking)
+        blocks[k] = table.to_bytes(size, "little")
+    return b"".join(blocks)
 
 
 def _axis_fold(data: bytes, width: int, combine, axes) -> bytes:
@@ -946,16 +958,16 @@ class AgreementSums(NamedTuple):
     """Integer sums over the points that agree with the instance on a subset.
 
     Each field is indexed by subset mask S and sums over the points x with
-    x_i = v_i for every feature i in S: ``label_sum`` adds their labels,
-    ``same`` counts those labelled with the instance's class and ``count``
-    counts them all.  Only the CF_E and CF_M tables read these; the
-    explanation families read the problem's sufficient flags, which the
+    x_i = v_i for every feature i in S: ``label_sum`` adds their labels and
+    ``same`` counts those labelled with the instance's class.  There are
+    prod over i not in S of |D_i| of them, so the CF_E and CF_M tables, the
+    only readers, scale each mask by the domain sizes (charfun.mask_scale).
+    The explanation families read the problem's sufficient flags, which the
     same fold gives from flag bytes (_sufficient_flags).
     """
 
     label_sum: tuple[int, ...]
     same: tuple[int, ...]
-    count: tuple[int, ...]
 
 
 def _mask_labels(problem: ExplanationProblem) -> bytes | None:
@@ -1028,22 +1040,10 @@ _LIMB_BYTES = 4
 
 
 def _agreement_sums(problem: ExplanationProblem) -> AgreementSums:
-    """label_sum and same from the problem's fold with add (_folded_sums);
-    the point count of a subset is the product of its free domains'
-    sizes."""
-    label_sum, same = _folded_sums(problem)
-    count = [1]
-    for dom in problem.classifier.features:  # masks without feature i, then with it
-        count = list(map(dom.size.__mul__, count)) + count
-    return AgreementSums(label_sum, same, tuple(count))
-
-
-def _folded_sums(problem: ExplanationProblem) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """label_sum and same of AgreementSums from one fold (see _fold_order)
-    of fields that hold a point's label in their low half and its
-    same-class flag in their high half.  Labels whose total needs more
-    than 4 bytes fold in 32-bit limbs, recombined at the end, and the flags
-    fold alone."""
+    """The problem's AgreementSums from one fold (see _fold_order) of
+    fields that hold a point's label in their low half and its same-class
+    flag in their high half.  Labels whose total needs more than 4 bytes
+    fold in 32-bit limbs, recombined at the end, and the flags fold alone."""
     labels, fold = _fold_order(problem)
     flags = _class_bytes(problem, labels, 1)
     # bounds every label sum and every count: some label is below the top
@@ -1060,7 +1060,7 @@ def _folded_sums(problem: ExplanationProblem) -> tuple[tuple[int, ...], tuple[in
             fused[::width] = labels
         fused[half::width] = flags
         halves = _field_ints(fold(fused, width, add), half)
-        return tuple(halves[0::2]), tuple(halves[1::2])
+        return AgreementSums(tuple(halves[0::2]), tuple(halves[1::2]))
     # A total past 4 bytes needs a class above 4096, with at most
     # POINT_LIMIT points, so its labels are a tuple in rank order.
     width = 8  # holds the flag sums and the sums of one limb
@@ -1076,7 +1076,7 @@ def _folded_sums(problem: ExplanationProblem) -> tuple[tuple[int, ...], tuple[in
         sums = _field_ints(fold(fields, width, add), width)
         shift = itertools.repeat(8 * _LIMB_BYTES * t)
         label_sum = map(add, label_sum, map(lshift, sums, shift))
-    return tuple(label_sum), same
+    return AgreementSums(tuple(label_sum), same)
 
 
 def make_problem(classifier: Classifier, point, label: int | None = None) -> ExplanationProblem:

@@ -663,8 +663,10 @@ def property_matrix(*, seed: int = 0, corpus_count: int = 60,
     Every checked cell is one probe.  The FIS cells share one pass over the
     reference chain and the corpus; the P03 rows and the E and M cells left
     open share one walk of the seeded search stream, whose first
-    corpus_count problems are the corpus.  A drawn problem is dropped once
-    its probes have run.
+    corpus_count problems are the corpus.  The walk reuses the corpus's
+    problems, which the open cells have already passed, so only the P03
+    rows run on them; every problem after the corpus is dropped once its
+    probes have run.
     """
     from . import reference
 
@@ -690,17 +692,22 @@ def property_matrix(*, seed: int = 0, corpus_count: int = 60,
 
     fis_probes = [(prop, row) for row in fis_rows
                   for prop in ("P05", "P07", "P08")]
-    corpus = ((k, problem, {"seed": seed, "index": k})
-              for k, problem in problem_stream(seed, corpus_count, m_range))
-    stream = itertools.chain([(0, chain, {"reference": "and_or_chain"})], corpus)
+    corpus = list(problem_stream(seed, corpus_count, m_range))
+    stream = itertools.chain([(0, chain, {"reference": "and_or_chain"})], (
+        (k, problem, {"seed": seed, "index": k}) for k, problem in corpus))
     witnesses = dict(zip(fis_probes, _first_failures(fis_probes, stream)))
-    # E and M are pinned to fail P05, so their open cells go on searching;
-    # each P03 row gets the witness its own search would report
-    walk = [("P03", row) for row in template_rows] + [
+    # each P03 row gets the witness its own search would report; E and M
+    # are pinned to fail P05, so their open cells go on searching past the
+    # corpus, every problem of which they have passed
+    p03 = [("P03", row) for row in template_rows]
+    head = [(k, problem, {"seed": seed, "index": k, "m_range": list(m_range)})
+            for k, problem in corpus[:search_budget]]
+    witnesses.update(zip(p03, _first_failures(p03, head)))
+    walk = [probe for probe in p03 if witnesses[probe] is None] + [
         probe for probe in fis_probes
         if probe[1] in ("E", "M") and witnesses[probe] is None]
     witnesses.update(zip(walk, _first_failures(
-        walk, _seeded(seed, 0, search_budget, m_range))))
+        walk, _seeded(seed, len(head), search_budget, m_range))))
     for (prop, row), witness in witnesses.items():
         cells[(row, prop)] = _cell(witness)
 

@@ -507,22 +507,20 @@ def coverage_score(problem: ExplanationProblem, contrastive: bool = False) -> Sc
     A point that agrees with the instance on exactly the mask A lies in the
     cube of each minimal explanation S inside A, so it is covered for
     feature i iff A is in the up-closure of the members containing i.  The
-    mask A holds prod over j not in A of (|D_j| - 1) points.
+    mask A holds prod over j not in A of (|D_j| - 1) points, so feature i
+    counts, per group of masks with one such count (charfun.exact_groups),
+    the count times the popcount of the group's covered masks.
     """
     family = _minimal_family(problem, contrastive)
     n = len(family.flags)
     members = int.from_bytes(family.flags, "little")
-    exact = [1]  # points agreeing with the instance on exactly each mask
-    for dom in problem.classifier.features:
-        others = dom.size - 1
-        exact = [k * others for k in exact] + exact
-    size = problem.classifier.space_size
+    groups = charfun.domain_weights(problem, charfun.exact_groups)
     counts = []
     lacking = tuple(lacking_bit(n))  # read once per feature and in each closure
     for without in lacking:
         covered = up_closure(members & ~without, lacking)
-        counts.append(sum(itertools.compress(exact, covered.to_bytes(n, "little"))))
-    return ScoreVector(counts, size)
+        counts.append(sum(k * (covered & flags).bit_count() for k, flags in groups))
+    return ScoreVector(counts, problem.classifier.space_size)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from fislab.charfun import (CharacteristicTable, cf_axp, cf_cxp, cf_expected,
                             cf_generator, cf_similarity, cf_sum, cf_waxp,
                             cf_wcxp, cf_wvg, delta_total, dual_table)
 from fislab.explain import is_critical
-from fislab.model import ExplanationProblem, WeightedVotingGame, as_mask, mask_of
+from fislab.model import (Classifier, ExplanationProblem, FeatureDomain, TableBody,
+                          WeightedVotingGame, as_mask, make_problem, mask_of)
 
 
 def delta_i(table, i: int, subset) -> Fraction:
@@ -31,6 +32,32 @@ def brute_expected(problem, fixed: set) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # expected value and similarity
+
+@pytest.mark.parametrize("m, kept", [(13, True), (14, False)])
+def test_domain_weights_are_kept_up_to_the_selector_bound(m, kept):
+    # weights over 2^m masks are kept per domain sizes while 8 bytes a mask
+    # fit in 64 KiB (m = 13), and past that built per call and not kept
+    features = tuple(FeatureDomain(i, (0, 1)) for i in range(1, m + 1))
+    classifier = Classifier(features, frozenset({0, 1}),
+                            TableBody((0,) * ((1 << m) - 1) + (1,)))
+    problem = make_problem(classifier, (1,) * m)
+    scale = charfun.domain_weights(problem, charfun.mask_scale)
+    assert scale == tuple(2 ** s.bit_count() for s in range(1 << m))
+    assert (charfun.domain_weights(problem, charfun.mask_scale) is scale) == kept
+    # every domain of two values: one group, each mask holding one point
+    groups = charfun.domain_weights(problem, charfun.exact_groups)
+    assert groups == ((1, int.from_bytes(b"\x01" * (1 << m), "little")),)
+    assert (charfun.domain_weights(problem, charfun.exact_groups) is groups) == kept
+
+
+def test_exact_groups_drop_the_masks_a_one_value_domain_empties():
+    # sizes (3, 1, 2): a mask without feature 2 holds no point, and one
+    # with it holds 2 points (3 - 1) when it lacks feature 1, else 1
+    assert dict(charfun.exact_groups((3, 1, 2))) == {
+        2: sum(1 << 8 * s for s in (0b010, 0b110)),
+        1: sum(1 << 8 * s for s in (0b011, 0b111))}
+    assert charfun.mask_scale((3, 1, 2)) == (1, 3, 1, 3, 2, 6, 2, 6)
+
 
 def test_expected_value_chain(chain):
     table = cf_expected(chain)

@@ -470,7 +470,7 @@ def test_sufficient_flags_and_agreement_sums_match_the_point_loop(problem):
         assert labels == bytes(cls.evaluate(x) for x in sorted(
             cls.points(), key=lambda x: agreement_set(x, problem.v)))
     loop = gate.point_loop_sums(problem)
-    assert problem._sufficient_flags() == bytes(map(eq, loop.same, loop.count))
+    assert problem._sufficient_flags() == bytes(map(eq, loop.same, gate.point_counts(problem)))
     assert problem.agreement_sums() == loop
 
 
@@ -513,9 +513,20 @@ def test_fold_matches_the_point_loop(problem):
     assert problem._mask_labels() is None
     loop = gate.point_loop_sums(problem)
     # the flags first, from their own OR fold: no sums are built for them
-    assert problem._sufficient_flags() == bytes(map(eq, loop.same, loop.count))
+    assert problem._sufficient_flags() == bytes(map(eq, loop.same, gate.point_counts(problem)))
     assert ("agreement_sums",) not in problem._cache
     assert problem.agreement_sums() == loop
+
+
+@pytest.mark.parametrize("problem", [p for _, p in FOLD_CORPUS],
+                         ids=[n for n, _ in FOLD_CORPUS])
+def test_agreement_tables_scale_by_the_domain_sizes(problem):
+    # the E and M tables scale each mask's sums by the sizes of its
+    # domains (charfun.mask_scale): one-value domains, sizes up to 5 and
+    # label sums past 8 bytes against the averages over select_points
+    expected, similar = brute_values(fresh(problem))
+    assert charfun.cf_expected(problem).values == expected
+    assert charfun.cf_similarity(problem).values == similar
 
 
 def test_fold_corpus_covers_every_position_and_wide_fields():
@@ -551,7 +562,30 @@ def test_sums_at_the_edge_of_their_fields(sizes, classes, total):
         loop = gate.point_loop_sums(problem)
         assert loop.label_sum[0] == total
         assert problem.agreement_sums() == loop
-        assert problem._sufficient_flags() == bytes(map(eq, loop.same, loop.count))
+        counts = gate.point_counts(problem)
+        assert problem._sufficient_flags() == bytes(map(eq, loop.same, counts))
+
+
+def test_sums_past_the_selector_cache_bound(monkeypatch):
+    # m = 14 with classes up to 255 folds 8-byte fields in mask order,
+    # 128 KiB of them: the fold takes its top bit by halves
+    m = 14
+    rng = random.Random(m)
+    features = tuple(FeatureDomain(i, rng.choice(((0, 1), (1, 0))))
+                     for i in range(1, m + 1))
+    classifier = Classifier(features, frozenset((7, 255)), TableBody(
+        tuple(rng.choice((7, 255)) for _ in range(1 << m))))
+    problem = make_problem(classifier, tuple(rng.choice(dom.values) for dom in features))
+    folds = []
+
+    def fold(data, width, combine):
+        folds.append((len(data), width))
+        return real_fold(data, width, combine)
+
+    real_fold = model._superset_fold
+    monkeypatch.setattr(model, "_superset_fold", fold)
+    assert problem.agreement_sums() == gate.point_loop_sums(problem)
+    assert folds == [(8 << m, 8)] and 8 << m > model.CACHED_SELECTOR_BYTES
 
 
 def ternary_chain(m):

@@ -148,9 +148,8 @@ def superset_totals(bins: list[int]) -> tuple[int, ...]:
 def point_loop_sums(problem) -> model.AgreementSums:
     """The agreement sums by the per-point binning loop, the oracle of the
     kernel: each point's label and same-class count go to the bin of its
-    agreement mask with the instance, each subset's totals add the bins of
-    its supersets (superset_totals), and a subset's point count is the
-    product of its free domains' sizes.  It shares no arithmetic with the
+    agreement mask with the instance, and each subset's totals add the bins
+    of its supersets (superset_totals).  It shares no arithmetic with the
     kernel's folds."""
     cls = problem.classifier
     # agreement mask of every point, in rank order
@@ -162,11 +161,17 @@ def point_loop_sums(problem) -> model.AgreementSums:
         label_sum[mask] += label
         if label == problem.c:
             same[mask] += 1
+    return model.AgreementSums(superset_totals(label_sum), superset_totals(same))
+
+
+def point_counts(problem) -> list[int]:
+    """Entry S: how many points agree with the instance on S, the product of
+    the sizes of the domains of the features not in S; a subset is
+    sufficient when all of them have the instance's class."""
     count = [1]
-    for dom in cls.features:  # masks without feature i, then with it
+    for dom in problem.classifier.features:  # masks without feature i, then with it
         count = [n * dom.size for n in count] + count
-    return model.AgreementSums(superset_totals(label_sum), superset_totals(same),
-                               tuple(count))
+    return count
 
 
 def kernel_mismatches(problem) -> list[str]:
@@ -190,7 +195,7 @@ def kernel_mismatches(problem) -> list[str]:
             out.append("mask labels" + name)
         loop = point_loop_sums(case)
         if explain.family(case, ExplanationKind.WAXP).flags != bytes(
-                map(eq, loop.same, loop.count)):
+                map(eq, loop.same, point_counts(case))):
             out.append("waxp flags" + name)
         if case.agreement_sums() != loop:
             out.append("agreement sums" + name)
