@@ -8,7 +8,9 @@ parent commit checked out elsewhere (a clone or a ``git worktree``, so
 that its commit can be recorded):
 
     python tools/paired_bench.py --parent ../parent --seeds 10-19 \\
-        [--workload wide ...] [--seconds 40]
+        [--workload wide ...]
+
+Each run lasts the run_seconds of BENCHMARK.json.
 
 Per workload it prints one row per pair (whether the two report_sha256
 agree, and each end-to-end metric of the parent and of the working tree),
@@ -147,22 +149,19 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="the parent commit's tree")
-    parser.add_argument("--tree", type=Path, default=ROOT,
-                        help="the tree under test (default: this repository)")
     parser.add_argument("--workload", action="append",
                         choices=[w["name"] for w in spec["workloads"]],
                         help="repeat for several (default: every workload)")
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("10-19"),
                         help="one pair per seed: 10-19 or 10,12 (default 10-19)")
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     args = parser.parse_args(argv)
-    trees = {"parent": args.parent.resolve(), "tree": args.tree.resolve()}
+    trees = {"parent": args.parent.resolve(), "tree": ROOT}
     failed = False
     for workload in args.workload or [w["name"] for w in spec["workloads"]]:
         runs = []
         for k, seed in enumerate(args.seeds):
             for order, side in enumerate(SIDES if k % 2 == 0 else SIDES[::-1]):
-                run = run_bench(trees[side], workload, seed, args.seconds)
+                run = run_bench(trees[side], workload, seed, spec["run_seconds"])
                 failed |= run["failed"] > 0
                 runs.append({"side": side, "seed": seed, "order": order, **run})
         ok = [run for run in runs if run["metrics"]]
@@ -173,9 +172,9 @@ def main(argv=None) -> int:
                   "date": datetime.datetime.now(datetime.timezone.utc).isoformat(
                       timespec="seconds"),
                   "cpu_count": os.cpu_count(), "python": platform.python_version(),
-                  "seconds": args.seconds, "seeds": args.seeds, "runs": runs,
+                  "seconds": spec["run_seconds"], "seeds": args.seeds, "runs": runs,
                   "summary": rows}
-        path = trees["tree"] / f"BENCH_{workload}.json"
+        path = ROOT / f"BENCH_{workload}.json"
         records = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
         path.write_text(json.dumps(records + [record], indent=1) + "\n", encoding="utf-8")
     return 1 if failed else 0
