@@ -156,6 +156,8 @@ def main(argv=None) -> int:
                         help="one pair per seed: 10-19 or 10,12 (default 10-19)")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "tree": ROOT}
+    # read before any record is appended, which would mark the tree dirty
+    commits = {side: git_commit(tree) for side, tree in trees.items()}
     failed = False
     for workload in args.workload or [w["name"] for w in spec["workloads"]]:
         runs = []
@@ -167,8 +169,8 @@ def main(argv=None) -> int:
         ok = [run for run in runs if run["metrics"]]
         rows = summarize(ok, spec["end_to_end"])
         print(format_report(workload, ok, rows), flush=True)
-        record = {"workload": workload, "commit": git_commit(trees["tree"]),
-                  "parent_commit": git_commit(trees["parent"]),
+        record = {"workload": workload, "commit": commits["tree"],
+                  "parent_commit": commits["parent"],
                   "date": datetime.datetime.now(datetime.timezone.utc).isoformat(
                       timespec="seconds"),
                   "cpu_count": os.cpu_count(), "python": platform.python_version(),
