@@ -12,6 +12,7 @@ yields.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,8 +20,8 @@ from operator import mul
 
 from . import explain
 from .explain import ExplanationKind
-from .model import (ExplanationProblem, WeightedVotingGame, as_mask, cached_value, lacking_bit,
-                    weak_field)
+from .model import (CACHED_SELECTOR_BYTES, ExplanationProblem, WeightedVotingGame, as_mask,
+                    cached_value, lacking_bit, weak_field)
 
 CF_E = "CF_E"            # conditional expected value of the class label
 CF_M = "CF_M"            # fraction of points keeping the prediction
@@ -123,10 +124,19 @@ def exact_groups(sizes) -> tuple[tuple[int, int], ...]:
 
 
 def domain_weights(problem: ExplanationProblem, weights):
-    """weights (mask_scale or exact_groups) of the problem's domain sizes,
-    kept on the problem: CF_E and CF_M share one scale."""
-    return problem._memo(("weights", weights), lambda: weights(
-        tuple(dom.size for dom in problem.classifier.features)))
+    """weights (mask_scale or exact_groups) of the problem's domain sizes.
+    Kept per sizes for the last 32 while 8 bytes a mask fit in
+    CACHED_SELECTOR_BYTES, like model._selectors; built per call above it,
+    so that no table of 2^m weights outlives a large problem."""
+    sizes = tuple(dom.size for dom in problem.classifier.features)
+    if 8 << len(sizes) > CACHED_SELECTOR_BYTES:
+        return weights(sizes)
+    return _kept_weights(weights, sizes)
+
+
+@functools.lru_cache(maxsize=32)
+def _kept_weights(weights, sizes: tuple[int, ...]):
+    return weights(sizes)
 
 
 def _agreement_table(problem: ExplanationProblem, cf_id: str,

@@ -33,23 +33,21 @@ def brute_expected(problem, fixed: set) -> Fraction:
 # ---------------------------------------------------------------------------
 # expected value and similarity
 
-def test_domain_weights_are_kept_on_the_problem():
-    # every domain of two values: mask S scales by 2^|S|, and one group
-    # holds every mask at one point each
-    m = 5
+@pytest.mark.parametrize("m, kept", [(13, True), (14, False)])
+def test_domain_weights_are_kept_up_to_the_selector_bound(m, kept):
+    # weights over 2^m masks are kept per domain sizes while 8 bytes a mask
+    # fit in 64 KiB (m = 13), and past that built per call and not kept
     features = tuple(FeatureDomain(i, (0, 1)) for i in range(1, m + 1))
     classifier = Classifier(features, frozenset({0, 1}),
                             TableBody((0,) * ((1 << m) - 1) + (1,)))
     problem = make_problem(classifier, (1,) * m)
     scale = charfun.domain_weights(problem, charfun.mask_scale)
     assert scale == tuple(2 ** s.bit_count() for s in range(1 << m))
-    assert charfun.domain_weights(problem, charfun.mask_scale) is scale
+    assert (charfun.domain_weights(problem, charfun.mask_scale) is scale) == kept
+    # every domain of two values: one group, each mask holding one point
     groups = charfun.domain_weights(problem, charfun.exact_groups)
     assert groups == ((1, int.from_bytes(b"\x01" * (1 << m), "little")),)
-    assert charfun.domain_weights(problem, charfun.exact_groups) is groups
-    # a new problem over the same domains builds its own
-    other = make_problem(classifier, (0,) * m)
-    assert charfun.domain_weights(other, charfun.mask_scale) is not scale
+    assert (charfun.domain_weights(problem, charfun.exact_groups) is groups) == kept
 
 
 def test_exact_groups_drop_the_masks_a_one_value_domain_empties():
