@@ -3,25 +3,24 @@
 Every table holds 2^m integer numerators indexed by subset mask over one
 denominator: the space size for CF_E and CF_M, 1 for the indicators.  An
 indicator's numerators are a flag table (one byte per mask, see
-model.lacking_bit) read as ints: the family's own flags, the generators'
-from shifts of the sufficient flags, or a voting game's winning flags.  The
-table keeps the bytes too, for the swing counts of scores' flag cores.
-Values are never forced: the empty set gets whatever the defining formula
-yields.
+model.lacking_bit), the bytes object itself: the family's own flags, the
+generators' from shifts of the sufficient flags, or a voting game's winning
+flags.  scores' flag cores count swings in those bytes.  Values are never
+forced: the empty set gets whatever the defining formula yields.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from . import explain
 from .explain import ExplanationKind
-from .model import (CACHED_SELECTOR_BYTES, ExplanationProblem, WeightedVotingGame, as_mask,
-                    cached_value, lacking_bit, weak_field)
+from .model import (CACHED_SELECTOR_BYTES, ExplanationProblem, WeightedVotingGame,
+                    agreement_sums, as_mask, cached_value, lacking_bit, weak_field)
 
 CF_E = "CF_E"            # conditional expected value of the class label
 CF_M = "CF_M"            # fraction of points keeping the prediction
@@ -46,17 +45,16 @@ _DUALS.update((cf_id, _INDICATOR[kind.dual]) for kind, cf_id in _INDICATOR.items
 class CharacteristicTable:
     """One set function, fully materialized: subset mask S has value nums[S] / den.
 
-    An indicator table also keeps its flag table (one byte per mask, the
-    bytes of nums) in flags; a numeric table has none.  The problem is held
-    weakly (model.weak_field): a table does not keep it alive.
+    An indicator table's nums is its flag table, a bytes object (one byte
+    per mask); a numeric table's is a tuple.  The problem is held weakly
+    (model.weak_field): a table does not keep it alive.
     """
 
     cf_id: str
     n_features: int
-    nums: tuple[int, ...]
+    nums: tuple[int, ...] | bytes
     den: int
     problem: ExplanationProblem | None = weak_field()
-    flags: bytes | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.nums) != 1 << self.n_features:
@@ -67,8 +65,7 @@ class CharacteristicTable:
 
     def __reduce__(self):
         # the problem is held weakly, and a weakref.ref does not pickle
-        return CharacteristicTable, (self.cf_id, self.n_features, self.nums, self.den,
-                                     None, self.flags)
+        return CharacteristicTable, (self.cf_id, self.n_features, self.nums, self.den)
 
     @cached_value
     def values(self) -> tuple[Fraction, ...]:
@@ -84,10 +81,6 @@ class CharacteristicTable:
     @property
     def full_mask(self) -> int:
         return (1 << self.n_features) - 1
-
-    def export(self) -> dict[int, str]:
-        """Debug view: subset mask -> rational string."""
-        return {mask: str(v) for mask, v in enumerate(self.values)}
 
 
 def mask_scale(sizes) -> tuple[int, ...]:
@@ -139,37 +132,36 @@ def _kept_weights(weights, sizes: tuple[int, ...]):
     return weights(sizes)
 
 
-def _agreement_table(problem: ExplanationProblem, cf_id: str,
-                     field: str) -> CharacteristicTable:
-    """One field of the agreement sums over the point count of each subset,
-    as numerators over the space size: the points agreeing on S number the
-    space size over mask_scale's entry for S, so that entry scales S."""
-    def build():
-        nums = tuple(map(mul, getattr(problem.agreement_sums(), field),
-                         domain_weights(problem, mask_scale)))
-        return CharacteristicTable(cf_id, problem.m, nums,
-                                   problem.classifier.space_size, problem)
-    return problem._memo(("cf", cf_id), build)
+def _agreement_table(problem: ExplanationProblem, cf_id: str) -> CharacteristicTable:
+    """CF_E or CF_M, built together from one fold (model.agreement_sums) and
+    kept on the problem each under its own key.  Each mask's sums over the
+    points agreeing on S become numerators over the space size: those
+    points number the space size over mask_scale's entry for S, so that
+    entry scales S."""
+    cache = problem._cache
+    if ("cf", cf_id) not in cache:
+        scale = domain_weights(problem, mask_scale)
+        den = problem.classifier.space_size
+        for table_id, sums in zip((CF_E, CF_M), agreement_sums(problem)):
+            cache["cf", table_id] = CharacteristicTable(
+                table_id, problem.m, tuple(map(mul, sums, scale)), den, problem)
+    return cache["cf", cf_id]
 
 
 def cf_expected(problem: ExplanationProblem) -> CharacteristicTable:
     """Mean class label over the points that agree with the instance on S."""
-    return _agreement_table(problem, CF_E, "label_sum")
+    return _agreement_table(problem, CF_E)
 
 
 def cf_similarity(problem: ExplanationProblem) -> CharacteristicTable:
     """Fraction of agreeing points whose prediction matches the instance."""
-    return _agreement_table(problem, CF_M, "same")
-
-
-def _indicator(cf_id, m, flags: bytes, problem=None) -> CharacteristicTable:
-    return CharacteristicTable(cf_id, m, tuple(flags), 1, problem, flags)
+    return _agreement_table(problem, CF_M)
 
 
 def _family_indicator(problem, kind) -> CharacteristicTable:
     cf_id = _INDICATOR[kind]
-    return problem._memo(("cf", cf_id), lambda: _indicator(
-        cf_id, problem.m, explain.family(problem, kind).flags, problem))
+    return problem._memo(("cf", cf_id), lambda: CharacteristicTable(
+        cf_id, problem.m, explain.family(problem, kind).flags, 1, problem))
 
 
 def cf_waxp(problem: ExplanationProblem) -> CharacteristicTable:
@@ -203,13 +195,13 @@ def cf_generator(problem: ExplanationProblem) -> CharacteristicTable:
         for b, lacking in enumerate(lacking_bit(n)):
             failed |= lacking & ~(sufficient >> (8 << b))
         generator = int.from_bytes(b"\x01" * n, "little") & ~failed
-        return _indicator(CF_G, problem.m, generator.to_bytes(n, "little"), problem)
+        return CharacteristicTable(CF_G, problem.m, generator.to_bytes(n, "little"), 1, problem)
     return problem._memo(("cf", CF_G), build)
 
 
 def cf_wvg(game: WeightedVotingGame) -> CharacteristicTable:
     """Indicator of winning coalitions; monotone by non-negative weights."""
-    return _indicator(CF_WVG, game.m, bytes(game.winning_flags()))
+    return CharacteristicTable(CF_WVG, game.m, game.winning_flags(), 1)
 
 
 def cf_sum(table1: CharacteristicTable, table2: CharacteristicTable) -> CharacteristicTable:

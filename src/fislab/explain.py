@@ -5,7 +5,7 @@ Every family reads the problem's one table of sufficient subsets
 point agreeing with the instance on it keeps the instance's class.  That
 table is the problem's fold (model._fold_order) of its other-class flags
 with OR, on every problem, and builds no integer agreement sums
-(model.AgreementSums): the CF_E and CF_M tables read those.  A family is
+(model.agreement_sums): the CF_E and CF_M tables read those.  A family is
 held as a flag table, one byte per mask (see model.lacking_bit), and the
 minimal families and the minimal hitting sets are whole-table shifts on it.
 The predicates is_waxp and is_wcxp decide one subset by scanning its slice
@@ -56,25 +56,18 @@ _DUAL_KIND = {ExplanationKind.WAXP: ExplanationKind.WCXP,
 class ExplanationFamily:
     """All subsets of one explanation kind, sorted by (cardinality, mask).
 
-    flags is the family's flag table over the problem's 2^m masks; it is
-    built from the members when not given.  The problem is held weakly
-    (model.weak_field): a family does not keep it alive."""
+    flags is the family's flag table over the problem's 2^m masks, which
+    members lists.  The problem is held weakly (model.weak_field): a family
+    does not keep it alive."""
 
     kind: ExplanationKind
     members: tuple[int, ...]
+    flags: bytes = field(repr=False, compare=False)
     problem: ExplanationProblem | None = weak_field()
-    flags: bytes | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.flags is None:
-            flags = bytearray(1 << self.problem.m)
-            for s in self.members:
-                flags[s] = 1
-            object.__setattr__(self, "flags", bytes(flags))
 
     def __reduce__(self):
         # the problem is held weakly, and a weakref.ref does not pickle
-        return ExplanationFamily, (self.kind, self.members, None, self.flags)
+        return ExplanationFamily, (self.kind, self.members, self.flags)
 
     def containing(self, i: int) -> tuple[int, ...]:
         bit = 1 << (i - 1)
@@ -155,7 +148,7 @@ def _build_family(problem, kind):
         flags = flags[::-1].translate(FLIP_FLAGS)
     if kind in (ExplanationKind.AXP, ExplanationKind.CXP):
         flags = minimal_masks(flags)
-    return ExplanationFamily(kind, members_of(flags), problem, flags)
+    return ExplanationFamily(kind, members_of(flags), flags, problem)
 
 
 def enumerate_waxps(problem: ExplanationProblem) -> ExplanationFamily:

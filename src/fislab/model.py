@@ -20,7 +20,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import add, lshift, or_
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, Sequence
 
 HARD_FEATURE_CAP = 20
 DEFAULT_FEATURE_LIMIT = 16
@@ -182,15 +182,20 @@ def lacking_bit(n: int) -> Iterable[int]:
 _INCREMENT = bytes(range(1, 256)) + b"\x00"
 
 
-def _size_runs(n: int, width: int) -> Iterator[int]:
-    """For each size k = 1..m of the masks 0..n-1, the flag table of the
-    masks with k bits (width is 1, a flag per byte).  The bit count of
-    every mask, one byte each, doubles from mask 0 (the masks with the next
-    bit are the ones below it, plus one), and one bytes.translate per size
-    picks out its masks."""
+def bit_counts(n: int) -> bytes:
+    """The bit count of every mask 0..n-1, one byte each: it doubles from
+    mask 0, as the masks with the next bit are the ones below it, plus one."""
     counts = b"\x00"
     while len(counts) < n:
         counts += counts.translate(_INCREMENT)
+    return counts
+
+
+def _size_runs(n: int, width: int) -> Iterator[int]:
+    """For each size k = 1..m of the masks 0..n-1, the flag table of the
+    masks with k bits (width is 1, a flag per byte): one bytes.translate of
+    bit_counts(n) per size picks out its masks."""
+    counts = bit_counts(n)
     for k in range(1, n.bit_length()):
         yield int.from_bytes(counts.translate(bytes(k) + b"\x01" + bytes(255 - k)),
                              "little")
@@ -383,6 +388,8 @@ class FeatureDomain:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
+        if type(self.feature_id) is not int:
+            raise DomainError(f"feature id must be an integer, got {self.feature_id!r}")
         if self.feature_id < 1:
             raise DomainError(f"feature id must be >= 1, got {self.feature_id}")
         if not self.values:
@@ -393,11 +400,6 @@ class FeatureDomain:
     @property
     def size(self) -> int:
         return len(self.values)
-
-    @property
-    def trivial(self) -> bool:
-        # single-valued domains make the feature irrelevant by construction
-        return len(self.values) == 1
 
 
 @dataclass(frozen=True)
@@ -551,12 +553,13 @@ class WeightedVotingGame:
     def is_winning(self, mask: int) -> bool:
         return self.coalition_weight(mask) >= self.quota
 
-    def winning_flags(self) -> list[bool]:
-        """Whether each coalition wins, indexed by mask.  The weights of
-        every mask come from one doubling expansion: voter 1 is bit 0, so
-        it varies fastest, which puts it last in _rank_sums' order."""
+    def winning_flags(self) -> bytes:
+        """The flag table of the winning coalitions, one byte per mask.  The
+        weights of every mask come from one doubling expansion: voter 1 is
+        bit 0, so it varies fastest, which puts it last in _rank_sums'
+        order."""
         weights = _rank_sums([(0, w) for w in reversed(self.weights)])
-        return list(map(self.quota.__le__, weights))
+        return bytes(map(self.quota.__le__, weights))
 
 
 @dataclass(frozen=True)
@@ -780,11 +783,6 @@ class Classifier:
             n *= dom.size
         return n
 
-    @property
-    def trivial_features(self) -> tuple[int, ...]:
-        """Features flagged for having single-valued domains."""
-        return tuple(d.feature_id for d in self.features if d.trivial)
-
     def points(self) -> Iterator[tuple]:
         """All points of the feature space, lexicographic by feature index."""
         return itertools.product(*(d.values for d in self.features))
@@ -834,6 +832,8 @@ def _check_expr_vars(node, m: int):
 def _check_tree(node, features):
     if isinstance(node, TreeLeaf):
         return
+    if type(node.feature) is not int:
+        raise ParseError(f"tree split feature must be an integer, got {node.feature!r}")
     if not 1 <= node.feature <= len(features):
         raise ParseError(f"tree tests unknown feature {node.feature}")
     dom = features[node.feature - 1]
@@ -936,10 +936,6 @@ class ExplanationProblem:
             cache[key] = build()
         return cache[key]
 
-    def agreement_sums(self) -> AgreementSums:
-        """The problem's integer kernel (see AgreementSums), built on first use."""
-        return self._memo(("agreement_sums",), lambda: _agreement_sums(self))
-
     def _mask_labels(self) -> bytes | None:
         """The label of the one point at each agreement mask with the
         instance, or None unless every domain has two values and every class
@@ -949,25 +945,9 @@ class ExplanationProblem:
     def _sufficient_flags(self) -> bytes:
         """The flag table of the sufficient subsets, the masks S such that
         every point agreeing with the instance on S has its class; built on
-        first use, from the labels alone, without the agreement sums.  Every
+        first use, from the labels alone, without agreement_sums.  Every
         explanation family reads it."""
         return self._memo(("sufficient",), lambda: _sufficient_flags(self))
-
-
-class AgreementSums(NamedTuple):
-    """Integer sums over the points that agree with the instance on a subset.
-
-    Each field is indexed by subset mask S and sums over the points x with
-    x_i = v_i for every feature i in S: ``label_sum`` adds their labels and
-    ``same`` counts those labelled with the instance's class.  There are
-    prod over i not in S of |D_i| of them, so the CF_E and CF_M tables, the
-    only readers, scale each mask by the domain sizes (charfun.mask_scale).
-    The explanation families read the problem's sufficient flags, which the
-    same fold gives from flag bytes (_sufficient_flags).
-    """
-
-    label_sum: tuple[int, ...]
-    same: tuple[int, ...]
 
 
 def _mask_labels(problem: ExplanationProblem) -> bytes | None:
@@ -1039,11 +1019,17 @@ def _sufficient_flags(problem: ExplanationProblem) -> bytes:
 _LIMB_BYTES = 4
 
 
-def _agreement_sums(problem: ExplanationProblem) -> AgreementSums:
-    """The problem's AgreementSums from one fold (see _fold_order) of
-    fields that hold a point's label in their low half and its same-class
-    flag in their high half.  Labels whose total needs more than 4 bytes
-    fold in 32-bit limbs, recombined at the end, and the flags fold alone."""
+def agreement_sums(problem: ExplanationProblem) -> tuple[Sequence[int], Sequence[int]]:
+    """(label_sum, same), indexed by subset mask S, over the points x with
+    x_i = v_i for every feature i in S: label_sum adds their labels and
+    same counts those of the instance's class.  The CF_E and CF_M tables,
+    the only readers, scale each mask by the domain sizes (charfun).
+
+    One fold (see _fold_order) of fields that hold a point's label in their
+    low half and its same-class flag in their high half gives both, as
+    arrays of its fields.  Labels whose total needs more than 4 bytes fold
+    in 32-bit limbs, recombined at the end into a tuple, and the flags fold
+    alone."""
     labels, fold = _fold_order(problem)
     flags = _class_bytes(problem, labels, 1)
     # bounds every label sum and every count: some label is below the top
@@ -1060,13 +1046,13 @@ def _agreement_sums(problem: ExplanationProblem) -> AgreementSums:
             fused[::width] = labels
         fused[half::width] = flags
         halves = _field_ints(fold(fused, width, add), half)
-        return AgreementSums(tuple(halves[0::2]), tuple(halves[1::2]))
+        return halves[0::2], halves[1::2]
     # A total past 4 bytes needs a class above 4096, with at most
     # POINT_LIMIT points, so its labels are a tuple in rank order.
     width = 8  # holds the flag sums and the sums of one limb
     spread = bytearray(len(labels) * width)
     spread[::width] = flags
-    same = tuple(_field_ints(fold(spread, width, add), width))
+    same = _field_ints(fold(spread, width, add), width)
     n_limbs = -(-max(labels).bit_length() // (8 * _LIMB_BYTES))
     limbs = _field_ints(b"".join(map(int.to_bytes, labels, itertools.repeat(
         n_limbs * _LIMB_BYTES), itertools.repeat("little"))), _LIMB_BYTES)
@@ -1076,7 +1062,7 @@ def _agreement_sums(problem: ExplanationProblem) -> AgreementSums:
         sums = _field_ints(fold(fields, width, add), width)
         shift = itertools.repeat(8 * _LIMB_BYTES * t)
         label_sum = map(add, label_sum, map(lshift, sums, shift))
-    return AgreementSums(tuple(label_sum), same)
+    return tuple(label_sum), same
 
 
 def make_problem(classifier: Classifier, point, label: int | None = None) -> ExplanationProblem:

@@ -373,11 +373,6 @@ def problem_stream(base_seed: int, count: int | None = None,
         k += 1
 
 
-def build_corpus(base_seed: int = 0, count: int = 200,
-                 m_range: tuple[int, int] = (2, 6)) -> list[ExplanationProblem]:
-    return [p for _, p in problem_stream(base_seed, count, m_range)]
-
-
 _ADDITIVITY_PAIRS = (
     (charfun.CF_E, charfun.CF_W),
     (charfun.CF_E, charfun.CF_A),

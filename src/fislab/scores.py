@@ -20,8 +20,9 @@ from operator import add, mul, sub
 from . import charfun, explain
 from .charfun import CharacteristicTable
 from .explain import ExplanationKind
-from .model import (ExplanationProblem, WeightedVotingGame, as_mask, bit_slices,
-                    cached_value, lacking_bit, size_classes, up_closure)
+from .model import (CACHED_SELECTOR_BYTES, ExplanationProblem, WeightedVotingGame, as_mask,
+                    bit_counts, bit_slices, cached_value, lacking_bit, size_classes,
+                    up_closure)
 
 
 class TemplateId(enum.Enum):
@@ -124,10 +125,10 @@ _Scores = tuple[list[int], int]  # (numerator per feature, common denominator)
 def _score_all_subsets(template: TemplateId, table: CharacteristicTable) -> _Scores:
     m = table.n_features
     nums, den = table.nums, table.den
-    if table.flags is not None and template is not TemplateId.SHAPLEY_SHUBIK:
+    if type(nums) is bytes and template is not TemplateId.SHAPLEY_SHUBIK:
         if template is TemplateId.JOHNSTON:
-            return _johnston_flags(table.flags)
-        return _banzhaf_flags(table.flags)
+            return _johnston_flags(nums)
+        return _banzhaf_flags(nums)
     if template is TemplateId.JOHNSTON:
         return _johnston(nums)
     # feature i's weighted gains: the sum over S containing i of
@@ -147,16 +148,29 @@ def _score_all_subsets(template: TemplateId, table: CharacteristicTable) -> _Sco
              for pairs in bit_slices(len(nums))], scale)
 
 
-@functools.cache
 def _shapley_weights(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per mask S, the Shapley weights w(|S|) + w(|S| + 1) and w(|S| + 1)
     over m!, where w(k) = (k-1)!(m-k)! weighs a gain that completes a
-    coalition of size k (and w(0) = w(m + 1) = 0)."""
+    coalition of size k (and w(0) = w(m + 1) = 0).  Kept per m while 8
+    bytes a mask fit in CACHED_SELECTOR_BYTES, like model._selectors; built
+    per call above it."""
+    if 8 << m > CACHED_SELECTOR_BYTES:
+        return _build_shapley_weights(m)
+    return _kept_shapley_weights(m)
+
+
+def _build_shapley_weights(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """_shapley_weights, each mask's read from its bit count (a byte) among
+    the m + 1 distinct weights of each kind."""
     weight = [0] + [math.factorial(k - 1) * math.factorial(m - k)
                     for k in range(1, m + 1)] + [0]
-    sizes = [s.bit_count() for s in range(1 << m)]
-    return (tuple(weight[k] + weight[k + 1] for k in sizes),
-            tuple(weight[k + 1] for k in sizes))
+    sizes = bit_counts(1 << m)
+    left = weight[1:]
+    joined = list(map(add, weight, left))
+    return tuple(map(joined.__getitem__, sizes)), tuple(map(left.__getitem__, sizes))
+
+
+_kept_shapley_weights = functools.cache(_build_shapley_weights)
 
 
 def _johnston(nums: tuple[int, ...]) -> _Scores:
@@ -302,9 +316,9 @@ def _score_family(template: TemplateId, table: CharacteristicTable | None,
     count = len(members)
     if not count:
         return [0] * m, 1
-    if (flags is not None and table is not None and table.flags is not None
+    if (flags is not None and table is not None and type(table.nums) is bytes
             and template is not TemplateId.RESPONSIBILITY and _dense(count, m)):
-        return _family_flags(template, table.flags, flags)
+        return _family_flags(template, table.nums, flags)
     nums, den = (None, 1) if table is None else (table.nums, table.den)
     if template is TemplateId.RESPONSIBILITY:
         # the largest gain / size, compared by cross-multiplication
@@ -550,11 +564,11 @@ def shapley_permutation_oracle(problem: ExplanationProblem | None,
 
 
 def winning_coalitions(game: WeightedVotingGame) -> tuple[int, ...]:
-    return explain.members_of(bytes(game.winning_flags()))
+    return explain.members_of(game.winning_flags())
 
 
 def minimal_winning_coalitions(game: WeightedVotingGame) -> tuple[int, ...]:
-    return explain.members_of(explain.minimal_masks(bytes(game.winning_flags())))
+    return explain.members_of(explain.minimal_masks(game.winning_flags()))
 
 
 def wvg_power_index(game: WeightedVotingGame, template_id: TemplateId,
@@ -568,8 +582,8 @@ def wvg_power_index(game: WeightedVotingGame, template_id: TemplateId,
     if family is None:
         nums, den = _score_all_subsets(template_id, table)
     else:
-        # the table's flags are the winning coalitions'
-        flags = table.flags
+        # the table's numerators are the winning coalitions' flags
+        flags = table.nums
         if family is ExplanationKind.AXP:
             flags = explain.minimal_masks(flags)
         nums, den = _score_family(template_id, table, explain.members_of(flags),

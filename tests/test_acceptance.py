@@ -22,7 +22,7 @@ _SHARED: dict = {}
 
 def _corpus():
     if "corpus" not in _SHARED:
-        _SHARED["corpus"] = props.build_corpus(0, 200, (2, 6))
+        _SHARED["corpus"] = [p for _, p in props.problem_stream(0, 200, (2, 6))]
     return _SHARED["corpus"]
 
 

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from fislab import charfun, props
+from fislab import charfun, explain, props
 from fislab.charfun import (CharacteristicTable, cf_axp, cf_cxp, cf_expected,
                             cf_generator, cf_similarity, cf_sum, cf_waxp,
                             cf_wcxp, cf_wvg, delta_total, dual_table)
-from fislab.explain import is_critical
+from fislab.explain import ExplanationKind, is_critical
 from fislab.model import (Classifier, ExplanationProblem, FeatureDomain, TableBody,
                           WeightedVotingGame, as_mask, make_problem, mask_of)
 
@@ -189,6 +189,29 @@ def test_sum_of_memoized_tables_is_memoized(chain):
     assert cf_sum(own, cf_waxp(problem)).values == combined.values
 
 
+def test_expected_and_similarity_come_from_one_fold(chain, monkeypatch):
+    # asking for CF_E keeps CF_M under its own key from the same fold, and
+    # the sum of the two kept tables is kept too
+    problem = ExplanationProblem(chain.classifier, chain.instance)
+    folds = []
+    fold = charfun.agreement_sums
+    monkeypatch.setattr(charfun, "agreement_sums", lambda p: folds.append(p) or fold(p))
+    expected = cf_expected(problem)
+    assert problem._cache["cf", charfun.CF_E] is expected
+    similar = problem._cache["cf", charfun.CF_M]
+    assert cf_similarity(problem) is similar and folds == [problem]
+    combined = cf_sum(expected, similar)
+    assert problem._cache["cf_sum", charfun.CF_E, charfun.CF_M] is combined
+    assert cf_sum(cf_expected(problem), cf_similarity(problem)) is combined
+
+
+def test_indicator_numerators_are_the_family_flags(chain):
+    problem = ExplanationProblem(chain.classifier, chain.instance)
+    for kind, build in ((ExplanationKind.WAXP, cf_waxp), (ExplanationKind.WCXP, cf_wcxp),
+                        (ExplanationKind.AXP, cf_axp), (ExplanationKind.CXP, cf_cxp)):
+        assert build(problem).nums is explain.family(problem, kind).flags
+
+
 def test_sum_with_zero_table_is_identity(chain):
     table = cf_expected(chain)
     zero = CharacteristicTable(charfun.CF_SUM, 4, (0,) * 16, 1, chain)
@@ -273,10 +296,3 @@ def test_table_invariants_on_random_problems():
             for i in range(problem.m):
                 if not mask >> i & 1:
                     assert suff[mask | 1 << i] >= suff[mask]
-
-
-def test_export_rational_strings(chain):
-    exported = cf_expected(chain).export()
-    assert exported[0] == "5/16"
-    assert exported[15] == "1"
-    assert len(exported) == 16

@@ -612,6 +612,33 @@ def test_deeply_nested_model_document_is_a_usage_error(tmp_path, capsys, deep_do
     assert err == "error: model document nests too deeply\n"
 
 
+def _tree_split_on(feature):
+    doc = _chain_document()
+    doc["body"] = {"kind": "tree", "root": {"feature": feature, "branches": [
+        {"value": 0, "child": {"class": 0}}, {"value": 1, "child": {"class": 1}}]}}
+    return doc
+
+
+def _feature_id(feature, value):
+    doc = _chain_document()
+    doc["features"][feature - 1]["id"] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_feature_id(1, True), "feature id must be an integer, got True"),
+    (_feature_id(2, 2.0), "feature id must be an integer, got 2.0"),
+    (_tree_split_on(True), "tree split feature must be an integer, got True"),
+], ids=["true-id", "float-id", "true-split-feature"])
+def test_non_integer_feature_is_a_usage_error(doc, message, tmp_path, capsys):
+    # true and 2.0 equal 1 and 2, so they would pass every range check and
+    # be written back as true and 2.0
+    code, out, err = run(capsys, "explain", "--model", _written(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("workers, expected", [
     (0, 2), ((os.cpu_count() or 1) + 1, 2), (1, 0)])
 def test_workers_limited_to_cpu_count(workers, expected, chain_model, capsys):
@@ -683,7 +710,9 @@ def test_invariant_error_has_its_own_exit_path(chain_model, monkeypatch, capsys)
 
     def short_cxps(problem):
         family = cxps(problem)
-        return explain.ExplanationFamily(family.kind, family.members[:1], problem)
+        short = family.members[:1]
+        return explain.ExplanationFamily(
+            family.kind, short, bytes(s in short for s in range(len(family.flags))), problem)
 
     monkeypatch.setattr(explain, "enumerate_cxps", short_cxps)
     code, out, err = run(capsys, "explain", "--model", chain_model)

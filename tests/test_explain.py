@@ -212,7 +212,8 @@ def test_relevancy_same_from_both_families():
 
 def test_relevancy_mismatch_is_an_invariant_error(chain, monkeypatch):
     cxps = enumerate_cxps(chain)  # {1}, {2, 3}, {2, 4}: keep only {1}
-    short = explain.ExplanationFamily(cxps.kind, cxps.members[:1], chain)
+    flags = bytes(s == cxps.members[0] for s in range(len(cxps.flags)))
+    short = explain.ExplanationFamily(cxps.kind, cxps.members[:1], flags, chain)
     monkeypatch.setattr(explain, "enumerate_cxps", lambda problem: short)
     with pytest.raises(explain.InvariantError, match="relevancy mismatch"):
         relevant_features(chain)

@@ -390,8 +390,8 @@ def test_kernel_matches_exhaustive_scans(problem):
     m = problem.m
     # a generator: every one-feature extension is a weak AXP
     waxps = set(families[ExplanationKind.WAXP])
-    assert charfun.cf_generator(problem).nums == tuple(
-        int(all(s | 1 << i in waxps for i in range(m) if not s >> i & 1))
+    assert charfun.cf_generator(problem).nums == bytes(
+        all(s | 1 << i in waxps for i in range(m) if not s >> i & 1)
         for s in range(1 << m))
     tables = [charfun.build_table(cf_id, problem) for cf_id in TABLE_IDS]
     for table in tables + [charfun.cf_sum(tables[0], tables[1])]:
@@ -432,6 +432,12 @@ def fresh(problem):
     return ExplanationProblem(problem.classifier, problem.instance)
 
 
+def fold_sums(problem):
+    """model.agreement_sums as a pair of tuples, the form of
+    gate.point_loop_sums."""
+    return tuple(map(tuple, model.agreement_sums(problem)))
+
+
 # ---------------------------------------------------------------------------
 # boolean problems: the permuted label bytes against the per-point loop
 
@@ -470,8 +476,8 @@ def test_sufficient_flags_and_agreement_sums_match_the_point_loop(problem):
         assert labels == bytes(cls.evaluate(x) for x in sorted(
             cls.points(), key=lambda x: agreement_set(x, problem.v)))
     loop = gate.point_loop_sums(problem)
-    assert problem._sufficient_flags() == bytes(map(eq, loop.same, gate.point_counts(problem)))
-    assert problem.agreement_sums() == loop
+    assert problem._sufficient_flags() == bytes(map(eq, loop[1], gate.point_counts(problem)))
+    assert fold_sums(problem) == loop
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +518,14 @@ def test_fold_matches_the_point_loop(problem):
     problem = fresh(problem)
     assert problem._mask_labels() is None
     loop = gate.point_loop_sums(problem)
-    # the flags first, from their own OR fold: no sums are built for them
-    assert problem._sufficient_flags() == bytes(map(eq, loop.same, gate.point_counts(problem)))
-    assert ("agreement_sums",) not in problem._cache
-    assert problem.agreement_sums() == loop
+    # the flags from their own OR fold: the families build neither table
+    # the sums feed
+    assert problem._sufficient_flags() == bytes(map(eq, loop[1], gate.point_counts(problem)))
+    for kind in ExplanationKind:
+        explain.family(problem, kind)
+    assert ("cf", charfun.CF_E) not in problem._cache
+    assert ("cf", charfun.CF_M) not in problem._cache
+    assert fold_sums(problem) == loop
 
 
 @pytest.mark.parametrize("problem", [p for _, p in FOLD_CORPUS],
@@ -538,7 +548,7 @@ def test_fold_corpus_covers_every_position_and_wide_fields():
     assert all(seen == set(range(size)) for (_, _, size), seen in positions.items())
     assert {size for _, _, size in positions} == {1, 2, 3, 4, 5}
     # a label sum past 8 bytes
-    assert max(max(p.agreement_sums().label_sum) for _, p in FOLD_CORPUS) >= 2**64
+    assert max(max(model.agreement_sums(p)[0]) for _, p in FOLD_CORPUS) >= 2**64
 
 
 @pytest.mark.parametrize("sizes, classes, total", [
@@ -560,10 +570,10 @@ def test_sums_at_the_edge_of_their_fields(sizes, classes, total):
     for point in ((0,) * len(sizes), list(classifier.points())[odd]):
         problem = make_problem(classifier, point)
         loop = gate.point_loop_sums(problem)
-        assert loop.label_sum[0] == total
-        assert problem.agreement_sums() == loop
+        assert loop[0][0] == total
+        assert fold_sums(problem) == loop
         counts = gate.point_counts(problem)
-        assert problem._sufficient_flags() == bytes(map(eq, loop.same, counts))
+        assert problem._sufficient_flags() == bytes(map(eq, loop[1], counts))
 
 
 def test_sums_past_the_selector_cache_bound(monkeypatch):
@@ -584,7 +594,7 @@ def test_sums_past_the_selector_cache_bound(monkeypatch):
 
     real_fold = model._superset_fold
     monkeypatch.setattr(model, "_superset_fold", fold)
-    assert problem.agreement_sums() == gate.point_loop_sums(problem)
+    assert fold_sums(problem) == gate.point_loop_sums(problem)
     assert folds == [(8 << m, 8)] and 8 << m > model.CACHED_SELECTOR_BYTES
 
 
@@ -741,8 +751,8 @@ def test_wvg_power_indices_match_oracle_cores(m):
     table = charfun.cf_wvg(game)
     assert_one_value_per_mask(table)
     winning = [s for s in range(1 << m) if game.is_winning(s)]
-    assert game.winning_flags() == [game.is_winning(s) for s in range(1 << m)]
-    assert table.nums == tuple(int(game.is_winning(s)) for s in range(1 << m))
+    assert game.winning_flags() == bytes(game.is_winning(s) for s in range(1 << m))
+    assert table.nums == game.winning_flags()
     assert scores.winning_coalitions(game) == tuple(
         sorted(winning, key=lambda s: (s.bit_count(), s)))
     minimal = [s for s in sorted(winning, key=lambda s: (s.bit_count(), s))
@@ -970,9 +980,8 @@ INDICATOR_IDS = (charfun.CF_W, charfun.CF_W_DUAL, charfun.CF_A,
 def assert_flag_cores_match(table):
     """The flag core's (numerators, denominator) pair is the integer core's
     on the same numerators, unreduced, and its values are the oracle's."""
-    assert table.flags is not None and table.nums == tuple(table.flags)
-    plain = dataclasses.replace(table, flags=None)
-    assert plain == table and plain.flags is None
+    assert type(table.nums) is bytes
+    plain = dataclasses.replace(table, nums=tuple(table.nums))
     for template in FLAG_TEMPLATES:
         nums, den = scores._score_all_subsets(template, table)
         assert (list(nums), den) == scores._score_all_subsets(template, plain), \
@@ -982,7 +991,7 @@ def assert_flag_cores_match(table):
 
 
 def flag_table(m, flags):
-    return charfun._indicator("T", m, bytes(flags))
+    return CharacteristicTable("T", m, bytes(flags), 1)
 
 
 @pytest.mark.parametrize("problem", [p for _, p in CORPUS], ids=[n for n, _ in CORPUS])
@@ -990,7 +999,7 @@ def test_flag_cores_on_corpus_indicator_tables(problem):
     for cf_id in INDICATOR_IDS:
         assert_flag_cores_match(charfun.build_table(cf_id, problem))
     for cf_id in (charfun.CF_E, charfun.CF_M):
-        assert charfun.build_table(cf_id, problem).flags is None
+        assert type(charfun.build_table(cf_id, problem).nums) is tuple
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -1037,7 +1046,7 @@ def assert_family_flag_core_matches(template, table, family_flags):
     family, unreduced, and its values are the oracle's."""
     m = table.n_features
     members = explain.members_of(family_flags)
-    nums, den = scores._family_flags(template, table.flags, family_flags)
+    nums, den = scores._family_flags(template, table.nums, family_flags)
     assert (nums, den) == scores._score_family(template, table, members, m), \
         (template, table.cf_id)
     assert (ScoreVector(nums, den).values
@@ -1090,8 +1099,8 @@ def test_family_flag_core_on_edge_families(m):
         for template in SUM_TEMPLATES:
             assert_family_flag_core_matches(template, table, family)
     for template in SUM_TEMPLATES:
-        assert scores._family_flags(template, table.flags, bytes(n)) == ([0] * m, 1)
-        nums, den = scores._family_flags(template, table.flags, only_empty_mask)
+        assert scores._family_flags(template, table.nums, bytes(n)) == ([0] * m, 1)
+        nums, den = scores._family_flags(template, table.nums, only_empty_mask)
         assert nums == [0] * m and den > 0
 
 
@@ -1169,10 +1178,10 @@ def test_family_flag_core_memory_stays_flat_in_family_size():
         " | ".join(f"(x{i} & x{i + 1})" for i in range(1, m)), m), (1,) * m)
     family = explain.enumerate_waxps(problem).flags
     table = charfun.cf_waxp(problem)
-    expected = scores._family_flags(TemplateId.ANDJIGA, table.flags, family)
+    expected = scores._family_flags(TemplateId.ANDJIGA, table.nums, family)
     tracemalloc.start()
     try:
-        got = scores._family_flags(TemplateId.ANDJIGA, table.flags, family)
+        got = scores._family_flags(TemplateId.ANDJIGA, table.nums, family)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -29,10 +29,10 @@ def test_domain_rejects_duplicates_and_empty():
         FeatureDomain(1, ())
 
 
-def test_single_valued_domain_is_flagged_not_rejected():
+def test_single_valued_domain_is_accepted():
     features = (FeatureDomain(1, (0, 1)), FeatureDomain(2, ("only",)))
     cls = Classifier(features, frozenset({0, 1}), TableBody((0, 1)))
-    assert cls.trivial_features == (2,)
+    assert [dom.size for dom in cls.features] == [2, 1] and cls.space_size == 2
 
 
 def test_constant_function_rejected():

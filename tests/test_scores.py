@@ -265,6 +265,19 @@ def corpus_sample(seed, n, m_range=(2, 5)):
     return [props.random_problem(seed, k, m_range) for k in range(n)]
 
 
+@pytest.mark.parametrize("m, kept", [(1, True), (13, True), (14, False)])
+def test_shapley_weights_are_kept_up_to_the_selector_bound(m, kept):
+    # per mask S, w(|S|) + w(|S| + 1) and w(|S| + 1), w(k) = (k-1)!(m-k)!;
+    # kept per m while 8 bytes a mask fit in 64 KiB, built per call past it
+    weight = [0] + [math.factorial(k - 1) * math.factorial(m - k)
+                    for k in range(1, m + 1)] + [0]
+    sizes = [s.bit_count() for s in range(1 << m)]
+    joined, left = scores._shapley_weights(m)
+    assert joined == tuple(weight[k] + weight[k + 1] for k in sizes)
+    assert left == tuple(weight[k + 1] for k in sizes)
+    assert (scores._shapley_weights(m)[0] is joined) == kept
+
+
 def test_sufficiency_shapley_totals_one():
     for problem in corpus_sample(61, 25):
         assert compute_fis("S", problem).total() == 1

@@ -118,14 +118,14 @@ def core_mismatches(problem) -> list[str]:
     families = [explain.family(problem, kind) for kind in ExplanationKind]
     for cf_id in INDICATOR_IDS:
         table = charfun.build_table(cf_id, problem)
-        plain = dataclasses.replace(table, flags=None)
+        plain = dataclasses.replace(table, nums=tuple(table.nums))
         for template in (TemplateId.BANZHAF, TemplateId.JOHNSTON):
             if (scores._score_all_subsets(template, table)
                     != scores._score_all_subsets(template, plain)):
                 out.append(f"{template.value}[{cf_id}]")
         for family in families:
             for template in SUM_TEMPLATES:
-                if (scores._family_flags(template, table.flags, family.flags)
+                if (scores._family_flags(template, table.nums, family.flags)
                         != scores._score_family(template, table, family.members,
                                                 problem.m)):
                     out.append(f"{template.value}[{family.kind.value}, {cf_id}]")
@@ -145,12 +145,12 @@ def superset_totals(bins: list[int]) -> tuple[int, ...]:
     return tuple(totals)
 
 
-def point_loop_sums(problem) -> model.AgreementSums:
-    """The agreement sums by the per-point binning loop, the oracle of the
-    kernel: each point's label and same-class count go to the bin of its
-    agreement mask with the instance, and each subset's totals add the bins
-    of its supersets (superset_totals).  It shares no arithmetic with the
-    kernel's folds."""
+def point_loop_sums(problem) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The agreement sums (label_sum, same) by the per-point binning loop,
+    the oracle of model.agreement_sums: each point's label and same-class
+    count go to the bin of its agreement mask with the instance, and each
+    subset's totals add the bins of its supersets (superset_totals).  It
+    shares no arithmetic with the kernel's folds."""
     cls = problem.classifier
     # agreement mask of every point, in rank order
     masks = model._rank_sums([[1 << i if k == index[v] else 0 for k in range(dom.size)]
@@ -161,7 +161,7 @@ def point_loop_sums(problem) -> model.AgreementSums:
         label_sum[mask] += label
         if label == problem.c:
             same[mask] += 1
-    return model.AgreementSums(superset_totals(label_sum), superset_totals(same))
+    return superset_totals(label_sum), superset_totals(same)
 
 
 def point_counts(problem) -> list[int]:
@@ -195,9 +195,9 @@ def kernel_mismatches(problem) -> list[str]:
             out.append("mask labels" + name)
         loop = point_loop_sums(case)
         if explain.family(case, ExplanationKind.WAXP).flags != bytes(
-                map(eq, loop.same, point_counts(case))):
+                map(eq, loop[1], point_counts(case))):
             out.append("waxp flags" + name)
-        if case.agreement_sums() != loop:
+        if tuple(map(tuple, model.agreement_sums(case))) != loop:
             out.append("agreement sums" + name)
     return out
 
