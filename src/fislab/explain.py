@@ -19,8 +19,8 @@ import enum
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .model import (FLIP_FLAGS, ExplanationProblem, as_mask, features_of, lacking_bit,
-                    up_closure, weak_field)
+from .model import (FLIP_FLAGS, ExplanationProblem, as_mask, cached_value, features_of,
+                    lacking_bit, up_closure)
 
 
 class InvariantError(RuntimeError):
@@ -54,20 +54,16 @@ _DUAL_KIND = {ExplanationKind.WAXP: ExplanationKind.WCXP,
 
 @dataclass(frozen=True)
 class ExplanationFamily:
-    """All subsets of one explanation kind, sorted by (cardinality, mask).
-
-    flags is the family's flag table over the problem's 2^m masks, which
-    members lists.  The problem is held weakly (model.weak_field): a family
-    does not keep it alive."""
+    """All subsets of one explanation kind, held as their flag table: one
+    byte per mask over the problem's 2^m masks, 1 for a member."""
 
     kind: ExplanationKind
-    members: tuple[int, ...]
-    flags: bytes = field(repr=False, compare=False)
-    problem: ExplanationProblem | None = weak_field()
+    flags: bytes = field(repr=False)
 
-    def __reduce__(self):
-        # the problem is held weakly, and a weakref.ref does not pickle
-        return ExplanationFamily, (self.kind, self.members, self.flags)
+    @cached_value
+    def members(self) -> tuple[int, ...]:
+        """The members sorted by (cardinality, mask), built on first read."""
+        return members_of(self.flags)
 
     def containing(self, i: int) -> tuple[int, ...]:
         bit = 1 << (i - 1)
@@ -78,10 +74,10 @@ class ExplanationFamily:
         return [list(features_of(s)) for s in self.members]
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.flags.count(1)
 
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.members
+    def __contains__(self, mask) -> bool:
+        return type(mask) is int and 0 <= mask < len(self.flags) and self.flags[mask] == 1
 
 
 def is_waxp(problem: ExplanationProblem, subset) -> bool:
@@ -148,7 +144,7 @@ def _build_family(problem, kind):
         flags = flags[::-1].translate(FLIP_FLAGS)
     if kind in (ExplanationKind.AXP, ExplanationKind.CXP):
         flags = minimal_masks(flags)
-    return ExplanationFamily(kind, members_of(flags), flags, problem)
+    return ExplanationFamily(kind, flags)
 
 
 def enumerate_waxps(problem: ExplanationProblem) -> ExplanationFamily:

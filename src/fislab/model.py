@@ -352,7 +352,7 @@ class weak_field:
     holds a weakref.ref, and a read returns the referent while it lives and
     None after that.  The field defaults to None.
 
-    Tables and families name the problem they were built on through one, so
+    Characteristic tables name the problem they were built on through one, so
     that a problem's memo, which holds them, forms no reference cycle with
     it and goes by reference counting alone; their __reduce__ leaves the
     problem out, as a weakref.ref does not pickle.  A data descriptor is set
@@ -1302,7 +1302,12 @@ def load_problem(document) -> ExplanationProblem:
         point, label = _array(raw, "point"), raw.get("label")
     if label is not None and type(label) is not int:
         raise ParseError(f"instance label must be an integer, got {label!r}")
-    return make_problem(classifier, point, label)
+    problem = make_problem(classifier, point, label)
+    for i, (x, domain) in enumerate(zip(problem.v, classifier.features), 1):
+        own = domain.values[domain.values.index(x)]  # the domain value x equals
+        if type(x) is not type(own):
+            raise ParseError(f"instance value {x!r} of feature {i} is not the domain's {own!r}")
+    return problem
 
 
 @contextmanager

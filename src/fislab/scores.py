@@ -300,25 +300,30 @@ def _dense(count: int, m: int) -> bool:
     return count * 128 > m * max((1 << m) + 256, 512)
 
 
-def _score_family(template: TemplateId, table: CharacteristicTable | None,
-                  members, m: int, normalized: bool = False,
-                  flags: bytes | None = None) -> _Scores:
-    """Family-restricted templates; a missing table means unit influence.
+def _score_family(template: TemplateId, table: CharacteristicTable,
+                  family: explain.ExplanationFamily, normalized: bool = False) -> _Scores:
+    """Family-restricted templates: read from the two flag tables when the
+    table is an indicator and the family dense (_family_flags), else walked."""
+    m = table.n_features
+    if (type(table.nums) is bytes and template is not TemplateId.RESPONSIBILITY
+            and _dense(len(family), m)):
+        return _family_flags(template, table.nums, family.flags)
+    return _family_walk(template, table, family.members, m, normalized)
+
+
+def _family_walk(template: TemplateId, table: CharacteristicTable | None,
+                 members, m: int, normalized: bool = False) -> _Scores:
+    """_score_family over the given members; a missing table means unit influence.
 
     With an indicator table whose members all score 1 and whose immediate
     subsets score 0 (the minimal-explanation indicators), the two readings
     coincide.  Each member walks its own set bits and adds one integer per
-    feature; the empty member only counts toward the family size.  Given
-    the family's flag table, the sums of gains over a dense family on an
-    indicator table are read from the flags instead (_family_flags).
+    feature; the empty member only counts toward the family size.
     """
     members = tuple(members)
     count = len(members)
     if not count:
         return [0] * m, 1
-    if (flags is not None and table is not None and type(table.nums) is bytes
-            and template is not TemplateId.RESPONSIBILITY and _dense(count, m)):
-        return _family_flags(template, table.nums, flags)
     nums, den = (None, 1) if table is None else (table.nums, table.den)
     if template is TemplateId.RESPONSIBILITY:
         # the largest gain / size, compared by cross-multiplication
@@ -386,9 +391,8 @@ def template_score(template_id: TemplateId, problem: ExplanationProblem,
                              f"not over a family")
         nums, den = _score_all_subsets(template_id, table)
     else:
-        family = explain.family(problem, family_mode or default)
-        nums, den = _score_family(template_id, table, family.members, problem.m,
-                                  normalized, family.flags)
+        nums, den = _score_family(template_id, table, explain.family(
+            problem, family_mode or default), normalized)
     return ScoreVector(nums, den)
 
 
@@ -405,7 +409,7 @@ def family_score(template_id: TemplateId, members, n_features: int,
         raise ValueError(f"{template_id.value} needs a characteristic table, "
                          f"not a bare family")
     _refuse_normalized(template_id, normalized)
-    return ScoreVector(*_score_family(template_id, None, masks, n_features, normalized))
+    return ScoreVector(*_family_walk(template_id, None, masks, n_features, normalized))
 
 
 # ---------------------------------------------------------------------------
@@ -578,15 +582,14 @@ def wvg_power_index(game: WeightedVotingGame, template_id: TemplateId,
     sufficient subsets.  normalized applies to responsibility only."""
     _refuse_normalized(template_id, normalized)
     table = charfun.cf_wvg(game)
-    family = TEMPLATE_DEFAULTS[template_id][1]
-    if family is None:
+    kind = TEMPLATE_DEFAULTS[template_id][1]
+    if kind is None:
         nums, den = _score_all_subsets(template_id, table)
     else:
         # the table's numerators are the winning coalitions' flags
         flags = table.nums
-        if family is ExplanationKind.AXP:
+        if kind is ExplanationKind.AXP:
             flags = explain.minimal_masks(flags)
-        nums, den = _score_family(template_id, table, explain.members_of(flags),
-                                  game.m, normalized, flags)
+        nums, den = _score_family(template_id, table, explain.ExplanationFamily(kind, flags),
+                                  normalized)
     return ScoreVector(nums, den)
-

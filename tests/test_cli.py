@@ -639,6 +639,22 @@ def test_non_integer_feature_is_a_usage_error(doc, message, tmp_path, capsys):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("value, message", [
+    (True, "instance value True of feature 1 is not the domain's 1"),
+    (1.0, "instance value 1.0 of feature 1 is not the domain's 1"),
+], ids=["true", "float"])
+def test_instance_value_of_another_type_is_a_usage_error(value, message, tmp_path, capsys):
+    # true and 1.0 equal the domain's 1, so they would find its rank and be
+    # written back into the report as true and 1.0
+    doc = _chain_document()
+    doc["instance"]["point"][0] = value
+    code, out, err = run(capsys, "explain", "--model", _written(tmp_path, doc),
+                         "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("workers, expected", [
     (0, 2), ((os.cpu_count() or 1) + 1, 2), (1, 0)])
 def test_workers_limited_to_cpu_count(workers, expected, chain_model, capsys):
@@ -710,9 +726,9 @@ def test_invariant_error_has_its_own_exit_path(chain_model, monkeypatch, capsys)
 
     def short_cxps(problem):
         family = cxps(problem)
-        short = family.members[:1]
+        first = family.members[0]
         return explain.ExplanationFamily(
-            family.kind, short, bytes(s in short for s in range(len(family.flags))), problem)
+            family.kind, bytes(s == first for s in range(len(family.flags))))
 
     monkeypatch.setattr(explain, "enumerate_cxps", short_cxps)
     code, out, err = run(capsys, "explain", "--model", chain_model)

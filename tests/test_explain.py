@@ -1,10 +1,11 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fislab import explain, props
+from fislab import explain, props, scores
 from fislab.explain import (ExplanationKind, enumerate_axps, enumerate_cxps,
                             enumerate_waxps, enumerate_wcxps, is_critical,
                             is_critical_dual, is_waxp, is_wcxp,
@@ -213,7 +214,7 @@ def test_relevancy_same_from_both_families():
 def test_relevancy_mismatch_is_an_invariant_error(chain, monkeypatch):
     cxps = enumerate_cxps(chain)  # {1}, {2, 3}, {2, 4}: keep only {1}
     flags = bytes(s == cxps.members[0] for s in range(len(cxps.flags)))
-    short = explain.ExplanationFamily(cxps.kind, cxps.members[:1], flags, chain)
+    short = explain.ExplanationFamily(cxps.kind, flags)
     monkeypatch.setattr(explain, "enumerate_cxps", lambda problem: short)
     with pytest.raises(explain.InvariantError, match="relevancy mismatch"):
         relevant_features(chain)
@@ -300,6 +301,38 @@ def test_family_kind_accessors(chain):
     assert fam.containing(2) == (mask_of([1, 2], 4),)
     assert fam.member_lists() == [[1, 2], [1, 3, 4]]
     assert mask_of([1, 2], 4) in fam
+
+
+def test_family_protocol_reads_the_flag_table():
+    # length, membership and pickling read the flags alone and agree with
+    # the member tuple, which is built on first read
+    for _, problem in props.problem_stream(0, 200, (2, 6)):
+        n = 1 << problem.m
+        for kind in ExplanationKind:
+            fam = explain.family(problem, kind)
+            assert "members" not in vars(fam)
+            copy = pickle.loads(pickle.dumps(fam))
+            assert copy == fam and hash(copy) == hash(fam)
+            assert len(fam) == len(fam.members)
+            members = set(fam.members)
+            assert [mask in fam for mask in range(n)] == [mask in members for mask in range(n)]
+            assert -1 not in fam and n not in fam and "0" not in fam and 1.0 not in fam
+            assert pickle.loads(pickle.dumps(fam)) == copy  # members built on one side
+
+
+def test_dense_family_members_are_never_built():
+    # the WAXPs of (x1 & x2) | ... | (x7 & x8), 2^8 - 3^4 of them, are dense
+    # enough for the flag core, and no score reads their member tuple
+    from fislab.model import make_problem, parse_boolean_expression
+    m = 8
+    problem = make_problem(parse_boolean_expression(
+        " | ".join(f"(x{i} & x{i + 1})" for i in range(1, m, 2)), m), (1,) * m)
+    for fis_id in scores.FIS_IDS:
+        for dual in (False, True):
+            scores.compute_fis(fis_id, problem, dual)
+    waxps = enumerate_waxps(problem)
+    assert len(waxps) == 175
+    assert "members" not in vars(waxps)
 
 
 def test_single_feature_classifier():

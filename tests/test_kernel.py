@@ -161,7 +161,7 @@ def family_vector(template: TemplateId, table: CharacteristicTable | None,
                   members, m: int, normalized: bool = False) -> ScoreVector:
     """The family core's (numerators, denominator) pair as a vector."""
     return assert_reduced(ScoreVector(
-        *scores._score_family(template, table, members, m, normalized)))
+        *scores._family_walk(template, table, members, m, normalized)))
 
 
 def oracle_fis(fis_id: str, problem, dual: bool) -> tuple[Fraction, ...]:
@@ -1047,7 +1047,7 @@ def assert_family_flag_core_matches(template, table, family_flags):
     m = table.n_features
     members = explain.members_of(family_flags)
     nums, den = scores._family_flags(template, table.nums, family_flags)
-    assert (nums, den) == scores._score_family(template, table, members, m), \
+    assert (nums, den) == scores._family_walk(template, table, members, m), \
         (template, table.cf_id)
     assert (ScoreVector(nums, den).values
             == oracle_score_family(template, table, members, m)), (template, table.cf_id)
@@ -1162,7 +1162,7 @@ def test_family_core_memory_stays_flat_in_family_size():
     assert len(members) == 15_397
     tracemalloc.start()
     try:
-        scores._score_family(TemplateId.ANDJIGA, table, members, m)
+        scores._family_walk(TemplateId.ANDJIGA, table, members, m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

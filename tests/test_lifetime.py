@@ -98,14 +98,14 @@ def test_memo_entries_outlive_their_problem_without_it():
     table = charfun.cf_waxp(problem)
     family = explain.enumerate_axps(problem)
     vec = scores.compute_fis("S", problem)
-    assert table.problem is family.problem is problem
+    assert table.problem is problem
     del problem
-    assert table.problem is None and family.problem is None
+    assert table.problem is None
     # the frozen dataclasses still hash and print
     assert hash(table) == hash(charfun.CharacteristicTable(
         table.cf_id, table.n_features, table.nums, table.den))
-    assert "problem=None" in repr(table) and "problem=None" in repr(family)
-    hash(family)
+    assert "problem=None" in repr(table)
+    assert hash(family) == hash(explain.ExplanationFamily(family.kind, family.flags))
     assert vec.as_strings()
 
 
@@ -116,14 +116,13 @@ def test_tables_families_and_vectors_pickle_without_their_problem():
     vec = scores.compute_fis("S", problem)
     vec.values  # the kept Fraction view travels with the vector
     table_copy, family_copy, vec_copy = pickle.loads(pickle.dumps((table, family, vec)))
-    assert table_copy.problem is None and family_copy.problem is None
+    assert table_copy.problem is None
     assert ((table_copy.cf_id, table_copy.n_features, table_copy.nums, table_copy.den)
             == (table.cf_id, table.n_features, table.nums, table.den))
     assert type(table_copy.nums) is bytes  # an indicator's flag bytes, by content
-    assert ((family_copy.kind, family_copy.members, family_copy.flags)
-            == (family.kind, family.members, family.flags))
+    assert family_copy == family and family_copy.members == family.members
     assert vec_copy == vec and vec_copy.values == vec.values
-    assert table.problem is family.problem is problem  # the originals keep it
+    assert table.problem is problem  # the original keeps it
 
 
 def test_verdicts_keep_their_problem_alive(chain):

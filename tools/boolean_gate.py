@@ -15,8 +15,9 @@ gate asserts five things:
   give the same (numerators, denominator) pair as the integer slice cores
   on the same numerators;
 * Deegan-Packel, Holler-Packel and Andjiga read from the flag bytes of
-  each explanation family and indicator table give the same pair as the
-  member walk over that family and table;
+  each explanation family and indicator table, and the family core that
+  picks between the two readings, give the same pair as the member walk
+  over that family and table;
 * the WAXP flag table and the agreement sums equal what the per-point
   binning loop (point_loop_sums, the kernel's only oracle) gives, at the
   problem's instance and at the other end of its space; a boolean problem
@@ -112,8 +113,8 @@ def pinned_probes() -> list[tuple[str, object]]:
 
 def core_mismatches(problem) -> list[str]:
     """The indicator tables on which the flag and integer B/J cores differ,
-    and the (family, indicator table) pairs on which the flag and walk
-    D/H/A cores differ."""
+    and the (family, indicator table) pairs on which the flag D/H/A core or
+    the family core's own pick differs from the member walk."""
     out = []
     families = [explain.family(problem, kind) for kind in ExplanationKind]
     for cf_id in INDICATOR_IDS:
@@ -125,9 +126,9 @@ def core_mismatches(problem) -> list[str]:
                 out.append(f"{template.value}[{cf_id}]")
         for family in families:
             for template in SUM_TEMPLATES:
-                if (scores._family_flags(template, table.nums, family.flags)
-                        != scores._score_family(template, table, family.members,
-                                                problem.m)):
+                walk = scores._family_walk(template, table, family.members, problem.m)
+                if (scores._family_flags(template, table.nums, family.flags) != walk
+                        or scores._score_family(template, table, family) != walk):
                     out.append(f"{template.value}[{family.kind.value}, {cf_id}]")
     return out
 
