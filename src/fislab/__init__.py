@@ -10,7 +10,7 @@ standard property catalog.
 from .charfun import (CF_A, CF_A_DUAL, CF_E, CF_G, CF_M, CF_SUM, CF_W,
                       CF_W_DUAL, CF_WVG, CharacteristicTable, cf_axp, cf_cxp,
                       cf_expected, cf_generator, cf_similarity, cf_sum,
-                      cf_waxp, cf_wcxp, cf_wvg, delta_total, dual_table)
+                      cf_waxp, cf_wcxp, cf_wvg, delta_total)
 from .explain import (ExplanationFamily, ExplanationKind, enumerate_axps,
                       enumerate_cxps, enumerate_waxps, enumerate_wcxps,
                       is_critical, is_critical_dual, is_waxp, is_wcxp,

@@ -20,7 +20,7 @@ from operator import mul
 from . import explain
 from .explain import ExplanationKind
 from .model import (CACHED_SELECTOR_BYTES, ExplanationProblem, WeightedVotingGame,
-                    agreement_sums, as_mask, cached_value, lacking_bit, weak_field)
+                    agreement_sums, as_mask, cached_value, lacking_bit)
 
 CF_E = "CF_E"            # conditional expected value of the class label
 CF_M = "CF_M"            # fraction of points keeping the prediction
@@ -46,15 +46,14 @@ class CharacteristicTable:
     """One set function, fully materialized: subset mask S has value nums[S] / den.
 
     An indicator table's nums is its flag table, a bytes object (one byte
-    per mask); a numeric table's is a tuple.  The problem is held weakly
-    (model.weak_field): a table does not keep it alive.
+    per mask); a numeric table's is a tuple.  A table is these four fields
+    alone: it compares, hashes and pickles by them, and refers to no problem.
     """
 
     cf_id: str
     n_features: int
     nums: tuple[int, ...] | bytes
     den: int
-    problem: ExplanationProblem | None = weak_field()
 
     def __post_init__(self):
         if len(self.nums) != 1 << self.n_features:
@@ -62,10 +61,6 @@ class CharacteristicTable:
                 f"{len(self.nums)} values for {self.n_features} features")
         if self.den < 1:
             raise ValueError(f"denominator {self.den} is below 1")
-
-    def __reduce__(self):
-        # the problem is held weakly, and a weakref.ref does not pickle
-        return CharacteristicTable, (self.cf_id, self.n_features, self.nums, self.den)
 
     @cached_value
     def values(self) -> tuple[Fraction, ...]:
@@ -144,7 +139,7 @@ def _agreement_table(problem: ExplanationProblem, cf_id: str) -> CharacteristicT
         den = problem.classifier.space_size
         for table_id, sums in zip((CF_E, CF_M), agreement_sums(problem)):
             cache["cf", table_id] = CharacteristicTable(
-                table_id, problem.m, tuple(map(mul, sums, scale)), den, problem)
+                table_id, problem.m, tuple(map(mul, sums, scale)), den)
     return cache["cf", cf_id]
 
 
@@ -161,7 +156,7 @@ def cf_similarity(problem: ExplanationProblem) -> CharacteristicTable:
 def _family_indicator(problem, kind) -> CharacteristicTable:
     cf_id = _INDICATOR[kind]
     return problem._memo(("cf", cf_id), lambda: CharacteristicTable(
-        cf_id, problem.m, explain.family(problem, kind).flags, 1, problem))
+        cf_id, problem.m, explain.family(problem, kind).flags, 1))
 
 
 def cf_waxp(problem: ExplanationProblem) -> CharacteristicTable:
@@ -195,7 +190,7 @@ def cf_generator(problem: ExplanationProblem) -> CharacteristicTable:
         for b, lacking in enumerate(lacking_bit(n)):
             failed |= lacking & ~(sufficient >> (8 << b))
         generator = int.from_bytes(b"\x01" * n, "little") & ~failed
-        return CharacteristicTable(CF_G, problem.m, generator.to_bytes(n, "little"), 1, problem)
+        return CharacteristicTable(CF_G, problem.m, generator.to_bytes(n, "little"), 1)
     return problem._memo(("cf", CF_G), build)
 
 
@@ -205,26 +200,13 @@ def cf_wvg(game: WeightedVotingGame) -> CharacteristicTable:
 
 
 def cf_sum(table1: CharacteristicTable, table2: CharacteristicTable) -> CharacteristicTable:
-    """The pointwise sum, over the lcm of the two denominators.  The sum of
-    two of a problem's own memoized tables is memoized on the problem too,
-    keyed by their ids."""
+    """The pointwise sum, over the lcm of the two denominators."""
     if table1.n_features != table2.n_features:
         raise ValueError("cannot add tables over different feature counts")
-    problem1, problem2 = table1.problem, table2.problem
-    if problem1 is not None and problem2 is not None and problem1 != problem2:
-        raise ValueError("cannot add tables built on different problems")
-
-    def build():
-        den = math.lcm(table1.den, table2.den)
-        k1, k2 = den // table1.den, den // table2.den
-        nums = tuple(a * k1 + b * k2 for a, b in zip(table1.nums, table2.nums))
-        return CharacteristicTable(CF_SUM, table1.n_features, nums, den,
-                                   problem1 or problem2)
-
-    if problem2 is problem1 is not None and all(
-            problem1._cache.get(("cf", t.cf_id)) is t for t in (table1, table2)):
-        return problem1._memo(("cf_sum", table1.cf_id, table2.cf_id), build)
-    return build()
+    den = math.lcm(table1.den, table2.den)
+    k1, k2 = den // table1.den, den // table2.den
+    nums = tuple(a * k1 + b * k2 for a, b in zip(table1.nums, table2.nums))
+    return CharacteristicTable(CF_SUM, table1.n_features, nums, den)
 
 
 def dual_id(cf_id: str) -> str:
@@ -233,13 +215,6 @@ def dual_id(cf_id: str) -> str:
     if cf_id not in _DUALS:
         raise ValueError(f"no dual defined for {cf_id}")
     return _DUALS[cf_id]
-
-
-def dual_table(table: CharacteristicTable) -> CharacteristicTable:
-    """The dual table on the same problem (see dual_id)."""
-    if table.problem is None:
-        raise ValueError(f"no dual defined for {table.cf_id}")
-    return build_table(dual_id(table.cf_id), table.problem)
 
 
 _BUILDERS = {

@@ -278,13 +278,16 @@ def cmd_props(args) -> int:
         raise ValueError("props --corpus sizes the matrix audit; "
                          "--search and --duality do not read it")
     if args.search is not None:
-        subject = args.fis if args.fis else "E"
-        if args.search.split("-")[0] in FIS_PROPERTIES:
+        subject, prop = args.fis, args.search.split("-")[0]
+        if prop in FIS_PROPERTIES:
             # P01..P04 take a template name ("banzhaf" names a template
             # and a score), the others a score id in any spelling
-            subject, dual = scores.parse_fis_id(subject)
+            subject, dual = scores.parse_fis_id(subject or "E")
             if dual:
                 raise ValueError("props --search takes a score id, not DUAL(...)")
+        elif subject is None and prop in props.PROPERTY_IDS:
+            raise ValueError(f"props --search {args.search} needs a template "
+                             f"name in --fis, e.g. banzhaf")
         witness = props.search_counterexample(
             args.search, subject, seed=args.seed, budget=args.budget,
             workers=args.workers)
@@ -457,7 +460,7 @@ def _int_in(low: int, high: int | None = None):
 
 
 def _fis_list(text: str) -> str:
-    """argparse type for score --fis: at least one score id."""
+    """argparse type for --fis: at least one score id."""
     if not any(part.strip() for part in text.split(",")):
         raise argparse.ArgumentTypeError("no score id given")
     return text
@@ -505,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="hunt a counterexample for one property (e.g. P05)")
     mode.add_argument("--duality", action="store_true",
                       help="tabulate duality levels over random problems")
-    p_props.add_argument("--fis", default=None)
+    p_props.add_argument("--fis", type=_fis_list, default=None)
     p_props.add_argument("--budget", type=_int_in(1), default=600)
     p_props.add_argument("--corpus", type=_int_in(0), default=None,
                          help="random problems behind the matrix audit "

@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-import weakref
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -345,35 +344,6 @@ class cached_value:
             return self
         value = instance.__dict__[self.name] = self.method(instance)
         return value
-
-
-class weak_field:
-    """A dataclass field that does not keep its value alive: the instance
-    holds a weakref.ref, and a read returns the referent while it lives and
-    None after that.  The field defaults to None.
-
-    Characteristic tables name the problem they were built on through one, so
-    that a problem's memo, which holds them, forms no reference cycle with
-    it and goes by reference counting alone; their __reduce__ leaves the
-    problem out, as a weakref.ref does not pickle.  A data descriptor is set
-    even through object.__setattr__, which frozen dataclasses use.  The ref
-    goes in an attribute of its own, "_<name>_ref": reading the instance's
-    __dict__ would build it as a real dict, which slows every attribute of
-    the instance.
-    """
-
-    def __set_name__(self, owner, name):
-        self.attr = f"_{name}_ref"
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return None  # the default dataclasses read off the class
-        ref = getattr(instance, self.attr)
-        return ref if ref is None else ref()
-
-    def __set__(self, instance, value):
-        object.__setattr__(instance, self.attr,
-                           None if value is None else weakref.ref(value))
 
 
 # ---------------------------------------------------------------------------

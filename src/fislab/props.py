@@ -185,8 +185,14 @@ def check_additivity(problem: ExplanationProblem, template_id: TemplateId,
                      table1: CharacteristicTable, table2: CharacteristicTable,
                      family_mode: ExplanationKind | None = None,
                      normalized: bool = False) -> PropertyVerdict:
-    """Score of the pointwise-sum table vs sum of the individual scores."""
-    combined = charfun.cf_sum(table1, table2)
+    """Score of the pointwise-sum table vs sum of the individual scores.
+    The sum of two of the problem's own kept tables is kept on the problem
+    too, keyed by their ids; any other pair is summed afresh."""
+    if all(problem._cache.get(("cf", t.cf_id)) is t for t in (table1, table2)):
+        combined = problem._memo(("cf_sum", table1.cf_id, table2.cf_id),
+                                 lambda: charfun.cf_sum(table1, table2))
+    else:
+        combined = charfun.cf_sum(table1, table2)
     vec12, vec1, vec2 = (scores.template_score(template_id, problem, table,
                                                family_mode, normalized)
                          for table in (combined, table1, table2))

@@ -377,11 +377,11 @@ def template_score(template_id: TemplateId, problem: ExplanationProblem,
 
     family_mode overrides the explanation family a family template sums
     over; the all-subset templates take none.  normalized divides
-    responsibility by the family size; no other template takes it.
+    responsibility by the family size; no other template takes it.  The
+    template reads only the table's numbers and the problem's family, so any
+    table over the problem's feature count is accepted, whoever built it.
     """
     _refuse_normalized(template_id, normalized)
-    if table.problem not in (None, problem):
-        raise ValueError("table was built on a different problem")
     if table.n_features != problem.m:
         raise ValueError("table size does not match the problem")
     default = TEMPLATE_DEFAULTS[template_id][1]

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from fislab import charfun, explain, props
 from fislab.charfun import (CharacteristicTable, cf_axp, cf_cxp, cf_expected,
                             cf_generator, cf_similarity, cf_sum, cf_waxp,
-                            cf_wcxp, cf_wvg, delta_total, dual_table)
+                            cf_wcxp, cf_wvg, delta_total)
 from fislab.explain import ExplanationKind, is_critical
 from fislab.model import (Classifier, ExplanationProblem, FeatureDomain, TableBody,
                           WeightedVotingGame, as_mask, make_problem, mask_of)
@@ -177,21 +178,8 @@ def test_sum_of_expected_and_similarity_at_empty(chain):
     assert combined.value(0) == Fraction(10, 16)
 
 
-def test_sum_of_memoized_tables_is_memoized(chain):
-    problem = ExplanationProblem(chain.classifier, chain.instance)
-    combined = cf_sum(cf_expected(problem), cf_waxp(problem))
-    assert cf_sum(cf_expected(problem), cf_waxp(problem)) is combined
-    assert cf_sum(cf_waxp(problem), cf_expected(problem)) is not combined
-    # a table the problem does not keep gives a sum it does not keep
-    own = CharacteristicTable(charfun.CF_E, 4, cf_expected(problem).nums,
-                              cf_expected(problem).den, problem)
-    assert cf_sum(own, cf_waxp(problem)) is not cf_sum(own, cf_waxp(problem))
-    assert cf_sum(own, cf_waxp(problem)).values == combined.values
-
-
 def test_expected_and_similarity_come_from_one_fold(chain, monkeypatch):
-    # asking for CF_E keeps CF_M under its own key from the same fold, and
-    # the sum of the two kept tables is kept too
+    # asking for CF_E keeps CF_M under its own key from the same fold
     problem = ExplanationProblem(chain.classifier, chain.instance)
     folds = []
     fold = charfun.agreement_sums
@@ -200,9 +188,6 @@ def test_expected_and_similarity_come_from_one_fold(chain, monkeypatch):
     assert problem._cache["cf", charfun.CF_E] is expected
     similar = problem._cache["cf", charfun.CF_M]
     assert cf_similarity(problem) is similar and folds == [problem]
-    combined = cf_sum(expected, similar)
-    assert problem._cache["cf_sum", charfun.CF_E, charfun.CF_M] is combined
-    assert cf_sum(cf_expected(problem), cf_similarity(problem)) is combined
 
 
 def test_indicator_numerators_are_the_family_flags(chain):
@@ -214,8 +199,24 @@ def test_indicator_numerators_are_the_family_flags(chain):
 
 def test_sum_with_zero_table_is_identity(chain):
     table = cf_expected(chain)
-    zero = CharacteristicTable(charfun.CF_SUM, 4, (0,) * 16, 1, chain)
+    zero = CharacteristicTable(charfun.CF_SUM, 4, (0,) * 16, 1)
     assert cf_sum(table, zero).values == table.values
+
+
+def test_every_table_kind_pickles_to_an_equal_table(chain):
+    # a table is its four fields: a copy compares and hashes as the original
+    tables = [cf_wvg(WeightedVotingGame(3, (2, 1, 1))),
+              cf_wvg(WeightedVotingGame(4, (2, 1, 1, 1)))]
+    for problem in [chain] + [props.random_problem(53, k, (2, 5)) for k in range(10)]:
+        built = [charfun.build_table(cf_id, problem) for cf_id in (
+            charfun.CF_E, charfun.CF_M, charfun.CF_W, charfun.CF_W_DUAL,
+            charfun.CF_A, charfun.CF_A_DUAL, charfun.CF_G)]
+        tables += built + [cf_sum(built[0], built[2])]
+    for table in tables:
+        table.values  # the kept Fraction view travels with the table
+        copy = pickle.loads(pickle.dumps(table))
+        assert copy == table and hash(copy) == hash(table)
+        assert type(copy.nums) is type(table.nums) and copy.values == table.values
 
 
 @pytest.mark.parametrize("nums, den", [((0,) * 16, 0), ((1,) * 16, -3),
@@ -275,11 +276,14 @@ def test_sufficiency_contrastive_complement_relation():
 
 
 def test_dual_table_mapping(chain):
-    assert dual_table(cf_waxp(chain)).values == cf_wcxp(chain).values
-    assert dual_table(cf_axp(chain)).values == cf_cxp(chain).values
-    assert dual_table(cf_expected(chain)).values == cf_expected(chain).values
+    def dual(table):
+        return charfun.build_table(charfun.dual_id(table.cf_id), chain)
+
+    assert dual(cf_waxp(chain)).values == cf_wcxp(chain).values
+    assert dual(cf_axp(chain)).values == cf_cxp(chain).values
+    assert dual(cf_expected(chain)).values == cf_expected(chain).values
     with pytest.raises(ValueError):
-        dual_table(cf_wvg(WeightedVotingGame(1, (1, 1))))
+        dual(cf_wvg(WeightedVotingGame(1, (1, 1))))
 
 
 def test_table_invariants_on_random_problems():

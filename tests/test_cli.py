@@ -197,11 +197,14 @@ def test_props_search(capsys):
     assert report["witness"]["generator"]["index"] == 0
 
 
-@pytest.mark.parametrize("spelling", ["e", "expected_value"])
+@pytest.mark.parametrize("spelling", ["e", "expected_value", None],
+                         ids=["e", "expected_value", "default"])
 def test_props_search_normalizes_score_ids(spelling, capsys):
+    # a score property searches E when no --fis is given
     _, expected, _ = run(capsys, "props", "--search", "P05", "--fis", "E",
                          "--budget", "50", "--format", "json")
-    code, out, err = run(capsys, "props", "--search", "P05", "--fis", spelling,
+    fis = ["--fis", spelling] if spelling else []
+    code, out, err = run(capsys, "props", "--search", "P05", *fis,
                          "--budget", "50", "--format", "json")
     assert code == 0, err
     assert out == expected
@@ -219,6 +222,15 @@ def test_props_search_template_property(subject, capsys):
     assert report["witness"]["template"] == subject
     assert report["witness"]["cf_id"] == "CF_W"
     assert report["witness"]["family_mode"] == "all_subsets"
+
+
+@pytest.mark.parametrize("prop", ["P01", "P02", "P03", "P04"])
+def test_props_search_template_property_needs_a_template(prop, capsys):
+    code, out, err = run(capsys, "props", "--search", prop, "--budget", "1")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: props --search {prop} needs a template name "
+                   f"in --fis, e.g. banzhaf\n")
 
 
 def test_props_duality_tabulation(capsys):
@@ -673,8 +685,9 @@ def test_workers_limited_to_cpu_count(workers, expected, chain_model, capsys):
     ("--corpus", ["props", "--corpus", "-2"]),
     ("--fis", ["score", "--fis", ""]),
     ("--fis", ["score", "--fis", " , "]),
+    ("--fis", ["props", "--duality", "--fis", ","]),
 ], ids=["negative-budget", "zero-budget", "negative-corpus", "empty-fis",
-        "blank-fis"])
+        "blank-fis", "blank-props-fis"])
 def test_argv_that_would_report_nothing_is_a_usage_error(flag, argv, chain_model,
                                                          capsys):
     if argv[0] == "score":

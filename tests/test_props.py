@@ -112,6 +112,24 @@ def test_additivity_holds_for_linear_templates(chain):
             assert check_additivity(chain, template, t1, t2).holds
 
 
+def test_additivity_keeps_the_sum_of_the_problems_own_tables(chain):
+    problem = model.ExplanationProblem(chain.classifier, chain.instance)
+    expected, waxp = cf_expected(problem), cf_waxp(problem)
+    assert check_additivity(problem, TemplateId.BANZHAF, expected, waxp).holds
+    combined = problem._cache["cf_sum", charfun.CF_E, charfun.CF_W]
+    assert combined.values == charfun.cf_sum(expected, waxp).values
+    check_additivity(problem, TemplateId.BANZHAF, cf_expected(problem), cf_waxp(problem))
+    assert problem._cache["cf_sum", charfun.CF_E, charfun.CF_W] is combined
+    check_additivity(problem, TemplateId.BANZHAF, waxp, expected)
+    assert problem._cache["cf_sum", charfun.CF_W, charfun.CF_E] is not combined
+    # a table the problem does not keep gives a sum it does not keep, nor
+    # reads from the memo, even under the id of one it keeps
+    own = charfun.CharacteristicTable(charfun.CF_E, 4, tuple(waxp.nums), 1)
+    kept = dict(problem._cache)
+    assert check_additivity(problem, TemplateId.BANZHAF, own, waxp).holds
+    assert problem._cache == kept
+
+
 def test_additivity_equal_tables_cannot_break_the_max(single):
     # doubling a table doubles every candidate term, so the max scales too;
     # a genuine violation needs two tables with different argmaxes
@@ -532,8 +550,9 @@ def test_property_matrix_draws_each_problem_once(monkeypatch):
 ])
 def test_p03_rows_share_one_sum_table_per_problem(seed, digest, monkeypatch):
     # the seven P03 rows probe each problem of the walk with the same
-    # additivity pair, and read one sum table kept on the problem; every P03
-    # cell and witness is as it was when each row built its own
+    # additivity pair, and read one sum table kept on the problem, which
+    # check_additivity builds once; every P03 cell and witness is as it was
+    # when each row built its own
     sums = []
     cf_sum = charfun.cf_sum
 
@@ -547,7 +566,7 @@ def test_p03_rows_share_one_sum_table_per_problem(seed, digest, monkeypatch):
            for (row, prop), cell in sorted(matrix.cells.items()) if prop == "P03"}
     text = json.dumps(p03, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-    assert len(sums) > 3000 and len(set(map(id, sums))) == 600
+    assert len(sums) == len(set(map(id, sums))) == 600
 
 
 def test_property_matrix_reports_pins_it_misses(monkeypatch):

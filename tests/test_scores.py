@@ -298,11 +298,16 @@ def test_strong_duality_sample():
                 compute_fis(fis_id, problem, dual=True).values
 
 
+def test_template_score_refuses_a_table_of_another_size(chain, single):
+    with pytest.raises(ValueError, match="table size"):
+        template_score(TemplateId.BANZHAF, chain, cf_waxp(single))
+
+
 def test_positive_scaling_preserves_ranking(chain):
     factor = F(3, 7)
     table = cf_waxp(chain)
     scaled = CharacteristicTable("CF_SUM", 4, tuple(3 * n for n in table.nums),
-                                 7 * table.den, chain)
+                                 7 * table.den)
     for template in (TemplateId.SHAPLEY_SHUBIK, TemplateId.BANZHAF,
                      TemplateId.DEEGAN_PACKEL, TemplateId.HOLLER_PACKEL,
                      TemplateId.ANDJIGA):

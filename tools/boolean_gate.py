@@ -32,8 +32,8 @@ non-constant labelling of the first four MIXED_SPACES
 (tests/test_exhaustive.py).  Run from the repository root, this script runs
 it on one function of each of the 3,982 non-constant classes of m = 4
 boolean functions under feature renumbering, and on every labelling of all
-five MIXED_SPACES and both LARGER_SPACES.  It also compares the kernel with
-the loop once more on every one of those labellings with each class c
+five MIXED_SPACES and all three LARGER_SPACES.  It also compares the kernel
+with the loop once more on every one of those labellings with each class c
 renamed c + 256: classes of 256 or more have no label bytes, so the sums
 take the route that packs the labels as ints (model._le_fields).
 
@@ -277,8 +277,8 @@ def run_gate(ms, up_to_renumbering: bool = False,
 # the mixed spaces the script checks: (domain sizes, class count); Tier-1
 # checks all but the last (tests/test_exhaustive.py)
 MIXED_SPACES = (((3,), 3), ((3, 2), 2), ((2, 2), 3), ((4, 2), 2), ((3, 2), 3))
-# larger mixed spaces, of 510 and 240 problems, that only the script checks
-LARGER_SPACES = (((3, 3), 2), ((5,), 3))
+# larger spaces, of 510, 240 and 6,558 problems, that only the script checks
+LARGER_SPACES = (((3, 3), 2), ((5,), 3), ((2, 2, 2), 3))
 
 
 def renamed_classes(problem) -> ExplanationProblem:
