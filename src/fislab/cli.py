@@ -306,7 +306,11 @@ def cmd_props(args) -> int:
         _emit(_jsonable(report), lambda: rows, lambda: text, args.format)
         return 0
     if args.duality:
-        fis_list = [f for f, _ in _parse_fis_list(args.fis or "S,B")]
+        parsed = _parse_fis_list(args.fis or "S,B")
+        if any(dual for _, dual in parsed):
+            # a duality check compares a score with its dual already
+            raise ValueError("props --duality takes a score id, not DUAL(...)")
+        fis_list = list(dict.fromkeys(f for f, _ in parsed))  # each score once
         counts: dict[str, dict[str, int]] = {f: {} for f in fis_list}
         for _, problem in props.problem_stream(args.seed, args.budget):
             for fis_id in fis_list:

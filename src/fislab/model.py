@@ -578,44 +578,65 @@ def _expr_bitmap(node, ones: list[int], full: int) -> int:
 
 
 def _tree_planes(cls: Classifier, root) -> tuple[list[int], list[int]]:
-    """A tree's leaf classes and their ranks, bit-sliced for _label_table.
-    The ranks reaching a leaf are the AND of the tested values' bitmaps
-    along its path.  A class takes the next position in the class list when
-    a leaf first reaches it, and plane b ORs the ranks of every leaf whose
-    class position has bit b set.  Branches are walked lazily, one iterator
-    per tree level, so only a few rank bitmaps per level are alive."""
-    first = _value_bitmaps(cls)
-    labels: list[int] = []
-    position: dict[int, int] = {}
-    planes: list[int] = []
-    stack = []
-
-    def enter(node, reach):
-        if isinstance(node, TreeLeaf):
-            k = position.setdefault(node.label, len(labels))
-            if k == len(labels):
-                labels.append(node.label)
-                if k.bit_length() > len(planes):
-                    planes.append(0)
-            for b in range(k.bit_length()):
-                if k >> b & 1:
-                    planes[b] |= reach
+    """A tree's leaf classes and their ranks, bit-sliced for _label_table,
+    from one walk (_walk_split).  A feature's value bitmaps are one tuple
+    when it fits CACHED_SELECTOR_BYTES; a larger one is its first value's
+    bitmap shifted per branch, so that a few rank bitmaps per level live."""
+    n = cls.space_size
+    features = []  # per feature: its values, value -> index, index -> rank bitmap
+    for first, dom, stride, index in zip(_value_bitmaps(cls), cls.features,
+                                         cls._strides, cls._value_index):
+        if dom.size * n <= 8 * CACHED_SELECTOR_BYTES:
+            bits_of = tuple(first << k * stride for k in range(dom.size)).__getitem__
         else:
-            i = node.feature - 1
-            stack.append((iter(node.branches), reach, first[i],
-                          cls._strides[i], cls._value_index[i]))
-
-    enter(root, (1 << cls.space_size) - 1)
-    while stack:
-        branches, reach, bits, stride, index = stack[-1]
-        for value, child in branches:
-            sub = reach & bits << index[value] * stride
-            if sub:
-                enter(child, sub)
-                break  # back to the top of the stack, which may be the child
-        else:
-            stack.pop()
+            bits_of = lambda k, first=first, stride=stride: first << k * stride
+        features.append((dom.values, index.get, bits_of))
+    if isinstance(root, TreeLeaf):
+        return [root.label], []
+    labels, planes = [], []
+    _walk_split(root, (1 << n) - 1, (features, labels, {}, planes))
     return labels, planes
+
+
+def _walk_split(split, reach, tree):
+    """Check a split reached by the ranks of reach, then walk its branches
+    in order, so that a malformed tree fails at its first bad split in
+    pre-order.  A branch is reached by the ranks of reach with its value,
+    and a subtree no rank reaches (below a second test of one feature) is
+    walked with none: checked, but its leaves take no class.  A class takes
+    the next position in the class list when a leaf first reaches it, and
+    plane b ORs the ranks of every leaf whose class position has bit b set."""
+    features, labels, position, planes = tree
+    feature = split.feature
+    if type(feature) is not int:
+        raise ParseError(f"tree split feature must be an integer, got {feature!r}")
+    if not 1 <= feature <= len(features):
+        raise ParseError(f"tree tests unknown feature {feature}")
+    domain, index, bits_of = features[feature - 1]
+    values = [v for v, _ in split.branches]
+    ranks = list(map(index, values))
+    if len(ranks) != len(domain) or None in ranks or len(set(ranks)) != len(domain):
+        raise ParseError(f"tree node on feature {feature} must branch on exactly "
+                         f"the domain values {list(domain)}")
+    for value, k in zip(values, ranks):  # true or 1.0 is not the domain's 1
+        if type(value) is not type(domain[k]):
+            raise ParseError(f"tree branch value {value!r} of feature {feature} "
+                             f"is not the domain's {domain[k]!r}")
+    for (_, child), k in zip(split.branches, ranks):
+        sub = reach and reach & bits_of(k)
+        if not isinstance(child, TreeLeaf):
+            _walk_split(child, sub, tree)
+        elif sub:
+            at = position.get(child.label)
+            if at is None:
+                at = position[child.label] = len(labels)
+                labels.append(child.label)
+                if at.bit_length() > len(planes):
+                    planes.append(0)
+            while at:  # the set bits of the class's position, top first
+                b = at.bit_length() - 1
+                planes[b] |= sub
+                at ^= 1 << b
 
 
 def _label_table(labels: list, planes: list, n: int, as_bytes: bool) -> bytes | tuple:
@@ -742,7 +763,6 @@ class Classifier:
             true = _expr_bitmap(body.ast, ones, (1 << self.space_size) - 1)
             return _label_table([0, 1], [true], self.space_size, as_bytes)
         if isinstance(body, TreeBody):
-            _check_tree(body.root, self.features)
             return _label_table(*_tree_planes(self, body.root), self.space_size, as_bytes)
         raise TypeError(f"not a classifier body: {body!r}")
 
@@ -797,23 +817,6 @@ def _check_expr_vars(node, m: int):
     elif isinstance(node, (And, Or)):
         _check_expr_vars(node.left, m)
         _check_expr_vars(node.right, m)
-
-
-def _check_tree(node, features):
-    if isinstance(node, TreeLeaf):
-        return
-    if type(node.feature) is not int:
-        raise ParseError(f"tree split feature must be an integer, got {node.feature!r}")
-    if not 1 <= node.feature <= len(features):
-        raise ParseError(f"tree tests unknown feature {node.feature}")
-    dom = features[node.feature - 1]
-    values = [v for v, _ in node.branches]
-    if len(values) != len(set(values)) or set(values) != set(dom.values):
-        raise ParseError(
-            f"tree node on feature {node.feature} must branch on exactly "
-            f"the domain values {list(dom.values)}")
-    for _, child in node.branches:
-        _check_tree(child, features)
 
 
 def evaluate(classifier: Classifier, point) -> int:
@@ -1198,21 +1201,35 @@ def parse_boolean_expression(text: str, n_features: int | None = None) -> Classi
 # ---------------------------------------------------------------------------
 # model documents
 
-def _parse_tree_node(obj, path=()):
+class _TreeFault(ParseError):
+    """A malformed tree node; path gets the branch index of each level
+    above it as the parse unwinds."""
+
+
+def _parse_tree_node(obj, leaves: dict):
+    """The tree of a document object; leaves shares one TreeLeaf per class."""
     if not isinstance(obj, dict):
         fault = "tree node must be an object"
     elif "class" in obj:
         label = obj["class"]
         if isinstance(label, int) and not isinstance(label, bool):
-            return TreeLeaf(label)
+            return leaves.get(label) or leaves.setdefault(label, TreeLeaf(label))
         fault = "leaf class must be an integer"
     elif "feature" in obj and "branches" in obj:
-        return TreeSplit(obj["feature"], tuple([
-            (b["value"], _parse_tree_node(b["child"], (*path, k)))
-            for k, b in enumerate(obj["branches"])]))
+        branches = obj["branches"]
+        try:
+            return TreeSplit(obj["feature"], tuple([
+                (b["value"], _parse_tree_node(b["child"], leaves)) for b in branches]))
+        except _TreeFault as error:  # the first branch holding the bad node
+            error.path.append(next(k for k, b in enumerate(branches)
+                                   if b["child"] is error.node))
+            error.node = obj
+            raise
     else:
         fault = "tree node needs 'class' or 'feature'+'branches'"
-    raise ParseError(f"root{''.join(f'/branches[{k}]' for k in path)}: {fault}")
+    error = _TreeFault(fault)
+    error.node, error.path = obj, []
+    raise error
 
 
 def _as_document(document):
@@ -1250,7 +1267,11 @@ def parse_model(document) -> Classifier:
         if kind == "table":
             body = TableBody(_array(raw_body, "labels"))
         elif kind == "tree":
-            body = TreeBody(_parse_tree_node(raw_body["root"]))
+            try:
+                body = TreeBody(_parse_tree_node(raw_body["root"], {}))
+            except _TreeFault as error:
+                path = "".join(f"/branches[{k}]" for k in reversed(error.path))
+                raise ParseError(f"root{path}: {error}") from None
         elif kind == "boolexpr":
             ast = _ExprParser(_tokenize(raw_body["expr"])).parse()
             body = BoolExprBody(ast)

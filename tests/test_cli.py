@@ -242,6 +242,29 @@ def test_props_duality_tabulation(capsys):
     assert report["levels"]["B"] == {"strong": 25}
 
 
+@pytest.mark.parametrize("fis", ["DUAL(S)", "S,DUAL(S)", "B, dual(b)"])
+def test_props_duality_refuses_a_dual_mark(fis, capsys):
+    # the check compares each score with its dual, so DUAL(S) would be
+    # read as S under the name S
+    code, out, err = run(capsys, "props", "--duality", "--fis", fis, "--budget", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: props --duality takes a score id, not DUAL(...)\n"
+
+
+@pytest.mark.parametrize("fis, counted", [
+    ("S,S", ["S"]), ("S,shapley_shubik,B,S", ["S", "B"]), ("B,S,b", ["B", "S"])])
+def test_props_duality_counts_each_named_score_once(fis, counted, capsys):
+    code, out, _ = run(capsys, "props", "--duality", "--fis", fis,
+                       "--budget", "2", "--format", "json")
+    assert code == 0
+    levels = json.loads(out)["levels"]  # keys sorted by the writer
+    assert sorted(levels) == sorted(counted)
+    assert all(sum(level.values()) == 2 for level in levels.values())
+    code, out, _ = run(capsys, "props", "--duality", "--fis", fis, "--budget", "2")
+    assert out.splitlines() == [f"{f}: strong=2" for f in counted]
+
+
 # ---------------------------------------------------------------------------
 # repro
 
@@ -662,6 +685,20 @@ def test_instance_value_of_another_type_is_a_usage_error(value, message, tmp_pat
     doc["instance"]["point"][0] = value
     code, out, err = run(capsys, "explain", "--model", _written(tmp_path, doc),
                          "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "tree branch value True of feature 1 is not the domain's 1"),
+    (0.0, "tree branch value 0.0 of feature 1 is not the domain's 0"),
+], ids=["true", "float"])
+def test_tree_branch_value_of_another_type_is_a_usage_error(value, message, tmp_path,
+                                                            capsys):
+    doc = _tree_split_on(1)
+    doc["body"]["root"]["branches"][int(value)]["value"] = value
+    code, out, err = run(capsys, "explain", "--model", _written(tmp_path, doc))
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"

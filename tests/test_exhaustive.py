@@ -66,6 +66,32 @@ def test_pinned_cells_hold_on_every_problem_of_small_mixed_spaces(sizes, n_class
     assert failures == []
 
 
+@pytest.mark.parametrize("sizes, n_classes", TIER1_SPACES,
+                         ids=[f"{sizes}-{n}cls" for sizes, n in TIER1_SPACES])
+def test_every_labelling_of_small_mixed_spaces_builds_as_trees(sizes, n_classes):
+    drawn, failures = 0, []
+    for tag, problem in gate.labelling_problems(sizes, n_classes):
+        forms = gate.tree_forms(problem.classifier)
+        assert list(forms) == ["rank order", "reverse order", "repeated split"]
+        failures += [f"{line}, {tag}" for line in gate.tree_mismatches(problem)]
+        drawn += 1
+    assert drawn == n_classes ** math.prod(sizes) - n_classes
+    assert failures == []
+
+
+def test_gate_reports_tree_mismatches(monkeypatch):
+    # a split no point reaches walked as if every point of the (3, 2) space
+    # reached it: wrong under the repeated split, whose other branches hold
+    # the next class
+    walk = gate.model._walk_split
+    monkeypatch.setattr(gate.model, "_walk_split",
+                        lambda split, reach, tree: walk(split, reach or 0b111111, tree))
+    failures = [line for _, problem in gate.labelling_problems((3, 2), 2)
+                for line in gate.tree_mismatches(problem)]
+    assert len(failures) == 62
+    assert {line.split(":")[0] for line in failures} == {"tree differs on repeated split"}
+
+
 def test_gate_reports_fold_mismatches(monkeypatch):
     # the fold's index bits left in reverse order: wrong wherever the two
     # features' agreement bits differ

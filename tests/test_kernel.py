@@ -1266,6 +1266,72 @@ def test_label_positions_past_two_bytes():
     assert peak < 40 * 2**20
 
 
+# domains of several sizes and value types, one of a single value
+TREE_DOMAINS = ((0, 1, 2), ("lo", "hi"), ("only",), (None, 2.5, "q", 7), (1, 0))
+TREE_CLASS_SETS = ((0, 1, 2), (0, 255, 256), (3, 10**9, 7))
+
+
+def random_tree_model(rng):
+    """(features, classes, body) of a random tree whose splits may test a
+    feature again below itself, so that some of its subtrees are reached by
+    no point."""
+    m = rng.randint(1, 4)
+    features = tuple(FeatureDomain(i, rng.choice(TREE_DOMAINS)) for i in range(1, m + 1))
+    classes = rng.choice(TREE_CLASS_SETS)
+
+    def node(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return TreeLeaf(rng.choice(classes))
+        feature = rng.randint(1, m)
+        values = list(features[feature - 1].values)
+        rng.shuffle(values)
+        return TreeSplit(feature, tuple((v, node(depth - 1)) for v in values))
+    return features, frozenset(classes), TreeBody(node(rng.randint(1, 5)))
+
+
+def _tests_a_feature_twice(node, above=frozenset()) -> bool:
+    if isinstance(node, TreeLeaf):
+        return False
+    return node.feature in above or any(
+        _tests_a_feature_twice(child, above | {node.feature}) for _, child in node.branches)
+
+
+@pytest.mark.parametrize("kept", [True, False], ids=["kept-bitmaps", "shifted"])
+def test_random_tree_label_tables_match_per_point_evaluation(kept, monkeypatch):
+    # with no room for kept value bitmaps, every branch shifts its
+    # feature's first bitmap, as a domain past CACHED_SELECTOR_BYTES does
+    if not kept:
+        monkeypatch.setattr(model, "CACHED_SELECTOR_BYTES", 0)
+    rng = random.Random(26)
+    built = twice = wide = 0
+    for _ in range(400):
+        features, classes, body = random_tree_model(rng)
+        try:
+            labels = Classifier(features, classes, body)._labels
+        except DomainError as exc:
+            assert str(exc) == "classification function is constant"
+            continue
+        assert list(labels) == [_eval_body(body, features, x) for x in _points(features)]
+        assert type(labels) is (bytes if max(classes) < 256 else tuple)
+        built += 1
+        twice += _tests_a_feature_twice(body.root)
+        wide += max(classes) >= 256
+    assert built > 200 and twice > 100 and wide > 100, (built, twice, wide)
+
+
+def test_large_domain_shifts_its_first_bitmap():
+    # 600 values over 1,200 ranks take 90,000 bytes of value bitmaps, past
+    # CACHED_SELECTOR_BYTES; feature 2's two bitmaps are kept
+    features = (FeatureDomain(1, tuple(range(600))), FeatureDomain(2, ("a", "b")))
+    assert 600 * 1200 > 8 * model.CACHED_SELECTOR_BYTES
+    inner = _split(1, range(600), _leaves(v % 7 + 250 for v in range(600)))
+    body = TreeBody(_split(2, ("b", "a"), (
+        inner, _split(1, range(600), tuple(inner if v % 2 else TreeLeaf(v % 5)
+                                           for v in range(600))))))
+    labels = Classifier(features, frozenset(range(257)), body)._labels
+    assert list(labels) == [_eval_body(body, features, x) for x in _points(features)]
+
+
 def test_corpus_label_tables_match_per_point_evaluation():
     for name, problem in CORPUS:
         cls = problem.classifier

@@ -116,6 +116,107 @@ def test_malformed_tree_node_is_located(node, message):
     assert str(info.value) == f"root/branches[1]/branches[0]/branches[1]: {message}"
 
 
+def test_malformed_tree_nodes_name_the_first_in_document_order():
+    # two bad nodes, the first under root/branches[0]; and one object that
+    # is bad at both places it sits, named at the first
+    doc = malformed_tree_document({"class": 0})
+    root = doc["body"]["root"]
+    root["branches"][0]["child"] = _split_document(2, {"class": 1}, {"class": None})
+    with pytest.raises(ParseError) as info:
+        parse_model(doc)
+    assert str(info.value) == "root/branches[0]/branches[1]: leaf class must be an integer"
+    bad = ["class", 1]
+    root["branches"][0]["child"] = _split_document(2, {"class": 1}, {"class": 0})
+    root["branches"][1]["child"] = _split_document(2, bad, bad)
+    with pytest.raises(ParseError) as info:
+        parse_model(doc)
+    assert str(info.value) == "root/branches[1]/branches[0]: tree node must be an object"
+
+
+# A ternary feature 1 and a two-valued feature 2.  The root tests feature 1
+# and its branch 0 tests feature 1 again, so that split's branches 1 and 2
+# are reached by no point: the subtree SKIPPED sits there.
+TWICE_FEATURES = (FeatureDomain(1, (0, 1, 2)), FeatureDomain(2, ("a", "b")))
+SKIPPED = "skipped"
+
+
+def _twice_tree(skipped, later=None):
+    """The tree above with skipped at root branch 0, branch 1 and, at root
+    branch 2, later (a valid split on feature 2 by default)."""
+    leaf0, leaf1 = TreeLeaf(0), TreeLeaf(1)
+    later = later or TreeSplit(2, (("a", leaf0), ("b", leaf1)))
+    return TreeBody(TreeSplit(1, (
+        (0, TreeSplit(1, ((0, leaf0), (1, skipped), (2, leaf1)))),
+        (1, leaf1), (2, later))))
+
+
+UNKNOWN = TreeSplit(3, ((0, TreeLeaf(0)),))
+SHORT = TreeSplit(2, (("a", TreeLeaf(0)),))
+TWINNED = TreeSplit(2, (("a", TreeLeaf(0)), ("a", TreeLeaf(1))))
+FOREIGN = TreeSplit(2, (("a", TreeLeaf(0)), ("c", TreeLeaf(1))))
+NAMED = TreeSplit("2", (("a", TreeLeaf(0)), ("b", TreeLeaf(1))))
+
+
+@pytest.mark.parametrize("skipped, later, message", [
+    (UNKNOWN, None, "tree tests unknown feature 3"),
+    (SHORT, None, "tree node on feature 2 must branch on exactly the domain values ['a', 'b']"),
+    (TWINNED, None, "tree node on feature 2 must branch on exactly the domain values ['a', 'b']"),
+    (FOREIGN, None, "tree node on feature 2 must branch on exactly the domain values ['a', 'b']"),
+    (NAMED, None, "tree split feature must be an integer, got '2'"),
+    # two faults: the first in pre-order is named, reached or not
+    (UNKNOWN, SHORT, "tree tests unknown feature 3"),
+    (TreeLeaf(1), TreeSplit(2, (("a", NAMED), ("b", UNKNOWN))),
+     "tree split feature must be an integer, got '2'"),
+    (TreeSplit(2, (("a", SHORT), ("b", TreeLeaf(1)))), UNKNOWN,
+     "tree node on feature 2 must branch on exactly the domain values ['a', 'b']"),
+], ids=["unknown", "short", "twinned", "foreign", "named", "skipped-then-reached",
+        "reached-twice", "nested-then-reached"])
+def test_malformed_split_in_a_skipped_subtree_is_named(skipped, later, message):
+    for classes in ({0, 1}, {0, 1, 256}):
+        with pytest.raises(ParseError) as info:
+            Classifier(TWICE_FEATURES, frozenset(classes), _twice_tree(skipped, later))
+        assert str(info.value) == message
+
+
+def test_skipped_subtree_takes_no_class():
+    # the skipped leaf's class is undeclared, yet no point reaches it
+    cls = Classifier(TWICE_FEATURES, frozenset({0, 1}), _twice_tree(TreeLeaf(9)))
+    assert list(cls._labels) == [0, 0, 1, 1, 0, 1]
+
+
+@pytest.mark.parametrize("value, shown", [
+    (True, "True"), (1.0, "1.0"), (False, "False"), (0.0, "0.0")])
+def test_tree_branch_value_of_another_type_is_refused(value, shown):
+    # true and 1.0 equal the domain's 1, so they would find its bitmap and
+    # be written back as true and 1.0
+    own = int(value)
+    branches = [(1 - own, TreeLeaf(0)), (value, TreeLeaf(1))]
+    features = (FeatureDomain(1, (0, 1)),)
+    message = f"tree branch value {shown} of feature 1 is not the domain's {own}"
+    with pytest.raises(ParseError) as info:
+        Classifier(features, frozenset({0, 1}), TreeBody(TreeSplit(1, tuple(branches))))
+    assert str(info.value) == message
+    doc = {"features": [{"id": 1, "values": [0, 1]}], "classes": [0, 1],
+           "body": {"kind": "tree", "root": {"feature": 1, "branches": [
+               {"value": v, "child": {"class": c}} for c, (v, _) in enumerate(branches)]}}}
+    with pytest.raises(ParseError) as info:
+        parse_model(json.loads(json.dumps(doc)))
+    assert str(info.value) == message
+
+
+def test_tree_branch_value_type_is_checked_in_a_skipped_subtree():
+    wrong = TreeSplit(2, (("a", TreeLeaf(0)), ("b", TreeSplit(1, (
+        (0, TreeLeaf(0)), (1.0, TreeLeaf(1)), (2, TreeLeaf(0)))))))
+    with pytest.raises(ParseError) as info:
+        Classifier(TWICE_FEATURES, frozenset({0, 1}), _twice_tree(wrong))
+    assert str(info.value) == "tree branch value 1.0 of feature 1 is not the domain's 1"
+    floats = (FeatureDomain(1, (0.5, 1.0)),)
+    with pytest.raises(ParseError) as info:
+        Classifier(floats, frozenset({0, 1}), TreeBody(TreeSplit(1, (
+            (0.5, TreeLeaf(0)), (1, TreeLeaf(1))))))
+    assert str(info.value) == "tree branch value 1 of feature 1 is not the domain's 1.0"
+
+
 def test_feature_ids_must_be_consecutive():
     features = (FeatureDomain(1, (0, 1)), FeatureDomain(3, (0, 1)))
     with pytest.raises(ParseError):

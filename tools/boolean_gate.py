@@ -35,12 +35,16 @@ boolean functions under feature renumbering, and on every labelling of all
 five MIXED_SPACES and all three LARGER_SPACES.  It also compares the kernel
 with the loop once more on every one of those labellings with each class c
 renamed c + 256: classes of 256 or more have no label bytes, so the sums
-take the route that packs the labels as ints (model._le_fields).
+take the route that packs the labels as ints (model._le_fields).  And it
+rebuilds each of those labellings as three complete tree bodies
+(tree_forms: splits in rank order, in reverse order, and with one repeated
+split whose other branches no point reaches), whose label tables must equal
+the table body's; Tier-1 does so on the first four MIXED_SPACES.
 
     PYTHONPATH=src python tools/boolean_gate.py
 
-It prints the problem count, the renamed-class count, each failure and the
-wall time, and exits 1 if anything failed.
+It prints the problem count, the renamed-class and tree counts, each
+failure and the wall time, and exits 1 if anything failed.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from operator import eq
 from fislab import charfun, explain, model, props, scores
 from fislab.explain import ExplanationKind
 from fislab.model import (Classifier, ExplanationProblem, FeatureDomain, TableBody,
-                          make_problem)
+                          TreeBody, TreeLeaf, TreeSplit, make_problem)
 from fislab.scores import TemplateId
 
 INDICATOR_IDS = (charfun.CF_W, charfun.CF_W_DUAL, charfun.CF_A,
@@ -243,6 +247,45 @@ def labelling_problems(sizes, n_classes: int):
                    make_problem(classifier, (0,) * len(sizes)))
 
 
+def tree_forms(classifier) -> dict[str, TreeBody]:
+    """The labelling of a table classifier as three complete tree bodies:
+    splits on features 1..m in rank order, on m..1, and in rank order with
+    one more split on feature 1 below the root's first branch, which
+    repeats that branch's test, so that its other branches are reached by no
+    point (their leaves hold the next class, which no point may take)."""
+    features, labels = classifier.features, classifier._labels
+    classes = sorted(classifier.classes)
+    strides = [math.prod(dom.size for dom in features[i + 1:]) for i in range(len(features))]
+
+    def node(order, rank, shift=0):
+        if not order:
+            return TreeLeaf(classes[(classes.index(labels[rank]) + shift) % len(classes)])
+        i = order[0]
+        return TreeSplit(i + 1, tuple((value, node(order[1:], rank + k * strides[i], shift))
+                                      for k, value in enumerate(features[i].values)))
+
+    rank_order = list(range(len(features)))
+    (first, child), *rest = node(rank_order, 0).branches
+    again = TreeSplit(1, ((first, child),) + tuple(
+        (value, node(rank_order[1:], 0, shift=1)) for value in features[0].values[1:]))
+    return {"rank order": TreeBody(node(rank_order, 0)),
+            "reverse order": TreeBody(node(rank_order[::-1], 0)),
+            "repeated split": TreeBody(TreeSplit(1, ((first, again), *rest)))}
+
+
+def tree_mismatches(problem) -> list[str]:
+    """The tree forms of the problem's labelling (tree_forms) whose label
+    table differs from its table body's, or that are refused."""
+    cls, out = problem.classifier, []
+    for name, body in tree_forms(cls).items():
+        try:
+            if Classifier(cls.features, cls.classes, body)._labels != cls._labels:
+                out.append(f"tree differs on {name}")
+        except ValueError as exc:
+            out.append(f"tree differs on {name}: {exc}")
+    return out
+
+
 def run_problems(problems, probes=None) -> tuple[int, list[str]]:
     """(problems drawn, failures) over the (tag, problem) pairs; probes
     defaults to pinned_probes()."""
@@ -299,11 +342,13 @@ def main() -> int:
         for tag, problem in labelling_problems(sizes, n_classes):
             failures += [f"kernel differs on {name}, classes + 256, {tag}"
                          for name in kernel_mismatches(renamed_classes(problem))]
+            failures += [f"{line}, {tag}" for line in tree_mismatches(problem)]
             renamed += 1
     for line in failures:
         print(line)
-    print(f"{drawn} problems, {renamed} of them with classes renamed, "
-          f"{len(failures)} failures, {time.perf_counter() - start:.1f} s")
+    print(f"{drawn} problems, {renamed} of them with classes renamed and as "
+          f"{3 * renamed} trees, {len(failures)} failures, "
+          f"{time.perf_counter() - start:.1f} s")
     return 1 if failures else 0
 
 
