@@ -265,10 +265,11 @@ def tree_forms(classifier) -> dict[str, TreeBody]:
                                       for k, value in enumerate(features[i].values)))
 
     rank_order = list(range(len(features)))
-    (first, child), *rest = node(rank_order, 0).branches
+    in_rank_order = node(rank_order, 0)
+    (first, child), *rest = in_rank_order.branches
     again = TreeSplit(1, ((first, child),) + tuple(
         (value, node(rank_order[1:], 0, shift=1)) for value in features[0].values[1:]))
-    return {"rank order": TreeBody(node(rank_order, 0)),
+    return {"rank order": TreeBody(in_rank_order),
             "reverse order": TreeBody(node(rank_order[::-1], 0)),
             "repeated split": TreeBody(TreeSplit(1, ((first, again), *rest)))}
 
