@@ -3,7 +3,7 @@
 Every table holds 2^m integer numerators indexed by subset mask over one
 denominator: the space size for CF_E and CF_M, 1 for the indicators.  An
 indicator's numerators are a flag table (one byte per mask, see
-model.lacking_bit), the bytes object itself: the family's own flags, the
+kernel.lacking_bit), the bytes object itself: the family's own flags, the
 generators' from shifts of the sufficient flags, or a voting game's winning
 flags.  scores' flag cores count swings in those bytes.  Values are never
 forced: the empty set gets whatever the defining formula yields.
@@ -19,8 +19,8 @@ from operator import mul
 
 from . import explain
 from .explain import ExplanationKind
-from .model import (CACHED_SELECTOR_BYTES, ExplanationProblem, WeightedVotingGame,
-                    agreement_sums, as_mask, cached_value, lacking_bit)
+from .kernel import CACHED_SELECTOR_BYTES, cached_value, lacking_bit
+from .model import ExplanationProblem, WeightedVotingGame, agreement_sums, as_mask
 
 CF_E = "CF_E"            # conditional expected value of the class label
 CF_M = "CF_M"            # fraction of points keeping the prediction
@@ -114,7 +114,7 @@ def exact_groups(sizes) -> tuple[tuple[int, int], ...]:
 def domain_weights(problem: ExplanationProblem, weights):
     """weights (mask_scale or exact_groups) of the problem's domain sizes.
     Kept per sizes for the last 32 while 8 bytes a mask fit in
-    CACHED_SELECTOR_BYTES, like model._selectors; built per call above it,
+    CACHED_SELECTOR_BYTES, like kernel._selectors; built per call above it,
     so that no table of 2^m weights outlives a large problem."""
     sizes = tuple(dom.size for dom in problem.classifier.features)
     if 8 << len(sizes) > CACHED_SELECTOR_BYTES:

@@ -107,6 +107,8 @@ def _emit(report: dict, rows, text, fmt: str) -> None:
 
 
 def _load_problem(args) -> ExplanationProblem:
+    if args.instance is None and args.label is not None:
+        raise ValueError("--label checks the class of --instance, and no --instance is given")
     with open(args.model, "r", encoding="utf-8") as handle:
         document = handle.read()  # JSON text: the library parses it
     if args.instance is None:

@@ -6,7 +6,7 @@ point agreeing with the instance on it keeps the instance's class.  That
 table is the problem's fold (model._fold_order) of its other-class flags
 with OR, on every problem, and builds no integer agreement sums
 (model.agreement_sums): the CF_E and CF_M tables read those.  A family is
-held as a flag table, one byte per mask (see model.lacking_bit), and the
+held as a flag table, one byte per mask (see kernel.lacking_bit), and the
 minimal families and the minimal hitting sets are whole-table shifts on it.
 The predicates is_waxp and is_wcxp decide one subset by scanning its slice
 of feature space; that scan is the ground truth the families are tested
@@ -19,8 +19,8 @@ import enum
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .model import (FLIP_FLAGS, ExplanationProblem, as_mask, cached_value, features_of,
-                    lacking_bit, up_closure)
+from .kernel import FLIP_FLAGS, cached_value, lacking_bit, up_closure
+from .model import ExplanationProblem, as_mask, features_of
 
 
 class InvariantError(RuntimeError):

@@ -5,6 +5,9 @@ which bit (i - 1) stands for feature i; helpers below convert between masks
 and sorted index lists.  Points in feature space are tuples with one value
 per feature, enumerated lexicographically by feature index (feature 1 varies
 slowest), which fixes the order of every report and of table-body documents.
+Label tables and agreement facts are built with the mask kernel of
+fislab.kernel.  Model documents are parsed here too, so that load_problem,
+which bench/tracing.py times as part of the model layer, stays in it.
 """
 
 from __future__ import annotations
@@ -15,11 +18,13 @@ import json
 import os
 import re
 import sys
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import add, lshift, or_
 from typing import Iterable, Iterator, Mapping, Sequence
+
+from .kernel import (CACHED_SELECTOR_BYTES, FLIP_FLAGS, axis_fold, field_ints, lacking_bit,
+                     le_fields, reverse_bits, superset_fold)
 
 HARD_FEATURE_CAP = 20
 DEFAULT_FEATURE_LIMIT = 16
@@ -99,225 +104,6 @@ def as_mask(subset, m: int) -> int:
     return mask_of(subset, m)
 
 
-@functools.cache
-def bit_slices(n: int) -> tuple[tuple[tuple[slice, slice], ...], ...]:
-    """For each bit of the masks 0..n-1 (n a power of two), lowest first,
-    the slice pairs (masks with the bit, the same masks without it).
-
-    The masks with bit b come in runs of b every 2b masks, so the bit's
-    2^(m-1) pairs fit in b strided slices (one per offset in a run) or in
-    n / 2b blocked slices (one per run), whichever are fewer.  Cached per n:
-    the tiny tables of small problems would otherwise spend more time
-    building slices than using them.
-    """
-    per_bit = []
-    bit = 1
-    while bit < n:
-        step = bit << 1
-        if bit < n // step:  # fewer offsets than blocks: strided slices
-            pairs = [(slice(k + bit, n, step), slice(k, n, step)) for k in range(bit)]
-        else:
-            pairs = [(slice(j + bit, j + step), slice(j, j + bit)) for j in range(0, n, step)]
-        per_bit.append(tuple(pairs))
-        bit = step
-    return tuple(per_bit)
-
-
-# Flag tables: a family of masks 0..n-1 (n a power of two) held as one byte
-# per mask, 1 for a member and 0 otherwise, read as one little-endian int so
-# that mask S sits at bit 8*S.  Shifting such an int left by 8 << b moves
-# each mask S to S + 2^b, which is S with bit b added when S lacks it.
-# The folds (_superset_fold, _axis_fold) hold one wider field per mask the
-# same way.
-
-# swaps the flags 0 and 1
-FLIP_FLAGS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-
-# selectors of more than 64 KiB are built one at a time, not cached:
-# building one costs less than the passes that read it, and a cache of them
-# would keep 20 MB of flag selectors at m = 20, and 18 MB of 4-byte packed
-# ones at m = 18 (80 MB at m = 20)
-CACHED_SELECTOR_BYTES = 1 << 16
-
-
-def _selectors(runs, n: int, width: int) -> Iterable[int]:
-    """The tables runs(n, width) yields over n width-byte fields, cached
-    per (runs, n, width) up to CACHED_SELECTOR_BYTES each and built one at
-    a time above it, so a caller that reads them twice keeps its own
-    tuple."""
-    if n * width > CACHED_SELECTOR_BYTES:
-        return runs(n, width)
-    return _selector_cache(runs, n, width)
-
-
-@functools.cache
-def _selector_cache(runs, n: int, width: int) -> tuple[int, ...]:
-    return tuple(runs(n, width))
-
-
-def _runs(n: int, one: bytes, zero: bytes) -> Iterator[int]:
-    """For each bit b of the masks 0..n-1, lowest first, the table of the
-    masks that lack it, the field one at each such mask and zero at the
-    others: runs of 2^b of each, built by repeating bytes."""
-    run = 1
-    while run < n:
-        yield int.from_bytes((one * run + zero * run) * (n // (2 * run)), "little")
-        run <<= 1
-
-
-def _lacking_fields(n: int, width: int) -> Iterator[int]:
-    """The tables of _runs with every byte of the masks that lack the bit
-    0xff, so that an & keeps their fields whole."""
-    return _runs(n, b"\xff" * width, bytes(width))
-
-
-def lacking_bit(n: int) -> Iterable[int]:
-    """The tables of _lacking_fields over one-byte fields (see _selectors):
-    anded with a flag table, each keeps the flags of the masks without its
-    bit."""
-    return _selectors(_lacking_fields, n, 1)
-
-# adds one to every byte
-_INCREMENT = bytes(range(1, 256)) + b"\x00"
-
-
-def bit_counts(n: int) -> bytes:
-    """The bit count of every mask 0..n-1, one byte each: it doubles from
-    mask 0, as the masks with the next bit are the ones below it, plus one."""
-    counts = b"\x00"
-    while len(counts) < n:
-        counts += counts.translate(_INCREMENT)
-    return counts
-
-
-def _size_runs(n: int, width: int) -> Iterator[int]:
-    """For each size k = 1..m of the masks 0..n-1, the flag table of the
-    masks with k bits (width is 1, a flag per byte): one bytes.translate of
-    bit_counts(n) per size picks out its masks."""
-    counts = bit_counts(n)
-    for k in range(1, n.bit_length()):
-        yield int.from_bytes(counts.translate(bytes(k) + b"\x01" + bytes(255 - k)),
-                             "little")
-
-
-def size_classes(n: int) -> Iterable[int]:
-    """The tables of _size_runs (see _selectors)."""
-    return _selectors(_size_runs, n, 1)
-
-
-def up_closure(flags: int, lacking: Iterable[int]) -> int:
-    """The flag table of every mask that contains some member of flags
-    (each member's supersets), from one shift per bit; lacking is
-    lacking_bit(n) of the table's n masks."""
-    for b, without in enumerate(lacking):
-        flags |= (flags & without) << (8 << b)
-    return flags
-
-
-def _swap_runs(n: int, width: int) -> Iterator[int]:
-    """For each j < m // 2 of the masks 0..n-1 (n = 2^m), the table of the
-    masks with bit j and without bit m - 1 - j, every byte of each such
-    width-byte field 0xff: the fields _reverse_bits moves."""
-    m = n.bit_length() - 1
-    one, zero = b"\xff" * width, bytes(width)
-    for j in range(m // 2):
-        k = m - 1 - j
-        run = (zero * (1 << j) + one * (1 << j)) * (1 << (k - j - 1)) + zero * (1 << k)
-        yield int.from_bytes(run * (n >> (k + 1)), "little")
-
-
-def _reverse_bits(table: int, n: int, width: int) -> int:
-    """The table of n = 2^m width-byte fields with the m bits of every
-    field's index reversed: m // 2 delta swaps (Knuth, TAOCP 4A, 7.1.3),
-    each trading bits j and m - 1 - j, on the selectors of _swap_runs (see
-    _selectors)."""
-    m = n.bit_length() - 1
-    for j, select in enumerate(_selectors(_swap_runs, n, width)):
-        # between each mask with bit j, not k = m - 1 - j, and the mask with k, not j
-        shift = 8 * width * ((1 << (m - 1 - j)) - (1 << j))
-        moved = ((table >> shift) ^ table) & select
-        table ^= moved ^ (moved << shift)
-    return table
-
-
-# the unsigned array typecode of each item size, fields of 1 to 8 bytes
-_FIELD_CODE = {array(code).itemsize: code for code in "BHILQ"}
-
-
-def _le_fields(values: Iterable[int], width: int) -> bytes:
-    """Ints as little-endian width-byte fields, width a key of _FIELD_CODE.
-    Not for a bytes object: array() copies its raw bytes."""
-    items = array(_FIELD_CODE[width], values)
-    if sys.byteorder == "big":
-        items.byteswap()
-    return items.tobytes()
-
-
-def _field_ints(data: bytes, width: int) -> array:
-    """The little-endian width-byte fields of data as an array of ints."""
-    items = array(_FIELD_CODE[width], data)
-    if sys.byteorder == "big":
-        items.byteswap()
-    return items
-
-
-# The two folds below compute every agreement fact: from a table of one
-# little-endian width-byte field per point, each gives, in mask order, the
-# fields of the points agreeing with the instance on each subset S combined
-# (combine is add for sums, or_ for flags).  _superset_fold reads the table
-# in mask order, _axis_fold in rank order (see _fold_order).  The fields
-# must hold every combined value.
-
-def _superset_fold(data: bytes, width: int, combine) -> bytes:
-    """The fold of a table in mask order, which holds one point per mask:
-    Yates' zeta transform on the table read as one int.  Per bit b,
-    shifting it right by 8 * width << b moves each mask's field to the mask
-    without b, so one shift, mask and combine does the bit's 2^(m-1)
-    steps.  Above CACHED_SELECTOR_BYTES the top bits fold first by halves,
-    with no selector (a block's upper half holds its masks with the top
-    bit), and the halves then share selectors built for this call alone."""
-    blocks, size = [int.from_bytes(data, "little")], len(data)
-    while size > CACHED_SELECTOR_BYTES:
-        size //= 2
-        low, halves = (1 << 8 * size) - 1, []
-        for block in blocks:
-            upper = block >> 8 * size
-            halves += combine(block & low, upper), upper
-        blocks = halves
-    selectors = (tuple(_lacking_fields(size // width, width)) if len(blocks) > 1
-                 else _selectors(_lacking_fields, size // width, width))
-    for k, table in enumerate(blocks):
-        for b, lacking in enumerate(selectors):
-            table = combine(table, (table >> (8 * width << b)) & lacking)
-        blocks[k] = table.to_bytes(size, "little")
-    return b"".join(blocks)
-
-
-def _axis_fold(data: bytes, width: int, combine, axes) -> bytes:
-    """The fold of a table in rank order; axes holds each feature's
-    (domain size, index of the instance's value), feature 1 first.
-
-    Per feature, innermost (stride 1) first, with d its domain size and k
-    the instance's index: the d parts seq[j::d] hold the table at each
-    value j, and the table becomes the parts combined (any value) followed
-    by part k (the instance's value).  The feature's agreement bit is thus
-    the top bit of the index, so after m steps feature 1 sits in the top
-    bit, and _reverse_bits moves feature i to bit i - 1.  A part is one
-    array slice and one int.from_bytes, with no loop per point.
-    """
-    code = _FIELD_CODE[width]
-    for size, k in reversed(axes):
-        # bytes slice faster than an array of one-byte items
-        seq = bytes(data) if width == 1 else array(code, data)
-        parts = [int.from_bytes(seq[j::size], "little") for j in range(size)]
-        part = len(seq) // size * width  # bytes
-        data = (functools.reduce(combine, parts) | parts[k] << 8 * part).to_bytes(
-            2 * part, "little")
-    n = len(data) // width
-    return _reverse_bits(int.from_bytes(data, "little"), n, width).to_bytes(
-        len(data), "little")
-
-
 def _rank_sums(rows) -> list[int]:
     """Per point, in rank order, the sum over features i of rows[i][k] with
     k the index of the point's value of feature i.  Each feature expands the
@@ -326,24 +112,6 @@ def _rank_sums(rows) -> list[int]:
     for row in rows:
         sums = [s + x for s in sums for x in row]
     return sums
-
-
-class cached_value:
-    """A method read as an attribute and computed once per instance: the
-    result goes into the instance's __dict__, where later reads find it
-    before this (non-data) descriptor.  functools.cached_property does the
-    same, but on Python 3.11 it takes a lock on every first read."""
-
-    def __init__(self, method):
-        self.method = method
-        self.name = method.__name__
-        self.__doc__ = method.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.method(instance)
-        return value
 
 
 # ---------------------------------------------------------------------------
@@ -688,10 +456,11 @@ class Classifier:
     _value_index: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        classes = tuple(self.classes)  # checked one by one: a set merges true and 1.0 into 1
         object.__setattr__(self, "features", tuple(self.features))
-        object.__setattr__(self, "classes", frozenset(self.classes))
+        object.__setattr__(self, "classes", frozenset(classes))
         object.__setattr__(self, "m", len(self.features))
-        self._validate_shape()
+        self._validate_shape(classes)
         strides = [1] * self.m
         for i in range(self.m - 2, -1, -1):
             strides[i] = strides[i + 1] * self.features[i + 1].size
@@ -713,7 +482,7 @@ class Classifier:
         if labels.count(labels[0]) == len(labels):
             raise DomainError("classification function is constant")
 
-    def _validate_shape(self):
+    def _validate_shape(self, classes: tuple):
         if not self.features:
             raise DomainError("classifier needs at least one feature")
         for pos, dom in enumerate(self.features, start=1):
@@ -731,7 +500,7 @@ class Classifier:
                     f"feature space larger than {POINT_LIMIT} points")
         if not self.classes:
             raise DomainError("empty class set")
-        for c in self.classes:
+        for c in classes:
             if not isinstance(c, int) or isinstance(c, bool) or c < 0:
                 raise DomainError(f"class labels must be non-negative integers, got {c!r}")
 
@@ -945,7 +714,7 @@ def _mask_labels(problem: ExplanationProblem) -> bytes | None:
         return None
     n = len(labels)
     lacking = list(lacking_bit(n))
-    table = _reverse_bits(int.from_bytes(labels, "little"), n, 1)
+    table = reverse_bits(int.from_bytes(labels, "little"), n, 1)
     for i, (index, v) in enumerate(zip(cls._value_index, problem.v)):
         if index[v] == 0:
             shift = 8 << i
@@ -956,17 +725,17 @@ def _mask_labels(problem: ExplanationProblem) -> bytes | None:
 def _fold_order(problem: ExplanationProblem):
     """(labels, fold): the problem's labels, in the order its fold reads,
     and the fold, called as fold(data, width, combine) (see
-    _superset_fold).  A problem with mask labels folds them in mask order
-    by _superset_fold; any other folds its classifier's labels (bytes, or
-    a tuple when a class is above 255) in rank order by _axis_fold."""
+    superset_fold).  A problem with mask labels folds them in mask order
+    by superset_fold; any other folds its classifier's labels (bytes, or
+    a tuple when a class is above 255) in rank order by axis_fold."""
     labels = problem._mask_labels()
     if labels is not None:
-        return labels, _superset_fold
+        return labels, superset_fold
     cls = problem.classifier
     # per feature, feature 1 first, (domain size, index of the instance's value)
     axes = [(dom.size, index[v])
             for dom, index, v in zip(cls.features, cls._value_index, problem.v)]
-    return cls._labels, functools.partial(_axis_fold, axes=axes)
+    return cls._labels, functools.partial(axis_fold, axes=axes)
 
 
 def _class_bytes(problem: ExplanationProblem, labels: bytes | tuple, same: int) -> bytes:
@@ -1013,26 +782,26 @@ def agreement_sums(problem: ExplanationProblem) -> tuple[Sequence[int], Sequence
         # each label in the low half of its field, each flag in the high half
         width = 2 * half
         if type(labels) is tuple:
-            fused = bytearray(_le_fields(labels, width))
+            fused = bytearray(le_fields(labels, width))
         else:
             fused = bytearray(len(labels) * width)
             fused[::width] = labels
         fused[half::width] = flags
-        halves = _field_ints(fold(fused, width, add), half)
+        halves = field_ints(fold(fused, width, add), half)
         return halves[0::2], halves[1::2]
     # A total past 4 bytes needs a class above 4096, with at most
     # POINT_LIMIT points, so its labels are a tuple in rank order.
     width = 8  # holds the flag sums and the sums of one limb
     spread = bytearray(len(labels) * width)
     spread[::width] = flags
-    same = _field_ints(fold(spread, width, add), width)
+    same = field_ints(fold(spread, width, add), width)
     n_limbs = -(-max(labels).bit_length() // (8 * _LIMB_BYTES))
-    limbs = _field_ints(b"".join(map(int.to_bytes, labels, itertools.repeat(
+    limbs = field_ints(b"".join(map(int.to_bytes, labels, itertools.repeat(
         n_limbs * _LIMB_BYTES), itertools.repeat("little"))), _LIMB_BYTES)
     label_sum = itertools.repeat(0)
     for t in range(n_limbs):
-        fields = _le_fields(limbs[t::n_limbs], width)
-        sums = _field_ints(fold(fields, width, add), width)
+        fields = le_fields(limbs[t::n_limbs], width)
+        sums = field_ints(fold(fields, width, add), width)
         shift = itertools.repeat(8 * _LIMB_BYTES * t)
         label_sum = map(add, label_sum, map(lshift, sums, shift))
     return tuple(label_sum), same
@@ -1262,7 +1031,7 @@ def parse_model(document) -> Classifier:
         raw_body = document["body"]
         features = tuple(FeatureDomain(f["id"], _array(f, "values"))
                          for f in raw_features)
-        classes = frozenset(_array(document, "classes"))
+        classes = _array(document, "classes")
         kind = raw_body.get("kind")
         if kind == "table":
             body = TableBody(_array(raw_body, "labels"))

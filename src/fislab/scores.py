@@ -20,9 +20,9 @@ from operator import add, mul, sub
 from . import charfun, explain
 from .charfun import CharacteristicTable
 from .explain import ExplanationKind
-from .model import (CACHED_SELECTOR_BYTES, ExplanationProblem, WeightedVotingGame, as_mask,
-                    bit_counts, bit_slices, cached_value, lacking_bit, size_classes,
-                    up_closure)
+from .kernel import (CACHED_SELECTOR_BYTES, bit_counts, bit_slices, cached_value, lacking_bit,
+                     size_classes, up_closure)
+from .model import ExplanationProblem, WeightedVotingGame, as_mask
 
 
 class TemplateId(enum.Enum):
@@ -113,7 +113,7 @@ class ScoreVector:
 #
 # A table holds integer numerators over one common denominator, so every
 # marginal gain is an integer.  The all-subset cores read the 2^m
-# numerators through the slices of model.bit_slices, except that Banzhaf and
+# numerators through the slices of kernel.bit_slices, except that Banzhaf and
 # Johnston on an indicator table count swings in its flag table; the family
 # cores add one integer per feature of each member.  Each returns one
 # integer numerator per feature over a common denominator; ScoreVector
@@ -152,7 +152,7 @@ def _shapley_weights(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per mask S, the Shapley weights w(|S|) + w(|S| + 1) and w(|S| + 1)
     over m!, where w(k) = (k-1)!(m-k)! weighs a gain that completes a
     coalition of size k (and w(0) = w(m + 1) = 0).  Kept per m while 8
-    bytes a mask fit in CACHED_SELECTOR_BYTES, like model._selectors; built
+    bytes a mask fit in CACHED_SELECTOR_BYTES, like kernel._selectors; built
     per call above it."""
     if 8 << m > CACHED_SELECTOR_BYTES:
         return _build_shapley_weights(m)
@@ -198,7 +198,7 @@ def _johnston(nums: tuple[int, ...]) -> _Scores:
 
 
 # The flag cores read an indicator's flag table as one int V, mask S at bit
-# 8*S (see model.lacking_bit).  With L_i = V & lacking_i, the flags of the
+# 8*S (see kernel.lacking_bit).  With L_i = V & lacking_i, the flags of the
 # masks without feature i, V ^ L_i flags v(S) at the masks S with i and
 # L_i << (8 << i) moves v(S - i) onto the same masks, so feature i's gain at
 # S is the first flag less the second.

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -62,6 +63,15 @@ def test_explain_label_mismatch(chain_model, capsys):
                        "--instance", "1,1,1,1", "--label", "0")
     assert code == 2
     assert "label mismatch" in err
+
+
+@pytest.mark.parametrize("command", ["explain", "score"])
+def test_label_without_an_instance_is_refused(chain_model, command, capsys):
+    # 7 is no class of the model: read alone, --label would go unchecked
+    code, out, err = run(capsys, command, "--model", chain_model, "--label", "7")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --label checks the class of --instance, and no --instance is given\n"
 
 
 def test_explain_missing_model(capsys):
@@ -923,12 +933,38 @@ def test_decimal_rounds_half_even_past_50_digits():
     check_decimals(PAST_50_DIGITS_CASES)
 
 
-def test_python_dash_m_runs_the_command_line():
-    # the package's own directory on the path, as in a checkout without install
+def _env_with_src() -> dict:
+    """This environment with the package's own directory on the path, as in
+    a checkout without install."""
     src = str(Path(fislab.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    result = subprocess.run([sys.executable, "-m", "fislab", "--help"], env=env,
+
+
+def test_python_dash_m_runs_the_command_line():
+    result = subprocess.run([sys.executable, "-m", "fislab", "--help"], env=_env_with_src(),
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage: fislab ")
+
+
+def test_chain_probe_matches_the_command_line_in_process(tmp_path, capsys):
+    # tools/chain_probe.py runs each command in a process of its own; its
+    # digests must be those of the same commands through cli.main here
+    path = Path(__file__).resolve().parents[1] / "tools" / "chain_probe.py"
+    spec = importlib.util.spec_from_file_location("chain_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    result = subprocess.run([sys.executable, str(path), "--m", "6"], env=_env_with_src(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 2, lines
+    model = tmp_path / "chain6.json"
+    model.write_text(json.dumps(probe.chain_document(6)))
+    for line in lines:
+        command, digest = line.split()[0], line.split()[-1]
+        code, out, _ = run(capsys, *probe.COMMANDS[command], "--model", str(model),
+                           "--format", "json")
+        assert code == 0
+        assert digest == hashlib.sha256(out.encode("utf-8")).hexdigest(), line

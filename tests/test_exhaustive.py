@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from fislab import kernel
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "boolean_gate.py"
 _SPEC = importlib.util.spec_from_file_location("boolean_gate", _PATH)
 gate = importlib.util.module_from_spec(_SPEC)
@@ -95,7 +97,7 @@ def test_gate_reports_tree_mismatches(monkeypatch):
 def test_gate_reports_fold_mismatches(monkeypatch):
     # the fold's index bits left in reverse order: wrong wherever the two
     # features' agreement bits differ
-    monkeypatch.setattr(gate.model, "_reverse_bits", lambda table, n, width: table)
+    monkeypatch.setattr(kernel, "reverse_bits", lambda table, n, width: table)
     drawn, failures = gate.run_problems(gate.labelling_problems((3, 2), 2))
     assert drawn == 62
     assert all(line.startswith("kernel differs") for line in failures)

@@ -9,7 +9,7 @@ up-closures of flag tables come from per-mask scans.  The whole-space
 transforms are checked the same way: label tables against the per-point body
 evaluator, coverage against the union of select_ranks cubes (coverage_set),
 hitting sets against a scan over every candidate, and the mask-order fold
-(model._superset_fold) against direct superset sums and ORs, and against
+(kernel.superset_fold) against direct superset sums and ORs, and against
 the list-slice transform where direct sums would take too long.  Banzhaf
 and Johnston on an indicator's flag bytes are checked against both the
 integer core on the same numerators and the Fraction oracle, and so are
@@ -24,6 +24,7 @@ random tables over two-valued domains in both value orders, and on tables
 of mixed domain sizes for the per-axis fold.
 """
 
+import ast
 import dataclasses
 import importlib.util
 import itertools
@@ -31,6 +32,7 @@ import json
 import math
 import pickle
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from operator import add, eq, or_
@@ -38,14 +40,15 @@ from pathlib import Path
 
 import pytest
 
-from fislab import charfun, explain, model, props, scores
+from fislab import charfun, explain, kernel, model, props, scores
 from fislab.charfun import CharacteristicTable
 from fislab.explain import ExplanationKind, is_waxp, is_wcxp
+from fislab.kernel import bit_slices, lacking_bit, size_classes, up_closure
 from fislab.model import (And, BoolExprBody, Classifier, DomainError,
                           ExplanationProblem, FeatureDomain, Not, TableBody, TreeBody, TreeLeaf,
                           TreeSplit, Var, WVGBody, WeightedVotingGame,
-                          agreement_set, bit_slices, features_of, lacking_bit, make_problem,
-                          parse_boolean_expression, size_classes, up_closure)
+                          agreement_set, features_of, load_problem, make_problem,
+                          parse_boolean_expression, relabel_classes)
 from fislab.scores import ScoreVector, TemplateId
 
 # the per-point binning loop, the kernel's oracle, lives with the gate
@@ -592,10 +595,10 @@ def test_sums_past_the_selector_cache_bound(monkeypatch):
         folds.append((len(data), width))
         return real_fold(data, width, combine)
 
-    real_fold = model._superset_fold
-    monkeypatch.setattr(model, "_superset_fold", fold)
+    real_fold = model.superset_fold  # read by model._fold_order
+    monkeypatch.setattr(model, "superset_fold", fold)
     assert fold_sums(problem) == gate.point_loop_sums(problem)
-    assert folds == [(8 << m, 8)] and 8 << m > model.CACHED_SELECTOR_BYTES
+    assert folds == [(8 << m, 8)] and 8 << m > kernel.CACHED_SELECTOR_BYTES
 
 
 def ternary_chain(m):
@@ -807,9 +810,9 @@ def direct_superset_fold(values: list[int], combine) -> list[int]:
 
 
 def superset_fold(values: list[int], width: int, combine) -> list[int]:
-    """model._superset_fold on values packed into width-byte fields."""
-    data = model._superset_fold(model._le_fields(values, width), width, combine)
-    return list(model._field_ints(data, width))
+    """kernel.superset_fold on values packed into width-byte fields."""
+    data = kernel.superset_fold(kernel.le_fields(values, width), width, combine)
+    return list(kernel.field_ints(data, width))
 
 
 @pytest.mark.parametrize("m", range(0, 11))
@@ -859,7 +862,7 @@ def test_lacking_bit_selectors(m):
     # the folds' selectors over wider fields set every byte of a field
     for width in (2, 4, 8):
         top = (1 << 8 * width) - 1
-        for b, selector in enumerate(model._selectors(model._lacking_fields, n, width)):
+        for b, selector in enumerate(kernel._selectors(kernel._lacking_fields, n, width)):
             fields = selector.to_bytes(n * width, "little")
             assert [int.from_bytes(fields[k * width:(k + 1) * width], "little")
                     for k in range(n)] == [0 if s >> b & 1 else top for s in range(n)]
@@ -897,7 +900,7 @@ def test_flag_passes_past_the_cache_bound_cache_no_selector():
     rng = random.Random(m)
     flags = bytes(rng.random() < 0.3 for _ in range(n))
     family = bytes(rng.random() < 0.1 for _ in range(n))
-    cached = model._selector_cache.cache_info().currsize
+    cached = kernel._selector_cache.cache_info().currsize
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -906,11 +909,11 @@ def test_flag_passes_past_the_cache_bound_cache_no_selector():
         scores._banzhaf_flags(flags)
         scores._johnston_flags(flags)
         scores._family_flags(TemplateId.ANDJIGA, flags, family)
-        model._superset_fold(flags, 1, or_)
+        kernel.superset_fold(flags, 1, or_)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert model._selector_cache.cache_info().currsize == cached
+    assert kernel._selector_cache.cache_info().currsize == cached
     assert kept < n  # less than one selector of this size
 
 
@@ -1301,7 +1304,7 @@ def test_random_tree_label_tables_match_per_point_evaluation(kept, monkeypatch):
     # with no room for kept value bitmaps, every branch shifts its
     # feature's first bitmap, as a domain past CACHED_SELECTOR_BYTES does
     if not kept:
-        monkeypatch.setattr(model, "CACHED_SELECTOR_BYTES", 0)
+        monkeypatch.setattr(model, "CACHED_SELECTOR_BYTES", 0)  # read by model._tree_planes
     rng = random.Random(26)
     built = twice = wide = 0
     for _ in range(400):
@@ -1323,7 +1326,7 @@ def test_large_domain_shifts_its_first_bitmap():
     # 600 values over 1,200 ranks take 90,000 bytes of value bitmaps, past
     # CACHED_SELECTOR_BYTES; feature 2's two bitmaps are kept
     features = (FeatureDomain(1, tuple(range(600))), FeatureDomain(2, ("a", "b")))
-    assert 600 * 1200 > 8 * model.CACHED_SELECTOR_BYTES
+    assert 600 * 1200 > 8 * kernel.CACHED_SELECTOR_BYTES
     inner = _split(1, range(600), _leaves(v % 7 + 250 for v in range(600)))
     body = TreeBody(_split(2, ("b", "a"), (
         inner, _split(1, range(600), tuple(inner if v % 2 else TreeLeaf(v % 5)
@@ -1494,3 +1497,24 @@ def test_coverage_matches_cube_union_on_mixed_domains(seed):
         cls = _nonconstant(build)
         for point in rng.sample(list(cls.points()), min(3, size)):
             assert_coverage_is_cube_union(make_problem(cls, point))
+
+
+def test_kernel_imports_only_the_standard_library():
+    # the kernel sits below every layer: no fislab module, relative or not
+    path = Path(__file__).resolve().parents[1] / "src" / "fislab" / "kernel.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.unparse(node)
+            imported.add(node.module.partition(".")[0])
+    assert "fislab" not in imported
+    assert imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names
+
+
+def test_traced_names_stay_in_the_model_module():
+    # bench/tracing.py times the model layer by the functions and classes
+    # whose __module__ is fislab.model, and bench/test_bench.py pins these
+    for obj in (Classifier, ExplanationProblem, load_problem, relabel_classes):
+        assert obj.__module__ == "fislab.model", obj

@@ -485,6 +485,22 @@ def test_parse_model_wvg():
     assert again._labels == cls._labels
 
 
+@pytest.mark.parametrize("entry, shown", [(True, "True"), (1.0, "1.0")])
+def test_class_entry_of_another_type_is_refused(entry, shown):
+    # a set of [0, 1, true] or [0, 1, 1.0] would merge the entry into the
+    # class 1 before any entry is checked
+    message = f"class labels must be non-negative integers, got {shown}"
+    features = (FeatureDomain(1, (0, 1)),)
+    with pytest.raises(DomainError) as info:
+        Classifier(features, [0, 1, entry], TableBody((0, 1)))
+    assert str(info.value) == message
+    doc = {"features": [{"id": 1, "values": [0, 1]}], "classes": [0, 1, entry],
+           "body": {"kind": "table", "labels": [0, 1]}}
+    with pytest.raises(DomainError) as info:
+        parse_model(json.dumps(doc))
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("quota, weights", [(1.5, [2, 1, 1]), (3, [2, 1.0, 1])])
 def test_parse_model_wvg_rejects_non_integers(quota, weights):
     doc = {

@@ -35,7 +35,7 @@ boolean functions under feature renumbering, and on every labelling of all
 five MIXED_SPACES and all three LARGER_SPACES.  It also compares the kernel
 with the loop once more on every one of those labellings with each class c
 renamed c + 256: classes of 256 or more have no label bytes, so the sums
-take the route that packs the labels as ints (model._le_fields).  And it
+take the route that packs the labels as ints (kernel.le_fields).  And it
 rebuilds each of those labellings as three complete tree bodies
 (tree_forms: splits in rank order, in reverse order, and with one repeated
 split whose other branches no point reaches), whose label tables must equal
