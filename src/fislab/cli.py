@@ -136,9 +136,11 @@ def _parse_point(classifier, text: str) -> tuple:
 
 
 def _parse_fis_list(text: str) -> list[tuple[str, bool]]:
+    """The (fis id, dual) pairs named, each once, in the order first named."""
     if text.strip().lower() == "all":
         return [(fid, False) for fid in FIS_IDS]
-    return [scores.parse_fis_id(part) for part in text.split(",") if part.strip()]
+    return list(dict.fromkeys(scores.parse_fis_id(part) for part in text.split(",")
+                              if part.strip()))
 
 
 def _grid(headers: list[str], rows: list[list[str]]) -> str:
@@ -222,9 +224,9 @@ def cmd_score(args) -> int:
         if args.rank:
             entry["ranking"] = list(vec.ranking())
         if args.oracle:
-            template = scores._FIS_RECIPES.get(fis_id, (None,))[0]
+            _, template, cf_id, _, _ = scores.FIS_RECIPES[fis_id]
             if template is TemplateId.SHAPLEY_SHUBIK and not dual:
-                table = charfun.build_table(scores._FIS_RECIPES[fis_id][1], problem)
+                table = charfun.build_table(cf_id, problem)
                 oracle = scores.shapley_permutation_oracle(problem, table)
                 # Shapley-Shubik is the permutation average, so a mismatch
                 # is a bug and no report is printed
@@ -312,7 +314,7 @@ def cmd_props(args) -> int:
         if any(dual for _, dual in parsed):
             # a duality check compares a score with its dual already
             raise ValueError("props --duality takes a score id, not DUAL(...)")
-        fis_list = list(dict.fromkeys(f for f, _ in parsed))  # each score once
+        fis_list = [f for f, _ in parsed]
         counts: dict[str, dict[str, int]] = {f: {} for f in fis_list}
         for _, problem in props.problem_stream(args.seed, args.budget):
             for fis_id in fis_list:

@@ -127,20 +127,19 @@ def dummy_features(table: CharacteristicTable) -> list[int]:
 _ALL_SUBSETS = "all_subsets"  # witness family_mode of the all-subset templates
 
 
-def _subject(template_id: TemplateId, table: CharacteristicTable,
-             normalized: bool) -> str:
-    name = template_id.value + ("_normalized" if normalized else "")
-    return f"{name}[{table.cf_id}]"
+def _subject(template_id: TemplateId, table: CharacteristicTable) -> str:
+    return f"{template_id.value}[{table.cf_id}]"
 
 
 def _template_failure(property_id: str, subject: str, problem, template_id,
-                      family_mode, normalized, **found) -> PropertyVerdict:
-    """Failing verdict whose witness stores the template replay parameters."""
+                      family_mode, **found) -> PropertyVerdict:
+    """Failing verdict whose witness stores the template replay parameters;
+    its "normalized" key is a constant False that keeps the report format."""
     family = family_mode or scores.TEMPLATE_DEFAULTS[template_id][1]
     witness = Witness(problem, {
         "property": property_id, "template": template_id.value,
         "family_mode": family.value if family else _ALL_SUBSETS,
-        "normalized": normalized, **found})
+        "normalized": False, **found})
     return PropertyVerdict(property_id, subject, False, witness)
 
 
@@ -152,30 +151,28 @@ def _fis_failure(property_id: str, fis_id: str, problem, **found) -> PropertyVer
 
 def check_efficiency(problem: ExplanationProblem, template_id: TemplateId,
                      table: CharacteristicTable,
-                     family_mode: ExplanationKind | None = None,
-                     normalized: bool = False) -> PropertyVerdict:
+                     family_mode: ExplanationKind | None = None) -> PropertyVerdict:
     """Score total must equal the table swing between the full and empty set."""
-    vec = scores.template_score(template_id, problem, table, family_mode, normalized)
+    vec = scores.template_score(template_id, problem, table, family_mode)
     swing = table.nums[table.full_mask] - table.nums[0]
-    subject = _subject(template_id, table, normalized)
+    subject = _subject(template_id, table)
     if sum(vec.nums) * table.den == swing * vec.den:
         return PropertyVerdict("P01", subject, True)
     return _template_failure("P01", subject, problem, template_id, family_mode,
-                             normalized, cf_id=table.cf_id, sum=str(vec.total()),
+                             cf_id=table.cf_id, sum=str(vec.total()),
                              target=str(Fraction(swing, table.den)))
 
 
 def check_symmetry(problem: ExplanationProblem, template_id: TemplateId,
                    table: CharacteristicTable,
-                   family_mode: ExplanationKind | None = None,
-                   normalized: bool = False) -> PropertyVerdict:
+                   family_mode: ExplanationKind | None = None) -> PropertyVerdict:
     """Table-symmetric feature pairs must receive equal scores."""
-    vec = scores.template_score(template_id, problem, table, family_mode, normalized)
-    subject = _subject(template_id, table, normalized)
+    vec = scores.template_score(template_id, problem, table, family_mode)
+    subject = _subject(template_id, table)
     for i, j in symmetric_pairs(table):
         if vec.nums[i - 1] != vec.nums[j - 1]:
             return _template_failure(
-                "P02", subject, problem, template_id, family_mode, normalized,
+                "P02", subject, problem, template_id, family_mode,
                 cf_id=table.cf_id, pair=(i, j),
                 scores=(str(vec.score(i)), str(vec.score(j))))
     return PropertyVerdict("P02", subject, True)
@@ -183,8 +180,7 @@ def check_symmetry(problem: ExplanationProblem, template_id: TemplateId,
 
 def check_additivity(problem: ExplanationProblem, template_id: TemplateId,
                      table1: CharacteristicTable, table2: CharacteristicTable,
-                     family_mode: ExplanationKind | None = None,
-                     normalized: bool = False) -> PropertyVerdict:
+                     family_mode: ExplanationKind | None = None) -> PropertyVerdict:
     """Score of the pointwise-sum table vs sum of the individual scores.
     The sum of two of the problem's own kept tables is kept on the problem
     too, keyed by their ids; any other pair is summed afresh."""
@@ -193,8 +189,7 @@ def check_additivity(problem: ExplanationProblem, template_id: TemplateId,
                                  lambda: charfun.cf_sum(table1, table2))
     else:
         combined = charfun.cf_sum(table1, table2)
-    vec12, vec1, vec2 = (scores.template_score(template_id, problem, table,
-                                               family_mode, normalized)
+    vec12, vec1, vec2 = (scores.template_score(template_id, problem, table, family_mode)
                          for table in (combined, table1, table2))
     subject = f"{template_id.value}[{table1.cf_id}+{table2.cf_id}]"
     # n12 / d12 == n1 / d1 + n2 / d2, cross-multiplied
@@ -202,7 +197,7 @@ def check_additivity(problem: ExplanationProblem, template_id: TemplateId,
     for i, (n12, n1, n2) in enumerate(zip(vec12.nums, vec1.nums, vec2.nums), 1):
         if n12 * d1 * d2 != (n1 * d2 + n2 * d1) * d12:
             return _template_failure(
-                "P03", subject, problem, template_id, family_mode, normalized,
+                "P03", subject, problem, template_id, family_mode,
                 cf_ids=(table1.cf_id, table2.cf_id), feature=i,
                 combined=str(vec12.score(i)),
                 parts=(str(vec1.score(i)), str(vec2.score(i))))
@@ -211,15 +206,14 @@ def check_additivity(problem: ExplanationProblem, template_id: TemplateId,
 
 def check_dummy(problem: ExplanationProblem, template_id: TemplateId,
                 table: CharacteristicTable,
-                family_mode: ExplanationKind | None = None,
-                normalized: bool = False) -> PropertyVerdict:
+                family_mode: ExplanationKind | None = None) -> PropertyVerdict:
     """Features the table never reacts to must score zero."""
-    vec = scores.template_score(template_id, problem, table, family_mode, normalized)
-    subject = _subject(template_id, table, normalized)
+    vec = scores.template_score(template_id, problem, table, family_mode)
+    subject = _subject(template_id, table)
     for i in dummy_features(table):
         if vec.nums[i - 1]:
             return _template_failure(
-                "P04", subject, problem, template_id, family_mode, normalized,
+                "P04", subject, problem, template_id, family_mode,
                 cf_id=table.cf_id, feature=i, score=str(vec.score(i)))
     return PropertyVerdict("P04", subject, True)
 
@@ -430,8 +424,7 @@ def _run_template(check, problem, params):
               for cf_id in params.get("cf_ids") or (params["cf_id"],)]
     family = params.get("family_mode")
     kind = None if family in (None, _ALL_SUBSETS) else ExplanationKind(family)
-    return check(problem, TemplateId(params["template"]), *tables, kind,
-                 params.get("normalized", False))
+    return check(problem, TemplateId(params["template"]), *tables, kind)
 
 
 def _run_relabel(problem, params, property_id):
@@ -440,9 +433,7 @@ def _run_relabel(problem, params, property_id):
 
 
 def _run_duality(problem, params, property_id):
-    level = property_id.split("-")[1] if "-" in property_id else "weak"
-    if level not in ("strong", "equivalent", "weak"):
-        raise ValueError(f"unknown duality level {level!r}")
+    level = property_id.partition("-")[2] or "weak"  # checked by _check_for
     fis_id = params["fis"]
     dv = check_duality(problem, fis_id)
     if getattr(dv, level):
@@ -473,10 +464,13 @@ _CHECKS = {
 
 
 def _check_for(property_id: str):
-    try:
-        return _CHECKS[property_id.split("-")[0]]
-    except KeyError:
-        raise ValueError(f"cannot check property {property_id!r}") from None
+    """A known property id, or P09 with a duality level: P09-strong,
+    P09-equivalent or P09-weak (bare P09 checks weak duality)."""
+    prop, dash, level = property_id.partition("-")
+    if prop in _CHECKS and (not dash or prop == "P09" and level in (
+            "strong", "equivalent", "weak")):
+        return _CHECKS[prop]
+    raise ValueError(f"cannot check property {property_id!r}")
 
 
 def _probe(property_id: str, subject, problem: ExplanationProblem,
@@ -561,6 +555,7 @@ def search_counterexample(property_id: str, subject, problems=None, *,
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    _check_for(property_id)  # refused before any problem is drawn
     if problems is not None:
         problems = itertools.islice(problems, budget)
         stream = ((index, problem, {"seed": None, "index": index})

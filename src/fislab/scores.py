@@ -301,18 +301,18 @@ def _dense(count: int, m: int) -> bool:
 
 
 def _score_family(template: TemplateId, table: CharacteristicTable,
-                  family: explain.ExplanationFamily, normalized: bool = False) -> _Scores:
+                  family: explain.ExplanationFamily) -> _Scores:
     """Family-restricted templates: read from the two flag tables when the
     table is an indicator and the family dense (_family_flags), else walked."""
     m = table.n_features
     if (type(table.nums) is bytes and template is not TemplateId.RESPONSIBILITY
             and _dense(len(family), m)):
         return _family_flags(template, table.nums, family.flags)
-    return _family_walk(template, table, family.members, m, normalized)
+    return _family_walk(template, table, family.members, m)
 
 
 def _family_walk(template: TemplateId, table: CharacteristicTable | None,
-                 members, m: int, normalized: bool = False) -> _Scores:
+                 members, m: int) -> _Scores:
     """_score_family over the given members; a missing table means unit influence.
 
     With an indicator table whose members all score 1 and whose immediate
@@ -341,9 +341,8 @@ def _family_walk(template: TemplateId, table: CharacteristicTable | None,
         # over the lcm of the sizes that occur; a feature in no member
         # (size 0) scores 0 and must not enter the lcm
         multiple = math.lcm(*{size for size in best_size if size})
-        scale = den * count if normalized else den
         return ([g * (multiple // size) if size else 0
-                 for g, size in zip(best_gain, best_size)], multiple * scale)
+                 for g, size in zip(best_gain, best_size)], multiple * den)
     # Deegan-Packel and Andjiga: gain / (size * count), over the common size
     # multiple lcm(1..m); Holler-Packel: gain / count
     if template is TemplateId.HOLLER_PACKEL:
@@ -363,91 +362,74 @@ def _family_walk(template: TemplateId, table: CharacteristicTable | None,
     return acc, multiple * count * den
 
 
-def _refuse_normalized(template_id: TemplateId, normalized: bool) -> None:
-    if normalized and template_id is not TemplateId.RESPONSIBILITY:
-        raise ValueError(f"{template_id.value} has no normalized form; "
-                         f"only responsibility has")
+def _template_vector(template: TemplateId, table: CharacteristicTable,
+                     family: explain.ExplanationFamily | None) -> ScoreVector:
+    """The one dispatch: the all-subset cores when family is None, else the
+    family cores."""
+    if family is None:
+        return ScoreVector(*_score_all_subsets(template, table))
+    return ScoreVector(*_score_family(template, table, family))
 
 
 def template_score(template_id: TemplateId, problem: ExplanationProblem,
                    table: CharacteristicTable,
-                   family_mode: ExplanationKind | None = None,
-                   normalized: bool = False) -> ScoreVector:
+                   family_mode: ExplanationKind | None = None) -> ScoreVector:
     """Evaluate one template on a problem with the given characteristic table.
 
     family_mode overrides the explanation family a family template sums
-    over; the all-subset templates take none.  normalized divides
-    responsibility by the family size; no other template takes it.  The
-    template reads only the table's numbers and the problem's family, so any
-    table over the problem's feature count is accepted, whoever built it.
+    over; the all-subset templates take none.  The template reads only the
+    table's numbers and the problem's family, so any table over the
+    problem's feature count is accepted, whoever built it.
     """
-    _refuse_normalized(template_id, normalized)
     if table.n_features != problem.m:
         raise ValueError("table size does not match the problem")
     default = TEMPLATE_DEFAULTS[template_id][1]
-    if default is None:
-        if family_mode is not None:
-            raise ValueError(f"{template_id.value} sums over all subsets, "
-                             f"not over a family")
-        nums, den = _score_all_subsets(template_id, table)
-    else:
-        nums, den = _score_family(template_id, table, explain.family(
-            problem, family_mode or default), normalized)
-    return ScoreVector(nums, den)
+    if default is None and family_mode is not None:
+        raise ValueError(f"{template_id.value} sums over all subsets, not over a family")
+    return _template_vector(template_id, table, default and explain.family(
+        problem, family_mode or default))
 
 
-def family_score(template_id: TemplateId, members, n_features: int,
-                 normalized: bool = False) -> ScoreVector:
+def family_score(template_id: TemplateId, members, n_features: int) -> ScoreVector:
     """Score an explicitly injected family of subsets (unit influence).
 
-    members may be masks or iterables of 1-based feature indices;
-    normalized applies to responsibility only, as in template_score.
+    members may be masks or iterables of 1-based feature indices.
     """
     masks = [as_mask(s, n_features) for s in members]
-    if template_id in (TemplateId.SHAPLEY_SHUBIK, TemplateId.BANZHAF,
-                       TemplateId.JOHNSTON):
+    if TEMPLATE_DEFAULTS[template_id][1] is None:
         raise ValueError(f"{template_id.value} needs a characteristic table, "
                          f"not a bare family")
-    _refuse_normalized(template_id, normalized)
-    return ScoreVector(*_family_walk(template_id, None, masks, n_features, normalized))
+    return ScoreVector(*_family_walk(template_id, None, masks, n_features))
 
 
 # ---------------------------------------------------------------------------
 # instantiated feature-importance scores
 
-FIS_IDS = ("E", "M", "S", "B", "J", "D", "H", "R", "R_NORM", "A", "C", "V")
-
-FIS_NAMES = {
-    "E": "expected_value",
-    "M": "similarity",
-    "S": "shapley_shubik",
-    "B": "banzhaf",
-    "J": "johnston",
-    "D": "deegan_packel",
-    "H": "holler_packel",
-    "R": "responsibility",
-    "R_NORM": "responsibility_normalized",
-    "A": "andjiga",
-    "C": "contrastive_responsibility",
-    "V": "coverage",
-}
-
-# fis id -> (template, characteristic id, family, normalized)
-_FIS_RECIPES = {
-    "E": (TemplateId.SHAPLEY_SHUBIK, charfun.CF_E, None, False),
-    "M": (TemplateId.SHAPLEY_SHUBIK, charfun.CF_M, None, False),
-    "S": (TemplateId.SHAPLEY_SHUBIK, charfun.CF_W, None, False),
-    "B": (TemplateId.BANZHAF, charfun.CF_W, None, False),
-    "J": (TemplateId.JOHNSTON, charfun.CF_W, None, False),
-    "D": (TemplateId.DEEGAN_PACKEL, charfun.CF_A, ExplanationKind.AXP, False),
-    "H": (TemplateId.HOLLER_PACKEL, charfun.CF_A, ExplanationKind.AXP, False),
-    "R": (TemplateId.RESPONSIBILITY, charfun.CF_A, ExplanationKind.AXP, False),
-    "R_NORM": (TemplateId.RESPONSIBILITY, charfun.CF_A, ExplanationKind.AXP, True),
-    "A": (TemplateId.ANDJIGA, charfun.CF_W, ExplanationKind.WAXP, False),
+# fis id -> (name, template, characteristic id, family kind, divided by the
+# family size).  A family kind of None sums over all subsets; coverage (V)
+# has no template and reads no table, only its family.
+FIS_RECIPES = {
+    "E": ("expected_value", TemplateId.SHAPLEY_SHUBIK, charfun.CF_E, None, False),
+    "M": ("similarity", TemplateId.SHAPLEY_SHUBIK, charfun.CF_M, None, False),
+    "S": ("shapley_shubik", TemplateId.SHAPLEY_SHUBIK, charfun.CF_W, None, False),
+    "B": ("banzhaf", TemplateId.BANZHAF, charfun.CF_W, None, False),
+    "J": ("johnston", TemplateId.JOHNSTON, charfun.CF_W, None, False),
+    "D": ("deegan_packel", TemplateId.DEEGAN_PACKEL, charfun.CF_A, ExplanationKind.AXP, False),
+    "H": ("holler_packel", TemplateId.HOLLER_PACKEL, charfun.CF_A, ExplanationKind.AXP, False),
+    "R": ("responsibility", TemplateId.RESPONSIBILITY, charfun.CF_A, ExplanationKind.AXP, False),
+    "R_NORM": ("responsibility_normalized", TemplateId.RESPONSIBILITY, charfun.CF_A,
+               ExplanationKind.AXP, True),
+    "A": ("andjiga", TemplateId.ANDJIGA, charfun.CF_W, ExplanationKind.WAXP, False),
     # already the contrastive twin of R: max influence/size over minimal
     # contrastive subsets, read from the contrastive indicator
-    "C": (TemplateId.RESPONSIBILITY, charfun.CF_W_DUAL, ExplanationKind.CXP, False),
+    "C": ("contrastive_responsibility", TemplateId.RESPONSIBILITY, charfun.CF_W_DUAL,
+          ExplanationKind.CXP, False),
+    "V": ("coverage", None, None, ExplanationKind.AXP, False),
 }
+
+FIS_IDS = tuple(FIS_RECIPES)
+
+FIS_NAMES = {fis_id: recipe[0] for fis_id, recipe in FIS_RECIPES.items()}
 
 
 def parse_fis_id(text: str) -> tuple[str, bool]:
@@ -489,16 +471,16 @@ def compute_fis(fis_id: str, problem: ExplanationProblem, dual: bool = False) ->
 
 
 def _fis_vector(fis_id: str, problem: ExplanationProblem, dual: bool) -> ScoreVector:
-    if fis_id == "V":
-        return coverage_score(problem, contrastive=dual)
-    template, cf_id, family, normalized = _FIS_RECIPES[fis_id]
-    if dual:
-        cf_id = charfun.dual_id(cf_id)
-        family = family.dual if family else None
+    _, template, cf_id, family, by_family_size = FIS_RECIPES[fis_id]
+    if dual:  # sufficiency swapped for contrast, in the table and the family
+        cf_id = cf_id and charfun.dual_id(cf_id)
+        family = family and family.dual
+    if template is None:
+        return coverage_score(problem, family)
     # the template's vector, shared by every score with these inputs
     vec = problem._memo(("template", template, cf_id, family), lambda: template_score(
         template, problem, charfun.build_table(cf_id, problem), family))
-    if normalized:  # over the family size; an empty family scores 0 over 1
+    if by_family_size:  # an empty family scores 0 over 1
         return ScoreVector(vec.nums, vec.den * (len(explain.family(problem, family)) or 1))
     return vec
 
@@ -506,30 +488,30 @@ def _fis_vector(fis_id: str, problem: ExplanationProblem, dual: bool) -> ScoreVe
 # ---------------------------------------------------------------------------
 # coverage
 
-def _minimal_family(problem: ExplanationProblem, contrastive: bool):
-    return explain.enumerate_cxps(problem) if contrastive else explain.enumerate_axps(problem)
-
-
-def coverage_set(problem: ExplanationProblem, i: int, contrastive: bool = False) -> tuple:
-    """Points lying in the cube of some minimal explanation containing i."""
+def coverage_set(problem: ExplanationProblem, i: int,
+                 kind: ExplanationKind = ExplanationKind.AXP) -> tuple:
+    """Points lying in the cube of some member of the kind's family
+    containing i."""
     ranks: set[int] = set()
-    for s in _minimal_family(problem, contrastive).containing(i):
+    for s in explain.family(problem, kind).containing(i):
         ranks.update(problem.select_ranks(s))
     all_points = list(problem.classifier.points())
     return tuple(all_points[r] for r in sorted(ranks))
 
 
-def coverage_score(problem: ExplanationProblem, contrastive: bool = False) -> ScoreVector:
-    """Covered fraction of feature space per feature.
+def coverage_score(problem: ExplanationProblem,
+                   kind: ExplanationKind = ExplanationKind.AXP) -> ScoreVector:
+    """Covered fraction of feature space per feature, over the kind's family
+    (the minimal sufficient subsets by default).
 
     A point that agrees with the instance on exactly the mask A lies in the
-    cube of each minimal explanation S inside A, so it is covered for
-    feature i iff A is in the up-closure of the members containing i.  The
-    mask A holds prod over j not in A of (|D_j| - 1) points, so feature i
-    counts, per group of masks with one such count (charfun.exact_groups),
-    the count times the popcount of the group's covered masks.
+    cube of each member S inside A, so it is covered for feature i iff A is
+    in the up-closure of the members containing i.  The mask A holds prod
+    over j not in A of (|D_j| - 1) points, so feature i counts, per group of
+    masks with one such count (charfun.exact_groups), the count times the
+    popcount of the group's covered masks.
     """
-    family = _minimal_family(problem, contrastive)
+    family = explain.family(problem, kind)
     n = len(family.flags)
     members = int.from_bytes(family.flags, "little")
     groups = charfun.domain_weights(problem, charfun.exact_groups)
@@ -575,21 +557,17 @@ def minimal_winning_coalitions(game: WeightedVotingGame) -> tuple[int, ...]:
     return explain.members_of(explain.minimal_masks(game.winning_flags()))
 
 
-def wvg_power_index(game: WeightedVotingGame, template_id: TemplateId,
-                    normalized: bool = False) -> ScoreVector:
+def wvg_power_index(game: WeightedVotingGame, template_id: TemplateId) -> ScoreVector:
     """Classical power indices: the templates read the winning-coalition
     indicator, with minimal winning coalitions standing in for the minimal
-    sufficient subsets.  normalized applies to responsibility only."""
-    _refuse_normalized(template_id, normalized)
+    sufficient subsets."""
     table = charfun.cf_wvg(game)
     kind = TEMPLATE_DEFAULTS[template_id][1]
-    if kind is None:
-        nums, den = _score_all_subsets(template_id, table)
-    else:
+    family = None
+    if kind is not None:
         # the table's numerators are the winning coalitions' flags
         flags = table.nums
         if kind is ExplanationKind.AXP:
             flags = explain.minimal_masks(flags)
-        nums, den = _score_family(template_id, table, explain.ExplanationFamily(kind, flags),
-                                  normalized)
-    return ScoreVector(nums, den)
+        family = explain.ExplanationFamily(kind, flags)
+    return _template_vector(template_id, table, family)

@@ -129,6 +129,21 @@ def test_oracle_mismatch_is_an_internal_error(chain_model, monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+def test_score_oracle_past_eight_features_is_a_usage_error(tmp_path, capsys):
+    doc = {"features": [{"id": i, "values": [0, 1]} for i in range(1, 10)],
+           "classes": [0, 1],
+           "body": {"kind": "boolexpr", "expr": " | ".join(f"x{i}" for i in range(1, 10))},
+           "instance": {"point": [1] * 9, "label": 1}}
+    path = tmp_path / "nine.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "score", "--model", str(path), "--fis", "S", "--oracle")
+    assert (code, out) == (2, "")
+    assert err == "error: permutation oracle capped at 8 features, got 9\n"
+    # no Shapley-Shubik score, no oracle to run
+    code, _, _ = run(capsys, "score", "--model", str(path), "--fis", "B,DUAL(S)", "--oracle")
+    assert code == 0
+
+
 def test_score_formats_agree(chain_model, capsys):
     _, json_out, _ = run(capsys, "score", "--model", chain_model,
                          "--fis", "J", "--format", "json")
@@ -141,6 +156,22 @@ def test_score_formats_agree(chain_model, capsys):
     assert [r["value"] for r in rows] == values
     for v in values:
         assert v in text_out
+
+
+@pytest.mark.parametrize("repeated, once", [
+    ("S,S", ["S"]), ("S,shapley_shubik", ["S"]),
+    ("B,DUAL(S),b,S,dual(shapley_shubik)", ["B", "DUAL(S)", "S"])])
+def test_score_prints_each_named_score_once(repeated, once, chain_model, capsys):
+    # every format keeps the first occurrence of each (score, dual) pair
+    outputs = {fmt: run(capsys, "score", "--model", chain_model, "--fis", repeated,
+                        "--format", fmt) for fmt in ("json", "csv", "text")}
+    assert all(code == 0 for code, _, _ in outputs.values())
+    assert list(json.loads(outputs["json"][1])["scores"]) == sorted(once)
+    rows = list(csv.DictReader(io.StringIO(outputs["csv"][1])))
+    assert list(dict.fromkeys(r["fis"] for r in rows)) == once
+    assert outputs["text"][1].splitlines()[0].split() == ["feature"] + once
+    _, single, _ = run(capsys, "score", "--model", chain_model, "--fis", ",".join(once))
+    assert outputs["text"][1] == single
 
 
 def test_score_unknown_fis(chain_model, capsys):
@@ -241,6 +272,17 @@ def test_props_search_template_property_needs_a_template(prop, capsys):
     assert out == ""
     assert err == (f"error: props --search {prop} needs a template name "
                    f"in --fis, e.g. banzhaf\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["P05-x", "--fis", "E"], ["P03-strong", "--fis", "banzhaf"],
+    ["P09-weak-x", "--fis", "S"], ["P09-", "--fis", "S"], ["P09-none", "--fis", "S"]],
+    ids=lambda argv: argv[0])
+def test_props_search_refuses_an_unknown_property_suffix(argv, capsys):
+    code, out, err = run(capsys, "props", "--search", *argv, "--budget", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot check property {argv[0]!r}\n"
 
 
 def test_props_duality_tabulation(capsys):

@@ -162,21 +162,25 @@ def all_subsets_vector(template: TemplateId, table: CharacteristicTable) -> Scor
 
 def family_vector(template: TemplateId, table: CharacteristicTable | None,
                   members, m: int, normalized: bool = False) -> ScoreVector:
-    """The family core's (numerators, denominator) pair as a vector."""
-    return assert_reduced(ScoreVector(
-        *scores._family_walk(template, table, members, m, normalized)))
+    """The family core's (numerators, denominator) pair as a vector;
+    normalized divides it by the family size, as R_NORM does R's."""
+    members = tuple(members)
+    nums, den = scores._family_walk(template, table, members, m)
+    return assert_reduced(ScoreVector(nums, den * (len(members) or 1) if normalized else den))
 
 
 def oracle_fis(fis_id: str, problem, dual: bool) -> tuple[Fraction, ...]:
     """One FIS from the Fraction oracle cores on its table and family, and
     coverage from the union of select_ranks cubes."""
-    if fis_id == "V":
-        size = problem.classifier.space_size
-        return tuple(Fraction(len(scores.coverage_set(problem, i, dual)), size)
-                     for i in range(1, problem.m + 1))
-    template, cf_id, kind, normalized = scores._FIS_RECIPES[fis_id]
+    _, template, cf_id, kind, normalized = scores.FIS_RECIPES[fis_id]
     if dual:
-        cf_id, kind = charfun.dual_id(cf_id), kind and kind.dual
+        kind = kind and kind.dual
+    if template is None:  # coverage
+        size = problem.classifier.space_size
+        return tuple(Fraction(len(scores.coverage_set(problem, i, kind)), size)
+                     for i in range(1, problem.m + 1))
+    if dual:
+        cf_id = charfun.dual_id(cf_id)
     table = charfun.build_table(cf_id, problem)
     if kind is None:
         return oracle_score_all_subsets(template, table)
@@ -647,9 +651,9 @@ def test_scores_sharing_a_template_pass_match_fresh_problems(problem):
         size = len(explain.family(problem, kind))
         assert shared.values == tuple(v / (size or 1) for v in plain.values)
         alone = fresh(problem)
-        expected = scores.template_score(TemplateId.RESPONSIBILITY, alone,
-                                         charfun.build_table(cf_id, alone), kind,
-                                         normalized=True)
+        walked = scores.template_score(TemplateId.RESPONSIBILITY, alone,
+                                       charfun.build_table(cf_id, alone), kind)
+        expected = ScoreVector(walked.nums, walked.den * (size or 1))
         assert (shared.nums, shared.den) == (expected.nums, expected.den)
 
 
@@ -780,9 +784,9 @@ def test_tables_with_mixed_denominators():
         assert (all_subsets_vector(template, table).values
                 == oracle_score_all_subsets(template, table))
     members = explain.enumerate_waxps(problem).members
-    for template in FAMILY_TEMPLATES:
-        assert (family_vector(template, table, members, problem.m, True).values
-                == oracle_score_family(template, table, members, problem.m, True))
+    for template, normalized in FAMILY_VARIANTS:
+        assert (family_vector(template, table, members, problem.m, normalized).values
+                == oracle_score_family(template, table, members, problem.m, normalized))
 
 
 @pytest.mark.parametrize("m", range(0, 9))
@@ -1390,11 +1394,11 @@ def test_label_routes_match_per_point_evaluation(kind, top):
 
 def assert_coverage_is_cube_union(problem):
     size = problem.classifier.space_size
-    for contrastive in (False, True):
+    for kind in ExplanationKind:
         expected = tuple(
-            Fraction(len(scores.coverage_set(problem, i, contrastive)), size)
+            Fraction(len(scores.coverage_set(problem, i, kind)), size)
             for i in range(1, problem.m + 1))
-        assert scores.coverage_score(problem, contrastive).values == expected
+        assert scores.coverage_score(problem, kind).values == expected, kind
 
 
 @pytest.mark.parametrize("problem", [p for _, p in CORPUS], ids=[n for n, _ in CORPUS])

@@ -421,6 +421,25 @@ def test_search_strong_duality_finds_nothing():
     assert search_counterexample("P09-strong", "B", seed=0, budget=300) is None
 
 
+@pytest.mark.parametrize("property_id, subject", [
+    ("P05-x", "S"), ("P03-strong", "banzhaf"), ("P09-weak-x", "S"), ("P09-", "S"),
+    ("P09-none", "S"), ("P06", "S"), ("P10", "S"), ("p05", "S")])
+def test_unknown_property_ids_are_refused(property_id, subject, single):
+    message = f"^cannot check property {property_id!r}$"
+    with pytest.raises(ValueError, match=message):
+        props.audit(property_id, subject, single)
+    with pytest.raises(ValueError, match=message):
+        search_counterexample(property_id, subject, problems=[single], budget=1)
+    with pytest.raises(ValueError, match=message):
+        search_counterexample(property_id, subject, problems=[], budget=1)
+
+
+@pytest.mark.parametrize("level", ["", "-strong", "-equivalent", "-weak"])
+def test_duality_levels_are_accepted(level, single):
+    verdict = props.audit("P09" + level, "S", single)
+    assert verdict.holds and verdict.property_id == "P09" + level
+
+
 def test_search_on_fixed_problem_stream(single):
     witness = search_counterexample("P02", ("deegan_packel", charfun.CF_G),
                                     problems=[single], budget=1)

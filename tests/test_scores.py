@@ -6,6 +6,7 @@ import pytest
 
 from fislab import charfun, explain, props, scores
 from fislab.charfun import CharacteristicTable, cf_expected, cf_generator, cf_waxp
+from fislab.explain import ExplanationKind
 from fislab.model import DomainError, WeightedVotingGame
 from fislab.scores import (TemplateId, compute_fis, coverage_set, family_score,
                            minimal_winning_coalitions, parse_fis_id,
@@ -150,6 +151,17 @@ def test_family_score_accepts_masks_and_rejects_orderings():
         family_score(TemplateId.SHAPLEY_SHUBIK, (0b1,), 1)
 
 
+@pytest.mark.parametrize("template", list(TemplateId), ids=lambda t: t.value)
+def test_family_score_refuses_the_all_subset_templates(template):
+    # Shapley-Shubik, Banzhaf and Johnston sum over every subset of a table;
+    # the family templates score the bare family with unit influence
+    if scores.TEMPLATE_DEFAULTS[template][1] is None:
+        with pytest.raises(ValueError, match=f"^{template.value} needs a characteristic table"):
+            family_score(template, (0b011, 0b100), 3)
+    else:
+        assert family_score(template, (0b011, 0b100), 3).m == 3
+
+
 def test_family_score_rejects_features_beyond_the_space():
     with pytest.raises(DomainError):
         family_score(TemplateId.DEEGAN_PACKEL, [(1,), (2, 9)], 2)
@@ -255,7 +267,7 @@ def test_coverage_empty_for_irrelevant_feature(single):
 
 
 def test_coverage_contrastive_chain(chain):
-    assert len(coverage_set(chain, 1, contrastive=True)) == 8
+    assert len(coverage_set(chain, 1, ExplanationKind.CXP)) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -357,31 +369,6 @@ def test_parse_fis_id():
 def test_template_score_rejects_foreign_table(chain, single):
     with pytest.raises(ValueError):
         template_score(TemplateId.BANZHAF, chain, cf_waxp(single))
-
-
-@pytest.mark.parametrize("template", [t for t in TemplateId
-                                      if t is not TemplateId.RESPONSIBILITY])
-def test_only_responsibility_takes_normalized(chain, template):
-    table = charfun.build_table(scores.TEMPLATE_DEFAULTS[template][0], chain)
-    with pytest.raises(ValueError, match="no normalized form"):
-        template_score(template, chain, table, normalized=True)
-    with pytest.raises(ValueError, match="no normalized form"):
-        wvg_power_index(WeightedVotingGame(2, (1, 1, 1)), template, normalized=True)
-    if scores.TEMPLATE_DEFAULTS[template][1] is not None:
-        with pytest.raises(ValueError, match="no normalized form"):
-            family_score(template, (0b011, 0b100), 3, normalized=True)
-
-
-def test_responsibility_takes_normalized():
-    # template_score's normalized form is checked against R_NORM in test_kernel
-    members = (0b011, 0b100)
-    plain, norm = (family_score(TemplateId.RESPONSIBILITY, members, 3, normalized=flag)
-                   for flag in (False, True))
-    assert norm.values == tuple(v / 2 for v in plain.values)
-    game = WeightedVotingGame(2, (1, 1, 1))  # three minimal winning pairs
-    plain, norm = (wvg_power_index(game, TemplateId.RESPONSIBILITY, normalized=flag)
-                   for flag in (False, True))
-    assert norm.values == tuple(v / 3 for v in plain.values) == (F(1, 6),) * 3
 
 
 def test_compute_fis_rejects_unknown(chain):
