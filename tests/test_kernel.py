@@ -174,13 +174,11 @@ def oracle_fis(fis_id: str, problem, dual: bool) -> tuple[Fraction, ...]:
     coverage from the union of select_ranks cubes."""
     _, template, cf_id, kind, normalized = scores.FIS_RECIPES[fis_id]
     if dual:
-        kind = kind and kind.dual
+        cf_id, kind = cf_id and charfun.dual_id(cf_id), kind and kind.dual
     if template is None:  # coverage
         size = problem.classifier.space_size
         return tuple(Fraction(len(scores.coverage_set(problem, i, kind)), size)
                      for i in range(1, problem.m + 1))
-    if dual:
-        cf_id = charfun.dual_id(cf_id)
     table = charfun.build_table(cf_id, problem)
     if kind is None:
         return oracle_score_all_subsets(template, table)
