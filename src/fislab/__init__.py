@@ -8,17 +8,15 @@ standard property catalog.
 """
 
 from .charfun import (CF_A, CF_A_DUAL, CF_E, CF_G, CF_M, CF_SUM, CF_W,
-                      CF_W_DUAL, CF_WVG, CharacteristicTable, cf_axp, cf_cxp,
-                      cf_expected, cf_generator, cf_similarity, cf_sum,
-                      cf_waxp, cf_wcxp, cf_wvg, delta_total)
+                      CF_W_DUAL, CF_WVG, CharacteristicTable, build_table,
+                      cf_sum, cf_wvg, delta_total)
 from .explain import (ExplanationFamily, ExplanationKind, enumerate_axps,
-                      enumerate_cxps, enumerate_waxps, enumerate_wcxps,
-                      is_critical, is_critical_dual, is_waxp, is_wcxp,
-                      minimal_hitting_sets, relevant_features)
+                      enumerate_cxps, is_critical, is_critical_dual, is_waxp,
+                      is_wcxp, minimal_hitting_sets, relevant_features)
 from .model import (Classifier, DomainError, ExplanationProblem,
                     FeatureDomain, Instance, ParseError, RelabelError,
                     ScaleLimitError, WeightedVotingGame, agreement_set,
-                    as_mask, evaluate, features_of, load_problem, make_problem,
+                    as_mask, features_of, load_problem, make_problem,
                     mask_of, parse_boolean_expression, parse_model,
                     problem_to_document, relabel_classes)
 from .props import (DualityLevel, DualityVerdict, PropertyVerdict, Witness,

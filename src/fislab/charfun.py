@@ -32,13 +32,14 @@ CF_G = "CF_G"            # indicator of generators (every one-feature extension 
 CF_WVG = "CF_WVG"        # indicator of winning coalitions
 CF_SUM = "CF_SUM"
 
-# the indicator table of each explanation family.  A table's dual is the
+# the explanation family each indicator table reads.  A table's dual is the
 # indicator of the dual family; CF_E and CF_M read no family and are their
 # own duals.
-_INDICATOR = {ExplanationKind.WAXP: CF_W, ExplanationKind.WCXP: CF_W_DUAL,
-              ExplanationKind.AXP: CF_A, ExplanationKind.CXP: CF_A_DUAL}
+_FAMILY = {CF_W: ExplanationKind.WAXP, CF_W_DUAL: ExplanationKind.WCXP,
+           CF_A: ExplanationKind.AXP, CF_A_DUAL: ExplanationKind.CXP}
 _DUALS = {CF_E: CF_E, CF_M: CF_M}
-_DUALS.update((cf_id, _INDICATOR[kind.dual]) for kind, cf_id in _INDICATOR.items())
+_DUALS.update((cf_id, twin) for cf_id, kind in _FAMILY.items()
+              for twin, twin_kind in _FAMILY.items() if twin_kind is kind.dual)
 
 
 @dataclass(frozen=True)
@@ -127,71 +128,53 @@ def _kept_weights(weights, sizes: tuple[int, ...]):
     return weights(sizes)
 
 
-def _agreement_table(problem: ExplanationProblem, cf_id: str) -> CharacteristicTable:
-    """CF_E or CF_M, built together from one fold (model.agreement_sums) and
-    kept on the problem each under its own key.  Each mask's sums over the
-    points agreeing on S become numerators over the space size: those
-    points number the space size over mask_scale's entry for S, so that
-    entry scales S."""
-    cache = problem._cache
-    if ("cf", cf_id) not in cache:
+def build_table(cf_id: str, problem: ExplanationProblem) -> CharacteristicTable:
+    """The problem's table of the given id, built on first request and kept
+    on the problem under ("cf", cf_id).
+
+    CF_E (mean class label over the points that agree with the instance on
+    S) and CF_M (fraction of those points keeping the prediction) are built
+    together from one fold (model.agreement_sums), each under its own key.
+    Each mask's sums over the points agreeing on S become numerators over
+    the space size: those points number the space size over mask_scale's
+    entry for S, so that entry scales S.  An indicator's numerators are its
+    family's flags, and CF_G's are _generator_flags of the sufficient flags.
+    """
+    cache, key = problem._cache, ("cf", cf_id)
+    if key in cache:
+        return cache[key]
+    if cf_id in (CF_E, CF_M):
         scale = domain_weights(problem, mask_scale)
         den = problem.classifier.space_size
         for table_id, sums in zip((CF_E, CF_M), agreement_sums(problem)):
             cache["cf", table_id] = CharacteristicTable(
                 table_id, problem.m, tuple(map(mul, sums, scale)), den)
-    return cache["cf", cf_id]
+        return cache[key]
+    if cf_id in _FAMILY:
+        flags = explain.family(problem, _FAMILY[cf_id]).flags
+    elif cf_id == CF_G:
+        flags = _generator_flags(explain.family(problem, ExplanationKind.WAXP).flags)
+    else:
+        raise ValueError(f"unknown characteristic function id {cf_id!r}")
+    table = cache[key] = CharacteristicTable(cf_id, problem.m, flags, 1)
+    return table
 
 
-def cf_expected(problem: ExplanationProblem) -> CharacteristicTable:
-    """Mean class label over the points that agree with the instance on S."""
-    return _agreement_table(problem, CF_E)
-
-
-def cf_similarity(problem: ExplanationProblem) -> CharacteristicTable:
-    """Fraction of agreeing points whose prediction matches the instance."""
-    return _agreement_table(problem, CF_M)
-
-
-def _family_indicator(problem, kind) -> CharacteristicTable:
-    cf_id = _INDICATOR[kind]
-    return problem._memo(("cf", cf_id), lambda: CharacteristicTable(
-        cf_id, problem.m, explain.family(problem, kind).flags, 1))
-
-
-def cf_waxp(problem: ExplanationProblem) -> CharacteristicTable:
-    return _family_indicator(problem, ExplanationKind.WAXP)
-
-
-def cf_wcxp(problem: ExplanationProblem) -> CharacteristicTable:
-    return _family_indicator(problem, ExplanationKind.WCXP)
-
-
-def cf_axp(problem: ExplanationProblem) -> CharacteristicTable:
-    return _family_indicator(problem, ExplanationKind.AXP)
-
-
-def cf_cxp(problem: ExplanationProblem) -> CharacteristicTable:
-    return _family_indicator(problem, ExplanationKind.CXP)
-
-
-def cf_generator(problem: ExplanationProblem) -> CharacteristicTable:
-    """Indicator of subsets whose every one-feature extension is sufficient.
+def _generator_flags(sufficient: bytes) -> bytes:
+    """Flags of the subsets whose every one-feature extension is sufficient.
 
     The full set qualifies vacuously.  Per bit b, shifting the sufficient
     flags down by one step of 8 << b puts each mask's extension by b at the
     mask itself; a mask lacking b whose extension is not sufficient is no
     generator.
     """
-    def build():
-        n = 1 << problem.m
-        sufficient = int.from_bytes(explain.enumerate_waxps(problem).flags, "little")
-        failed = 0
-        for b, lacking in enumerate(lacking_bit(n)):
-            failed |= lacking & ~(sufficient >> (8 << b))
-        generator = int.from_bytes(b"\x01" * n, "little") & ~failed
-        return CharacteristicTable(CF_G, problem.m, generator.to_bytes(n, "little"), 1)
-    return problem._memo(("cf", CF_G), build)
+    n = len(sufficient)
+    table = int.from_bytes(sufficient, "little")
+    failed = 0
+    for b, lacking in enumerate(lacking_bit(n)):
+        failed |= lacking & ~(table >> (8 << b))
+    generator = int.from_bytes(b"\x01" * n, "little") & ~failed
+    return generator.to_bytes(n, "little")
 
 
 def cf_wvg(game: WeightedVotingGame) -> CharacteristicTable:
@@ -215,25 +198,6 @@ def dual_id(cf_id: str) -> str:
     if cf_id not in _DUALS:
         raise ValueError(f"no dual defined for {cf_id}")
     return _DUALS[cf_id]
-
-
-_BUILDERS = {
-    CF_E: cf_expected,
-    CF_M: cf_similarity,
-    CF_A: cf_axp,
-    CF_A_DUAL: cf_cxp,
-    CF_W: cf_waxp,
-    CF_W_DUAL: cf_wcxp,
-    CF_G: cf_generator,
-}
-
-
-def build_table(cf_id: str, problem: ExplanationProblem) -> CharacteristicTable:
-    try:
-        builder = _BUILDERS[cf_id]
-    except KeyError:
-        raise ValueError(f"unknown characteristic function id {cf_id!r}") from None
-    return builder(problem)
 
 
 def delta_total(table: CharacteristicTable, subset) -> Fraction:

@@ -125,13 +125,14 @@ def _parse_point(classifier, text: str) -> tuple:
                           f"model has {classifier.m} features")
     point = []
     for token, dom in zip(tokens, classifier.features):
-        for value in dom.values:
-            if str(value) == token:
-                point.append(value)
-                break
-        else:
+        named = [value for value in dom.values if str(value) == token]
+        if not named:
             raise DomainError(f"value {token!r} not in the domain of "
                               f"feature {dom.feature_id}")
+        if len(named) > 1:
+            raise DomainError(f"value {token!r} names {len(named)} values of "
+                              f"feature {dom.feature_id}: {named}")
+        point.append(named[0])
     return tuple(point)
 
 
@@ -141,6 +142,20 @@ def _parse_fis_list(text: str) -> list[tuple[str, bool]]:
         return [(fid, False) for fid in FIS_IDS]
     return list(dict.fromkeys(scores.parse_fis_id(part) for part in text.split(",")
                               if part.strip()))
+
+
+def _vector_entry(vec) -> dict:
+    """A score vector's exact values and 6-place decimals, as reported."""
+    return {"values": vec.as_strings(),
+            "decimals": [_decimal(n, vec.den) for n in vec.nums]}
+
+
+def _vector_grid(first: str, m: int, result: dict[str, dict]) -> str:
+    """One row per feature and one column per entry of result, each cell
+    the exact value and its decimal."""
+    rows = [[str(i)] + [f"{entry['values'][i - 1]} ({entry['decimals'][i - 1]})"
+                        for entry in result.values()] for i in range(1, m + 1)]
+    return _grid([first, *result], rows)
 
 
 def _grid(headers: list[str], rows: list[list[str]]) -> str:
@@ -213,11 +228,7 @@ def cmd_score(args) -> int:
     for fis_id, dual in wanted:
         label = f"DUAL({fis_id})" if dual else fis_id
         vec = scores.compute_fis(fis_id, problem, dual=dual)
-        entry = {
-            "name": scores.FIS_NAMES[fis_id],
-            "values": vec.as_strings(),
-            "decimals": [_decimal(n, vec.den) for n in vec.nums],
-        }
+        entry = {"name": scores.FIS_NAMES[fis_id], **_vector_entry(vec)}
         if args.dual and not dual:
             dvec = scores.compute_fis(fis_id, problem, dual=True)
             entry["dual_values"] = dvec.as_strings()
@@ -249,17 +260,7 @@ def cmd_score(args) -> int:
         return rows
 
     def build_text():
-        headers = ["feature"] + [label for label, _ in
-                                 ((f"DUAL({f})" if d else f, d) for f, d in wanted)]
-        table_rows = []
-        for i in range(1, problem.m + 1):
-            row = [str(i)]
-            for fis_id, dual in wanted:
-                label = f"DUAL({fis_id})" if dual else fis_id
-                entry = result[label]
-                row.append(f"{entry['values'][i - 1]} ({entry['decimals'][i - 1]})")
-            table_rows.append(row)
-        text = _grid(headers, table_rows)
+        text = _vector_grid("feature", problem.m, result)
         notes = []
         for label, entry in result.items():
             if "oracle" in entry:
@@ -421,30 +422,18 @@ def cmd_wvg(args) -> int:
     if args.template.strip().lower() == "all":
         templates = list(TemplateId)
     else:
-        templates = [TemplateId(t.strip()) for t in args.template.split(",")]
-    result = {}
-    for template in templates:
-        vec = scores.wvg_power_index(game, template)
-        result[template.value] = {
-            "values": vec.as_strings(),
-            "decimals": [_decimal(n, vec.den) for n in vec.nums],
-        }
+        # each template once, in the order first named
+        templates = dict.fromkeys(TemplateId(t.strip()) for t in args.template.split(","))
+    result = {template.value: _vector_entry(scores.wvg_power_index(game, template))
+              for template in templates}
     report = {"command": "wvg", "quota": args.quota, "weights": list(weights),
               "indices": result}
     rows = [{"template": name, "voter": i, "value": entry["values"][i - 1],
              "decimal": entry["decimals"][i - 1]}
             for name, entry in result.items()
             for i in range(1, game.m + 1)]
-    headers = ["voter"] + [t.value for t in templates]
-    table_rows = []
-    for i in range(1, game.m + 1):
-        row = [str(i)]
-        for t in templates:
-            entry = result[t.value]
-            row.append(f"{entry['values'][i - 1]} ({entry['decimals'][i - 1]})")
-        table_rows.append(row)
     text = (f"game: quota {args.quota}, weights {list(weights)}\n"
-            + _grid(headers, table_rows))
+            + _vector_grid("voter", game.m, result))
     _emit(report, lambda: rows, lambda: text, args.format)
     return 0
 

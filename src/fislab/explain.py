@@ -147,14 +147,6 @@ def _build_family(problem, kind):
     return ExplanationFamily(kind, flags)
 
 
-def enumerate_waxps(problem: ExplanationProblem) -> ExplanationFamily:
-    return family(problem, ExplanationKind.WAXP)
-
-
-def enumerate_wcxps(problem: ExplanationProblem) -> ExplanationFamily:
-    return family(problem, ExplanationKind.WCXP)
-
-
 def enumerate_axps(problem: ExplanationProblem) -> ExplanationFamily:
     """Subset-minimal weak abductive explanations."""
     return family(problem, ExplanationKind.AXP)

@@ -588,11 +588,6 @@ def _check_expr_vars(node, m: int):
         _check_expr_vars(node.right, m)
 
 
-def evaluate(classifier: Classifier, point) -> int:
-    """Class of a point; raises DomainError outside the feature space."""
-    return classifier.evaluate(point)
-
-
 def relabel_classes(classifier: Classifier, sigma: Mapping[int, int]) -> Classifier:
     """New classifier emitting sigma(old label) everywhere.
 

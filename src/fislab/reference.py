@@ -94,18 +94,18 @@ def run_checks() -> list[CheckResult]:
           list(features_of(explain.relevant_features(single))), "[1]")
 
     # characteristic tables
-    nu_w = charfun.cf_waxp(chain)
-    nu_wd = charfun.cf_wcxp(chain)
+    nu_w = charfun.build_table(charfun.CF_W, chain)
+    nu_wd = charfun.build_table(charfun.CF_W_DUAL, chain)
     check("charfun", "chain_sufficient_count",
           sum(1 for n in nu_w.nums if n), "5")
     check("charfun", "chain_contrastive_of_{1}", nu_wd.value([1]), "1")
     check("charfun", "chain_minimal_indicator_of_{1,2}",
-          charfun.cf_axp(chain).value([1, 2]), "1")
+          charfun.build_table(charfun.CF_A, chain).value([1, 2]), "1")
     check("charfun", "chain_influence_total_{1,2,3}",
           charfun.delta_total(nu_w, [1, 2, 3]), "2")
     check("charfun", "chain_influence_total_full",
           charfun.delta_total(nu_w, [1, 2, 3, 4]), "1")
-    nu_g = charfun.cf_generator(single)
+    nu_g = charfun.build_table(charfun.CF_G, single)
     check("charfun", "single_generator_values",
           ",".join(str(nu_g[mask]) for mask in range(4)), "0,1,1,1")
 

@@ -39,19 +39,6 @@ class TemplateId(enum.Enum):
     __hash__ = object.__hash__
 
 
-# template -> (canonical characteristic id, family summed over); a family of
-# None means all 2^m subsets
-TEMPLATE_DEFAULTS = {
-    TemplateId.SHAPLEY_SHUBIK: (charfun.CF_W, None),
-    TemplateId.BANZHAF: (charfun.CF_W, None),
-    TemplateId.JOHNSTON: (charfun.CF_W, None),
-    TemplateId.DEEGAN_PACKEL: (charfun.CF_A, ExplanationKind.AXP),
-    TemplateId.HOLLER_PACKEL: (charfun.CF_A, ExplanationKind.AXP),
-    TemplateId.RESPONSIBILITY: (charfun.CF_A, ExplanationKind.AXP),
-    TemplateId.ANDJIGA: (charfun.CF_W, ExplanationKind.WAXP),
-}
-
-
 @dataclass(frozen=True)
 class ScoreVector:
     """Per-feature exact rationals for one score on one problem: feature i
@@ -430,6 +417,13 @@ FIS_RECIPES = {
 FIS_IDS = tuple(FIS_RECIPES)
 
 FIS_NAMES = {fis_id: recipe[0] for fis_id, recipe in FIS_RECIPES.items()}
+
+# template -> (canonical characteristic id, family summed over): the recipe
+# of the score named after the template.  A family of None means all 2^m
+# subsets.
+TEMPLATE_DEFAULTS = {template: (cf_id, kind)
+                     for name, template, cf_id, kind, _ in FIS_RECIPES.values()
+                     if template is not None and name == template.value}
 
 
 def parse_fis_id(text: str) -> tuple[str, bool]:

@@ -85,7 +85,7 @@ def test_criterion_2_swing_score_golden_vectors():
 def test_criterion_3_symmetry_witness_on_generator_table():
     t0 = time.perf_counter()
     problem = single_decider_problem()
-    table = charfun.cf_generator(problem)
+    table = charfun.build_table(charfun.CF_G, problem)
     one = {TemplateId.DEEGAN_PACKEL, TemplateId.HOLLER_PACKEL,
            TemplateId.RESPONSIBILITY}
     for template in one | {TemplateId.ANDJIGA}:
@@ -156,11 +156,11 @@ def test_criterion_6_hitting_set_and_complementation_duality():
 
 def test_criterion_7_permutation_oracle_equivalence():
     t0 = time.perf_counter()
-    builders = (charfun.cf_waxp, charfun.cf_expected, charfun.cf_similarity)
+    cf_ids = (charfun.CF_W, charfun.CF_E, charfun.CF_M)
     for k in range(50):
         problem = props.random_problem(0, k, (2, 5))
-        for build in builders:
-            table = build(problem)
+        for cf_id in cf_ids:
+            table = charfun.build_table(cf_id, problem)
             oracle = scores.shapley_permutation_oracle(problem, table)
             formula = scores.template_score(TemplateId.SHAPLEY_SHUBIK,
                                             problem, table)
@@ -180,7 +180,7 @@ def test_criterion_8_efficiency_and_gamma():
         assert compute_fis("H", problem).total() == avg_size
         # the expected-value total only reaches the prediction after adding
         # back the empty-set baseline
-        expected = charfun.cf_expected(problem)
+        expected = charfun.build_table(charfun.CF_E, problem)
         baseline = expected.values[0]
         total = compute_fis("E", problem).total()
         assert total == expected.values[problem.full_mask] - baseline

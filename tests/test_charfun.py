@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from fislab import charfun, explain, props
-from fislab.charfun import (CharacteristicTable, cf_axp, cf_cxp, cf_expected,
-                            cf_generator, cf_similarity, cf_sum, cf_waxp,
-                            cf_wcxp, cf_wvg, delta_total)
+from fislab import charfun, explain, props, scores
+from fislab.charfun import (CF_A, CF_A_DUAL, CF_E, CF_G, CF_M, CF_W, CF_W_DUAL,
+                            CharacteristicTable, build_table, cf_sum, cf_wvg,
+                            delta_total)
 from fislab.explain import ExplanationKind, is_critical
 from fislab.model import (Classifier, ExplanationProblem, FeatureDomain, TableBody,
                           WeightedVotingGame, as_mask, make_problem, mask_of)
+from fislab.scores import TemplateId
+from test_kernel import CORPUS
 
 
 def delta_i(table, i: int, subset) -> Fraction:
@@ -61,25 +63,25 @@ def test_exact_groups_drop_the_masks_a_one_value_domain_empties():
 
 
 def test_expected_value_chain(chain):
-    table = cf_expected(chain)
+    table = build_table(CF_E, chain)
     assert table.value(0) == Fraction(5, 16)
     assert table.value(chain.full_mask) == 1
     assert brute_expected(chain, set()) == Fraction(5, 16)
 
 
 def test_expected_value_single(single):
-    assert cf_expected(single).value(0) == Fraction(1, 2)
+    assert build_table(CF_E, single).value(0) == Fraction(1, 2)
 
 
 def test_expected_matches_brute_force_everywhere(chain):
-    table = cf_expected(chain)
+    table = build_table(CF_E, chain)
     for r in range(5):
         for c in itertools.combinations(range(1, 5), r):
             assert table.value(mask_of(c, 4)) == brute_expected(chain, set(c))
 
 
 def test_similarity_chain(chain):
-    table = cf_similarity(chain)
+    table = build_table(CF_M, chain)
     assert table.value([1, 2]) == 1
     assert table.value(chain.full_mask) == 1
     assert table.value(0) == Fraction(5, 16)
@@ -88,8 +90,8 @@ def test_similarity_chain(chain):
 def test_similarity_one_exactly_on_sufficient_subsets():
     for k in range(25):
         problem = props.random_problem(31, k, (2, 5))
-        sim = cf_similarity(problem)
-        suff = cf_waxp(problem)
+        sim = build_table(CF_M, problem)
+        suff = build_table(CF_W, problem)
         for mask in range(1 << problem.m):
             assert (sim[mask] == 1) == (suff[mask] == 1)
 
@@ -99,8 +101,8 @@ def test_similarity_vs_expected_boolean_relation():
     for k in range(40):
         problem = props.random_problem(37, k, (2, 5))
         seen.add(problem.c)
-        sim = cf_similarity(problem)
-        exp = cf_expected(problem)
+        sim = build_table(CF_M, problem)
+        exp = build_table(CF_E, problem)
         for mask in range(1 << problem.m):
             if problem.c == 1:
                 assert sim[mask] == exp[mask]
@@ -113,14 +115,14 @@ def test_similarity_vs_expected_boolean_relation():
 # indicator tables
 
 def test_minimal_indicator_chain(chain):
-    table = cf_axp(chain)
+    table = build_table(CF_A, chain)
     assert table.value([1, 2]) == 1
     assert table.value([1, 2, 3]) == 0  # sufficient but not minimal
     assert table.value(0) == 0
 
 
 def test_sufficiency_indicator_chain(chain):
-    table = cf_waxp(chain)
+    table = build_table(CF_W, chain)
     ones = [mask for mask in range(16) if table[mask] == 1]
     assert ones == sorted([mask_of(s, 4) for s in
                            ([1, 2], [1, 2, 3], [1, 2, 4], [1, 3, 4], [1, 2, 3, 4])])
@@ -129,16 +131,16 @@ def test_sufficiency_indicator_chain(chain):
 
 
 def test_contrastive_indicator_chain(chain):
-    assert cf_wcxp(chain).value([1]) == 1
+    assert build_table(CF_W_DUAL, chain).value([1]) == 1
 
 
 def test_generator_single_decider(single):
-    table = cf_generator(single)
+    table = build_table(CF_G, single)
     assert [table[mask] for mask in range(4)] == [0, 1, 1, 1]
 
 
 def test_generator_chain_ends(chain):
-    table = cf_generator(chain)
+    table = build_table(CF_G, chain)
     assert table.value(chain.full_mask) == 1  # vacuous
     assert table.value(0) == 0  # no single feature suffices
 
@@ -167,14 +169,14 @@ def test_wvg_quota_equals_total_weight():
 # sums and deltas
 
 def test_sum_doubles_indicator(chain):
-    table = cf_waxp(chain)
+    table = build_table(CF_W, chain)
     double = cf_sum(table, table)
     for mask in range(16):
         assert double[mask] == 2 * table[mask]
 
 
 def test_sum_of_expected_and_similarity_at_empty(chain):
-    combined = cf_sum(cf_expected(chain), cf_similarity(chain))
+    combined = cf_sum(build_table(CF_E, chain), build_table(CF_M, chain))
     assert combined.value(0) == Fraction(10, 16)
 
 
@@ -184,21 +186,52 @@ def test_expected_and_similarity_come_from_one_fold(chain, monkeypatch):
     folds = []
     fold = charfun.agreement_sums
     monkeypatch.setattr(charfun, "agreement_sums", lambda p: folds.append(p) or fold(p))
-    expected = cf_expected(problem)
+    expected = build_table(CF_E, problem)
     assert problem._cache["cf", charfun.CF_E] is expected
     similar = problem._cache["cf", charfun.CF_M]
-    assert cf_similarity(problem) is similar and folds == [problem]
+    assert build_table(CF_M, problem) is similar and folds == [problem]
+
+
+@pytest.mark.parametrize("cf_id", [CF_E, CF_M, CF_W, CF_W_DUAL, CF_A, CF_A_DUAL, CF_G])
+def test_build_table_keeps_each_table_on_its_problem(cf_id, chain):
+    for seen in [chain] + [p for _, p in CORPUS]:
+        problem = ExplanationProblem(seen.classifier, seen.instance)
+        table = build_table(cf_id, problem)
+        assert table.cf_id == cf_id and problem._cache["cf", cf_id] is table
+        assert build_table(cf_id, problem) is table
+
+
+@pytest.mark.parametrize("cf_id", [charfun.CF_SUM, charfun.CF_WVG, "CF_X"])
+def test_build_table_refuses_an_id_no_problem_defines(cf_id, chain):
+    # a sum and a voting game's table are built from tables and games
+    with pytest.raises(ValueError, match=f"unknown characteristic function id '{cf_id}'"):
+        build_table(cf_id, chain)
+    assert ("cf", cf_id) not in chain._cache
+
+
+def test_template_defaults_are_the_recipes_named_after_the_templates():
+    # the table and family each template defaults to, written out
+    assert scores.TEMPLATE_DEFAULTS == {
+        TemplateId.SHAPLEY_SHUBIK: (CF_W, None),
+        TemplateId.BANZHAF: (CF_W, None),
+        TemplateId.JOHNSTON: (CF_W, None),
+        TemplateId.DEEGAN_PACKEL: (CF_A, ExplanationKind.AXP),
+        TemplateId.HOLLER_PACKEL: (CF_A, ExplanationKind.AXP),
+        TemplateId.RESPONSIBILITY: (CF_A, ExplanationKind.AXP),
+        TemplateId.ANDJIGA: (CF_W, ExplanationKind.WAXP),
+    }
+    assert list(scores.TEMPLATE_DEFAULTS) == list(TemplateId)
 
 
 def test_indicator_numerators_are_the_family_flags(chain):
     problem = ExplanationProblem(chain.classifier, chain.instance)
-    for kind, build in ((ExplanationKind.WAXP, cf_waxp), (ExplanationKind.WCXP, cf_wcxp),
-                        (ExplanationKind.AXP, cf_axp), (ExplanationKind.CXP, cf_cxp)):
-        assert build(problem).nums is explain.family(problem, kind).flags
+    for kind, cf_id in ((ExplanationKind.WAXP, CF_W), (ExplanationKind.WCXP, CF_W_DUAL),
+                        (ExplanationKind.AXP, CF_A), (ExplanationKind.CXP, CF_A_DUAL)):
+        assert build_table(cf_id, problem).nums is explain.family(problem, kind).flags
 
 
 def test_sum_with_zero_table_is_identity(chain):
-    table = cf_expected(chain)
+    table = build_table(CF_E, chain)
     zero = CharacteristicTable(charfun.CF_SUM, 4, (0,) * 16, 1)
     assert cf_sum(table, zero).values == table.values
 
@@ -229,11 +262,11 @@ def test_malformed_table_is_refused(nums, den):
 
 def test_sum_rejects_dimension_mismatch(chain, single):
     with pytest.raises(ValueError):
-        cf_sum(cf_waxp(chain), cf_waxp(single))
+        cf_sum(build_table(CF_W, chain), build_table(CF_W, single))
 
 
 def test_delta_examples(chain):
-    table = cf_waxp(chain)
+    table = build_table(CF_W, chain)
     assert delta_total(table, [1, 2, 3]) == 2
     assert delta_total(table, chain.full_mask) == 1
     for i in range(1, 5):
@@ -243,7 +276,7 @@ def test_delta_examples(chain):
 def test_delta_on_sufficiency_is_criticality(chain):
     problems = [chain] + [props.random_problem(41, k, (2, 5)) for k in range(15)]
     for problem in problems:
-        table = cf_waxp(problem)
+        table = build_table(CF_W, problem)
         for mask in range(1, 1 << problem.m):
             for i in range(1, problem.m + 1):
                 if mask >> (i - 1) & 1:
@@ -253,7 +286,7 @@ def test_delta_on_sufficiency_is_criticality(chain):
 
 
 def test_delta_is_linear_under_sum(chain):
-    t1, t2 = cf_expected(chain), cf_waxp(chain)
+    t1, t2 = build_table(CF_E, chain), build_table(CF_W, chain)
     combined = cf_sum(t1, t2)
     for mask in range(1, 16):
         for i in range(1, 5):
@@ -268,8 +301,8 @@ def test_delta_is_linear_under_sum(chain):
 def test_sufficiency_contrastive_complement_relation():
     for k in range(20):
         problem = props.random_problem(43, k, (2, 6))
-        suff = cf_waxp(problem)
-        cont = cf_wcxp(problem)
+        suff = build_table(CF_W, problem)
+        cont = build_table(CF_W_DUAL, problem)
         full = problem.full_mask
         for s in range(1 << problem.m):
             assert (suff[s] == 1) == (cont[full & ~s] == 0)
@@ -279,9 +312,9 @@ def test_dual_table_mapping(chain):
     def dual(table):
         return charfun.build_table(charfun.dual_id(table.cf_id), chain)
 
-    assert dual(cf_waxp(chain)).values == cf_wcxp(chain).values
-    assert dual(cf_axp(chain)).values == cf_cxp(chain).values
-    assert dual(cf_expected(chain)).values == cf_expected(chain).values
+    assert dual(build_table(CF_W, chain)).values == build_table(CF_W_DUAL, chain).values
+    assert dual(build_table(CF_A, chain)).values == build_table(CF_A_DUAL, chain).values
+    assert dual(build_table(CF_E, chain)).values == build_table(CF_E, chain).values
     with pytest.raises(ValueError):
         dual(cf_wvg(WeightedVotingGame(1, (1, 1))))
 
@@ -290,12 +323,12 @@ def test_table_invariants_on_random_problems():
     for k in range(15):
         problem = props.random_problem(47, k, (2, 5))
         full = problem.full_mask
-        suff = cf_waxp(problem)
+        suff = build_table(CF_W, problem)
         assert suff[full] == 1 and suff[0] == 0
-        sim = cf_similarity(problem)
+        sim = build_table(CF_M, problem)
         assert sim[full] == 1
         assert all(0 <= v <= 1 for v in sim.values)
-        assert cf_expected(problem)[full] == problem.c
+        assert build_table(CF_E, problem)[full] == problem.c
         for mask in range(1 << problem.m):
             for i in range(problem.m):
                 if not mask >> i & 1:

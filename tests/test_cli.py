@@ -357,6 +357,20 @@ def test_wvg_symmetric_game(capsys):
     assert report["indices"]["shapley_shubik"]["values"] == ["1/3"] * 3
 
 
+def test_wvg_reports_each_named_template_once(capsys):
+    # every format counts a template once, in the order first named
+    argv = ("wvg", "--quota", "2", "--weights", "2,1,1", "--template")
+    outputs = {fmt: run(capsys, *argv, "johnston,banzhaf,johnston", "--format", fmt)
+               for fmt in ("json", "csv", "text")}
+    assert all(code == 0 for code, _, _ in outputs.values())
+    assert list(json.loads(outputs["json"][1])["indices"]) == ["banzhaf", "johnston"]
+    rows = list(csv.DictReader(io.StringIO(outputs["csv"][1])))
+    assert [r["template"] for r in rows] == ["johnston"] * 3 + ["banzhaf"] * 3
+    assert outputs["text"][1].splitlines()[1].split() == ["voter", "johnston", "banzhaf"]
+    _, once, _ = run(capsys, *argv, "johnston,banzhaf")
+    assert outputs["text"][1] == once
+
+
 def test_wvg_quota_above_total_weight(capsys):
     code, _, err = run(capsys, "wvg", "--quota", "5", "--weights", "2,1,1")
     assert code == 2
@@ -740,6 +754,23 @@ def test_instance_value_of_another_type_is_a_usage_error(value, message, tmp_pat
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_instance_token_naming_two_domain_values_is_a_usage_error(tmp_path, capsys):
+    # "1" writes both the domain's "1" and its 1: taking the first match
+    # would report the instance ("1", 0) with label 0, and no token could
+    # name the document's own instance (1, 0) of label 1
+    doc = {"features": [{"id": 1, "values": ["1", 1]}, {"id": 2, "values": [0, 1]}],
+           "classes": [0, 1], "body": {"kind": "table", "labels": [0, 0, 1, 0]},
+           "instance": {"point": [1, 0], "label": 1}}
+    model = _written(tmp_path, doc)
+    code, out, err = run(capsys, "explain", "--model", model, "--instance", "1,0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: value '1' names 2 values of feature 1: ['1', 1]\n"
+    code, out, _ = run(capsys, "explain", "--model", model, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["instance"] == [1, 0] and json.loads(out)["label"] == 1
 
 
 @pytest.mark.parametrize("value, message", [

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fislab import explain, props, scores
 from fislab.explain import (ExplanationKind, enumerate_axps, enumerate_cxps,
-                            enumerate_waxps, enumerate_wcxps, is_critical,
+                            is_critical,
                             is_critical_dual, is_waxp, is_wcxp,
                             minimal_hitting_sets, relevant_features)
 from fislab.model import features_of, mask_of
@@ -102,12 +102,12 @@ def test_single_decider_families(single):
 
 
 def test_chain_weak_family_counts(chain):
-    assert len(enumerate_waxps(chain)) == 5
-    assert len(enumerate_wcxps(chain)) == 11
+    assert len(explain.family(chain, ExplanationKind.WAXP)) == 5
+    assert len(explain.family(chain, ExplanationKind.WCXP)) == 11
 
 
 def test_families_sorted_by_cardinality_then_mask(chain):
-    for fam in (enumerate_axps(chain), enumerate_wcxps(chain)):
+    for fam in (enumerate_axps(chain), explain.family(chain, ExplanationKind.WCXP)):
         keys = [(s.bit_count(), s) for s in fam.members]
         assert keys == sorted(keys)
 
@@ -121,7 +121,7 @@ def test_minimal_families_are_antichains(chain):
 
 def test_full_set_is_weak_explanation_empty_is_not(chain, single):
     for problem in (chain, single):
-        waxps = enumerate_waxps(problem)
+        waxps = explain.family(problem, ExplanationKind.WAXP)
         assert problem.full_mask in waxps.members
         assert 0 not in waxps.members
 
@@ -257,8 +257,8 @@ def test_critical_dual_examples(chain):
 def test_monotonicity_of_weak_predicates():
     for k in range(20):
         problem = props.random_problem(21, k, (2, 5))
-        waxps = set(enumerate_waxps(problem).members)
-        wcxps = set(enumerate_wcxps(problem).members)
+        waxps = set(explain.family(problem, ExplanationKind.WAXP).members)
+        wcxps = set(explain.family(problem, ExplanationKind.WCXP).members)
         full = problem.full_mask
         for s in waxps:
             for i in range(problem.m):
@@ -330,7 +330,7 @@ def test_dense_family_members_are_never_built():
     for fis_id in scores.FIS_IDS:
         for dual in (False, True):
             scores.compute_fis(fis_id, problem, dual)
-    waxps = enumerate_waxps(problem)
+    waxps = explain.family(problem, ExplanationKind.WAXP)
     assert len(waxps) == 175
     assert "members" not in vars(waxps)
 

@@ -383,8 +383,8 @@ def assert_one_value_per_mask(table):
 @pytest.mark.parametrize("problem", [p for _, p in CORPUS], ids=[n for n, _ in CORPUS])
 def test_kernel_matches_exhaustive_scans(problem):
     expected, similar = brute_values(problem)
-    assert charfun.cf_expected(problem).values == expected
-    assert charfun.cf_similarity(problem).values == similar
+    assert charfun.build_table(charfun.CF_E, problem).values == expected
+    assert charfun.build_table(charfun.CF_M, problem).values == similar
 
     families = brute_families(problem)
     for kind, members in families.items():
@@ -395,7 +395,7 @@ def test_kernel_matches_exhaustive_scans(problem):
     m = problem.m
     # a generator: every one-feature extension is a weak AXP
     waxps = set(families[ExplanationKind.WAXP])
-    assert charfun.cf_generator(problem).nums == bytes(
+    assert charfun.build_table(charfun.CF_G, problem).nums == bytes(
         all(s | 1 << i in waxps for i in range(m) if not s >> i & 1)
         for s in range(1 << m))
     tables = [charfun.build_table(cf_id, problem) for cf_id in TABLE_IDS]
@@ -540,8 +540,8 @@ def test_agreement_tables_scale_by_the_domain_sizes(problem):
     # domains (charfun.mask_scale): one-value domains, sizes up to 5 and
     # label sums past 8 bytes against the averages over select_points
     expected, similar = brute_values(fresh(problem))
-    assert charfun.cf_expected(problem).values == expected
-    assert charfun.cf_similarity(problem).values == similar
+    assert charfun.build_table(charfun.CF_E, problem).values == expected
+    assert charfun.build_table(charfun.CF_M, problem).values == similar
 
 
 def test_fold_corpus_covers_every_position_and_wide_fields():
@@ -777,11 +777,12 @@ def test_tables_with_mixed_denominators():
     # a sum of tables with different denominators exercises the common
     # denominator of the integer cores
     problem = next(p for name, p in CORPUS if name.startswith("tree-m5"))
-    table = charfun.cf_sum(charfun.cf_expected(problem), charfun.cf_similarity(problem))
+    table = charfun.cf_sum(charfun.build_table(charfun.CF_E, problem),
+                           charfun.build_table(charfun.CF_M, problem))
     for template in ALL_SUBSET_TEMPLATES:
         assert (all_subsets_vector(template, table).values
                 == oracle_score_all_subsets(template, table))
-    members = explain.enumerate_waxps(problem).members
+    members = explain.family(problem, ExplanationKind.WAXP).members
     for template, normalized in FAMILY_VARIANTS:
         assert (family_vector(template, table, members, problem.m, normalized).values
                 == oracle_score_family(template, table, members, problem.m, normalized))
@@ -1162,8 +1163,8 @@ def test_family_core_memory_stays_flat_in_family_size():
     m = 14
     problem = make_problem(parse_boolean_expression(
         " | ".join(f"(x{i} & x{i + 1})" for i in range(1, m)), m), (1,) * m)
-    members = explain.enumerate_waxps(problem).members
-    table = charfun.cf_waxp(problem)
+    members = explain.family(problem, ExplanationKind.WAXP).members
+    table = charfun.build_table(charfun.CF_W, problem)
     assert len(members) == 15_397
     tracemalloc.start()
     try:
@@ -1181,8 +1182,8 @@ def test_family_flag_core_memory_stays_flat_in_family_size():
     m = 14
     problem = make_problem(parse_boolean_expression(
         " | ".join(f"(x{i} & x{i + 1})" for i in range(1, m)), m), (1,) * m)
-    family = explain.enumerate_waxps(problem).flags
-    table = charfun.cf_waxp(problem)
+    family = explain.family(problem, ExplanationKind.WAXP).flags
+    table = charfun.build_table(charfun.CF_W, problem)
     expected = scores._family_flags(TemplateId.ANDJIGA, table.nums, family)
     tracemalloc.start()
     try:

@@ -95,7 +95,7 @@ def test_json_reports_leave_no_cyclic_garbage(tmp_path):
 
 def test_memo_entries_outlive_their_problem_without_it():
     problem = props.random_problem(5, 1, (3, 3))
-    table = charfun.cf_waxp(problem)
+    table = charfun.build_table(charfun.CF_W, problem)
     family = explain.enumerate_axps(problem)
     vec = scores.compute_fis("S", problem)
     ref = weakref.ref(problem)
@@ -111,7 +111,7 @@ def test_memo_entries_outlive_their_problem_without_it():
 
 def test_tables_families_and_vectors_pickle_without_their_problem():
     problem = props.random_problem(5, 3, (3, 3))
-    table = charfun.cf_waxp(problem)
+    table = charfun.build_table(charfun.CF_W, problem)
     family = explain.enumerate_axps(problem)
     vec = scores.compute_fis("S", problem)
     vec.values  # the kept Fraction view travels with the vector

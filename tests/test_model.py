@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fislab.model import (MAX_EXPR_DEPTH, Classifier, DomainError, FeatureDomain,
                           ParseError, RelabelError, ScaleLimitError,
                           TableBody, TreeBody, TreeLeaf, TreeSplit,
-                          agreement_set, evaluate, features_of,
+                          agreement_set, features_of,
                           load_problem, make_problem, mask_of,
                           parse_boolean_expression, parse_model,
                           problem_to_document, relabel_classes)
@@ -227,19 +227,19 @@ def test_feature_ids_must_be_consecutive():
 # evaluation
 
 def test_evaluate_and_or_chain(chain):
-    assert evaluate(chain.classifier, (1, 0, 1, 1)) == 1
-    assert evaluate(chain.classifier, (0, 1, 1, 1)) == 0
+    assert chain.classifier.evaluate((1, 0, 1, 1)) == 1
+    assert chain.classifier.evaluate((0, 1, 1, 1)) == 0
 
 
 def test_evaluate_single_decider(single):
-    assert evaluate(single.classifier, (1, 0)) == 1
+    assert single.classifier.evaluate((1, 0)) == 1
 
 
 def test_evaluate_rejects_out_of_domain(chain):
     with pytest.raises(DomainError):
-        evaluate(chain.classifier, (1, 2, 1, 1))
+        chain.classifier.evaluate((1, 2, 1, 1))
     with pytest.raises(DomainError):
-        evaluate(chain.classifier, (1, 1, 1))
+        chain.classifier.evaluate((1, 1, 1))
 
 
 def test_chain_expression_matches_direct_formula(chain):

@@ -2,6 +2,7 @@
 summary of paired runs, on canned lines (no benchmark runs)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -81,3 +82,30 @@ def test_report_has_a_row_per_pair_and_a_line_per_metric():
 def test_seeds_read_as_a_range_or_a_list():
     assert paired.parse_seeds("10-13") == [10, 11, 12, 13]
     assert paired.parse_seeds("3,5,8") == [3, 5, 8]
+
+
+def test_a_workload_with_no_complete_pair_keeps_its_runs(tmp_path, monkeypatch, capsys):
+    # every parent run of the first workload fails: its runs are still
+    # recorded, with no summary, the next workload still runs, and the tool
+    # exits 1 instead of raising
+    spec = {"run_seconds": 1, "workloads": [{"name": "wide"}, {"name": "sweep"}],
+            "end_to_end": END_TO_END}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(paired, "ROOT", tmp_path)
+    monkeypatch.setattr(paired, "git_commit", lambda tree: None)
+
+    def run_bench(tree, workload, seed, seconds):
+        if workload == "wide" and tree != tmp_path:
+            return {"metrics": {}, "attempted": 0, "failed": 1, "report_sha256": None,
+                    "exit": 1}
+        return paired.parse_run(run_output(90.0 + seed, 60.0))
+    monkeypatch.setattr(paired, "run_bench", run_bench)
+    assert paired.main(["--parent", str(tmp_path / "parent"), "--seeds", "10,11"]) == 1
+    wide = json.loads((tmp_path / "BENCH_wide.json").read_text())
+    assert len(wide) == 1 and wide[0]["summary"] == []
+    assert [(run["side"], run["failed"]) for run in wide[0]["runs"]] == [
+        ("parent", 1), ("tree", 0), ("tree", 0), ("parent", 1)]
+    sweep = json.loads((tmp_path / "BENCH_sweep.json").read_text())
+    assert [row["pairs"] for row in sweep[0]["summary"]] == [2, 2]
+    out = capsys.readouterr().out
+    assert "== wide\n" in out and "no complete pair" in out and "== sweep\n" in out

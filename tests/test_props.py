@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from fislab import charfun, model, props, scores
-from fislab.charfun import cf_axp, cf_expected, cf_generator, cf_similarity, cf_waxp
+from fislab.charfun import CF_A, CF_E, CF_G, CF_M, CF_W, build_table
 from fislab.model import (Classifier, FeatureDomain, TableBody, make_problem,
                           parse_boolean_expression)
 from fislab.props import (DualityLevel, check_additivity,
@@ -44,15 +44,15 @@ def ordinal_shift():
 # efficiency
 
 def test_efficiency_holds_for_ordering_template_on_any_table(chain):
-    for table in (cf_waxp(chain), cf_expected(chain), cf_similarity(chain),
-                  cf_axp(chain)):
+    for table in (build_table(CF_W, chain), build_table(CF_E, chain),
+                  build_table(CF_M, chain), build_table(CF_A, chain)):
         verdict = check_efficiency(chain, TemplateId.SHAPLEY_SHUBIK, table)
         assert verdict.holds
         assert verdict.verdict == "holds-on-instance"
 
 
 def test_efficiency_fails_for_banzhaf_on_chain(chain):
-    verdict = check_efficiency(chain, TemplateId.BANZHAF, cf_waxp(chain))
+    verdict = check_efficiency(chain, TemplateId.BANZHAF, build_table(CF_W, chain))
     assert not verdict.holds
     assert verdict.witness.data["sum"] == "5/4"
     assert verdict.witness.data["target"] == "1"
@@ -60,7 +60,7 @@ def test_efficiency_fails_for_banzhaf_on_chain(chain):
 
 
 def test_efficiency_deegan_packel_sums_to_one_but_misses_target(chain):
-    table = cf_axp(chain)
+    table = build_table(CF_A, chain)
     vec = scores.compute_fis("D", chain)
     assert vec.total() == 1
     verdict = check_efficiency(chain, TemplateId.DEEGAN_PACKEL, table)
@@ -73,7 +73,7 @@ def test_efficiency_deegan_packel_sums_to_one_but_misses_target(chain):
 # symmetry
 
 def test_symmetry_witness_on_generator_table(single):
-    table = cf_generator(single)
+    table = build_table(CF_G, single)
     assert symmetric_pairs(table) == [(1, 2)]
     for template in (TemplateId.DEEGAN_PACKEL, TemplateId.HOLLER_PACKEL,
                      TemplateId.RESPONSIBILITY, TemplateId.ANDJIGA):
@@ -84,7 +84,7 @@ def test_symmetry_witness_on_generator_table(single):
 
 
 def test_symmetry_holds_for_ordering_and_swing_templates(single):
-    table = cf_generator(single)
+    table = build_table(CF_G, single)
     for template in (TemplateId.SHAPLEY_SHUBIK, TemplateId.BANZHAF,
                      TemplateId.JOHNSTON):
         assert check_symmetry(single, template, table).holds
@@ -92,7 +92,7 @@ def test_symmetry_holds_for_ordering_and_swing_templates(single):
 
 def test_symmetry_on_structurally_symmetric_conjunction():
     problem = make_problem(parse_boolean_expression("x1 & x2"), (1, 1))
-    table = cf_waxp(problem)
+    table = build_table(CF_W, problem)
     assert symmetric_pairs(table) == [(1, 2)]
     for template in TemplateId:
         assert check_symmetry(problem, template, table).holds
@@ -102,9 +102,9 @@ def test_symmetry_on_structurally_symmetric_conjunction():
 # additivity
 
 def test_additivity_holds_for_linear_templates(chain):
-    pairs = ((cf_waxp(chain), cf_waxp(chain)),
-             (cf_expected(chain), cf_waxp(chain)),
-             (cf_similarity(chain), cf_axp(chain)))
+    pairs = ((build_table(CF_W, chain), build_table(CF_W, chain)),
+             (build_table(CF_E, chain), build_table(CF_W, chain)),
+             (build_table(CF_M, chain), build_table(CF_A, chain)))
     for template in (TemplateId.DEEGAN_PACKEL, TemplateId.HOLLER_PACKEL,
                      TemplateId.BANZHAF, TemplateId.ANDJIGA,
                      TemplateId.SHAPLEY_SHUBIK):
@@ -114,11 +114,12 @@ def test_additivity_holds_for_linear_templates(chain):
 
 def test_additivity_keeps_the_sum_of_the_problems_own_tables(chain):
     problem = model.ExplanationProblem(chain.classifier, chain.instance)
-    expected, waxp = cf_expected(problem), cf_waxp(problem)
+    expected, waxp = build_table(CF_E, problem), build_table(CF_W, problem)
     assert check_additivity(problem, TemplateId.BANZHAF, expected, waxp).holds
     combined = problem._cache["cf_sum", charfun.CF_E, charfun.CF_W]
     assert combined.values == charfun.cf_sum(expected, waxp).values
-    check_additivity(problem, TemplateId.BANZHAF, cf_expected(problem), cf_waxp(problem))
+    check_additivity(problem, TemplateId.BANZHAF, build_table(CF_E, problem),
+                     build_table(CF_W, problem))
     assert problem._cache["cf_sum", charfun.CF_E, charfun.CF_W] is combined
     check_additivity(problem, TemplateId.BANZHAF, waxp, expected)
     assert problem._cache["cf_sum", charfun.CF_W, charfun.CF_E] is not combined
@@ -133,7 +134,7 @@ def test_additivity_keeps_the_sum_of_the_problems_own_tables(chain):
 def test_additivity_equal_tables_cannot_break_the_max(single):
     # doubling a table doubles every candidate term, so the max scales too;
     # a genuine violation needs two tables with different argmaxes
-    table = cf_waxp(single)
+    table = build_table(CF_W, single)
     assert check_additivity(single, TemplateId.RESPONSIBILITY, table, table).holds
 
 
@@ -165,20 +166,20 @@ def test_additivity_witness_found_for_swing_share_template():
 # dummy
 
 def test_dummy_feature_scores_zero_for_all_templates(single):
-    table = cf_waxp(single)
+    table = build_table(CF_W, single)
     assert dummy_features(table) == [2]
     for template in TemplateId:
         assert check_dummy(single, template, table).holds
 
 
 def test_dummy_vacuous_when_no_feature_is_inert(chain):
-    assert dummy_features(cf_waxp(chain)) == []
-    assert check_dummy(chain, TemplateId.BANZHAF, cf_waxp(chain)).holds
+    assert dummy_features(build_table(CF_W, chain)) == []
+    assert check_dummy(chain, TemplateId.BANZHAF, build_table(CF_W, chain)).holds
 
 
 def test_ordinal_shift_feature_not_a_dummy_under_expected_value(ordinal_shift):
-    assert dummy_features(cf_expected(ordinal_shift)) == []
-    assert dummy_features(cf_waxp(ordinal_shift)) == [2]
+    assert dummy_features(build_table(CF_E, ordinal_shift)) == []
+    assert dummy_features(build_table(CF_W, ordinal_shift)) == [2]
 
 
 # ---------------------------------------------------------------------------

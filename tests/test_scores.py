@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fislab import charfun, explain, props, scores
-from fislab.charfun import CharacteristicTable, cf_expected, cf_generator, cf_waxp
+from fislab.charfun import CF_G, CF_W, CharacteristicTable, build_table
 from fislab.explain import ExplanationKind
 from fislab.model import DomainError, WeightedVotingGame
 from fislab.scores import (TemplateId, compute_fis, coverage_set, family_score,
@@ -47,7 +47,7 @@ def test_sigma_rejects_out_of_range():
 # template scores on the generator table (two-feature decider)
 
 def test_generator_template_scores(single):
-    table = cf_generator(single)
+    table = build_table(CF_G, single)
     expected = {TemplateId.DEEGAN_PACKEL: F(1), TemplateId.HOLLER_PACKEL: F(1),
                 TemplateId.RESPONSIBILITY: F(1), TemplateId.ANDJIGA: F(1, 2)}
     for template, value in expected.items():
@@ -179,18 +179,18 @@ def test_family_score_matches_problem_route(chain):
 # permutation oracle
 
 def test_oracle_on_chain_and_single(chain, single):
-    assert shapley_permutation_oracle(chain, cf_waxp(chain)).values == \
+    assert shapley_permutation_oracle(chain, build_table(CF_W, chain)).values == \
         compute_fis("S", chain).values
-    assert shapley_permutation_oracle(single, cf_waxp(single)).values == \
+    assert shapley_permutation_oracle(single, build_table(CF_W, single)).values == \
         compute_fis("S", single).values
 
 
 def test_oracle_equivalence_random_tables():
     for k in range(12):
         problem = props.random_problem(59, k, (2, 5))
-        for build, fis_id in ((charfun.cf_waxp, "S"), (charfun.cf_expected, "E"),
-                              (charfun.cf_similarity, "M")):
-            table = build(problem)
+        for cf_id, fis_id in ((charfun.CF_W, "S"), (charfun.CF_E, "E"),
+                              (charfun.CF_M, "M")):
+            table = charfun.build_table(cf_id, problem)
             oracle = shapley_permutation_oracle(problem, table)
             assert oracle.values == compute_fis(fis_id, problem).values
 
@@ -202,7 +202,7 @@ def test_oracle_feature_cap():
     cls = Classifier(features, frozenset({0, 1}), TableBody(labels))
     problem = make_problem(cls, (0,) * 9)
     with pytest.raises(ValueError):
-        shapley_permutation_oracle(problem, cf_waxp(problem))
+        shapley_permutation_oracle(problem, build_table(CF_W, problem))
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +312,12 @@ def test_strong_duality_sample():
 
 def test_template_score_refuses_a_table_of_another_size(chain, single):
     with pytest.raises(ValueError, match="table size"):
-        template_score(TemplateId.BANZHAF, chain, cf_waxp(single))
+        template_score(TemplateId.BANZHAF, chain, build_table(CF_W, single))
 
 
 def test_positive_scaling_preserves_ranking(chain):
     factor = F(3, 7)
-    table = cf_waxp(chain)
+    table = build_table(CF_W, chain)
     scaled = CharacteristicTable("CF_SUM", 4, tuple(3 * n for n in table.nums),
                                  7 * table.den)
     for template in (TemplateId.SHAPLEY_SHUBIK, TemplateId.BANZHAF,
@@ -368,7 +368,7 @@ def test_parse_fis_id():
 
 def test_template_score_rejects_foreign_table(chain, single):
     with pytest.raises(ValueError):
-        template_score(TemplateId.BANZHAF, chain, cf_waxp(single))
+        template_score(TemplateId.BANZHAF, chain, build_table(CF_W, single))
 
 
 def test_compute_fis_rejects_unknown(chain):

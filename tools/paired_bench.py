@@ -18,7 +18,8 @@ then per metric the two medians, the parent's quartiles, the pairs the
 working tree won and whether the change of the medians stays within the
 metric's bound in BENCHMARK.json.  It also appends one record per workload
 to ``BENCH_<workload>.json`` in the working tree: both commits, the date,
-the CPU count, the seeds and every run's metrics and ``report_sha256``.  It
+the CPU count, the seeds and every run's metrics and ``report_sha256``; a
+workload with no complete pair gets its runs and an empty summary.  It
 exits 1 if a run failed or an operation failed in one.
 """
 
@@ -62,11 +63,14 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> list[dict]:
     """Per end-to-end metric of BENCHMARK.json: the medians of both sides,
     the parent's quartiles, the pairs (runs of one seed) the working tree
     won, and whether the tree's median is worse than the parent's by more
-    than the metric's bound (a fraction of the parent's median)."""
+    than the metric's bound (a fraction of the parent's median).  No
+    complete pair gives no rows."""
     by_seed: dict[int, dict[str, dict]] = {}
     for run in runs:
         by_seed.setdefault(run["seed"], {})[run["side"]] = run["metrics"]
     pairs = [sides for sides in by_seed.values() if set(sides) == set(SIDES)]
+    if not pairs:
+        return []
     rows = []
     for spec in end_to_end:
         name, higher = spec["name"], spec["better"] == "higher"
@@ -101,6 +105,8 @@ def format_report(workload: str, runs: list[dict], rows: list[dict]) -> str:
         same = sides["parent"]["report_sha256"] == sides["tree"]["report_sha256"]
         out.append(f"{seed:<5} {first:<7} {'same' if same else 'DIFFERS':<8} "
                    + "  ".join(cells))
+    if not rows:
+        out.append("no complete pair: every run on one side failed")
     for row in rows:
         out.append(
             f"{row['metric']:>12} ({row['better']} is better): median "
